@@ -38,9 +38,10 @@ for p in (0.3, 0.6):
     batch = generate_paths(GeneratorSpec.two_point(p), 2, m, seed=12)
     family = TestFunctionFamily.default(batch)
     report = check_demimartingale(batch, family, level=0.999, mode="demisub")
+    n_failures = sum(row["verdict"] == "fail" for row in report.rows)
     print(f"p = {p}: demisubmartingale check on {m} paths -> "
           f"{'pass' if report.overall_pass else 'FAIL'} "
-          f"({report.n_failures} significant cells)")
+          f"({n_failures} significant cells)")
     cell = next(r for r in report.rows if r["function"] == "const1")
     print(f"  constant probe estimate {cell['estimate']:+.4f} "
           f"(exact 1 - 2p = {1 - 2 * p:+.1f}, stderr {cell['stderr']:.4f})")

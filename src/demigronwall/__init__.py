@@ -28,7 +28,6 @@ from .bem import (
 from .demi import (
     Constant1,
     CoordinateRamp,
-    DemiReport,
     ProductRamp,
     ShiftedIdentityLast,
     TestFunctionFamily,

@@ -43,7 +43,7 @@ from .errors import (
     StepTooLarge,
 )
 from .generators import TrajectoryBatch
-from .reporting import VerificationReport
+from .reporting import VerificationReport, mean_se, one_sided_verdict, root_of_mean
 from .rng import normal_matrix
 
 BEM_COLUMNS = ["h", "p", "estimate", "stderr", "bound", "margin", "verdict"]
@@ -154,17 +154,6 @@ class BemBatch:
     def sup_norms(self) -> np.ndarray:
         """Per-path running supremum of the Euclidean state norm."""
         return np.sqrt((self.paths ** 2).sum(axis=2)).max(axis=1)
-
-    def to_csv(self, path) -> None:
-        """Full path dump with header ``path,j,t,y_1..y_d``."""
-        d = self.paths.shape[2]
-        head = ",".join(f"y_{k + 1}" for k in range(d))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"path,j,t,{head}\n")
-            for r in range(self.n_paths):
-                for j in range(self.n_steps + 1):
-                    ys = ",".join(repr(float(v)) for v in self.paths[r, j])
-                    fh.write(f"{r},{j},{float(j * self.h)!r},{ys}\n")
 
 
 # --------------------------------------------------------------------------
@@ -374,15 +363,10 @@ def apriori_moment_bound(p, L, T, h0, x0_norm, g_x0_norm) -> float:
     return prefactor * growth * tail
 
 
-def sup_norm_estimate(batch: BemBatch, p, slack_sd=3.0) -> tuple:
+def sup_norm_estimate(batch: BemBatch, p) -> tuple:
     """Plug-in estimate of ``||sup_j |Y^j|||_{2p}`` with delta-method SE."""
-    p = float(p)
-    powered = batch.sup_norms() ** (2.0 * p)
-    mean = float(powered.mean())
-    se_mean = float(powered.std(ddof=1) / math.sqrt(powered.shape[0])) if powered.shape[0] > 1 else 0.0
-    estimate = mean ** (1.0 / (2.0 * p))
-    se = se_mean * mean ** (1.0 / (2.0 * p) - 1.0) / (2.0 * p) if mean > 0.0 else 0.0
-    return estimate, se
+    r = 2.0 * float(p)
+    return root_of_mean(batch.sup_norms() ** r, r)
 
 
 def verify_apriori_bound(
@@ -422,16 +406,14 @@ def verify_apriori_bound(
         batch = simulate_bem(model, cfg, seed, n_paths)
         for p in p_grid:
             estimate, se = sup_norm_estimate(batch, p)
-            margin = bounds[p] + slack_sd * se - estimate
             report.add_row(
-                h=cfg.h, p=p, estimate=estimate, stderr=se, bound=bounds[p], margin=margin,
-                verdict="pass" if margin >= 0.0 else "fail",
+                h=cfg.h, p=p, estimate=estimate, stderr=se, bound=bounds[p],
+                **one_sided_verdict(estimate, se, bounds[p], 0.0, slack_sd),
             )
         if check_z or check_s_demi:
             z, s = z_sequence(model, batch.paths, batch.increments, cfg.h, b0)
             if check_z:
-                col_mean = z.mean(axis=0)
-                col_se = z.std(ddof=1, axis=0) / math.sqrt(z.shape[0])
+                col_mean, col_se = mean_se(z)
                 ok = bool(np.all(np.abs(col_mean) <= slack_sd * col_se + 1e-15))
                 report.checks[f"z_mean_zero[h={cfg.h:g}]"] = ok
             if check_s_demi:

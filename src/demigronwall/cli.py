@@ -234,15 +234,11 @@ def _drive_demi_check(params, seeds, n_paths):
         raise ConfigError(f"[{section}] level must lie in (0, 1), got {level}")
     if n_steps < 1:
         raise ConfigError(f"[{section}] n_steps must be >= 1, got {n_steps}")
-    report = VerificationReport(
-        command=section, columns=["j", "function", "estimate", "stderr", "z", "verdict"],
-        seeds=list(seeds),
-    )
+    report = VerificationReport(command=section, columns=demi_mod.DEMI_COLUMNS, seeds=list(seeds))
     for seed in seeds:
         batch = generate_paths(spec, n_steps, n_paths, seed)
         family = demi_mod.TestFunctionFamily.default(batch)
-        rep = demi_mod.check_demimartingale(batch, family, level=level, mode=mode)
-        report.rows.extend(dict(row) for row in rep.rows)
+        report.extend(demi_mod.check_demimartingale(batch, family, level=level, mode=mode))
     return report
 
 

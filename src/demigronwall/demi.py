@@ -20,6 +20,9 @@ from scipy.special import ndtri
 
 from .errors import DegenerateBatch, EmptyFamily, InvalidSpec, NotNondecreasing
 from .generators import TrajectoryBatch
+from .reporting import VerificationReport, mean_se
+
+DEMI_COLUMNS = ["j", "function", "estimate", "stderr", "z", "verdict"]
 
 
 # --------------------------------------------------------------------------
@@ -172,45 +175,8 @@ def monotonicity_counterexamples(family: TestFunctionFamily, dim, n_pairs, seed)
 
 
 # --------------------------------------------------------------------------
-# reports
+# per-cell z-tests
 # --------------------------------------------------------------------------
-
-@dataclass
-class DemiReport:
-    """Per-cell one-sided z-test results for a batch check."""
-
-    kind: str  # "demi", "demisub" or "association"
-    level: float
-    rows: list  # dicts with keys j, function, estimate, stderr, z, verdict
-    label: str = ""
-
-    @property
-    def overall_pass(self) -> bool:
-        return all(row["verdict"] == "pass" for row in self.rows)
-
-    @property
-    def n_failures(self) -> int:
-        return sum(row["verdict"] == "fail" for row in self.rows)
-
-    def to_csv(self, path) -> None:
-        from .reporting import format_cell
-
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("j,function,estimate,stderr,z,verdict\n")
-            for row in self.rows:
-                cells = (row["j"], row["function"], row["estimate"], row["stderr"], row["z"], row["verdict"])
-                fh.write(",".join(format_cell(c) for c in cells) + "\n")
-
-    def json_body(self) -> dict:
-        return {
-            "kind": self.kind,
-            "level": self.level,
-            "label": self.label,
-            "cells": len(self.rows),
-            "failures": self.n_failures,
-            "overall": "pass" if self.overall_pass else "fail",
-        }
-
 
 def _zscore(estimate, stderr) -> float:
     if stderr > 0.0:
@@ -232,7 +198,7 @@ def _cell_row(j, name, estimate, stderr, z_crit) -> dict:
 # checks
 # --------------------------------------------------------------------------
 
-def check_demimartingale(batch: TrajectoryBatch, family: TestFunctionFamily, level=0.999, mode="demi") -> DemiReport:
+def check_demimartingale(batch: TrajectoryBatch, family: TestFunctionFamily, level=0.999, mode="demi") -> VerificationReport:
     """Test ``E[(S_{j+1} - S_j) f(S_1..S_j)] >= 0`` over steps and probes.
 
     Args:
@@ -243,7 +209,8 @@ def check_demimartingale(batch: TrajectoryBatch, family: TestFunctionFamily, lev
         mode: ``"demi"`` or ``"demisub"``.
 
     A cell fails when its estimate is below ``-z(level) * SE``.  Cells whose
-    probe needs more coordinates than the step provides are skipped.
+    probe needs more coordinates than the step provides are skipped.  The
+    report's command is ``mode`` and its columns are :data:`DEMI_COLUMNS`.
 
     Raises:
         EmptyFamily: no admissible probe for the requested mode.
@@ -257,28 +224,26 @@ def check_demimartingale(batch: TrajectoryBatch, family: TestFunctionFamily, lev
     if batch.n_paths < 30:
         raise DegenerateBatch(f"need at least 30 paths for usable standard errors, got {batch.n_paths}")
     values = batch.values
-    m = batch.n_paths
     z_crit = float(ndtri(level))
-    rows = []
+    report = VerificationReport(command=mode, columns=DEMI_COLUMNS)
     for j in range(1, batch.n_steps):
         prefix = values[:, 1 : j + 1]
         diff = values[:, j + 1] - values[:, j]
         for f in members:
             if f.min_coords > j:
                 continue
-            w = diff * f.evaluate(prefix)
-            est = float(w.mean())
-            se = float(w.std(ddof=1) / math.sqrt(m)) if m > 1 else 0.0
-            rows.append(_cell_row(j, f.name, est, se, z_crit))
-    return DemiReport(kind=mode, level=level, rows=rows, label=batch.label)
+            est, se = mean_se(diff * f.evaluate(prefix))
+            report.rows.append(_cell_row(j, f.name, est, se, z_crit))
+    return report
 
 
-def check_association(batch: TrajectoryBatch, family: TestFunctionFamily, level=0.999, n_blocks=30) -> DemiReport:
+def check_association(batch: TrajectoryBatch, family: TestFunctionFamily, level=0.999, n_blocks=30) -> VerificationReport:
     """Test ``Cov(f(X), g(X)) >= 0`` for every ordered pair of probes.
 
     Columns of ``batch`` are interpreted as the collection ``X_1 .. X_n``.
     Standard errors come from batch means over ``n_blocks`` contiguous
-    blocks of paths, which stays honest under heavy tails.
+    blocks of paths, which stays honest under heavy tails.  The report's
+    command is ``"association"`` and its columns are :data:`DEMI_COLUMNS`.
 
     Raises:
         EmptyFamily: fewer than two applicable probes.
@@ -295,7 +260,7 @@ def check_association(batch: TrajectoryBatch, family: TestFunctionFamily, level=
     z_crit = float(ndtri(level))
     evals = [np.asarray(f.evaluate(values), dtype=np.float64) for f in members]
     bounds = np.linspace(0, m, n_blocks + 1).astype(int)
-    rows = []
+    report = VerificationReport(command="association", columns=DEMI_COLUMNS)
     for a, fa in enumerate(members):
         for b, fb in enumerate(members):
             fv, gv = evals[a], evals[b]
@@ -303,9 +268,9 @@ def check_association(batch: TrajectoryBatch, family: TestFunctionFamily, level=
             block_covs = np.array(
                 [np.cov(fv[lo:hi], gv[lo:hi], ddof=1)[0, 1] for lo, hi in zip(bounds[:-1], bounds[1:])]
             )
-            se = float(block_covs.std(ddof=1) / math.sqrt(n_blocks))
-            rows.append(_cell_row(None, f"{fa.name}|{fb.name}", est, se, z_crit))
-    return DemiReport(kind="association", level=level, rows=rows, label=batch.label)
+            _, se = mean_se(block_covs)
+            report.rows.append(_cell_row(None, f"{fa.name}|{fb.name}", est, se, z_crit))
+    return report
 
 
 def two_point_stats(prob, f_at_minus1, f_at_plus1) -> dict:

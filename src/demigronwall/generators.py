@@ -90,15 +90,6 @@ class TrajectoryBatch:
             np.diff(self.values, axis=1), label=f"{self.label}-increments", starts_at_zero=False
         )
 
-    def to_csv(self, path) -> None:
-        """Dump as long-format CSV with header ``path,k,value``."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("path,k,value\n")
-            for r in range(self.n_paths):
-                row = self.values[r]
-                for k in range(row.shape[0]):
-                    fh.write(f"{r},{k},{float(row[k])!r}\n")
-
 
 @dataclass(frozen=True)
 class GeneratorSpec:

@@ -39,7 +39,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .generators import TrajectoryBatch
-from .reporting import VerificationReport
+from .reporting import VerificationReport, mean_se, mu_norm, one_sided_verdict, power_se
 
 GRONWALL_COLUMNS = ["n", "p", "mu", "nu", "lhs", "lhs_se", "rhs", "margin", "verdict"]
 
@@ -145,10 +145,7 @@ def sup_moment(batch: TrajectoryBatch, p, n=None, first=0) -> MomentEstimate:
     sups = batch.values[:, first : n + 1].max(axis=1)
     if p != 1.0 and np.any(sups < 0.0):
         raise NegativeBase(f"running maximum is negative on some path; p={p} power undefined")
-    powered = sups ** p
-    m = powered.shape[0]
-    se = float(powered.std(ddof=1) / math.sqrt(m)) if m > 1 else 0.0
-    return MomentEstimate(float(powered.mean()), se, p, n)
+    return MomentEstimate(*mean_se(sups ** p), p, n)
 
 
 def neg_inf_mean(batch: TrajectoryBatch, n=None) -> MomentEstimate:
@@ -158,10 +155,7 @@ def neg_inf_mean(batch: TrajectoryBatch, n=None) -> MomentEstimate:
     n = batch.n_steps if n is None else int(n)
     if not 0 <= n <= batch.n_steps:
         raise ShapeMismatch(f"need 0 <= n <= {batch.n_steps}, got n={n}")
-    vals = -batch.values[:, : n + 1].min(axis=1)
-    m = vals.shape[0]
-    se = float(vals.std(ddof=1) / math.sqrt(m)) if m > 1 else 0.0
-    return MomentEstimate(float(vals.mean()), se, 1.0, n)
+    return MomentEstimate(*mean_se(-batch.values[:, : n + 1].min(axis=1)), 1.0, n)
 
 
 def maximal_moment_bound(q, p) -> float:
@@ -230,34 +224,16 @@ def transform_batch(batch: TrajectoryBatch, growth) -> TrajectoryBatch:
 def _growth_norm(growth, pair: HolderPair, n) -> tuple:
     """(norm, stderr) of ``prod_{k<n} (1 + G_k)^p`` in the mu-norm.
 
-    Deterministic weights give the exact value (zero error).  For random
-    weights the finite-mu norm is a plug-in estimate with a delta-method
-    standard error; mu = inf uses the sample maximum, which can only
-    understate the essential supremum and therefore only makes the
-    verification harder to pass.
+    Deterministic weights give the exact value (zero error); random
+    weights go through :func:`~demigronwall.reporting.mu_norm`, whose
+    mu = inf sample maximum only makes the verification harder to pass.
     """
-    p = pair.p
-    if isinstance(growth, TrajectoryBatch):
-        vals = growth.values
-        if np.any(vals < 0.0):
-            raise NegativeWeights("growth weights must be entrywise nonnegative")
-        if vals.shape[1] < n:
-            raise ShapeMismatch(f"need at least {n} growth columns, got {vals.shape[1]}")
-        prods = np.prod(1.0 + vals[:, :n], axis=1)
-        if math.isinf(pair.mu):
-            return float(prods.max()) ** p, 0.0
-        powered = prods ** (p * pair.mu)
-        mean = float(powered.mean())
-        se_mean = float(powered.std(ddof=1) / math.sqrt(powered.shape[0])) if powered.shape[0] > 1 else 0.0
-        norm = mean ** (1.0 / pair.mu)
-        se = se_mean * mean ** (1.0 / pair.mu - 1.0) / pair.mu if mean > 0.0 else 0.0
-        return norm, se
-    g = np.asarray(growth, dtype=np.float64)
+    g = growth.values if isinstance(growth, TrajectoryBatch) else np.asarray(growth, dtype=np.float64)
     if np.any(g < 0.0):
         raise NegativeWeights("growth weights must be entrywise nonnegative")
-    if g.shape[0] < n:
-        raise ShapeMismatch(f"need at least {n} growth weights, got {g.shape[0]}")
-    return float(np.prod(1.0 + g[:n])) ** p, 0.0
+    if g.shape[-1] < n:
+        raise ShapeMismatch(f"need at least {n} growth weights per path, got {g.shape[-1]}")
+    return mu_norm(np.prod(1.0 + g[..., :n], axis=-1), pair.p, pair.mu)
 
 
 def gronwall_bound(f_sup_mean, growth, pair: HolderPair, n) -> float:
@@ -316,13 +292,6 @@ def build_instance(X: TrajectoryBatch, S: TrajectoryBatch, growth) -> GronwallIn
     return GronwallInstance(X=X, F=F, G=g, S=S)
 
 
-def _power_se(mean, se, power) -> float:
-    """Delta-method standard error of ``mean ** power``."""
-    if mean <= 0.0 or se == 0.0:
-        return 0.0
-    return abs(power) * mean ** (power - 1.0) * se
-
-
 def verify_maximal_inequality(
     batch: TrajectoryBatch, p_grid, n=None, slack_sd=3.0, screen=True
 ) -> VerificationReport:
@@ -336,9 +305,7 @@ def verify_maximal_inequality(
     """
     n = batch.n_steps if n is None else int(n)
     if screen and batch.n_paths > 1 and n >= 1:
-        diffs = np.diff(batch.values[:, : n + 1], axis=1)
-        mean = diffs.mean(axis=0)
-        se = diffs.std(ddof=1, axis=0) / math.sqrt(batch.n_paths)
+        mean, se = mean_se(np.diff(batch.values[:, : n + 1], axis=1))
         if np.any(mean < -4.0 * se - 1e-15):
             warnings.warn(
                 f"batch {batch.label!r} has significantly negative mean increments; "
@@ -350,13 +317,10 @@ def verify_maximal_inequality(
     for p in p_grid:
         lhs = sup_moment(batch, p, n)
         rhs = maximal_moment_bound(q.value, p)
-        rhs_se = _power_se(q.value, q.stderr, p) / (1.0 - p)
-        slack = slack_sd * math.hypot(lhs.stderr, rhs_se)
-        margin = rhs + slack - lhs.value
+        rhs_se = power_se(q.value, q.stderr, p) / (1.0 - p)
         report.add_row(
-            n=n, p=float(p), mu=None, nu=None,
-            lhs=lhs.value, lhs_se=lhs.stderr, rhs=rhs, margin=margin,
-            verdict="pass" if margin >= 0.0 else "fail",
+            n=n, p=float(p), mu=None, nu=None, lhs=lhs.value, lhs_se=lhs.stderr, rhs=rhs,
+            **one_sided_verdict(lhs.value, lhs.stderr, rhs, rhs_se, slack_sd),
         )
     return report
 
@@ -378,21 +342,16 @@ def verify_gronwall(instance: GronwallInstance, pair: HolderPair, n=None, slack_
             f"{violations} path/time cells violate the recursion hypothesis beyond tolerance"
         )
     lhs = sup_moment(instance.X, pair.p, n)
-    f_sups = instance.F.values[:, : n + 1].max(axis=1)
-    f_mean = float(f_sups.mean())
-    f_se = float(f_sups.std(ddof=1) / math.sqrt(f_sups.shape[0])) if f_sups.shape[0] > 1 else 0.0
+    f_mean, f_se = mean_se(instance.F.values[:, : n + 1].max(axis=1))
     norm, norm_se = _growth_norm(instance.G, pair, n)
     rhs = pair.prefactor * norm * f_mean ** pair.p
     rhs_se = pair.prefactor * math.hypot(
-        f_mean ** pair.p * norm_se, norm * _power_se(f_mean, f_se, pair.p)
+        f_mean ** pair.p * norm_se, norm * power_se(f_mean, f_se, pair.p)
     )
-    slack = slack_sd * math.hypot(lhs.stderr, rhs_se)
-    margin = rhs + slack - lhs.value
     report = VerificationReport(command="gronwall-theorem", columns=GRONWALL_COLUMNS)
     report.add_row(
-        n=n, p=pair.p, mu=pair.mu, nu=pair.nu,
-        lhs=lhs.value, lhs_se=lhs.stderr, rhs=rhs, margin=margin,
-        verdict="pass" if margin >= 0.0 else "fail",
+        n=n, p=pair.p, mu=pair.mu, nu=pair.nu, lhs=lhs.value, lhs_se=lhs.stderr, rhs=rhs,
+        **one_sided_verdict(lhs.value, lhs.stderr, rhs, rhs_se, slack_sd),
     )
     report.checks[f"hypothesis_holds[n={n},p={pair.p:g},mu={pair.mu:g}]"] = violations == 0
     return report

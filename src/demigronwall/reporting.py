@@ -1,4 +1,8 @@
-"""Deterministic CSV / JSON serialization of verification results.
+"""Estimator primitives and deterministic serialization of verification results.
+
+Every harness compares a Monte Carlo moment with its standard error
+one-sidedly against a closed form; the mean, its standard error, the
+delta-method propagation and the verdict are computed here once.
 
 Reports are fully determined by (configuration, seeds): floats are written
 with ``repr`` (shortest round-trip form) and the JSON body excludes wall
@@ -8,8 +12,63 @@ files and an identical body hash.
 
 import hashlib
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
+
+import numpy as np
+
+
+def mean_se(samples) -> tuple:
+    """Sample mean along axis 0 and its standard error (0 for one sample).
+
+    A 1-D input gives two floats, a 2-D input one mean and one SE per column.
+    """
+    x = np.asarray(samples)
+    m = x.shape[0]
+    mean = x.mean(axis=0)
+    se = x.std(ddof=1, axis=0) / math.sqrt(m) if m > 1 else np.zeros_like(mean)
+    if x.ndim == 1:
+        return float(mean), float(se)
+    return mean, se
+
+
+def root_of_mean(powered, r) -> tuple:
+    """``mean(powered) ** (1/r)`` with its delta-method standard error.
+
+    With ``powered = |X| ** r`` this is the plug-in estimate of ``||X||_r``.
+    """
+    mean, se_mean = mean_se(powered)
+    se = se_mean * mean ** (1.0 / r - 1.0) / r if mean > 0.0 else 0.0
+    return mean ** (1.0 / r), se
+
+
+def power_se(mean, se, power) -> float:
+    """Delta-method standard error of ``mean ** power``."""
+    if mean <= 0.0 or se == 0.0:
+        return 0.0
+    return abs(power) * mean ** (power - 1.0) * se
+
+
+def mu_norm(values, p, mu) -> tuple:
+    """``||values ** p||_mu`` with its standard error.
+
+    A scalar is exact.  For a sample, mu = inf uses the sample maximum,
+    which can only understate the essential supremum; finite mu is a
+    plug-in estimate with a delta-method standard error.
+    """
+    x = np.asarray(values, dtype=np.float64)
+    if x.ndim == 0:
+        return float(x) ** p, 0.0
+    if math.isinf(mu):
+        return float(x.max()) ** p, 0.0
+    return root_of_mean(x ** (p * mu), mu)
+
+
+def one_sided_verdict(lhs, lhs_se, rhs, rhs_se, slack_sd) -> dict:
+    """``margin`` and ``verdict`` cells of the check ``lhs <= rhs + slack_sd * combined SE``."""
+    margin = rhs + slack_sd * math.hypot(lhs_se, rhs_se) - lhs
+    return {"margin": margin, "verdict": "pass" if margin >= 0.0 else "fail"}
 
 
 def format_cell(value) -> str:
@@ -30,7 +89,8 @@ class VerificationReport:
     ``verdict`` entry equal to ``"pass"`` or ``"fail"``.  ``checks`` holds
     named boolean side conditions that participate in the overall verdict
     but do not fit the tabular schema (hypothesis violation counts,
-    auxiliary statistical checks, ...).
+    auxiliary statistical checks, ...); merging reports ANDs checks that
+    share a name, so a failure is never overwritten by a later pass.
     """
 
     command: str
@@ -56,7 +116,7 @@ class VerificationReport:
             raise ValueError("cannot merge reports with different schemas")
         self.rows.extend(other.rows)
         for name, ok in other.checks.items():
-            self.checks[name] = ok
+            self.checks[name] = self.checks.get(name, True) and bool(ok)
         for seed in other.seeds:
             if seed not in self.seeds:
                 self.seeds.append(seed)

@@ -128,16 +128,6 @@ class TestSimulate:
         var = batch.increments[:, :, 0].var(ddof=1, axis=0)
         assert np.abs(var - cfg.h).max() <= 3.0 * cfg.h * math.sqrt(2.0 / (m - 1))
 
-    def test_path_dump_csv(self, tmp_path):
-        model = frozen_model()
-        cfg = BemConfig(h=0.25, t_horizon=0.5, h0=0.5, x0=[2.0])
-        batch = simulate_bem(model, cfg, seed=1, n_paths=2)
-        out = tmp_path / "paths.csv"
-        batch.to_csv(out)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "path,j,t,y_1"
-        assert lines[1] == "0,0,0.0,2.0"
-
 
 class TestBemConfig:
     def test_step_count_follows_the_horizon(self):

@@ -39,6 +39,15 @@ class TestExitCodes:
     def test_missing_config_file(self, tmp_path):
         assert _run(tmp_path, "demi-check", "--config", str(tmp_path / "nope.ini")) == 1
 
+    def test_failing_check_of_an_early_seed_survives_later_seeds(self, tmp_path):
+        # seed 1613402571 alone fails z_mean_zero[h=0.1]; seed 2416477026 passes it
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[run]\nseeds = 1613402571, 2416477026\npaths = 50000\n")
+        assert _run(tmp_path, "bem", "--config", str(cfg), "--quiet") == 2
+        doc = json.loads((tmp_path / "out" / "bem" / "report.json").read_text())
+        assert doc["checks"]["z_mean_zero[h=0.1]"] is False
+        assert doc["overall"] == "fail"
+
     def test_usage_error_exits_one(self, capsys):
         assert main(["frobnicate"]) == 1
         assert "invalid choice" in capsys.readouterr().err

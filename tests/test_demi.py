@@ -61,7 +61,7 @@ class TestCheckDemimartingale:
         batch = _batch(GeneratorSpec.random_walk(), 8, 100_000, 101)
         report = check_demimartingale(batch, TestFunctionFamily.default(batch), level=0.999)
         assert report.overall_pass
-        assert report.n_failures == 0
+        assert sum(row["verdict"] == "fail" for row in report.rows) == 0
 
     def test_random_walk_pass_rate_across_seeds(self):
         # martingales are demimartingales: expect >= 99 of 100 seeds to pass
@@ -119,7 +119,7 @@ class TestCheckDemimartingale:
         assert len(lines) == len(report.rows) + 1
         body = report.json_body()
         assert body["overall"] == "pass"
-        assert body["cells"] == len(report.rows)
+        assert len(body["rows"]) == len(report.rows)
 
 
 class TestCheckAssociation:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import erfc
+from scipy.special import erfc, erfcx
 
 from demigronwall.errors import (
     AlphaOutOfRange,
@@ -74,14 +74,10 @@ class TestL1Coefficients:
     def test_b_rows_sum_to_zero(self, beta, n):
         assert abs(l1_b_row(beta, n).sum()) <= 1e-12
 
-    def test_table_and_csv(self, tmp_path):
+    def test_table_build(self):
         table = CoefficientTable.build(0.5, 8)
         assert table.a.shape == (9,) and table.b.shape == (9,)
-        out = tmp_path / "coef.csv"
-        table.to_csv(out)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "j,a,b"
-        assert lines[1] == "0,1.0,1.0"
+        assert table.a[0] == 1.0 and table.b[0] == 1.0
 
 
 class TestCaputoL1:
@@ -175,6 +171,24 @@ class TestMittagLeffler:
     def test_negative_argument_converges(self):
         val = mittag_leffler(0.8, -3.0)
         assert 0.0 < val < 1.0
+
+    @pytest.mark.parametrize(
+        "alpha, z, want",
+        [(1.0, z, math.exp(z)) for z in (-3.0, -1.0, -0.5, 0.5, 1.0, 5.0, 20.0)]
+        + [(0.5, z, erfcx(-z)) for z in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 4.0)]
+        + [(2.0, z, math.cosh(math.sqrt(z))) for z in (0.5, 1.0, 10.0, 50.0)]
+        + [(2.0, z, math.cos(math.sqrt(-z))) for z in (-1.0, -4.0, -10.0, -30.0)],
+    )
+    def test_closed_form_oracles(self, alpha, z, want):
+        # E_1 = exp, E_1/2(z) = erfcx(-z), E_2(z) = cosh(sqrt z) or cos(sqrt(-z))
+        assert abs(mittag_leffler(alpha, z) - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("alpha, z", [(0.5, -6.0), (0.5, -10.0), (1.0, -20.0)])
+    def test_cancellation_raises_instead_of_a_wrong_value(self, alpha, z):
+        # the plain series returns 19.2, -1.25e29 and 5.2e-7 here
+        # (true values 0.0928, 0.0561 and 2.06e-9)
+        with pytest.raises(SeriesNoConvergence):
+            mittag_leffler(alpha, z)
 
     def test_guards(self):
         with pytest.raises(AlphaOutOfRange):

@@ -116,16 +116,10 @@ class TestTrajectoryBatch:
         with pytest.raises(InvalidSpec):
             TrajectoryBatch(np.zeros(4))
 
-    def test_increments_and_csv(self, tmp_path):
+    def test_increments(self):
         batch = TrajectoryBatch(np.array([[0.0, 1.0, 3.0]]), label="demo")
         inc = batch.increments()
         assert np.array_equal(inc.values, np.array([[1.0, 2.0]]))
-        out = tmp_path / "batch.csv"
-        batch.to_csv(out)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "path,k,value"
-        assert lines[1] == "0,0,0.0"
-        assert len(lines) == 4
 
 
 class TestStoppedSequence:
