@@ -75,6 +75,6 @@ from .gronwall import (
     verify_maximal_inequality,
 )
 from .reporting import VerificationReport
-from .rng import StreamSeed, normal_matrix, uniform_matrix
+from .rng import normal_matrix, uniform_matrix
 
 __version__ = "0.1.0"

@@ -24,6 +24,12 @@ from .reporting import VerificationReport, mean_se
 
 DEMI_COLUMNS = ["j", "function", "estimate", "stderr", "z", "verdict"]
 
+#: one-sided confidence level of each association cell's z-test
+ASSOCIATION_LEVEL = 0.999
+
+#: contiguous path blocks whose covariances give an association cell's SE
+ASSOCIATION_BLOCKS = 30
+
 
 # --------------------------------------------------------------------------
 # probe functions
@@ -237,13 +243,15 @@ def check_demimartingale(batch: TrajectoryBatch, family: TestFunctionFamily, lev
     return report
 
 
-def check_association(batch: TrajectoryBatch, family: TestFunctionFamily, level=0.999, n_blocks=30) -> VerificationReport:
+def check_association(batch: TrajectoryBatch, family: TestFunctionFamily) -> VerificationReport:
     """Test ``Cov(f(X), g(X)) >= 0`` for every ordered pair of probes.
 
     Columns of ``batch`` are interpreted as the collection ``X_1 .. X_n``.
-    Standard errors come from batch means over ``n_blocks`` contiguous
-    blocks of paths, which stays honest under heavy tails.  The report's
-    command is ``"association"`` and its columns are :data:`DEMI_COLUMNS`.
+    Standard errors come from batch means over :data:`ASSOCIATION_BLOCKS`
+    contiguous blocks of paths, which stays honest under heavy tails, and
+    each cell is a one-sided z-test at :data:`ASSOCIATION_LEVEL`.  The
+    report's command is ``"association"`` and its columns are
+    :data:`DEMI_COLUMNS`.
 
     Raises:
         EmptyFamily: fewer than two applicable probes.
@@ -254,12 +262,14 @@ def check_association(batch: TrajectoryBatch, family: TestFunctionFamily, level=
     if len(members) < 2:
         raise EmptyFamily("association check needs at least two applicable probes")
     m = batch.n_paths
-    if m < 2 * n_blocks:
-        raise DegenerateBatch(f"need at least {2 * n_blocks} paths for {n_blocks}-block standard errors, got {m}")
+    if m < 2 * ASSOCIATION_BLOCKS:
+        raise DegenerateBatch(
+            f"need at least {2 * ASSOCIATION_BLOCKS} paths for {ASSOCIATION_BLOCKS}-block standard errors, got {m}"
+        )
     values = batch.values
-    z_crit = float(ndtri(level))
+    z_crit = float(ndtri(ASSOCIATION_LEVEL))
     evals = [np.asarray(f.evaluate(values), dtype=np.float64) for f in members]
-    bounds = np.linspace(0, m, n_blocks + 1).astype(int)
+    bounds = np.linspace(0, m, ASSOCIATION_BLOCKS + 1).astype(int)
     report = VerificationReport(command="association", columns=DEMI_COLUMNS)
     for a, fa in enumerate(members):
         for b, fb in enumerate(members):

@@ -231,37 +231,47 @@ def multi_term_table(model: FractionalModel, values) -> np.ndarray:
 #: E_1/2, E_1 and E_2 on negative arguments
 _ML_ROUNDING_EPS = 16.0 * np.finfo(np.float64).eps
 
+#: the Mittag-Leffler series stops after three terms below this fraction of the sum
+ML_REL_TOL = 1e-12
 
-def mittag_leffler(alpha, z, rel_tol=1e-12, z_max=100.0, max_terms=20000) -> float:
+#: largest |z| the Mittag-Leffler series accepts
+ML_Z_MAX = 100.0
+
+#: the Mittag-Leffler series raises after this many terms
+ML_MAX_TERMS = 20000
+
+
+def mittag_leffler(alpha, z) -> float:
     """Truncated power series ``E_alpha(z) = sum_k z^k / Gamma(1 + k alpha)``.
 
     Terms are evaluated in log space, so large intermediate Gamma values
     cannot overflow; summation stops once three consecutive terms fall
-    below ``rel_tol`` times the running sum.  Arguments are kept moderate
-    by the ``z_max`` guard; asymptotic large-argument algorithms are out of
-    scope here.  For ``z < 0`` the alternating terms cancel: the sum is
+    below :data:`ML_REL_TOL` times the running sum, and fails after
+    :data:`ML_MAX_TERMS` terms.  Arguments are kept moderate by the
+    ``|z| <= ML_Z_MAX`` guard; asymptotic large-argument algorithms are out
+    of scope here.  For ``z < 0`` the alternating terms cancel: the sum is
     returned only while the rounding error of its largest term stays below
-    ``rel_tol * |sum|`` (with the default tolerance, roughly ``z >= -2.4``
-    for ``alpha = 1/2`` and ``z >= -3.6`` for ``alpha = 1``).
+    ``ML_REL_TOL * |sum|`` (roughly ``z >= -2.4`` for ``alpha = 1/2`` and
+    ``z >= -3.6`` for ``alpha = 1``).
 
     Raises:
         AlphaOutOfRange: ``alpha <= 0``.
         SeriesNoConvergence: guard exceeded, series overflows, or
-            cancellation for ``z < 0`` would exceed ``rel_tol``.
+            cancellation for ``z < 0`` would exceed ``ML_REL_TOL``.
     """
     alpha = float(alpha)
     if not alpha > 0.0:
         raise AlphaOutOfRange(f"alpha must be > 0, got {alpha}")
     z = float(z)
-    if abs(z) > z_max:
-        raise SeriesNoConvergence(f"|z| = {abs(z)} beyond the overflow guard {z_max}")
+    if abs(z) > ML_Z_MAX:
+        raise SeriesNoConvergence(f"|z| = {abs(z)} beyond the overflow guard {ML_Z_MAX}")
     if z == 0.0:
         return 1.0
     log_abs_z = math.log(abs(z))
     total = 0.0
     largest = 0.0
     small_streak = 0
-    for k in range(max_terms):
+    for k in range(ML_MAX_TERMS):
         log_term = k * log_abs_z - gammaln(1.0 + k * alpha)
         if log_term > 709.0:  # exp would overflow a double
             raise SeriesNoConvergence(f"series term overflows at k={k} for alpha={alpha}, z={z}")
@@ -270,10 +280,10 @@ def mittag_leffler(alpha, z, rel_tol=1e-12, z_max=100.0, max_terms=20000) -> flo
             term = -term
         total += term
         largest = max(largest, abs(term))
-        if abs(term) < rel_tol * max(abs(total), 1e-300):
+        if abs(term) < ML_REL_TOL * max(abs(total), 1e-300):
             small_streak += 1
             if small_streak >= 3:
-                if z < 0.0 and _ML_ROUNDING_EPS * largest > rel_tol * abs(total):
+                if z < 0.0 and _ML_ROUNDING_EPS * largest > ML_REL_TOL * abs(total):
                     raise SeriesNoConvergence(
                         f"cancellation: largest term {largest:.3e} against sum {total:.3e} "
                         f"for alpha={alpha}, z={z}"
@@ -281,7 +291,7 @@ def mittag_leffler(alpha, z, rel_tol=1e-12, z_max=100.0, max_terms=20000) -> flo
                 return total
         else:
             small_streak = 0
-    raise SeriesNoConvergence(f"no convergence within {max_terms} terms for alpha={alpha}, z={z}")
+    raise SeriesNoConvergence(f"no convergence within {ML_MAX_TERMS} terms for alpha={alpha}, z={z}")
 
 
 def effective_rate(lambda1, lambda2, beta_max) -> float:
@@ -351,14 +361,13 @@ def verify_fractional_gronwall(
     Y,
     pair: HolderPair,
     n=None,
-    slack_sd=3.0,
 ) -> VerificationReport:
     """Monte Carlo check of the fractional Gronwall bound.
 
     ``F_n = (sum_r q_r D^{beta_r} X_n - Y_n - lambda1 X_n - lambda2 X_{n-1})^+``
     is reverse-constructed so the hypothesis holds pathwise; the left side
     ``E[sup_{1<=k<=n} X_k^p]`` is then compared against
-    :func:`fractional_gronwall_bound` with one-sided ``slack_sd * SE``
+    :func:`fractional_gronwall_bound` with one-sided ``SLACK_SD * SE``
     slack.  ``Y`` should be a mean-zero associated family; certifying that
     (via ``check_association``) is the caller's responsibility.
 
@@ -401,7 +410,7 @@ def verify_fractional_gronwall(
     report = VerificationReport(command="fractional", columns=GRONWALL_COLUMNS)
     report.add_row(
         n=n, p=pair.p, mu=pair.mu, nu=pair.nu, lhs=lhs.value, lhs_se=lhs.stderr, rhs=rhs,
-        **one_sided_verdict(lhs.value, lhs.stderr, rhs, rhs_se, slack_sd),
+        **one_sided_verdict(lhs.value, lhs.stderr, rhs, rhs_se),
     )
     report.checks[f"fractional_hypothesis_holds[n={n},p={pair.p:g},mu={pair.mu:g}]"] = violations == 0
     return report

@@ -81,9 +81,6 @@ class TrajectoryBatch:
     def n_steps(self) -> int:
         return self.values.shape[1] - 1
 
-    def column(self, k) -> np.ndarray:
-        return self.values[:, k]
-
     def increments(self) -> "TrajectoryBatch":
         """Batch of one-step differences (n_steps columns)."""
         return TrajectoryBatch(
@@ -146,23 +143,18 @@ def _centered_uniform(u):
     return 2.0 * u - 1.0
 
 
-def _associated_increments(theta, n_steps, n_paths, seed):
-    # draw 0 per path is the shared shock V, draws 1..n are the U_i
-    u = uniform_matrix(seed, n_paths, n_steps + 1)
-    shock = _centered_uniform(u[:, :1])
-    base = _centered_uniform(u[:, 1:])
-    return base + theta * shock
-
-
 def associated_increment_matrix(theta, n_steps, n_paths, seed, bound=None):
     """Mean-zero associated increments, shape ``(n_paths, n_steps)``.
 
+    ``U_i + theta * V`` clipped to ``[-bound, bound]`` when a bound is given.
     Exposed separately because several harnesses need the increments
     themselves (the associated collection) rather than their partial sums.
     """
     if theta < 0:
         raise InvalidSpec(f"theta must be >= 0, got {theta}")
-    inc = _associated_increments(theta, n_steps, n_paths, seed)
+    # draw 0 per path is the shared shock V, draws 1..n are the U_i
+    u = uniform_matrix(seed, n_paths, n_steps + 1)
+    inc = _centered_uniform(u[:, 1:]) + theta * _centered_uniform(u[:, :1])
     if bound is not None:
         if not bound > 0:
             raise InvalidSpec(f"increment bound must be > 0, got {bound}")
@@ -200,11 +192,9 @@ def generate_paths(spec: GeneratorSpec, n_steps, n_paths, seed) -> TrajectoryBat
         else:
             inc = normal_matrix(seed, n_paths, n_steps)
     elif spec.kind == "associated_partial_sum":
-        inc = _associated_increments(spec.theta, n_steps, n_paths, seed)
+        inc = associated_increment_matrix(spec.theta, n_steps, n_paths, seed)
     elif spec.kind == "bounded_associated_partial_sum":
-        inc = np.clip(
-            _associated_increments(spec.theta, n_steps, n_paths, seed), -spec.bound, spec.bound
-        )
+        inc = associated_increment_matrix(spec.theta, n_steps, n_paths, seed, bound=spec.bound)
     else:  # two_point_demisub
         neg = uniform_matrix(seed, n_paths, 1)[:, 0] < spec.prob
         # atom paths (-1, -2) and (1, 2); beyond two steps the value freezes

@@ -13,7 +13,7 @@ Implements, for sequences satisfying the pathwise recursion
   (a demimartingale again, computed in two algebraic forms and cross
   checked), and
 * harnesses that estimate both sides by Monte Carlo and compare them with
-  one-sided ``3 * SE`` slack.
+  one-sided ``reporting.SLACK_SD * SE`` slack.
 
 Verification instances are built in reverse: given X, S and G, setting
 ``F_n = (X_n - S_n - sum_{k<n} G_k X_k)^+`` makes the recursion hold
@@ -292,19 +292,17 @@ def build_instance(X: TrajectoryBatch, S: TrajectoryBatch, growth) -> GronwallIn
     return GronwallInstance(X=X, F=F, G=g, S=S)
 
 
-def verify_maximal_inequality(
-    batch: TrajectoryBatch, p_grid, n=None, slack_sd=3.0, screen=True
-) -> VerificationReport:
+def verify_maximal_inequality(batch: TrajectoryBatch, p_grid, n=None) -> VerificationReport:
     """Check ``E[(sup S)^p] <= (E[-inf S])^p / (1-p)`` on a demimartingale batch.
 
-    The demimartingale property itself is the caller's responsibility; when
-    ``screen`` is on, a cheap mean-increment screen warns (never fails) if
-    the batch looks suspicious.  Each grid point passes when
-    ``lhs <= rhs + slack_sd * combined_SE`` with the right-hand error
+    The demimartingale property itself is the caller's responsibility; a
+    cheap mean-increment screen warns (never fails) if the batch looks
+    suspicious.  Each grid point passes when
+    ``lhs <= rhs + SLACK_SD * combined_SE`` with the right-hand error
     propagated through the power by the delta method.
     """
     n = batch.n_steps if n is None else int(n)
-    if screen and batch.n_paths > 1 and n >= 1:
+    if batch.n_paths > 1 and n >= 1:
         mean, se = mean_se(np.diff(batch.values[:, : n + 1], axis=1))
         if np.any(mean < -4.0 * se - 1e-15):
             warnings.warn(
@@ -320,18 +318,18 @@ def verify_maximal_inequality(
         rhs_se = power_se(q.value, q.stderr, p) / (1.0 - p)
         report.add_row(
             n=n, p=float(p), mu=None, nu=None, lhs=lhs.value, lhs_se=lhs.stderr, rhs=rhs,
-            **one_sided_verdict(lhs.value, lhs.stderr, rhs, rhs_se, slack_sd),
+            **one_sided_verdict(lhs.value, lhs.stderr, rhs, rhs_se),
         )
     return report
 
 
-def verify_gronwall(instance: GronwallInstance, pair: HolderPair, n=None, slack_sd=3.0) -> VerificationReport:
+def verify_gronwall(instance: GronwallInstance, pair: HolderPair, n=None) -> VerificationReport:
     """Check the Gronwall conclusion on one instance at time index ``n``.
 
     Re-validates the recursion hypothesis pathwise first (raising
     :class:`HypothesisViolated` on any violation beyond 1e-12 of the data
     scale), then compares the Monte Carlo left side against the closed-form
-    right side with one-sided ``slack_sd * SE`` slack.
+    right side with one-sided ``SLACK_SD * SE`` slack.
     """
     n = instance.X.n_steps if n is None else int(n)
     gap = instance.hypothesis_gap()
@@ -351,7 +349,7 @@ def verify_gronwall(instance: GronwallInstance, pair: HolderPair, n=None, slack_
     report = VerificationReport(command="gronwall-theorem", columns=GRONWALL_COLUMNS)
     report.add_row(
         n=n, p=pair.p, mu=pair.mu, nu=pair.nu, lhs=lhs.value, lhs_se=lhs.stderr, rhs=rhs,
-        **one_sided_verdict(lhs.value, lhs.stderr, rhs, rhs_se, slack_sd),
+        **one_sided_verdict(lhs.value, lhs.stderr, rhs, rhs_se),
     )
     report.checks[f"hypothesis_holds[n={n},p={pair.p:g},mu={pair.mu:g}]"] = violations == 0
     return report

@@ -18,6 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+#: every one-sided check passes when ``lhs <= rhs + SLACK_SD * combined SE``
+SLACK_SD = 3.0
+
 
 def mean_se(samples) -> tuple:
     """Sample mean along axis 0 and its standard error (0 for one sample).
@@ -65,9 +68,9 @@ def mu_norm(values, p, mu) -> tuple:
     return root_of_mean(x ** (p * mu), mu)
 
 
-def one_sided_verdict(lhs, lhs_se, rhs, rhs_se, slack_sd) -> dict:
-    """``margin`` and ``verdict`` cells of the check ``lhs <= rhs + slack_sd * combined SE``."""
-    margin = rhs + slack_sd * math.hypot(lhs_se, rhs_se) - lhs
+def one_sided_verdict(lhs, lhs_se, rhs, rhs_se) -> dict:
+    """``margin`` and ``verdict`` cells of the check ``lhs <= rhs + SLACK_SD * combined SE``."""
+    margin = rhs + SLACK_SD * math.hypot(lhs_se, rhs_se) - lhs
     return {"margin": margin, "verdict": "pass" if margin >= 0.0 else "fail"}
 
 

@@ -15,8 +15,6 @@ samplers would consume a data-dependent number of uniforms per normal and
 break the fixed draw-order contract, so they are deliberately avoided.
 """
 
-from typing import NamedTuple
-
 import numpy as np
 from scipy.special import ndtri
 
@@ -40,16 +38,6 @@ def _as_seed(master_seed) -> np.uint64:
     if not 0 <= seed <= _U64_MAX:
         raise ValueError(f"master_seed must be a 64-bit unsigned integer, got {master_seed}")
     return np.uint64(seed)
-
-
-class StreamSeed(NamedTuple):
-    """Identifier of one substream: a master seed plus a path index."""
-
-    master_seed: int
-    path_index: int
-
-    def key(self) -> np.uint64:
-        return path_keys(self.master_seed, self.path_index)
 
 
 def path_keys(master_seed, path_indices):
@@ -80,12 +68,3 @@ def uniform_matrix(master_seed, n_paths, n_draws, first_counter=0):
 def normal_matrix(master_seed, n_paths, n_draws, first_counter=0):
     """I.i.d. standard normals via the inverse CDF, shape ``(n_paths, n_draws)``."""
     return ndtri(uniform_matrix(master_seed, n_paths, n_draws, first_counter))
-
-
-def uniform_stream(stream: StreamSeed, n_draws, first_counter=0):
-    """Uniforms of a single substream, shape ``(n_draws,)``."""
-    key = path_keys(stream.master_seed, stream.path_index)
-    ctr = np.arange(first_counter, first_counter + n_draws, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        bits = _mix64(key + (ctr + np.uint64(1)) * _GAMMA)
-    return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * _TO_UNIT

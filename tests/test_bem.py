@@ -55,17 +55,19 @@ class TestBemStep:
         with pytest.raises(StepTooLarge):
             bem_step(expanding, [1.0], [0.0], 0.5)
 
-    def test_newton_budget_exhaustion_reported(self):
-        # violently stiff cubic with a one-iteration budget cannot converge
-        stiff = SdeModel(
+    def test_nan_residual_reported(self):
+        # a drift that is NaN above 0.5 leaves a NaN residual, which must not pass the tolerance
+        broken = SdeModel(
             d=1, m=1,
-            drift=lambda y: -1000.0 * y ** 3,
+            drift=lambda y: np.where(y > 0.5, np.nan, -y),
             diffusion=lambda y: np.zeros((y.shape[0], 1, 1)),
             L=0.0,
-            osl=0.0,
         )
         with pytest.raises(NewtonNonConvergence):
-            bem_step(stiff, [1.0], [0.0], 0.01, newton_max_iter=1)
+            bem_step(broken, [1.0], [0.0], 0.1)
+        cfg = BemConfig(h=0.1, t_horizon=1.0, h0=0.25, x0=[1.0])
+        with pytest.raises(NewtonNonConvergence):
+            simulate_bem(broken, cfg, seed=1, n_paths=4)
 
 
 class TestSimulate:
@@ -210,7 +212,7 @@ class TestVerifyApriori:
     def test_frozen_model_is_exact(self):
         model = frozen_model()
         cfgs = [BemConfig(h=h, t_horizon=1.0, h0=0.5, x0=[1.0]) for h in (0.1, 0.25)]
-        report = verify_apriori_bound(model, cfgs, [0.5], 500, seed=1, check_s_demi=False)
+        report = verify_apriori_bound(model, cfgs, [0.5], 500, seed=1)
         assert report.overall_pass
         for row in report.rows:
             assert row["estimate"] == 1.0
@@ -220,7 +222,7 @@ class TestVerifyApriori:
     def test_single_bound_across_the_grid(self):
         model = ou_model(1.0, 1.0)
         cfgs = [BemConfig(h=h, t_horizon=1.0, h0=0.25, x0=[1.0]) for h in (0.05, 0.1, 0.2)]
-        report = verify_apriori_bound(model, cfgs, [0.25, 0.5], 5000, seed=4, check_s_demi=False)
+        report = verify_apriori_bound(model, cfgs, [0.25, 0.5], 5000, seed=4)
         assert report.overall_pass
         for p in (0.25, 0.5):
             bounds = {row["bound"] for row in report.rows if row["p"] == p}

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from demigronwall.cli import main
 
 
@@ -30,6 +32,27 @@ class TestExitCodes:
         cfg.write_text("[bem]\nwarp_speed = 9\n")
         assert _run(tmp_path, "bem", "--config", str(cfg)) == 1
         assert "warp_speed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, ini, named",
+        [
+            ("all", "[bem]\nkappa = abc\n", "kappa"),
+            ("all", "[fractional]\nwarp_speed = 9\n", "warp_speed"),
+            ("all", "[gronwall-theorem]\nn_list = 1,99\n", "n_list"),
+            ("gronwall-lemma", "[gronwall_lemma]\np_grid = 1.5\n", "gronwall_lemma"),
+            ("gronwall-theorem", "[gronwall-theorem]\nn_list =\n", "n_list"),
+            ("gronwall-theorem", "[gronwall-theorem]\ng_kinds =\n", "g_kinds"),
+            ("bem", "[bem]\nlevel = 1.5\n", "level"),
+        ],
+        ids=["all-bad-last-value", "all-unknown-key", "all-n_list-range", "misspelled-section",
+             "empty-n_list", "empty-g_kinds", "bem-level-range"],
+    )
+    def test_bad_config_exits_one_before_any_output(self, tmp_path, capsys, command, ini, named):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(ini)
+        assert _run(tmp_path, command, "--config", str(cfg), "--paths", "2000", "--seed", "1", "--quiet") == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_generator_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.ini"

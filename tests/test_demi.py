@@ -126,14 +126,14 @@ class TestCheckAssociation:
     def test_common_shock_increments_are_associated(self):
         batch = _batch(GeneratorSpec.associated(1.0), 5, 60_000, 19).increments()
         family = TestFunctionFamily.default(batch)
-        report = check_association(batch, family, level=0.999)
+        report = check_association(batch, family)
         assert report.overall_pass
         assert len(report.rows) > 0
 
     def test_disjoint_coordinates_of_independent_signs_near_zero(self):
         batch = _batch(GeneratorSpec.random_walk(), 2, 60_000, 23).increments()
         fam = TestFunctionFamily((CoordinateRamp(1, 0.0, 1.0), CoordinateRamp(2, 0.0, 1.0)))
-        report = check_association(batch, fam, level=0.999)
+        report = check_association(batch, fam)
         assert report.overall_pass
         cross = next(r for r in report.rows if r["function"] == "ramp[1;c=0;w=1]|ramp[2;c=0;w=1]")
         assert abs(cross["estimate"]) <= 3.0 * cross["stderr"]
@@ -142,7 +142,7 @@ class TestCheckAssociation:
         x = np.linspace(-2.0, 2.0, 6000)
         batch = TrajectoryBatch(np.column_stack([x, -x]), label="anti")
         fam = TestFunctionFamily((CoordinateRamp(1, 0.0, 1.0), CoordinateRamp(2, 0.0, 1.0)))
-        report = check_association(batch, fam, level=0.999)
+        report = check_association(batch, fam)
         assert not report.overall_pass
 
     def test_errors(self):

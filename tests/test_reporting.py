@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 
-from demigronwall.reporting import VerificationReport, mean_se, one_sided_verdict
+from demigronwall.reporting import SLACK_SD, VerificationReport, mean_se, one_sided_verdict
 
 
 def _report(seed, **checks):
@@ -35,6 +35,7 @@ class TestEstimatorCore:
         assert np.array_equal(mean_se(x[:1])[1], [0.0, 0.0])
 
     def test_one_sided_verdict(self):
-        assert one_sided_verdict(1.0, 0.3, 0.5, 0.4, 1.0) == {"margin": 0.0, "verdict": "pass"}
-        cells = one_sided_verdict(1.0, 0.3, 0.5, 0.0, 1.0)
+        # hypot(0.3, 0.4) == 0.5, so lhs = 0.5 + SLACK_SD * 0.5 sits exactly on the bound
+        assert one_sided_verdict(0.5 + SLACK_SD * 0.5, 0.3, 0.5, 0.4) == {"margin": 0.0, "verdict": "pass"}
+        cells = one_sided_verdict(0.5 + SLACK_SD * 0.5, 0.3, 0.5, 0.0)
         assert cells["verdict"] == "fail" and cells["margin"] < 0.0

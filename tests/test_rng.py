@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from demigronwall.rng import (
-    StreamSeed,
-    normal_matrix,
-    path_keys,
-    raw_uint64,
-    uniform_matrix,
-    uniform_stream,
-)
+from demigronwall.rng import normal_matrix, path_keys, raw_uint64, uniform_matrix
 
 
 def test_bit_identical_reproducibility():
@@ -46,12 +39,6 @@ def test_distinct_seeds_and_paths_decorrelate():
     keys = path_keys(5, np.arange(1000))
     assert np.unique(keys).size == 1000
     assert not np.array_equal(uniform_matrix(1, 4, 16), uniform_matrix(2, 4, 16))
-
-
-def test_stream_seed_matches_matrix_row():
-    row = uniform_stream(StreamSeed(321, 3), 25)
-    assert np.array_equal(row, uniform_matrix(321, 8, 25)[3])
-    assert StreamSeed(321, 3).key() == path_keys(321, 3)
 
 
 def test_raw_words_cover_uint64_range():
