@@ -13,7 +13,8 @@ section carries seeds, path count and output directory; one section per
 command carries its parameters.  Unknown sections and keys are rejected and
 list values must be nonempty.  Every section the command needs (all five
 for ``all``) is validated, and its harness objects built, before any
-simulation starts.  Flags override the file.
+simulation starts; so is the path count, against the largest minimum that
+the requested checks need.  Flags override the file.
 """
 
 import argparse
@@ -38,6 +39,11 @@ from .rng import uniform_matrix
 _X_SEED_OFFSET = 0x100000001
 _G_SEED_OFFSET = 0x200000003
 _Y_SEED_OFFSET = 0x300000007
+
+
+def _aux_seed(seed, offset):
+    """Auxiliary master seed ``seed + offset``, wrapped modulo 2**64."""
+    return (seed + offset) % 2 ** 64
 
 
 # --------------------------------------------------------------------------
@@ -249,14 +255,14 @@ def _drive_gronwall_theorem(n_steps, theta, bound, x_scale, g_value, g_kinds, p_
         for seed in seeds:
             s_batch = generate_paths(spec, n_steps, n_paths, seed)
             x_batch = TrajectoryBatch(
-                x_scale * uniform_matrix(seed + _X_SEED_OFFSET, n_paths, n_steps + 1), label="uniform-X"
+                x_scale * uniform_matrix(_aux_seed(seed, _X_SEED_OFFSET), n_paths, n_steps + 1), label="uniform-X"
             )
             for kind in g_kinds:
                 if kind == "det":
                     growth = np.full(n_steps, g_value)
                 else:
                     growth = TrajectoryBatch(
-                        g_value * uniform_matrix(seed + _G_SEED_OFFSET, n_paths, n_steps + 1),
+                        g_value * uniform_matrix(_aux_seed(seed, _G_SEED_OFFSET), n_paths, n_steps + 1),
                         label="uniform-G",
                     )
                 instance = gron_mod.build_instance(x_batch, s_batch, growth)
@@ -278,9 +284,9 @@ def _drive_fractional(betas, q, tau, n_steps, lambda1, lambda2, theta, p_grid, p
     def run(seeds, n_paths):
         report = VerificationReport(command="fractional", columns=gron_mod.GRONWALL_COLUMNS, seeds=list(seeds))
         for seed in seeds:
-            x_inc = associated_increment_matrix(theta, n_steps + 1, n_paths, seed + _X_SEED_OFFSET)
+            x_inc = associated_increment_matrix(theta, n_steps + 1, n_paths, _aux_seed(seed, _X_SEED_OFFSET))
             x_batch = TrajectoryBatch(x_inc ** 2, label="squared-associated-X")
-            y_vals = associated_increment_matrix(theta, n_steps, n_paths, seed + _Y_SEED_OFFSET)
+            y_vals = associated_increment_matrix(theta, n_steps, n_paths, _aux_seed(seed, _Y_SEED_OFFSET))
             if check_association:
                 y_batch = TrajectoryBatch(y_vals, label="associated-Y")
                 assoc = demi_mod.check_association(y_batch, demi_mod.TestFunctionFamily.default(y_batch))
@@ -331,11 +337,23 @@ COMMANDS = (*_DRIVERS, "all")
 # orchestration
 # --------------------------------------------------------------------------
 
+def _min_paths(command, params):
+    """Fewest paths the checks of ``command`` accept under ``params``."""
+    if command in ("demi-check", "bem"):
+        return demi_mod.DEMI_MIN_PATHS
+    if command == "fractional" and params["check_association"]:
+        return demi_mod.ASSOCIATION_MIN_PATHS
+    return 1
+
+
 def _prepare(parser, command):
-    """Validate one command's section and build its harness; returns its run()."""
+    """Validate one command's section and build its harness.
+
+    Returns its run() and the fewest paths it accepts.
+    """
     params = _section_params(parser, command)
     try:
-        return _DRIVERS[command](**params)
+        return _DRIVERS[command](**params), _min_paths(command, params)
     except (ValueError, DemigronError) as exc:
         raise ConfigError(f"[{command}] {exc}") from None
 
@@ -356,9 +374,12 @@ def run(command, config_path=None, args=None) -> int:
     settings = _section_params(parser, "run", {"seeds": args.seed, "paths": args.paths, "out": args.out})
     seeds, n_paths, out_root = settings["seeds"], settings["paths"], settings["out"]
     commands = list(_DRIVERS) if command == "all" else [command]
-    runners = {cmd: _prepare(parser, cmd) for cmd in commands}
+    prepared = {cmd: _prepare(parser, cmd) for cmd in commands}
+    neediest = max(prepared, key=lambda cmd: prepared[cmd][1])
+    if n_paths < prepared[neediest][1]:
+        raise ConfigError(f"[run] paths: {neediest} needs at least {prepared[neediest][1]} paths, got {n_paths}")
     verdicts = {}
-    for cmd, run_harness in runners.items():
+    for cmd, (run_harness, _) in prepared.items():
         started = time.perf_counter()
         report = run_harness(seeds, n_paths)
         report.wall_clock = time.perf_counter() - started

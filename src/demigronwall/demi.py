@@ -30,6 +30,12 @@ ASSOCIATION_LEVEL = 0.999
 #: contiguous path blocks whose covariances give an association cell's SE
 ASSOCIATION_BLOCKS = 30
 
+#: fewest paths :func:`check_demimartingale` accepts
+DEMI_MIN_PATHS = 30
+
+#: fewest paths :func:`check_association` accepts: two per block
+ASSOCIATION_MIN_PATHS = 2 * ASSOCIATION_BLOCKS
+
 
 # --------------------------------------------------------------------------
 # probe functions
@@ -220,15 +226,17 @@ def check_demimartingale(batch: TrajectoryBatch, family: TestFunctionFamily, lev
 
     Raises:
         EmptyFamily: no admissible probe for the requested mode.
-        DegenerateBatch: fewer than 30 paths.
+        DegenerateBatch: fewer than :data:`DEMI_MIN_PATHS` paths.
     """
     if mode not in ("demi", "demisub"):
         raise InvalidSpec(f"mode must be 'demi' or 'demisub', got {mode!r}")
     members = family.members if mode == "demi" else family.nonnegative_members()
     if not members:
         raise EmptyFamily(f"no admissible probe functions for mode={mode!r}")
-    if batch.n_paths < 30:
-        raise DegenerateBatch(f"need at least 30 paths for usable standard errors, got {batch.n_paths}")
+    if batch.n_paths < DEMI_MIN_PATHS:
+        raise DegenerateBatch(
+            f"need at least {DEMI_MIN_PATHS} paths for usable standard errors, got {batch.n_paths}"
+        )
     values = batch.values
     z_crit = float(ndtri(level))
     report = VerificationReport(command=mode, columns=DEMI_COLUMNS)
@@ -262,9 +270,9 @@ def check_association(batch: TrajectoryBatch, family: TestFunctionFamily) -> Ver
     if len(members) < 2:
         raise EmptyFamily("association check needs at least two applicable probes")
     m = batch.n_paths
-    if m < 2 * ASSOCIATION_BLOCKS:
+    if m < ASSOCIATION_MIN_PATHS:
         raise DegenerateBatch(
-            f"need at least {2 * ASSOCIATION_BLOCKS} paths for {ASSOCIATION_BLOCKS}-block standard errors, got {m}"
+            f"need at least {ASSOCIATION_MIN_PATHS} paths for {ASSOCIATION_BLOCKS}-block standard errors, got {m}"
         )
     values = batch.values
     z_crit = float(ndtri(ASSOCIATION_LEVEL))

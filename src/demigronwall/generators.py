@@ -40,6 +40,10 @@ from .rng import normal_matrix, uniform_matrix
 #: Refuse to allocate batches beyond this many matrix entries (~1 GiB).
 MAX_BATCH_ENTRIES = 1 << 27
 
+#: Batches are generated (and screened) in blocks of about this many
+#: entries (512 KB of float64), so each block's temporaries stay in L2.
+BLOCK_ENTRIES = 1 << 16
+
 _KINDS = (
     "random_walk",
     "associated_partial_sum",
@@ -152,21 +156,40 @@ def associated_increment_matrix(theta, n_steps, n_paths, seed, bound=None):
     """
     if theta < 0:
         raise InvalidSpec(f"theta must be >= 0, got {theta}")
+    if bound is not None and not bound > 0:
+        raise InvalidSpec(f"increment bound must be > 0, got {bound}")
+    return _associated_increments(theta, bound, n_steps, n_paths, seed)
+
+
+def _associated_increments(theta, bound, n_steps, n_paths, seed, first_path=0):
     # draw 0 per path is the shared shock V, draws 1..n are the U_i
-    u = uniform_matrix(seed, n_paths, n_steps + 1)
+    u = uniform_matrix(seed, n_paths, n_steps + 1, first_path=first_path)
     inc = _centered_uniform(u[:, 1:]) + theta * _centered_uniform(u[:, :1])
     if bound is not None:
-        if not bound > 0:
-            raise InvalidSpec(f"increment bound must be > 0, got {bound}")
-        inc = np.clip(inc, -bound, bound)
+        np.clip(inc, -bound, bound, out=inc)
     return inc
+
+
+def _increments(spec: GeneratorSpec, n_steps, n_paths, seed, first_path):
+    """Increments of paths ``first_path .. first_path + n_paths - 1``."""
+    if spec.kind == "random_walk":
+        if spec.increment == "pm1":
+            u = uniform_matrix(seed, n_paths, n_steps, first_path=first_path)
+            return np.where(u < 0.5, -1.0, 1.0)
+        return normal_matrix(seed, n_paths, n_steps, first_path=first_path)
+    bound = spec.bound if spec.kind == "bounded_associated_partial_sum" else None
+    return _associated_increments(spec.theta, bound, n_steps, n_paths, seed, first_path)
 
 
 def generate_paths(spec: GeneratorSpec, n_steps, n_paths, seed) -> TrajectoryBatch:
     """Generate ``n_paths`` seeded sample paths of ``n_steps`` steps.
 
     Generation is per-path deterministic: path ``r`` depends only on
-    ``(seed, r)``, never on ``n_paths`` or on generation order.
+    ``(seed, r)``, never on ``n_paths`` or on generation order.  Rows are
+    filled in blocks of about :data:`BLOCK_ENTRIES` entries, each drawn
+    with its own ``first_path``, so the block boundaries leave no trace in
+    the values: any batch equals, bit for bit, the first rows of a larger
+    one.
 
     Raises:
         InvalidSpec: parameter outside its admissible range.
@@ -186,16 +209,7 @@ def generate_paths(spec: GeneratorSpec, n_steps, n_paths, seed) -> TrajectoryBat
     if n_steps == 0:
         return TrajectoryBatch(np.zeros((n_paths, 1)), label=label, starts_at_zero=True)
 
-    if spec.kind == "random_walk":
-        if spec.increment == "pm1":
-            inc = np.where(uniform_matrix(seed, n_paths, n_steps) < 0.5, -1.0, 1.0)
-        else:
-            inc = normal_matrix(seed, n_paths, n_steps)
-    elif spec.kind == "associated_partial_sum":
-        inc = associated_increment_matrix(spec.theta, n_steps, n_paths, seed)
-    elif spec.kind == "bounded_associated_partial_sum":
-        inc = associated_increment_matrix(spec.theta, n_steps, n_paths, seed, bound=spec.bound)
-    else:  # two_point_demisub
+    if spec.kind == "two_point_demisub":
         neg = uniform_matrix(seed, n_paths, 1)[:, 0] < spec.prob
         # atom paths (-1, -2) and (1, 2); beyond two steps the value freezes
         template = np.empty(n_steps)
@@ -205,7 +219,13 @@ def generate_paths(spec: GeneratorSpec, n_steps, n_paths, seed) -> TrajectoryBat
         values = np.hstack([np.zeros((n_paths, 1)), inc])
         return TrajectoryBatch(values, label=label, starts_at_zero=True)
 
-    values = np.hstack([np.zeros((n_paths, 1)), np.cumsum(inc, axis=1)])
+    values = np.empty((n_paths, n_steps + 1))
+    values[:, 0] = 0.0
+    rows = max(1, BLOCK_ENTRIES // (n_steps + 1))
+    for r0 in range(0, n_paths, rows):
+        r1 = min(r0 + rows, n_paths)
+        inc = _increments(spec, n_steps, r1 - r0, seed, r0)
+        np.cumsum(inc, axis=1, out=values[r0:r1, 1:])
     return TrajectoryBatch(values, label=label, starts_at_zero=True)
 
 

@@ -38,8 +38,8 @@ from .errors import (
     POutOfRange,
     ShapeMismatch,
 )
-from .generators import TrajectoryBatch
-from .reporting import VerificationReport, mean_se, mu_norm, one_sided_verdict, power_se
+from .generators import BLOCK_ENTRIES, TrajectoryBatch
+from .reporting import VerificationReport, blocked_mean_se, mean_se, mu_norm, one_sided_verdict, power_se
 
 GRONWALL_COLUMNS = ["n", "p", "mu", "nu", "lhs", "lhs_se", "rhs", "margin", "verdict"]
 
@@ -130,22 +130,32 @@ class GronwallInstance:
 # moment estimators and closed forms
 # --------------------------------------------------------------------------
 
+def _moment_exponent(p) -> float:
+    p = float(p)
+    if not 0.0 < p <= 1.0:
+        raise POutOfRange(f"p must lie in (0, 1], got {p}")
+    return p
+
+
+def _power_moment(sups, negative, p, n) -> MomentEstimate:
+    """Mean and SE of ``sups ** p``; ``negative`` says whether some entry of ``sups`` is < 0."""
+    if p != 1.0 and negative:
+        raise NegativeBase(f"running maximum is negative on some path; p={p} power undefined")
+    return MomentEstimate(*mean_se(sups ** p), p, n)
+
+
 def sup_moment(batch: TrajectoryBatch, p, n=None, first=0) -> MomentEstimate:
     """Estimate ``E[(max_{first<=k<=n} path_k)^p]`` with its standard error.
 
     Fractional powers of a negative running maximum are rejected; for
     batches starting at zero the maximum is automatically nonnegative.
     """
-    p = float(p)
-    if not 0.0 < p <= 1.0:
-        raise POutOfRange(f"p must lie in (0, 1], got {p}")
+    p = _moment_exponent(p)
     n = batch.n_steps if n is None else int(n)
     if not first <= n <= batch.n_steps:
         raise ShapeMismatch(f"need {first} <= n <= {batch.n_steps}, got n={n}")
     sups = batch.values[:, first : n + 1].max(axis=1)
-    if p != 1.0 and np.any(sups < 0.0):
-        raise NegativeBase(f"running maximum is negative on some path; p={p} power undefined")
-    return MomentEstimate(*mean_se(sups ** p), p, n)
+    return _power_moment(sups, np.any(sups < 0.0), p, n)
 
 
 def neg_inf_mean(batch: TrajectoryBatch, n=None) -> MomentEstimate:
@@ -296,14 +306,22 @@ def verify_maximal_inequality(batch: TrajectoryBatch, p_grid, n=None) -> Verific
     """Check ``E[(sup S)^p] <= (E[-inf S])^p / (1-p)`` on a demimartingale batch.
 
     The demimartingale property itself is the caller's responsibility; a
-    cheap mean-increment screen warns (never fails) if the batch looks
-    suspicious.  Each grid point passes when
+    cheap mean-increment screen warns (never fails) if some step's mean
+    increment lies more than 4 SE below zero.  The screen reads the batch
+    one path block of about :data:`~demigronwall.generators.BLOCK_ENTRIES`
+    entries at a time and merges the block moments with
+    :func:`~demigronwall.reporting.blocked_mean_se`.  The running maximum
+    and minimum are reduced once per call.  Each grid point passes when
     ``lhs <= rhs + SLACK_SD * combined_SE`` with the right-hand error
     propagated through the power by the delta method.
     """
     n = batch.n_steps if n is None else int(n)
+    values = batch.values
     if batch.n_paths > 1 and n >= 1:
-        mean, se = mean_se(np.diff(batch.values[:, : n + 1], axis=1))
+        rows = max(1, BLOCK_ENTRIES // (n + 1))
+        mean, se = blocked_mean_se(
+            np.diff(values[r0 : r0 + rows, : n + 1], axis=1) for r0 in range(0, batch.n_paths, rows)
+        )
         if np.any(mean < -4.0 * se - 1e-15):
             warnings.warn(
                 f"batch {batch.label!r} has significantly negative mean increments; "
@@ -312,8 +330,10 @@ def verify_maximal_inequality(batch: TrajectoryBatch, p_grid, n=None) -> Verific
             )
     report = VerificationReport(command="gronwall-lemma", columns=GRONWALL_COLUMNS)
     q = neg_inf_mean(batch, n)
+    sups = values[:, : n + 1].max(axis=1)
+    negative = np.any(sups < 0.0)
     for p in p_grid:
-        lhs = sup_moment(batch, p, n)
+        lhs = _power_moment(sups, negative, _moment_exponent(p), n)
         rhs = maximal_moment_bound(q.value, p)
         rhs_se = power_se(q.value, q.stderr, p) / (1.0 - p)
         report.add_row(

@@ -10,6 +10,16 @@ SplitMix64 finalizer.  Consequences that the rest of the package relies on:
   alongside it or in which order,
 * whole batches vectorize as plain uint64 array arithmetic.
 
+The matrix functions take ``first_path`` and ``first_counter``: row ``r``
+and column ``j`` of the result are path ``first_path + r`` at draw
+``first_counter + j``.  A batch can therefore be drawn one block of rows
+(or columns) at a time, and the blocks are bit-identical to the matching
+slice of the whole matrix.  The finalizer mixes the freshly built word
+array in place with one scratch array, the uniform conversion shifts the
+words in place and scales the one float array it converts them to, and
+normals overwrite their uniforms, so a draw allocates little beyond its
+result.
+
 Normals are produced from uniforms by the inverse normal CDF.  Rejection
 samplers would consume a data-dependent number of uniforms per normal and
 break the fixed draw-order contract, so they are deliberately avoided.
@@ -17,6 +27,8 @@ break the fixed draw-order contract, so they are deliberately avoided.
 
 import numpy as np
 from scipy.special import ndtri
+
+from .errors import InvalidSpec
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -26,45 +38,59 @@ _TO_UNIT = 2.0 ** -53
 
 
 def _mix64(x):
-    """SplitMix64 finalizer, elementwise on uint64 input (wraps mod 2**64)."""
+    """SplitMix64 finalizer, in place on the uint64 array ``x`` (wraps mod 2**64).
+
+    ``x`` must be a fresh array the caller owns; it is overwritten and returned.
+    """
+    tmp = np.empty_like(x)
     with np.errstate(over="ignore"):
-        x = (x ^ (x >> np.uint64(30))) * _MIX1
-        x = (x ^ (x >> np.uint64(27))) * _MIX2
-        return x ^ (x >> np.uint64(31))
+        x ^= np.right_shift(x, np.uint64(30), out=tmp)
+        x *= _MIX1
+        x ^= np.right_shift(x, np.uint64(27), out=tmp)
+        x *= _MIX2
+        x ^= np.right_shift(x, np.uint64(31), out=tmp)
+    return x
 
 
 def _as_seed(master_seed) -> np.uint64:
     seed = int(master_seed)
     if not 0 <= seed <= _U64_MAX:
-        raise ValueError(f"master_seed must be a 64-bit unsigned integer, got {master_seed}")
+        raise InvalidSpec(f"master_seed must be a 64-bit unsigned integer, got {master_seed}")
     return np.uint64(seed)
 
 
 def path_keys(master_seed, path_indices):
     """Derive the per-path substream key(s) for ``path_indices``."""
-    base = _mix64(_as_seed(master_seed))
+    base = _mix64(np.atleast_1d(_as_seed(master_seed)))
     idx = np.asarray(path_indices, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        return _mix64(base + (idx + np.uint64(1)) * _GAMMA)
+        keys = _mix64(base + (idx + np.uint64(1)) * _GAMMA)
+    return keys if idx.ndim else keys[0]
 
 
-def raw_uint64(master_seed, n_paths, n_draws, first_counter=0):
+def raw_uint64(master_seed, n_paths, n_draws, first_counter=0, first_path=0):
     """Raw 64-bit words, shape ``(n_paths, n_draws)``.
 
-    Entry ``(r, j)`` depends only on ``(master_seed, r, first_counter + j)``.
+    Entry ``(r, j)`` depends only on
+    ``(master_seed, first_path + r, first_counter + j)``.
     """
-    keys = path_keys(master_seed, np.arange(n_paths))
+    keys = path_keys(master_seed, np.arange(first_path, first_path + n_paths, dtype=np.uint64))
     ctr = np.arange(first_counter, first_counter + n_draws, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        return _mix64(keys[:, None] + (ctr[None, :] + np.uint64(1)) * _GAMMA)
+        return _mix64(keys[:, None] + (ctr + np.uint64(1)) * _GAMMA)
 
 
-def uniform_matrix(master_seed, n_paths, n_draws, first_counter=0):
+def uniform_matrix(master_seed, n_paths, n_draws, first_counter=0, first_path=0):
     """I.i.d. uniforms strictly inside (0, 1), shape ``(n_paths, n_draws)``."""
-    bits = raw_uint64(master_seed, n_paths, n_draws, first_counter)
-    return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * _TO_UNIT
+    bits = raw_uint64(master_seed, n_paths, n_draws, first_counter, first_path)
+    np.right_shift(bits, np.uint64(11), out=bits)
+    u = bits.astype(np.float64)
+    u += 0.5
+    u *= _TO_UNIT
+    return u
 
 
-def normal_matrix(master_seed, n_paths, n_draws, first_counter=0):
+def normal_matrix(master_seed, n_paths, n_draws, first_counter=0, first_path=0):
     """I.i.d. standard normals via the inverse CDF, shape ``(n_paths, n_draws)``."""
-    return ndtri(uniform_matrix(master_seed, n_paths, n_draws, first_counter))
+    u = uniform_matrix(master_seed, n_paths, n_draws, first_counter, first_path)
+    return ndtri(u, out=u)

@@ -34,25 +34,38 @@ class TestExitCodes:
         assert "warp_speed" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "command, ini, named",
+        "command, ini, named, paths",
         [
-            ("all", "[bem]\nkappa = abc\n", "kappa"),
-            ("all", "[fractional]\nwarp_speed = 9\n", "warp_speed"),
-            ("all", "[gronwall-theorem]\nn_list = 1,99\n", "n_list"),
-            ("gronwall-lemma", "[gronwall_lemma]\np_grid = 1.5\n", "gronwall_lemma"),
-            ("gronwall-theorem", "[gronwall-theorem]\nn_list =\n", "n_list"),
-            ("gronwall-theorem", "[gronwall-theorem]\ng_kinds =\n", "g_kinds"),
-            ("bem", "[bem]\nlevel = 1.5\n", "level"),
+            ("all", "[bem]\nkappa = abc\n", "kappa", "2000"),
+            ("all", "[fractional]\nwarp_speed = 9\n", "warp_speed", "2000"),
+            ("all", "[gronwall-theorem]\nn_list = 1,99\n", "n_list", "2000"),
+            ("gronwall-lemma", "[gronwall_lemma]\np_grid = 1.5\n", "gronwall_lemma", "2000"),
+            ("gronwall-theorem", "[gronwall-theorem]\nn_list =\n", "n_list", "2000"),
+            ("gronwall-theorem", "[gronwall-theorem]\ng_kinds =\n", "g_kinds", "2000"),
+            ("bem", "[bem]\nlevel = 1.5\n", "level", "2000"),
+            # fractional's association check needs 60 paths; the first three commands would run
+            ("all", "", "fractional needs at least 60 paths", "40"),
         ],
         ids=["all-bad-last-value", "all-unknown-key", "all-n_list-range", "misspelled-section",
-             "empty-n_list", "empty-g_kinds", "bem-level-range"],
+             "empty-n_list", "empty-g_kinds", "bem-level-range", "all-too-few-paths"],
     )
-    def test_bad_config_exits_one_before_any_output(self, tmp_path, capsys, command, ini, named):
+    def test_bad_config_exits_one_before_any_output(self, tmp_path, capsys, command, ini, named, paths):
         cfg = tmp_path / "cfg.ini"
         cfg.write_text(ini)
-        assert _run(tmp_path, command, "--config", str(cfg), "--paths", "2000", "--seed", "1", "--quiet") == 1
+        assert _run(tmp_path, command, "--config", str(cfg), "--paths", paths, "--seed", "1", "--quiet") == 1
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_path_floor_follows_the_requested_checks(self, tmp_path):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[fractional]\ncheck_association = false\n")
+        assert _run(tmp_path, "fractional", "--config", str(cfg), "--paths", "40", "--seed", "1", "--quiet") == 0
+        assert _run(tmp_path, "demi-check", "--paths", "29", "--seed", "1", "--quiet") == 1
+
+    @pytest.mark.parametrize("command", ["gronwall-theorem", "fractional"])
+    def test_seed_near_two_to_the_64_derives_wrapped_auxiliary_seeds(self, tmp_path, command):
+        seed = str(2 ** 64 - 1)
+        assert _run(tmp_path, command, "--seed", seed, "--paths", "100", "--quiet") in (0, 2)
 
     def test_unknown_generator_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.ini"

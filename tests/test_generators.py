@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from demigronwall.errors import BatchTooLarge, InvalidSpec, NonPositiveThreshold
 from demigronwall.generators import (
+    BLOCK_ENTRIES,
     GeneratorSpec,
     TrajectoryBatch,
     associated_increment_matrix,
@@ -90,6 +91,30 @@ class TestGeneratePaths:
         big = generate_paths(spec, 12, 400, seed=9)
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.values, big.values[:50])
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GeneratorSpec.random_walk("pm1"),
+            GeneratorSpec.random_walk("gauss"),
+            GeneratorSpec.associated(0.5),
+            GeneratorSpec.bounded_associated(1.0, 0.75),
+            GeneratorSpec.two_point(0.4),
+        ],
+        ids=lambda spec: spec.kind + ("-" + spec.increment if spec.kind == "random_walk" else ""),
+    )
+    @pytest.mark.parametrize("n_steps", [1, 50, 2 * BLOCK_ENTRIES])
+    def test_block_boundaries_leave_no_trace(self, spec, n_steps):
+        # two full blocks plus three rows, and a batch that one block covers at 1 and 50
+        # steps, against the first rows of a larger batch; at 2 * BLOCK_ENTRIES steps
+        # every block is a single row
+        rows = max(1, BLOCK_ENTRIES // (n_steps + 1))
+        m = 2 * rows + 3
+        big = generate_paths(spec, n_steps, m + rows, seed=404)
+        for size in (m, 5):
+            small = generate_paths(spec, n_steps, size, seed=404)
+            assert np.array_equal(small.values, big.values[:size])
+            assert np.all(small.values[:, 0] == 0.0)
 
     def test_substream_independence_proxy(self):
         # correlation of terminal values of paths 0 and 1 across 1000 seeds

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -260,6 +261,22 @@ class TestVerifyMaximalInequality:
         batch = TrajectoryBatch(np.hstack([np.zeros((200, 1)), drift]), starts_at_zero=True)
         with pytest.warns(UserWarning, match="mean increments"):
             verify_maximal_inequality(batch, [0.5])
+
+    def test_fair_walk_does_not_warn(self):
+        batch = generate_paths(GeneratorSpec.random_walk("pm1"), 50, 20_000, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in (1, 2, 25, 50):
+                verify_maximal_inequality(batch, [0.5], n)
+
+    def test_rows_carry_the_bits_of_sup_moment(self):
+        batch = generate_paths(GeneratorSpec.associated(0.5), 12, 3000, seed=21)
+        report = verify_maximal_inequality(batch, [0.25, 0.5, 0.75], 7)
+        for row in report.rows:
+            est = sup_moment(batch, row["p"], 7)
+            assert (row["lhs"], row["lhs_se"]) == (est.value, est.stderr)
+        with pytest.raises(POutOfRange):
+            verify_maximal_inequality(batch, [0.5, 1.5], 7)
 
 
 class TestVerifyGronwall:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from demigronwall.errors import InvalidSpec
 from demigronwall.rng import normal_matrix, path_keys, raw_uint64, uniform_matrix
 
 
@@ -20,6 +21,15 @@ def test_counter_offset_is_a_pure_shift():
     full = uniform_matrix(7, 8, 60)
     tail = uniform_matrix(7, 8, 40, first_counter=20)
     assert np.array_equal(full[:, 20:], tail)
+
+
+@pytest.mark.parametrize("draw", [raw_uint64, uniform_matrix, normal_matrix])
+@pytest.mark.parametrize("first_path, k", [(0, 7), (13, 20), (49, 1)])
+def test_path_offset_selects_rows_of_the_full_matrix(draw, first_path, k):
+    full = draw(21, 50, 9)
+    assert np.array_equal(draw(21, k, 9, first_path=first_path), full[first_path : first_path + k])
+    tail = draw(21, k, 4, first_counter=5, first_path=first_path)
+    assert np.array_equal(tail, full[first_path : first_path + k, 5:])
 
 
 def test_uniforms_open_interval_and_moments():
@@ -51,5 +61,5 @@ def test_raw_words_cover_uint64_range():
 
 @pytest.mark.parametrize("bad", [-1, 2 ** 64])
 def test_seed_must_fit_in_64_bits(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSpec):
         uniform_matrix(bad, 2, 2)
