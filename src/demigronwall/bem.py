@@ -82,8 +82,10 @@ class SdeModel:
     def __post_init__(self):
         if self.d < 1 or self.m < 1:
             raise InvalidSpec(f"dimensions must be >= 1, got d={self.d}, m={self.m}")
-        if self.L < 0.0:
+        if not self.L >= 0.0:
             raise InvalidSpec(f"coercivity constant must be >= 0, got {self.L}")
+        if math.isnan(self.osl):
+            raise InvalidSpec("one-sided Lipschitz constant is NaN")
 
     def diffusion_norm(self, x) -> float:
         """Frobenius norm of g at a single state ``x``."""
@@ -457,15 +459,23 @@ def coercivity_probe(model: SdeModel, lows, highs, n_samples, seed) -> dict:
 # test-model zoo (each L verified analytically, re-checkable by probe)
 # --------------------------------------------------------------------------
 
+def _rates(kappa, sigma) -> tuple:
+    """``(kappa, sigma)`` as floats: kappa finite and >= 0, sigma finite."""
+    kappa, sigma = float(kappa), float(sigma)
+    if not 0.0 <= kappa < math.inf:
+        raise InvalidSpec(f"kappa must be finite and >= 0, got {kappa}")
+    if not math.isfinite(sigma):
+        raise InvalidSpec(f"sigma must be finite, got {sigma}")
+    return kappa, sigma
+
+
 def ou_model(kappa=1.0, sigma=1.0) -> SdeModel:
     """Mean-reverting scalar model: f(x) = -kappa x, g = sigma.
 
     ``<f(x), x> + g^2/2 = -kappa x^2 + sigma^2/2 <= (sigma^2/2)(1 + x^2)``
     for ``kappa >= 0``, so ``L = sigma^2 / 2``.
     """
-    kappa, sigma = float(kappa), float(sigma)
-    if kappa < 0.0:
-        raise InvalidSpec(f"kappa must be >= 0, got {kappa}")
+    kappa, sigma = _rates(kappa, sigma)
     return SdeModel(
         d=1, m=1,
         drift=lambda y: -kappa * y,
@@ -528,9 +538,7 @@ def bounded_diffusion_model(kappa=1.0, sigma=1.0) -> SdeModel:
     ``|g| <= sigma / 2`` everywhere, so ``L = sigma^2 / 8`` works for any
     ``kappa >= 0``.
     """
-    kappa, sigma = float(kappa), float(sigma)
-    if kappa < 0.0:
-        raise InvalidSpec(f"kappa must be >= 0, got {kappa}")
+    kappa, sigma = _rates(kappa, sigma)
     return SdeModel(
         d=1, m=1,
         drift=lambda y: -kappa * y,

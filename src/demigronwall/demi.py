@@ -217,7 +217,7 @@ def check_demimartingale(batch: TrajectoryBatch, family: TestFunctionFamily, lev
         batch: sample paths with columns ``S_0 .. S_N``; needs ``N >= 1``.
         family: probe functions; ``mode="demisub"`` restricts evaluation to
             the nonnegative members.
-        level: one-sided confidence level of the per-cell z-test.
+        level: one-sided confidence level of the per-cell z-test, in (0, 1).
         mode: ``"demi"`` or ``"demisub"``.
 
     A cell fails when its estimate is below ``-z(level) * SE``.  Cells whose
@@ -225,11 +225,14 @@ def check_demimartingale(batch: TrajectoryBatch, family: TestFunctionFamily, lev
     report's command is ``mode`` and its columns are :data:`DEMI_COLUMNS`.
 
     Raises:
+        InvalidSpec: unknown ``mode`` or ``level`` outside (0, 1).
         EmptyFamily: no admissible probe for the requested mode.
         DegenerateBatch: fewer than :data:`DEMI_MIN_PATHS` paths.
     """
     if mode not in ("demi", "demisub"):
         raise InvalidSpec(f"mode must be 'demi' or 'demisub', got {mode!r}")
+    if not 0.0 < level < 1.0:
+        raise InvalidSpec(f"level must lie in (0, 1), got {level}")
     members = family.members if mode == "demi" else family.nonnegative_members()
     if not members:
         raise EmptyFamily(f"no admissible probe functions for mode={mode!r}")

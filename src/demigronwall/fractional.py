@@ -42,7 +42,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .generators import TrajectoryBatch
-from .gronwall import FORM_RTOL, GRONWALL_COLUMNS, HolderPair, sup_moment
+from .gronwall import FORM_RTOL, GRONWALL_COLUMNS, HYPOTHESIS_TOL, HolderPair, _harness_grid, sup_moment
 from .reporting import VerificationReport, mean_se, mu_norm, one_sided_verdict, power_se
 
 
@@ -75,12 +75,12 @@ class FractionalModel:
             raise InvalidSpec(f"orders must be strictly increasing, got {betas}")
         if any(w <= 0.0 for w in q):
             raise InvalidSpec(f"weights must be strictly positive, got {q}")
-        if not self.tau > 0.0:
-            raise InvalidSpec(f"step size tau must be > 0, got {self.tau}")
+        if not 0.0 < self.tau < math.inf:
+            raise InvalidSpec(f"step size tau must be finite and > 0, got {self.tau}")
         if self.n_steps < 1:
             raise InvalidSpec(f"n_steps must be >= 1, got {self.n_steps}")
-        if self.lambda1 < 0.0 or self.lambda2 < 0.0:
-            raise InvalidSpec("rate constants lambda1, lambda2 must be >= 0")
+        if not (self.lambda1 >= 0.0 and self.lambda2 >= 0.0):
+            raise InvalidSpec(f"rate constants must be >= 0, got lambda1={self.lambda1}, lambda2={self.lambda2}")
         object.__setattr__(self, "betas", betas)
         object.__setattr__(self, "q", q)
 
@@ -298,8 +298,8 @@ def effective_rate(lambda1, lambda2, beta_max) -> float:
     """Combined rate ``lambda1 + lambda2 / (2 - 2^(1 - beta_max))``."""
     beta_max = _check_beta(beta_max)
     lambda1, lambda2 = float(lambda1), float(lambda2)
-    if lambda1 < 0.0 or lambda2 < 0.0:
-        raise NegativeInput("rate constants must be >= 0")
+    if not (lambda1 >= 0.0 and lambda2 >= 0.0):
+        raise NegativeInput(f"rate constants must be >= 0, got {lambda1}, {lambda2}")
     return lambda1 + lambda2 / (2.0 - 2.0 ** (1.0 - beta_max))
 
 
@@ -356,20 +356,18 @@ def fractional_gronwall_bound(
 
 
 def verify_fractional_gronwall(
-    model: FractionalModel,
-    X: TrajectoryBatch,
-    Y,
-    pair: HolderPair,
-    n=None,
+    model: FractionalModel, X: TrajectoryBatch, Y, pairs, n_list=None
 ) -> VerificationReport:
-    """Monte Carlo check of the fractional Gronwall bound.
+    """Monte Carlo check of the fractional Gronwall bound at every (pair, n) of a grid.
 
+    The grid is checked as in :func:`~demigronwall.gronwall.verify_gronwall`,
+    with ``1 <= n <= N``.  Then, once per call and from one L1 operator table,
     ``F_n = (sum_r q_r D^{beta_r} X_n - Y_n - lambda1 X_n - lambda2 X_{n-1})^+``
-    is reverse-constructed so the hypothesis holds pathwise; the left side
-    ``E[sup_{1<=k<=n} X_k^p]`` is then compared against
-    :func:`fractional_gronwall_bound` with one-sided ``SLACK_SD * SE``
-    slack.  ``Y`` should be a mean-zero associated family; certifying that
-    (via ``check_association``) is the caller's responsibility.
+    is reverse-constructed so the hypothesis holds pathwise.  Each cell
+    compares ``E[sup_{1<=k<=n} X_k^p]`` against :func:`fractional_gronwall_bound`
+    with one-sided ``SLACK_SD * SE`` slack; rows are pair-major.  ``Y``
+    should be a mean-zero associated family; certifying that (via
+    ``check_association``) is the caller's responsibility.
 
     Args:
         X: nonnegative batch of shape (M, N+1).
@@ -383,34 +381,32 @@ def verify_fractional_gronwall(
     y = Y.values[:, 1:] if isinstance(Y, TrajectoryBatch) else np.asarray(Y, dtype=np.float64)
     if y.shape != (X.n_paths, model.n_steps):
         raise ShapeMismatch(f"Y must align to shape {(X.n_paths, model.n_steps)}, got {y.shape}")
-    n = model.n_steps if n is None else int(n)
-    if not 1 <= n <= model.n_steps:
-        raise ShapeMismatch(f"need 1 <= n <= {model.n_steps}, got n={n}")
+    pairs, n_list = _harness_grid(pairs, n_list, 1, model.n_steps)
 
     d = multi_term_table(model, X.values)
     linear = y + model.lambda1 * X.values[:, 1:] + model.lambda2 * X.values[:, :-1]
     f = np.maximum(0.0, d - linear)
     gap = f + linear - d
     scale = max(1.0, float(np.abs(d).max()))
-    violations = int(np.sum(gap < -1e-12 * scale))
+    violations = int(np.sum(gap < -HYPOTHESIS_TOL * scale))
     if violations:
         raise HypothesisViolated(f"{violations} cells violate the fractional hypothesis")
 
-    lhs = sup_moment(X, pair.p, n, first=1)
     c_shared = 1.0 / (model.q_max * gamma_fn(1.0 + model.beta_max))
-    x0_vals = model.tau ** model.beta_max * c_shared * kernel_mass(model, n) * X.values[:, 0]
-    f_vals = model.time(n) ** model.beta_max * c_shared * f[:, :n].max(axis=1)
-    x0_mean, x0_se = mean_se(x0_vals)
-    f_mean, f_se = mean_se(f_vals)
-
-    ml = ml_growth_factor(model, n)
-    rhs = fractional_gronwall_bound(model, pair, n, x0_mean, f_mean, ml)
-    rhs_se = pair.prefactor * ml ** pair.p * power_se(x0_mean + f_mean, math.hypot(x0_se, f_se), pair.p)
-
     report = VerificationReport(command="fractional", columns=GRONWALL_COLUMNS)
-    report.add_row(
-        n=n, p=pair.p, mu=pair.mu, nu=pair.nu, lhs=lhs.value, lhs_se=lhs.stderr, rhs=rhs,
-        **one_sided_verdict(lhs.value, lhs.stderr, rhs, rhs_se),
-    )
-    report.checks[f"fractional_hypothesis_holds[n={n},p={pair.p:g},mu={pair.mu:g}]"] = violations == 0
+    for pair in pairs:
+        for n in n_list:
+            lhs = sup_moment(X, pair.p, n, first=1)
+            x0_vals = model.tau ** model.beta_max * c_shared * kernel_mass(model, n) * X.values[:, 0]
+            f_vals = model.time(n) ** model.beta_max * c_shared * f[:, :n].max(axis=1)
+            x0_mean, x0_se = mean_se(x0_vals)
+            f_mean, f_se = mean_se(f_vals)
+            ml = ml_growth_factor(model, n)
+            rhs = fractional_gronwall_bound(model, pair, n, x0_mean, f_mean, ml)
+            rhs_se = pair.prefactor * ml ** pair.p * power_se(x0_mean + f_mean, math.hypot(x0_se, f_se), pair.p)
+            report.add_row(
+                n=n, p=pair.p, mu=pair.mu, nu=pair.nu, lhs=lhs.value, lhs_se=lhs.stderr, rhs=rhs,
+                **one_sided_verdict(lhs.value, lhs.stderr, rhs, rhs_se),
+            )
+            report.checks[f"fractional_hypothesis_holds[n={n},p={pair.p:g},mu={pair.mu:g}]"] = violations == 0
     return report

@@ -31,6 +31,7 @@ from .errors import (
     FormMismatch,
     HolderViolation,
     HypothesisViolated,
+    InvalidSpec,
     NegativeBase,
     NegativeInput,
     NegativeWeights,
@@ -107,23 +108,21 @@ class GronwallInstance:
     G: Union[np.ndarray, TrajectoryBatch]
     S: TrajectoryBatch
 
-    def growth_values(self) -> np.ndarray:
-        """Growth weights as an array broadcastable against the paths."""
-        if isinstance(self.G, TrajectoryBatch):
-            return self.G.values
-        return np.asarray(self.G, dtype=np.float64)[None, :]
-
-    def weighted_history(self) -> np.ndarray:
-        """``H_n = sum_{k<n} G_k X_k`` per path, shape (M, N+1)."""
-        x = self.X.values
-        g = self.growth_values()
-        n = x.shape[1] - 1
-        prods = np.broadcast_to(g[:, :n], (x.shape[0], n)) * x[:, :n]
-        return np.hstack([np.zeros((x.shape[0], 1)), np.cumsum(prods, axis=1)])
-
     def hypothesis_gap(self) -> np.ndarray:
         """Pathwise slack ``F + S + H - X``; nonnegative when the recursion holds."""
-        return self.F.values + self.S.values + self.weighted_history() - self.X.values
+        hist = weighted_history(self.X.values, self.G)  # before F + S, to lower peak memory
+        return self.F.values + self.S.values + hist - self.X.values
+
+
+def _growth_array(growth) -> np.ndarray:
+    """Growth weights as an array: one row, or one row per path."""
+    return growth.values if isinstance(growth, TrajectoryBatch) else np.asarray(growth, dtype=np.float64)
+
+
+def weighted_history(x, growth) -> np.ndarray:
+    """``H_n = sum_{k<n} G_k X_k`` per path (``H_0 = 0``) for shared or per-path weights ``G``."""
+    n = x.shape[1] - 1
+    return np.hstack([np.zeros((x.shape[0], 1)), np.cumsum(_growth_array(growth)[..., :n] * x[:, :n], axis=1)])
 
 
 # --------------------------------------------------------------------------
@@ -152,8 +151,8 @@ def sup_moment(batch: TrajectoryBatch, p, n=None, first=0) -> MomentEstimate:
     """
     p = _moment_exponent(p)
     n = batch.n_steps if n is None else int(n)
-    if not first <= n <= batch.n_steps:
-        raise ShapeMismatch(f"need {first} <= n <= {batch.n_steps}, got n={n}")
+    if not 0 <= first <= n <= batch.n_steps:
+        raise ShapeMismatch(f"need 0 <= first <= n <= {batch.n_steps}, got first={first}, n={n}")
     sups = batch.values[:, first : n + 1].max(axis=1)
     return _power_moment(sups, np.any(sups < 0.0), p, n)
 
@@ -238,7 +237,7 @@ def _growth_norm(growth, pair: HolderPair, n) -> tuple:
     weights go through :func:`~demigronwall.reporting.mu_norm`, whose
     mu = inf sample maximum only makes the verification harder to pass.
     """
-    g = growth.values if isinstance(growth, TrajectoryBatch) else np.asarray(growth, dtype=np.float64)
+    g = _growth_array(growth)
     if np.any(g < 0.0):
         raise NegativeWeights("growth weights must be entrywise nonnegative")
     if g.shape[-1] < n:
@@ -281,25 +280,18 @@ def build_instance(X: TrajectoryBatch, S: TrajectoryBatch, growth) -> GronwallIn
         raise ShapeMismatch(f"X shape {X.values.shape} != S shape {S.values.shape}")
     n = X.n_steps
     if isinstance(growth, TrajectoryBatch):
-        if growth.values.shape[0] != X.n_paths or growth.values.shape[1] < n:
-            raise ShapeMismatch(
-                f"growth batch shape {growth.values.shape} incompatible with X shape {X.values.shape}"
-            )
-        if np.any(growth.values < 0.0):
-            raise NegativeInput("growth weights must be entrywise nonnegative")
-        g = growth
-        gvals = growth.values[:, :n]
+        fits = growth.values.shape[0] == X.n_paths and growth.values.shape[1] >= n
     else:
-        g = np.asarray(growth, dtype=np.float64)
-        if g.ndim != 1 or g.shape[0] < n:
-            raise ShapeMismatch(f"need a 1-D growth vector of length >= {n}, got shape {g.shape}")
-        if np.any(g < 0.0):
-            raise NegativeInput("growth weights must be entrywise nonnegative")
-        gvals = np.broadcast_to(g[None, :n], (X.n_paths, n))
-    hist = np.hstack([np.zeros((X.n_paths, 1)), np.cumsum(gvals * X.values[:, :n], axis=1)])
+        growth = np.asarray(growth, dtype=np.float64)
+        fits = growth.ndim == 1 and growth.shape[0] >= n
+    if not fits:
+        raise ShapeMismatch(f"growth shape {_growth_array(growth).shape} does not fit X shape {X.values.shape}")
+    if np.any(_growth_array(growth) < 0.0):
+        raise NegativeInput("growth weights must be entrywise nonnegative")
+    hist = weighted_history(X.values, growth)  # before X - S, to lower peak memory
     f = np.maximum(0.0, X.values - S.values - hist)
     F = TrajectoryBatch(f, label=f"reverse-F[{X.label}]")
-    return GronwallInstance(X=X, F=F, G=g, S=S)
+    return GronwallInstance(X=X, F=F, G=growth, S=S)
 
 
 def verify_maximal_inequality(batch: TrajectoryBatch, p_grid, n=None) -> VerificationReport:
@@ -343,33 +335,46 @@ def verify_maximal_inequality(batch: TrajectoryBatch, p_grid, n=None) -> Verific
     return report
 
 
-def verify_gronwall(instance: GronwallInstance, pair: HolderPair, n=None) -> VerificationReport:
-    """Check the Gronwall conclusion on one instance at time index ``n``.
+def _harness_grid(pairs, n_list, first, n_steps) -> tuple:
+    """``(pairs, n_list)`` of a harness as lists (``None`` is ``[n_steps]``), checked before any work."""
+    pairs = list(pairs)
+    n_list = [n_steps] if n_list is None else [int(n) for n in n_list]
+    if not pairs or not n_list:
+        raise InvalidSpec("empty grid: need at least one exponent pair and one time index")
+    for n in n_list:
+        if not first <= n <= n_steps:
+            raise ShapeMismatch(f"need {first} <= n <= {n_steps}, got n={n}")
+    return pairs, n_list
 
-    Re-validates the recursion hypothesis pathwise first (raising
-    :class:`HypothesisViolated` on any violation beyond 1e-12 of the data
-    scale), then compares the Monte Carlo left side against the closed-form
-    right side with one-sided ``SLACK_SD * SE`` slack.
+
+def verify_gronwall(instance: GronwallInstance, pairs, n_list=None) -> VerificationReport:
+    """Check the Gronwall conclusion on one instance at every (pair, n) of a grid.
+
+    Once per call, before any cell: an empty ``pairs`` or ``n_list`` raises
+    :class:`InvalidSpec`, an ``n`` outside ``[0, N]`` :class:`ShapeMismatch`
+    (``None`` means ``[N]``), and a pathwise violation of the recursion
+    beyond :data:`HYPOTHESIS_TOL` of the data scale :class:`HypothesisViolated`.
+    Each cell compares the Monte Carlo left side against the closed-form right
+    side with one-sided ``SLACK_SD * SE`` slack.  Rows are pair-major, then in
+    ``n_list`` order.
     """
-    n = instance.X.n_steps if n is None else int(n)
+    pairs, n_list = _harness_grid(pairs, n_list, 0, instance.X.n_steps)
     gap = instance.hypothesis_gap()
     scale = max(1.0, float(np.abs(instance.X.values).max()), float(np.abs(instance.F.values).max()))
     violations = int(np.sum(gap < -HYPOTHESIS_TOL * scale))
     if violations:
-        raise HypothesisViolated(
-            f"{violations} path/time cells violate the recursion hypothesis beyond tolerance"
-        )
-    lhs = sup_moment(instance.X, pair.p, n)
-    f_mean, f_se = mean_se(instance.F.values[:, : n + 1].max(axis=1))
-    norm, norm_se = _growth_norm(instance.G, pair, n)
-    rhs = pair.prefactor * norm * f_mean ** pair.p
-    rhs_se = pair.prefactor * math.hypot(
-        f_mean ** pair.p * norm_se, norm * power_se(f_mean, f_se, pair.p)
-    )
+        raise HypothesisViolated(f"{violations} path/time cells violate the recursion hypothesis beyond tolerance")
     report = VerificationReport(command="gronwall-theorem", columns=GRONWALL_COLUMNS)
-    report.add_row(
-        n=n, p=pair.p, mu=pair.mu, nu=pair.nu, lhs=lhs.value, lhs_se=lhs.stderr, rhs=rhs,
-        **one_sided_verdict(lhs.value, lhs.stderr, rhs, rhs_se),
-    )
-    report.checks[f"hypothesis_holds[n={n},p={pair.p:g},mu={pair.mu:g}]"] = violations == 0
+    for pair in pairs:
+        for n in n_list:
+            lhs = sup_moment(instance.X, pair.p, n)
+            f_mean, f_se = mean_se(instance.F.values[:, : n + 1].max(axis=1))
+            norm, norm_se = _growth_norm(instance.G, pair, n)
+            rhs = pair.prefactor * norm * f_mean ** pair.p
+            rhs_se = pair.prefactor * math.hypot(f_mean ** pair.p * norm_se, norm * power_se(f_mean, f_se, pair.p))
+            report.add_row(
+                n=n, p=pair.p, mu=pair.mu, nu=pair.nu, lhs=lhs.value, lhs_se=lhs.stderr, rhs=rhs,
+                **one_sided_verdict(lhs.value, lhs.stderr, rhs, rhs_se),
+            )
+            report.checks[f"hypothesis_holds[n={n},p={pair.p:g},mu={pair.mu:g}]"] = violations == 0
     return report

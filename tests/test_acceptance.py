@@ -124,6 +124,9 @@ def test_c4_gronwall_fifty_seed_suite():
     m, n_steps = 10_000, 16
     spec = dg.GeneratorSpec.bounded_associated(1.0, 1.0)
     det_growth = 0.3 * np.ones(n_steps)
+    pairs = [pair for p in (0.25, 0.45) for pair in (dg.HolderPair.deterministic(p), dg.HolderPair(2.0, 2.0, p))]
+    n_list = [1, 8, 16]
+    cells = [(pair, n) for pair in pairs for n in n_list]  # the harness's row order
     for k in range(50):
         seed = 1100 + k
         s_batch = dg.generate_paths(spec, n_steps, m, seed)
@@ -133,24 +136,26 @@ def test_c4_gronwall_fifty_seed_suite():
             instance = dg.build_instance(x_batch, s_batch, growth)
             if instance.hypothesis_gap().min() < -1e-12 * 2.0:
                 failures.append((seed, "hypothesis"))
-            for p in (0.25, 0.45):
-                for pair in (dg.HolderPair.deterministic(p), dg.HolderPair(2.0, 2.0, p)):
-                    for n in (1, 8, 16):
-                        report = dg.verify_gronwall(instance, pair, n)
-                        row = report.rows[0]
-                        if row["verdict"] != "pass":
-                            failures.append((seed, p, pair.mu, n, row["margin"]))
-                        if growth is det_growth and math.isinf(pair.mu):
-                            # deterministic display must equal the general
-                            # form at (mu, nu) = (inf, 1) bitwise
-                            f_mean = float(instance.F.values[:, : n + 1].max(axis=1).mean())
-                            by_hand = (
-                                (1.0 + 1.0 / (1.0 - p))
-                                * float(np.prod(1.0 + det_growth[:n])) ** p
-                                * f_mean ** p
-                            )
-                            if row["rhs"] != by_hand:
-                                failures.append((seed, p, n, "bitwise"))
+            report = dg.verify_gronwall(instance, pairs, n_list)
+            if len(report.rows) != len(cells):
+                failures.append((seed, "row count", len(report.rows)))
+            for (pair, n), row in zip(cells, report.rows):
+                p = pair.p
+                if (row["n"], row["p"], row["mu"]) != (n, p, pair.mu):
+                    failures.append((seed, p, pair.mu, n, "row order"))
+                if row["verdict"] != "pass":
+                    failures.append((seed, p, pair.mu, n, row["margin"]))
+                if growth is det_growth and math.isinf(pair.mu):
+                    # deterministic display must equal the general
+                    # form at (mu, nu) = (inf, 1) bitwise
+                    f_mean = float(instance.F.values[:, : n + 1].max(axis=1).mean())
+                    by_hand = (
+                        (1.0 + 1.0 / (1.0 - p))
+                        * float(np.prod(1.0 + det_growth[:n])) ** p
+                        * f_mean ** p
+                    )
+                    if row["rhs"] != by_hand:
+                        failures.append((seed, p, n, "bitwise"))
     _finish("C4 Gronwall 50-seed suite", t0, failures)
 
 
@@ -203,20 +208,24 @@ def test_c6_fractional_gronwall_harness():
         dg.HolderPair.deterministic(0.5),
         dg.HolderPair(2.0, 2.0, 0.25),
     ]
+    n_list = [8, 16]
+    cells = [(pair, n) for pair in cases for n in n_list]  # the harness's row order
     for k in range(20):
         seed = 1200 + k
         x_inc = dg.associated_increment_matrix(1.0, n_steps + 1, m, seed + 5_000_011)
         x_batch = dg.TrajectoryBatch(x_inc ** 2, label="squared-associated")
         y_vals = dg.associated_increment_matrix(1.0, n_steps, m, seed + 6_000_029)
         for model in models:
-            for pair in cases:
-                for n in (8, 16):
-                    report = dg.verify_fractional_gronwall(model, x_batch, y_vals, pair, n)
-                    row = report.rows[0]
-                    if row["verdict"] != "pass":
-                        failures.append((seed, model.betas, pair.mu, pair.p, n))
-                    if not all(report.checks.values()):
-                        failures.append((seed, model.betas, "hypothesis"))
+            report = dg.verify_fractional_gronwall(model, x_batch, y_vals, cases, n_list)
+            if len(report.rows) != len(cells):
+                failures.append((seed, model.betas, "row count", len(report.rows)))
+            for (pair, n), row in zip(cells, report.rows):
+                if (row["n"], row["p"], row["mu"]) != (n, pair.p, pair.mu):
+                    failures.append((seed, model.betas, pair.mu, pair.p, n, "row order"))
+                if row["verdict"] != "pass":
+                    failures.append((seed, model.betas, pair.mu, pair.p, n))
+            if len(report.checks) != len(cells) or not all(report.checks.values()):
+                failures.append((seed, model.betas, "hypothesis"))
     _finish("C6 fractional Gronwall harness", t0, failures)
 
 

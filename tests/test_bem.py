@@ -149,6 +149,20 @@ class TestBemConfig:
             BemConfig(h=0.1, t_horizon=1.0, h0=0.25, x0=[0.0, 0.0]).validate_against(ou_model())
 
 
+class TestModelValidation:
+    @pytest.mark.parametrize("make", [ou_model, bounded_diffusion_model])
+    @pytest.mark.parametrize("kappa, sigma", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (-1.0, 1.0)])
+    def test_zoo_rejects_bad_rates(self, make, kappa, sigma):
+        with pytest.raises(InvalidSpec):
+            make(kappa, sigma)
+
+    @pytest.mark.parametrize("bad", [{"L": math.nan}, {"osl": math.nan}, {"L": -1.0}])
+    def test_sde_model_rejects_nan_constants(self, bad):
+        args = dict(d=1, m=1, drift=lambda y: -y, diffusion=lambda y: np.ones((y.shape[0], 1, 1)), L=0.5) | bad
+        with pytest.raises(InvalidSpec):
+            SdeModel(**args)
+
+
 class TestNoiseTerms:
     def test_hand_values(self):
         model = SdeModel(
@@ -234,6 +248,12 @@ class TestVerifyApriori:
         report = verify_apriori_bound(model, cfgs, [0.5], 20_000, seed=8)
         assert report.checks["z_mean_zero[h=0.1]"]
         assert report.checks["s_demimartingale[h=0.1]"]
+
+    @pytest.mark.parametrize("level", [1.5, -0.2, 0.0, 1.0])
+    def test_level_outside_the_unit_interval_raises(self, level):
+        cfgs = [BemConfig(h=0.1, t_horizon=1.0, h0=0.25, x0=[1.0])]
+        with pytest.raises(InvalidSpec):
+            verify_apriori_bound(ou_model(1.0, 1.0), cfgs, [0.5], 200, seed=8, level=level)
 
     def test_grid_must_share_shared_parameters(self):
         model = ou_model(1.0, 1.0)

@@ -45,9 +45,17 @@ class TestExitCodes:
             ("bem", "[bem]\nlevel = 1.5\n", "level", "2000"),
             # fractional's association check needs 60 paths; the first three commands would run
             ("all", "", "fractional needs at least 60 paths", "40"),
+            ("all", "[bem]\nsigma = nan\n", "sigma", "2000"),
+            ("all", "[bem]\nkappa = nan\n", "kappa", "2000"),
+            # the Mittag-Leffler growth factor of this rate is beyond the series guard
+            ("all", "[fractional]\nlambda1 = 1000\n", "overflow guard", "2000"),
+            ("all", "[fractional]\nlambda1 = nan\n", "lambda1", "2000"),
+            ("all", "[fractional]\ntau = inf\n", "tau", "2000"),
         ],
         ids=["all-bad-last-value", "all-unknown-key", "all-n_list-range", "misspelled-section",
-             "empty-n_list", "empty-g_kinds", "bem-level-range", "all-too-few-paths"],
+             "empty-n_list", "empty-g_kinds", "bem-level-range", "all-too-few-paths",
+             "all-bem-sigma-nan", "all-bem-kappa-nan", "all-fractional-rate-too-large",
+             "all-fractional-lambda1-nan", "all-fractional-tau-inf"],
     )
     def test_bad_config_exits_one_before_any_output(self, tmp_path, capsys, command, ini, named, paths):
         cfg = tmp_path / "cfg.ini"

@@ -109,6 +109,15 @@ class TestCheckDemimartingale:
         with pytest.raises(InvalidSpec):
             check_demimartingale(big, family, mode="sub")
 
+    @pytest.mark.parametrize("level", [1.5, -0.2, 0.0, 1.0, float("nan")])
+    def test_level_outside_the_unit_interval_raises(self, level):
+        # ndtri(1.5) is NaN, and no cell can fail against a NaN threshold
+        batch = TrajectoryBatch(np.hstack([np.zeros((200, 1)), np.cumsum(-np.ones((200, 5)), axis=1)]))
+        family = TestFunctionFamily.default(batch)
+        assert not check_demimartingale(batch, family, level=0.999).overall_pass
+        with pytest.raises(InvalidSpec):
+            check_demimartingale(batch, family, level=level)
+
     def test_report_serialization(self, tmp_path):
         batch = _batch(GeneratorSpec.random_walk(), 4, 5000, 3)
         report = check_demimartingale(batch, TestFunctionFamily.default(batch))

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc, erfcx
+from scipy.special import gamma as scipy_gamma
 
+from demigronwall import fractional
 from demigronwall.errors import (
     AlphaOutOfRange,
     BetaOutOfRange,
@@ -30,7 +32,7 @@ from demigronwall.fractional import (
     verify_fractional_gronwall,
 )
 from demigronwall.generators import TrajectoryBatch, associated_increment_matrix
-from demigronwall.gronwall import HolderPair
+from demigronwall.gronwall import HolderPair, sup_moment
 from demigronwall.rng import uniform_matrix
 
 # math.gamma is the oracle implementation, independent of the scipy-backed
@@ -143,6 +145,14 @@ class TestMultiTerm:
         with pytest.raises(InvalidSpec):
             FractionalModel(betas=(0.5,), q=(1.0,), tau=0.1, n_steps=4, lambda1=-1.0)
 
+    @pytest.mark.parametrize(
+        "bad", [{"lambda1": math.nan}, {"lambda2": math.nan}, {"tau": math.inf}, {"tau": math.nan}]
+    )
+    def test_model_rejects_non_finite_constants(self, bad):
+        args = dict(betas=(0.5,), q=(1.0,), tau=0.1, n_steps=4) | bad
+        with pytest.raises(InvalidSpec):
+            FractionalModel(**args)
+
 
 class TestMittagLeffler:
     @pytest.mark.parametrize("alpha", [0.2, 0.5, 1.0, 2.5])
@@ -207,6 +217,8 @@ class TestRateAndKernelMass:
         assert abs(effective_rate(1.0, 1.0, 0.5) - (1.0 + want)) < 1e-15
         with pytest.raises(NegativeInput):
             effective_rate(-0.1, 0.0, 0.5)
+        with pytest.raises(NegativeInput):
+            effective_rate(math.nan, 0.0, 0.5)
 
     def test_kernel_mass_single_term_examples(self):
         model = FractionalModel(betas=(0.5,), q=(1.0,), tau=1.0, n_steps=4)
@@ -272,7 +284,8 @@ class TestVerifyFractionalGronwall:
         model = FractionalModel(betas=(0.5,), q=(1.0,), tau=0.1, n_steps=8, lambda1=0.5)
         x = TrajectoryBatch(np.zeros((200, 9)))
         y = associated_increment_matrix(1.0, 8, 200, seed=5)
-        report = verify_fractional_gronwall(model, x, y, HolderPair.deterministic(0.5))
+        report = verify_fractional_gronwall(model, x, y, [HolderPair.deterministic(0.5)])
+        assert [row["n"] for row in report.rows] == [8]
         assert report.rows[0]["lhs"] == 0.0
         assert report.overall_pass
 
@@ -281,7 +294,7 @@ class TestVerifyFractionalGronwall:
         model = FractionalModel(betas=(0.5,), q=(1.0,), tau=0.1, n_steps=10)
         x = TrajectoryBatch(np.ones((50, 11)))
         y = np.zeros((50, 10))
-        report = verify_fractional_gronwall(model, x, y, HolderPair.deterministic(0.5), 10)
+        report = verify_fractional_gronwall(model, x, y, [HolderPair.deterministic(0.5)], [10])
         row = report.rows[0]
         assert row["lhs"] == 1.0
         c = 0.1 ** 0.5 / G(1.5) * kernel_mass(model, 10)
@@ -295,18 +308,67 @@ class TestVerifyFractionalGronwall:
         x_inc = associated_increment_matrix(1.0, 17, 5000, seed=9)
         x = TrajectoryBatch(x_inc ** 2, label="x")
         y = associated_increment_matrix(1.0, 16, 5000, seed=10)
-        for pair in (HolderPair.deterministic(0.5), HolderPair(2.0, 2.0, 0.25)):
-            for n in (8, 16):
-                report = verify_fractional_gronwall(model, x, y, pair, n)
-                assert report.overall_pass, report.rows
+        report = verify_fractional_gronwall(
+            model, x, y, [HolderPair.deterministic(0.5), HolderPair(2.0, 2.0, 0.25)], [8, 16]
+        )
+        assert len(report.rows) == 4
+        assert report.overall_pass, report.rows
 
     def test_shape_and_sign_validation(self):
         model = FractionalModel(betas=(0.5,), q=(1.0,), tau=0.1, n_steps=8)
         x = TrajectoryBatch(np.zeros((20, 9)))
         with pytest.raises(ShapeMismatch):
-            verify_fractional_gronwall(model, x, np.zeros((20, 5)), HolderPair.deterministic(0.5))
+            verify_fractional_gronwall(model, x, np.zeros((20, 5)), [HolderPair.deterministic(0.5)])
         with pytest.raises(NegativeInput):
             verify_fractional_gronwall(
                 model, TrajectoryBatch(-np.ones((20, 9))), np.zeros((20, 8)),
-                HolderPair.deterministic(0.5),
+                [HolderPair.deterministic(0.5)],
             )
+
+
+class TestFractionalGrid:
+    MODEL = FractionalModel(betas=(0.3, 0.7), q=(1.0, 2.0), tau=0.1, n_steps=16, lambda1=0.5, lambda2=0.5)
+    PAIRS = [HolderPair.deterministic(0.25), HolderPair(2.0, 2.0, 0.25), HolderPair.deterministic(0.5)]
+    N_LIST = [16, 1, 8]
+
+    @staticmethod
+    def _data():
+        x = TrajectoryBatch(associated_increment_matrix(1.0, 17, 4000, seed=31) ** 2, label="x")
+        return x, associated_increment_matrix(1.0, 16, 4000, seed=32)
+
+    def test_rows_are_pair_major_and_carry_the_per_cell_bits(self):
+        model = self.MODEL
+        x, y = self._data()
+        report = verify_fractional_gronwall(model, x, y, self.PAIRS, self.N_LIST)
+        cells = [(pair, n) for pair in self.PAIRS for n in self.N_LIST]
+        assert [(row["p"], row["mu"], row["n"]) for row in report.rows] == [(q.p, q.mu, n) for q, n in cells]
+        # the reverse-constructed F and the plug-in terms, as the bound defines them
+        linear = y + model.lambda1 * x.values[:, 1:] + model.lambda2 * x.values[:, :-1]
+        f = np.maximum(0.0, multi_term_table(model, x.values) - linear)
+        c = 1.0 / (model.q_max * scipy_gamma(1.0 + model.beta_max))
+        for (pair, n), row in zip(cells, report.rows):
+            est = sup_moment(x, pair.p, n, first=1)
+            assert (row["lhs"], row["lhs_se"]) == (est.value, est.stderr)
+            x0_term = float(np.mean(model.tau ** model.beta_max * c * kernel_mass(model, n) * x.values[:, 0]))
+            f_term = float(np.mean(model.time(n) ** model.beta_max * c * f[:, :n].max(axis=1)))
+            assert row["rhs"] == fractional_gronwall_bound(model, pair, n, x0_term, f_term)
+        assert set(report.checks) == {
+            f"fractional_hypothesis_holds[n={n},p={q.p:g},mu={q.mu:g}]" for q, n in cells
+        }
+        assert report.overall_pass, report.rows
+
+    def test_bad_grid_raises_before_any_cell(self, monkeypatch):
+        x, y = self._data()
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("the operator table was built before the grid was checked")
+
+        monkeypatch.setattr(fractional, "multi_term_table", no_table)
+        with pytest.raises(ShapeMismatch):
+            verify_fractional_gronwall(self.MODEL, x, y, self.PAIRS, [8, 0])
+        with pytest.raises(ShapeMismatch):
+            verify_fractional_gronwall(self.MODEL, x, y, self.PAIRS, [17])
+        with pytest.raises(InvalidSpec):
+            verify_fractional_gronwall(self.MODEL, x, y, [], [8])
+        with pytest.raises(InvalidSpec):
+            verify_fractional_gronwall(self.MODEL, x, y, self.PAIRS, [])

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demigronwall.demi import TestFunctionFamily, check_demimartingale
+from demigronwall import gronwall
 from demigronwall.errors import (
     HolderViolation,
     HypothesisViolated,
+    InvalidSpec,
     NegativeBase,
     NegativeInput,
     NegativeWeights,
@@ -62,6 +64,13 @@ class TestMomentEstimators:
             sup_moment(batch, 1.5)
         with pytest.raises(ShapeMismatch):
             sup_moment(batch, 0.5, 7)
+
+    def test_sup_moment_rejects_a_negative_first_index(self):
+        # first=-3 would read a wrapped window (column 3 only) instead of raising
+        batch = _const_batch([0.0, 1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(ShapeMismatch):
+            sup_moment(batch, 1.0, 4, first=-3)
+        assert sup_moment(batch, 1.0, 4, first=0).value == 4.0
 
     def test_neg_inf_mean_examples(self):
         assert neg_inf_mean(_const_batch([0.0, 3.0, 5.0])).value == 0.0
@@ -285,7 +294,7 @@ class TestVerifyGronwall:
         f = TrajectoryBatch(np.ones((1, 2)))
         s = TrajectoryBatch(np.zeros((1, 2)), starts_at_zero=True)
         inst = GronwallInstance(X=x, F=f, G=np.zeros(1), S=s)
-        report = verify_gronwall(inst, HolderPair.deterministic(0.5), 1)
+        report = verify_gronwall(inst, [HolderPair.deterministic(0.5)], [1])
         row = report.rows[0]
         assert row["lhs"] == 1.0
         assert row["rhs"] == 3.0
@@ -295,7 +304,8 @@ class TestVerifyGronwall:
         s = generate_paths(GeneratorSpec.random_walk(), 6, 500, seed=5)
         x = TrajectoryBatch(np.zeros((500, 7)))
         inst = build_instance(x, s, np.zeros(6))
-        report = verify_gronwall(inst, HolderPair.deterministic(0.3))
+        report = verify_gronwall(inst, [HolderPair.deterministic(0.3)])
+        assert [row["n"] for row in report.rows] == [6]
         assert report.rows[0]["lhs"] == 0.0
         assert report.overall_pass
 
@@ -310,7 +320,7 @@ class TestVerifyGronwall:
         rhs = []
         for s in (rng_a, rng_b):
             inst = GronwallInstance(X=x, F=TrajectoryBatch(f_vals), G=g, S=s)
-            rhs.append(verify_gronwall(inst, pair, 5).rows[0]["rhs"])
+            rhs.append(verify_gronwall(inst, [pair], [5]).rows[0]["rhs"])
         assert rhs[0] == rhs[1]
 
     def test_hypothesis_violation_detected(self):
@@ -319,16 +329,63 @@ class TestVerifyGronwall:
         s = TrajectoryBatch(np.zeros((3, 2)), starts_at_zero=True)
         inst = GronwallInstance(X=x, F=f, G=np.zeros(1), S=s)
         with pytest.raises(HypothesisViolated):
-            verify_gronwall(inst, HolderPair.deterministic(0.5), 1)
+            verify_gronwall(inst, [HolderPair.deterministic(0.5)], [1])
 
     def test_monte_carlo_instance_passes_both_exponent_pairs(self):
         m, n = 20_000, 16
         s = generate_paths(GeneratorSpec.bounded_associated(1.0, 1.0), n, m, seed=44)
         x = TrajectoryBatch(2.0 * uniform_matrix(1044, m, n + 1), label="x")
         inst = build_instance(x, s, 0.3 * np.ones(n))
-        for pair in (HolderPair.deterministic(0.45), HolderPair(2.0, 2.0, 0.45)):
-            report = verify_gronwall(inst, pair, n)
-            assert report.overall_pass, report.rows
+        report = verify_gronwall(inst, [HolderPair.deterministic(0.45), HolderPair(2.0, 2.0, 0.45)], [n])
+        assert len(report.rows) == 2
+        assert report.overall_pass, report.rows
+
+
+class TestGronwallGrid:
+    PAIRS = [q for p in (0.25, 0.45) for q in (HolderPair.deterministic(p), HolderPair(2.0, 2.0, p))]
+    N_LIST = [10, 1, 4]
+
+    @staticmethod
+    def _instance(kind):
+        m, n = 3000, 10
+        s = generate_paths(GeneratorSpec.bounded_associated(1.0, 1.0), n, m, seed=61)
+        x = TrajectoryBatch(2.0 * uniform_matrix(62, m, n + 1), label="x")
+        growth = 0.3 * np.ones(n) if kind == "det" else TrajectoryBatch(0.3 * uniform_matrix(63, m, n + 1))
+        return build_instance(x, s, growth)
+
+    @pytest.mark.parametrize("kind", ["det", "random"])
+    def test_rows_are_pair_major_and_carry_the_per_cell_bits(self, kind):
+        inst = self._instance(kind)
+        report = verify_gronwall(inst, self.PAIRS, self.N_LIST)
+        cells = [(pair, n) for pair in self.PAIRS for n in self.N_LIST]
+        assert [(row["p"], row["mu"], row["n"]) for row in report.rows] == [(q.p, q.mu, n) for q, n in cells]
+        for (pair, n), row in zip(cells, report.rows):
+            est = sup_moment(inst.X, pair.p, n)
+            assert (row["lhs"], row["lhs_se"]) == (est.value, est.stderr)
+            f_mean = float(inst.F.values[:, : n + 1].max(axis=1).mean())
+            assert row["rhs"] == gronwall_bound(f_mean, inst.G, pair, n)
+        assert set(report.checks) == {f"hypothesis_holds[n={n},p={q.p:g},mu={q.mu:g}]" for q, n in cells}
+        assert report.overall_pass, report.rows
+
+    def test_default_time_index_is_the_last(self):
+        inst = self._instance("det")
+        assert [row["n"] for row in verify_gronwall(inst, self.PAIRS).rows] == [10] * 4
+
+    def test_bad_grid_raises_before_any_cell(self, monkeypatch):
+        inst = self._instance("det")
+
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell was estimated before the grid was checked")
+
+        monkeypatch.setattr(gronwall, "sup_moment", no_cell)
+        with pytest.raises(ShapeMismatch):
+            verify_gronwall(inst, self.PAIRS, [1, 4, 11])
+        with pytest.raises(ShapeMismatch):
+            verify_gronwall(inst, self.PAIRS, [-1])
+        with pytest.raises(InvalidSpec):
+            verify_gronwall(inst, [], [1])
+        with pytest.raises(InvalidSpec):
+            verify_gronwall(inst, self.PAIRS, [])
 
 
 class TestTailIntegralIdentity:
