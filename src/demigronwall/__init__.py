@@ -14,7 +14,6 @@ from .bem import (
     BemConfig,
     SdeModel,
     apriori_moment_bound,
-    bem_step,
     bounded_diffusion_model,
     coercivity_probe,
     frozen_model,
@@ -56,13 +55,10 @@ from .generators import (
     TrajectoryBatch,
     associated_increment_matrix,
     generate_paths,
-    stopped_batch,
-    stopped_sequence,
 )
 from .gronwall import (
     GronwallInstance,
     HolderPair,
-    MomentEstimate,
     build_instance,
     discount_weights,
     discounted_transform,

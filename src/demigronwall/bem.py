@@ -5,9 +5,9 @@ The drift-implicit scheme
     Y^{j+1} = Y^j + h f(Y^{j+1}) + g(Y^j) dW^{j+1},      Y^0 = x0,
 
 is solved per step by damped Newton iteration on the residual (analytic
-Jacobian when the model supplies one, finite differences otherwise, fixed
-point as a last resort).  Every accepted step satisfies the residual
-tolerance; steps that do not raise instead of being silently kept.
+Jacobian when the model supplies one, finite differences otherwise) from an
+explicit predictor.  Every accepted step satisfies the residual tolerance;
+steps that do not raise instead of being silently kept.
 
 Under the coercivity condition ``<f(x), x> + |g(x)|^2 / 2 <= L (1 + |x|^2)``
 the 2p-norm of the running supremum admits a closed-form a-priori bound
@@ -127,12 +127,15 @@ class BemConfig:
         object.__setattr__(self, "n_steps", n)
 
     def validate_against(self, model: SdeModel) -> None:
+        """Raise unless ``h0 < 1/(2L)``, x0 matches ``model.d`` and ``h * osl < 1``."""
         if model.L > 0.0 and not self.h0 < 1.0 / (2.0 * model.L):
             raise StepBoundViolation(
                 f"h0={self.h0} must be strictly below 1/(2L)={1.0 / (2.0 * model.L)}"
             )
         if self.x0.shape[0] != model.d:
             raise ShapeMismatch(f"x0 has dimension {self.x0.shape[0]}, model expects {model.d}")
+        if self.h * model.osl >= 1.0:
+            raise StepTooLarge(f"h * osl = {self.h * model.osl} >= 1 breaks the solvability margin")
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,11 +180,15 @@ def _fd_jacobian(model: SdeModel, u, fu) -> np.ndarray:
 def _solve_implicit(model: SdeModel, y, b, h, tol):
     """Solve ``u = y + h f(u) + b`` for every path at once.
 
-    Returns ``(u, residual_norms, iterations)``; convergence is judged per
-    path and paths that reached tolerance are frozen.
+    Explicit predictor, then damped Newton with per-path backtracking on the
+    residual norm; paths that reached tolerance are frozen.  Returns
+    ``(u, residual_norms)``; judging the norms is the caller's job.  A row
+    whose line search finds no decrease keeps its last halved candidate.
+
+    Raises:
+        NewtonNonConvergence: a singular Newton matrix, which ``h * osl < 1``
+            rules out when ``osl`` bounds the drift.
     """
-    if h * model.osl >= 1.0:
-        raise StepTooLarge(f"h * osl = {h * model.osl} >= 1 breaks the solvability margin")
 
     def residual(u, ys, bs):
         return u - ys - h * model.drift(u) - bs
@@ -190,69 +197,37 @@ def _solve_implicit(model: SdeModel, y, b, h, tol):
     u = y + h * model.drift(y) + b  # explicit predictor
     r = residual(u, y, b)
     rnorm = np.sqrt((r ** 2).sum(axis=1))
-    iterations = 0
     for _ in range(NEWTON_MAX_ITER):
         active = rnorm > tol
         if not active.any():
             break
-        iterations += 1
-        ua, ya, ba, ra = u[active], y[active], b[active], r[active]
-        fu = model.drift(ua)
+        ua, ya, ba, ra_norm = u[active], y[active], b[active], rnorm[active]
         if model.drift_jacobian is not None:
             jf = model.drift_jacobian(ua)
         else:
-            jf = _fd_jacobian(model, ua, fu)
+            jf = _fd_jacobian(model, ua, model.drift(ua))
         try:
-            delta = np.linalg.solve(eye[None, :, :] - h * jf, ra[:, :, None])[:, :, 0]
+            delta = np.linalg.solve(eye[None, :, :] - h * jf, r[active][:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
-            # singular Newton matrix; one fixed-point sweep instead
-            cand = ya + h * fu + ba
-            u[active] = cand
-            r = residual(u, y, b)
-            rnorm = np.sqrt((r ** 2).sum(axis=1))
-            continue
+            raise NewtonNonConvergence(
+                f"singular Newton matrix at h={h:g}: osl={model.osl:g} does not bound the drift"
+            ) from None
         # backtracking line search on the residual norm, per path
         alpha = np.ones(ua.shape[0])
         cand = ua - delta
         rc = residual(cand, ya, ba)
         rcn = np.sqrt((rc ** 2).sum(axis=1))
-        stuck = (rcn >= np.sqrt((ra ** 2).sum(axis=1))) & (rcn > tol)
-        tries = 0
-        while stuck.any() and tries < 15:
+        stuck = (rcn >= ra_norm) & (rcn > tol)
+        for _ in range(15):
+            if not stuck.any():
+                break
             alpha[stuck] *= 0.5
             cand[stuck] = ua[stuck] - alpha[stuck, None] * delta[stuck]
-            rc_s = residual(cand[stuck], ya[stuck], ba[stuck])
-            rcn[stuck] = np.sqrt((rc_s ** 2).sum(axis=1))
-            stuck = (rcn >= np.sqrt((ra ** 2).sum(axis=1))) & (rcn > tol)
-            tries += 1
-        if stuck.any():
-            # no descent direction worked; fixed-point fallback for those paths
-            cand[stuck] = ya[stuck] + h * model.drift(ua[stuck]) + ba[stuck]
-        u[active] = cand
-        r = residual(u, y, b)
-        rnorm = np.sqrt((r ** 2).sum(axis=1))
-    return u, rnorm, iterations
-
-
-def bem_step(model: SdeModel, y, dW, h, newton_tol=1e-10) -> np.ndarray:
-    """One implicit step from state ``y`` with Brownian increment ``dW``.
-
-    Raises:
-        StepTooLarge: ``h * osl >= 1``.
-        NewtonNonConvergence: residual above tolerance (or NaN) after
-            :data:`NEWTON_MAX_ITER` iterations.
-    """
-    y = np.atleast_1d(np.asarray(y, dtype=np.float64))[None, :]
-    dW = np.atleast_1d(np.asarray(dW, dtype=np.float64))
-    if y.shape[1] != model.d or dW.shape[0] != model.m:
-        raise ShapeMismatch(f"state/noise shapes {y.shape[1]}, {dW.shape[0]} do not match the model")
-    b = np.einsum("pdm,m->pd", model.diffusion(y), dW)
-    u, rnorm, _ = _solve_implicit(model, y, b, h, newton_tol)
-    if not rnorm[0] <= newton_tol:
-        raise NewtonNonConvergence(
-            f"residual {rnorm[0]:.3e} above tolerance {newton_tol:.1e}", path=0, step=0
-        )
-    return u[0]
+            rc[stuck] = residual(cand[stuck], ya[stuck], ba[stuck])
+            rcn[stuck] = np.sqrt((rc[stuck] ** 2).sum(axis=1))
+            stuck = (rcn >= ra_norm) & (rcn > tol)
+        u[active], r[active], rnorm[active] = cand, rc, rcn
+    return u, rnorm
 
 
 def simulate_bem(model: SdeModel, cfg: BemConfig, seed, n_paths) -> BemBatch:
@@ -274,7 +249,7 @@ def simulate_bem(model: SdeModel, cfg: BemConfig, seed, n_paths) -> BemBatch:
     y = np.broadcast_to(cfg.x0[None, :], (n_paths, d)).copy()
     for j in range(n):
         b = np.einsum("pdm,pm->pd", model.diffusion(y), dw[:, j])
-        u, rnorm, _ = _solve_implicit(model, y, b, cfg.h, cfg.newton_tol)
+        u, rnorm = _solve_implicit(model, y, b, cfg.h, cfg.newton_tol)
         bad = np.nonzero(~(rnorm <= cfg.newton_tol))[0]
         if bad.size:
             raise NewtonNonConvergence(
@@ -390,12 +365,16 @@ def verify_apriori_bound(
     are recorded as named checks: ``z_mean_zero[h=...]``, every column mean
     of the noise terms Z within ``SLACK_SD`` standard errors of zero, and
     ``s_demimartingale[h=...]``, the demimartingale check at ``level`` on
-    their normalized partial sums.
+    their normalized partial sums.  An empty ``cfg_grid`` raises
+    :class:`HGridViolation` and an empty ``p_grid`` :class:`InvalidSpec`,
+    both before any simulation.
     """
     cfg_grid = list(cfg_grid)
     if not cfg_grid:
         raise HGridViolation("empty step-size grid")
     p_grid = [float(p) for p in (p_grid if np.ndim(p_grid) else [p_grid])]
+    if not p_grid:
+        raise InvalidSpec("empty p_grid: need at least one exponent")
     t0, b0, x0 = cfg_grid[0].t_horizon, cfg_grid[0].h0, cfg_grid[0].x0
     for cfg in cfg_grid:
         if cfg.t_horizon != t0 or cfg.h0 != b0 or not np.array_equal(cfg.x0, x0):

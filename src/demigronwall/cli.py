@@ -100,10 +100,10 @@ def _generator(token):
         return GeneratorSpec.random_walk("gauss")
     if token.startswith("bounded_associated_"):
         theta, c = token[len("bounded_associated_"):].split("_")
-        return GeneratorSpec.bounded_associated(float(theta), float(c))
+        return GeneratorSpec.bounded_associated(_finite(theta), _finite(c))
     for prefix, make in (("associated_", GeneratorSpec.associated), ("two_point_", GeneratorSpec.two_point)):
         if token.startswith(prefix):
-            return make(float(token[len(prefix):]))
+            return make(_finite(token[len(prefix):]))
     raise ValueError(f"unknown generator {token!r}")
 
 

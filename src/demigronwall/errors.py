@@ -19,10 +19,6 @@ class BatchTooLarge(DemigronError):
     """Requested sample matrix exceeds the configured memory budget."""
 
 
-class NonPositiveThreshold(DemigronError, ValueError):
-    """Stopping threshold must be strictly positive."""
-
-
 class EmptyFamily(DemigronError, ValueError):
     """No admissible test functions for the requested check."""
 

@@ -30,11 +30,12 @@ Available generators:
     keeps both the two-atom law and the defining inequality intact.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BatchTooLarge, InvalidSpec, NonPositiveThreshold
+from .errors import BatchTooLarge, InvalidSpec
 from .rng import normal_matrix, uniform_matrix
 
 #: Refuse to allocate batches beyond this many matrix entries (~1 GiB).
@@ -109,10 +110,7 @@ class GeneratorSpec:
         if self.kind == "random_walk" and self.increment not in ("pm1", "gauss"):
             raise InvalidSpec(f"random_walk increment must be 'pm1' or 'gauss', got {self.increment!r}")
         if self.kind in ("associated_partial_sum", "bounded_associated_partial_sum"):
-            if not self.theta >= 0.0:
-                raise InvalidSpec(f"common-shock weight theta must be >= 0, got {self.theta}")
-        if self.kind == "bounded_associated_partial_sum" and not self.bound > 0.0:
-            raise InvalidSpec(f"increment bound must be > 0, got {self.bound}")
+            _check_shock(self.theta, self.bound if self.kind == "bounded_associated_partial_sum" else None)
         if self.kind == "two_point_demisub" and not 0.0 <= self.prob <= 1.0:
             raise InvalidSpec(f"two-point probability must lie in [0, 1], got {self.prob}")
 
@@ -143,6 +141,14 @@ class GeneratorSpec:
         return f"two_point_demisub[p={self.prob:g}]"
 
 
+def _check_shock(theta, bound):
+    """Raise unless ``theta`` is finite and >= 0 and ``bound`` is None or finite and > 0."""
+    if not 0.0 <= theta < math.inf:
+        raise InvalidSpec(f"common-shock weight theta must be finite and >= 0, got {theta}")
+    if bound is not None and not 0.0 < bound < math.inf:
+        raise InvalidSpec(f"increment bound must be finite and > 0, got {bound}")
+
+
 def _centered_uniform(u):
     return 2.0 * u - 1.0
 
@@ -154,10 +160,7 @@ def associated_increment_matrix(theta, n_steps, n_paths, seed, bound=None):
     Exposed separately because several harnesses need the increments
     themselves (the associated collection) rather than their partial sums.
     """
-    if theta < 0:
-        raise InvalidSpec(f"theta must be >= 0, got {theta}")
-    if bound is not None and not bound > 0:
-        raise InvalidSpec(f"increment bound must be > 0, got {bound}")
+    _check_shock(theta, bound)
     return _associated_increments(theta, bound, n_steps, n_paths, seed)
 
 
@@ -228,46 +231,3 @@ def generate_paths(spec: GeneratorSpec, n_steps, n_paths, seed) -> TrajectoryBat
         np.cumsum(inc, axis=1, out=values[r0:r1, 1:])
     return TrajectoryBatch(values, label=label, starts_at_zero=True)
 
-
-def stopped_sequence(path, threshold) -> np.ndarray:
-    """Freeze a path at the last index where it sits at or above ``threshold``.
-
-    With ``tau = max{k <= N : path[k] >= threshold}`` (and ``tau = N`` when
-    the threshold is never reached, which leaves the path unchanged), the
-    result is ``path[min(j, tau)]``.  The running maximum can only shrink,
-    and whenever the input crosses the threshold the maximum is preserved.
-
-    Raises:
-        NonPositiveThreshold: ``threshold <= 0``.
-    """
-    x = float(threshold)
-    if not x > 0.0:
-        raise NonPositiveThreshold(f"threshold must be > 0, got {threshold}")
-    path = np.asarray(path, dtype=np.float64)
-    if path.ndim != 1:
-        raise InvalidSpec(f"path must be 1-D, got shape {path.shape}")
-    if not np.isfinite(path).all():
-        raise InvalidSpec("path contains non-finite entries")
-    hits = np.nonzero(path >= x)[0]
-    tau = int(hits[-1]) if hits.size else path.shape[0] - 1
-    out = path.copy()
-    out[tau:] = path[tau]
-    return out
-
-
-def stopped_batch(batch: TrajectoryBatch, threshold) -> TrajectoryBatch:
-    """Apply :func:`stopped_sequence` to every path of a batch."""
-    x = float(threshold)
-    if not x > 0.0:
-        raise NonPositiveThreshold(f"threshold must be > 0, got {threshold}")
-    values = batch.values
-    n = batch.n_steps
-    mask = values >= x
-    has_hit = mask.any(axis=1)
-    # last hitting index per path; paths that never hit keep tau = N
-    tau = np.where(has_hit, n - np.argmax(mask[:, ::-1], axis=1), n)
-    take = np.minimum(np.arange(n + 1)[None, :], tau[:, None])
-    stopped = np.take_along_axis(values, take, axis=1)
-    return TrajectoryBatch(
-        stopped, label=f"{batch.label}-stopped[x={x:g}]", starts_at_zero=batch.starts_at_zero
-    )

@@ -305,8 +305,12 @@ def verify_maximal_inequality(batch: TrajectoryBatch, p_grid, n=None) -> Verific
     :func:`~demigronwall.reporting.blocked_mean_se`.  The running maximum
     and minimum are reduced once per call.  Each grid point passes when
     ``lhs <= rhs + SLACK_SD * combined_SE`` with the right-hand error
-    propagated through the power by the delta method.
+    propagated through the power by the delta method.  An empty ``p_grid``
+    raises :class:`InvalidSpec` before any work.
     """
+    p_grid = list(p_grid)
+    if not p_grid:
+        raise InvalidSpec("empty p_grid: need at least one exponent")
     n = batch.n_steps if n is None else int(n)
     values = batch.values
     if batch.n_paths > 1 and n >= 1:

@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from demigronwall.bem import (
     BemConfig,
     SdeModel,
     apriori_moment_bound,
-    bem_step,
     bounded_diffusion_model,
     coercivity_probe,
     frozen_model,
@@ -30,10 +30,16 @@ from demigronwall.errors import (
 )
 
 
+def _one_step(model, x0, h):
+    """One implicit step of one path through :func:`simulate_bem`."""
+    cfg = BemConfig(h=h, t_horizon=h, h0=max(0.5, 2.0 * h), x0=x0)
+    return simulate_bem(model, cfg, seed=1, n_paths=1)
+
+
 class TestBemStep:
     def test_linear_drift_closed_form(self):
         # y' = y / (1 - h A) for f(x) = A x, A = -1
-        got = bem_step(ou_model(1.0, 0.0), [1.0], [0.0], 0.5)
+        got = _one_step(ou_model(1.0, 0.0), [1.0], 0.5).paths[0, 1]
         assert abs(got[0] - 1.0 / 1.5) < 1e-12
 
     def test_zero_drift_is_explicit(self):
@@ -43,17 +49,22 @@ class TestBemStep:
             diffusion=lambda y: np.ones((y.shape[0], 1, 1)),
             L=0.5,
         )
-        got = bem_step(model, [0.3], [0.25], 0.1)
-        assert got[0] == 0.3 + 0.25
+        batch = _one_step(model, [0.3], 0.1)
+        assert batch.paths[0, 1, 0] == 0.3 + batch.increments[0, 0, 0]
 
     def test_fixed_point_at_origin(self):
-        got = bem_step(ou_model(1.0, 0.0), [0.0], [0.0], 0.1)
-        assert got[0] == 0.0
+        assert _one_step(ou_model(1.0, 0.0), [0.0], 0.1).paths[0, 1, 0] == 0.0
 
     def test_solvability_margin(self):
-        expanding = linear_model(np.array([[3.0]]))
+        # osl = 3 at h = 0.5; L = 0 keeps the h0 bound out of the way
+        expanding = SdeModel(
+            d=1, m=1, drift=lambda y: 3.0 * y, diffusion=lambda y: np.zeros((y.shape[0], 1, 1)), L=0.0, osl=3.0,
+        )
+        cfg = BemConfig(h=0.5, t_horizon=1.0, h0=0.6, x0=[1.0])
         with pytest.raises(StepTooLarge):
-            bem_step(expanding, [1.0], [0.0], 0.5)
+            cfg.validate_against(expanding)
+        with pytest.raises(StepTooLarge):
+            simulate_bem(expanding, cfg, seed=1, n_paths=1)
 
     def test_nan_residual_reported(self):
         # a drift that is NaN above 0.5 leaves a NaN residual, which must not pass the tolerance
@@ -64,10 +75,42 @@ class TestBemStep:
             L=0.0,
         )
         with pytest.raises(NewtonNonConvergence):
-            bem_step(broken, [1.0], [0.0], 0.1)
+            _one_step(broken, [1.0], 0.1)
         cfg = BemConfig(h=0.1, t_horizon=1.0, h0=0.25, x0=[1.0])
         with pytest.raises(NewtonNonConvergence):
             simulate_bem(broken, cfg, seed=1, n_paths=4)
+
+    def test_backtracking_reaches_the_root(self):
+        # full Newton steps on u + 10 atan(u) = 5 overshoot from the predictor, so the line search halves
+        calls = {"drift": 0, "jacobian": 0}
+
+        def drift(y):
+            calls["drift"] += 1
+            return -100.0 * np.arctan(y)
+
+        def jacobian(y):
+            calls["jacobian"] += 1
+            return (-100.0 / (1.0 + y ** 2))[:, :, None]
+
+        model = SdeModel(
+            d=1, m=1, drift=drift, diffusion=lambda y: np.zeros((y.shape[0], 1, 1)),
+            drift_jacobian=jacobian, L=0.0, osl=0.0,
+        )
+        batch = _one_step(model, [5.0], 0.1)
+        root = brentq(lambda u: u + 10.0 * math.atan(u) - 5.0, 0.0, 5.0, xtol=1e-15)
+        assert batch.residual_norms[0, 0] <= 1e-10
+        assert abs(batch.paths[0, 1, 0] - root) < 1e-10
+        # the predictor costs two drift calls and each Newton iteration one more, unless it halves
+        assert calls["drift"] > 2 + calls["jacobian"]
+
+    def test_understated_osl_raises_instead_of_solving(self):
+        # f(y) = 3y with osl = 0 passes validation, but at h = 1/3 the Newton matrix 1 - 3h is singular
+        model = SdeModel(
+            d=1, m=1, drift=lambda y: 3.0 * y, diffusion=lambda y: np.zeros((y.shape[0], 1, 1)),
+            drift_jacobian=lambda y: np.full((y.shape[0], 1, 1), 3.0), L=0.0, osl=0.0,
+        )
+        with pytest.raises(NewtonNonConvergence, match="osl"):
+            _one_step(model, [1.0], 1.0 / 3.0)
 
 
 class TestSimulate:
@@ -263,6 +306,11 @@ class TestVerifyApriori:
         ]
         with pytest.raises(HGridViolation):
             verify_apriori_bound(model, cfgs, [0.5], 100, seed=1)
+
+    def test_empty_p_grid_raises(self):
+        cfgs = [BemConfig(h=0.1, t_horizon=1.0, h0=0.25, x0=[1.0])]
+        with pytest.raises(InvalidSpec):
+            verify_apriori_bound(ou_model(), cfgs, [], 200, seed=1)
 
     def test_sup_norm_estimate_shape(self):
         model = ou_model(1.0, 1.0)

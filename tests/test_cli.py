@@ -51,11 +51,13 @@ class TestExitCodes:
             ("all", "[fractional]\nlambda1 = 1000\n", "overflow guard", "2000"),
             ("all", "[fractional]\nlambda1 = nan\n", "lambda1", "2000"),
             ("all", "[fractional]\ntau = inf\n", "tau", "2000"),
+            # gronwall-lemma would run after demi-check wrote its output
+            ("all", "[gronwall-lemma]\ngenerators = random_walk_pm1,associated_inf\n", "generators", "2000"),
         ],
         ids=["all-bad-last-value", "all-unknown-key", "all-n_list-range", "misspelled-section",
              "empty-n_list", "empty-g_kinds", "bem-level-range", "all-too-few-paths",
              "all-bem-sigma-nan", "all-bem-kappa-nan", "all-fractional-rate-too-large",
-             "all-fractional-lambda1-nan", "all-fractional-tau-inf"],
+             "all-fractional-lambda1-nan", "all-fractional-tau-inf", "all-generator-theta-inf"],
     )
     def test_bad_config_exits_one_before_any_output(self, tmp_path, capsys, command, ini, named, paths):
         cfg = tmp_path / "cfg.ini"

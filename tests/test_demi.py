@@ -20,7 +20,7 @@ from demigronwall.errors import (
     InvalidSpec,
     NotNondecreasing,
 )
-from demigronwall.generators import GeneratorSpec, TrajectoryBatch, generate_paths, stopped_batch
+from demigronwall.generators import GeneratorSpec, TrajectoryBatch, generate_paths
 
 
 def _batch(spec, n, m, seed):
@@ -90,13 +90,6 @@ class TestCheckDemimartingale:
         cell = report.rows[0]
         assert abs(cell["estimate"] - (-0.2)) <= 4.0 * cell["stderr"]
         assert cell["verdict"] == "fail"
-
-    def test_stopped_demisubmartingale_still_passes(self):
-        batch = _batch(GeneratorSpec.random_walk(), 10, 60_000, 13)
-        stopped = stopped_batch(batch, 2.0)
-        family = TestFunctionFamily.default(stopped)
-        report = check_demimartingale(stopped, family, level=0.999, mode="demisub")
-        assert report.overall_pass
 
     def test_errors(self):
         batch = _batch(GeneratorSpec.random_walk(), 4, 10, 1)

@@ -2,18 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from demigronwall.errors import BatchTooLarge, InvalidSpec, NonPositiveThreshold
+from demigronwall.errors import BatchTooLarge, InvalidSpec
 from demigronwall.generators import (
     BLOCK_ENTRIES,
     GeneratorSpec,
     TrajectoryBatch,
     associated_increment_matrix,
     generate_paths,
-    stopped_batch,
-    stopped_sequence,
 )
 
 
@@ -31,6 +27,9 @@ class TestGeneratorSpec:
             lambda: GeneratorSpec.bounded_associated(1.0, 0.0),
             lambda: GeneratorSpec.random_walk("cauchy"),
             lambda: GeneratorSpec(kind="brownian"),
+            lambda: GeneratorSpec.associated(math.inf),
+            lambda: GeneratorSpec.bounded_associated(math.inf, 1.0),
+            lambda: GeneratorSpec.bounded_associated(1.0, math.inf),
         ],
     )
     def test_invalid_parameters(self, bad):
@@ -147,47 +146,12 @@ class TestTrajectoryBatch:
         assert np.array_equal(inc.values, np.array([[1.0, 2.0]]))
 
 
-class TestStoppedSequence:
-    def test_hand_traced_example(self):
-        assert np.array_equal(stopped_sequence([0, 1, 3, 2], 2.5), [0, 1, 3, 3])
-
-    def test_never_crossing_path_unchanged(self):
-        assert np.array_equal(stopped_sequence([0, -1, -2], 1.0), [0, -1, -2])
-
-    def test_stop_at_final_index(self):
-        assert np.array_equal(stopped_sequence([0, 5], 5.0), [0, 5])
-
-    def test_threshold_must_be_positive(self):
-        with pytest.raises(NonPositiveThreshold):
-            stopped_sequence([0, 1], 0.0)
-        with pytest.raises(NonPositiveThreshold):
-            stopped_batch(generate_paths(GeneratorSpec.random_walk(), 2, 4, 0), -1.0)
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        steps=st.lists(st.floats(-3, 3), min_size=1, max_size=12),
-        x=st.floats(0.1, 4.0),
-    )
-    def test_idempotent_and_max_dominated(self, steps, x):
-        path = np.concatenate([[0.0], np.cumsum(steps)])
-        once = stopped_sequence(path, x)
-        assert once.max() <= path.max()
-        if path.max() >= x:
-            assert once.max() == path.max()
-        assert np.array_equal(stopped_sequence(once, x), once)
-
-    def test_batch_matches_per_path_application(self):
-        batch = generate_paths(GeneratorSpec.random_walk(), 8, 64, seed=21)
-        whole = stopped_batch(batch, 2.0)
-        rows = np.vstack([stopped_sequence(row, 2.0) for row in batch.values])
-        assert np.array_equal(whole.values, rows)
-
-
 def test_associated_increment_matrix_contract():
     inc = associated_increment_matrix(1.0, 6, 2000, seed=4)
     assert inc.shape == (2000, 6)
     assert abs(inc.mean()) < 0.05
     clipped = associated_increment_matrix(1.0, 6, 2000, seed=4, bound=0.5)
     assert np.abs(clipped).max() <= 0.5
-    with pytest.raises(InvalidSpec):
-        associated_increment_matrix(-0.5, 6, 10, seed=4)
+    for theta, bound in ((-0.5, None), (math.nan, None), (math.inf, None), (1.0, math.inf)):
+        with pytest.raises(InvalidSpec):
+            associated_increment_matrix(theta, 6, 10, seed=4, bound=bound)

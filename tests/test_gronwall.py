@@ -287,6 +287,11 @@ class TestVerifyMaximalInequality:
         with pytest.raises(POutOfRange):
             verify_maximal_inequality(batch, [0.5, 1.5], 7)
 
+    def test_empty_p_grid_raises(self):
+        batch = generate_paths(GeneratorSpec.random_walk(), 4, 100, seed=1)
+        with pytest.raises(InvalidSpec):
+            verify_maximal_inequality(batch, [], 2)
+
 
 class TestVerifyGronwall:
     def test_deterministic_instance(self):
