@@ -16,22 +16,24 @@ import numpy as np
 from scipy.special import erfc
 
 from demigronwall import (
-    CoefficientTable,
     FractionalModel,
     HolderPair,
     TrajectoryBatch,
     associated_increment_matrix,
     caputo_l1_forms,
+    l1_a,
+    l1_b_row,
     mittag_leffler,
     verify_fractional_gronwall,
 )
 
 print("L1 coefficient table, beta = 0.5, first steps")
-table = CoefficientTable.build(0.5, 6)
+a = l1_a(0.5, np.arange(7))
+b = l1_b_row(0.5, 6)
 print(f"{'j':>2} {'a_j':>10} {'b_j':>10}")
 for j in range(7):
-    print(f"{j:2d} {table.a[j]:10.6f} {table.b[j]:10.6f}")
-print(f"b-row sum: {table.b.sum():+.2e} (telescopes to zero)")
+    print(f"{j:2d} {a[j]:10.6f} {b[j]:10.6f}")
+print(f"b-row sum: {b.sum():+.2e} (telescopes to zero)")
 print()
 
 f_seq = np.array([0.0, 0.4, 1.1, 0.9, 1.6, 2.0, 1.7])

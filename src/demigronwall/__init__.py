@@ -35,9 +35,7 @@ from .demi import (
     two_point_stats,
 )
 from .fractional import (
-    CoefficientTable,
     FractionalModel,
-    caputo_l1,
     caputo_l1_forms,
     effective_rate,
     fractional_gronwall_bound,
@@ -46,7 +44,6 @@ from .fractional import (
     l1_b_row,
     mittag_leffler,
     ml_growth_factor,
-    multi_term_caputo,
     multi_term_table,
     verify_fractional_gronwall,
 )

@@ -110,8 +110,8 @@ class BemConfig:
     def __post_init__(self):
         if not 0.0 < self.h < 1.0:
             raise StepBoundViolation(f"h must lie in (0, 1), got {self.h}")
-        if not self.h < self.h0:
-            raise StepBoundViolation(f"need h < h0, got h={self.h}, h0={self.h0}")
+        if not self.h < self.h0 < math.inf:
+            raise StepBoundViolation(f"need h < h0 < inf, got h={self.h}, h0={self.h0}")
         if not self.t_horizon > 0.0:
             raise InvalidSpec(f"horizon must be > 0, got {self.t_horizon}")
         if not self.newton_tol > 0.0:
@@ -366,8 +366,8 @@ def verify_apriori_bound(
     of the noise terms Z within ``SLACK_SD`` standard errors of zero, and
     ``s_demimartingale[h=...]``, the demimartingale check at ``level`` on
     their normalized partial sums.  An empty ``cfg_grid`` raises
-    :class:`HGridViolation` and an empty ``p_grid`` :class:`InvalidSpec`,
-    both before any simulation.
+    :class:`HGridViolation`, and an empty ``p_grid`` or a ``level`` outside
+    (0, 1) :class:`InvalidSpec`, all before any simulation.
     """
     cfg_grid = list(cfg_grid)
     if not cfg_grid:
@@ -375,6 +375,8 @@ def verify_apriori_bound(
     p_grid = [float(p) for p in (p_grid if np.ndim(p_grid) else [p_grid])]
     if not p_grid:
         raise InvalidSpec("empty p_grid: need at least one exponent")
+    if not 0.0 < level < 1.0:
+        raise InvalidSpec(f"level must lie in (0, 1), got {level}")
     t0, b0, x0 = cfg_grid[0].t_horizon, cfg_grid[0].h0, cfg_grid[0].x0
     for cfg in cfg_grid:
         if cfg.t_horizon != t0 or cfg.h0 != b0 or not np.array_equal(cfg.x0, x0):

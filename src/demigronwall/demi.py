@@ -167,25 +167,6 @@ class TestFunctionFamily:
         return cls(tuple(members))
 
 
-def monotonicity_counterexamples(family: TestFunctionFamily, dim, n_pairs, seed) -> int:
-    """Count violations of f(s) <= f(s') over random ordered pairs s <= s'.
-
-    Every member of a valid family must return zero violations; the helper
-    exists so reports and tests can re-certify the family on demand.
-    """
-    from .rng import uniform_matrix
-
-    lo = 8.0 * uniform_matrix(seed, n_pairs, dim) - 4.0
-    gap = uniform_matrix(int(seed) + 1, n_pairs, dim)
-    hi = lo + 4.0 * gap
-    bad = 0
-    for f in family.members:
-        if f.min_coords > dim:
-            continue
-        bad += int(np.sum(f.evaluate(lo) > f.evaluate(hi) + 1e-12))
-    return bad
-
-
 # --------------------------------------------------------------------------
 # per-cell z-tests
 # --------------------------------------------------------------------------

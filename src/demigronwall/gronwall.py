@@ -90,16 +90,6 @@ class HolderPair:
 
 
 @dataclass(frozen=True)
-class MomentEstimate:
-    """Monte Carlo estimate of a p-th moment at time index n."""
-
-    value: float
-    stderr: float
-    p: float
-    n: int
-
-
-@dataclass(frozen=True)
 class GronwallInstance:
     """Aligned (X, F, G, S) data satisfying the recursion by construction."""
 
@@ -136,15 +126,15 @@ def _moment_exponent(p) -> float:
     return p
 
 
-def _power_moment(sups, negative, p, n) -> MomentEstimate:
-    """Mean and SE of ``sups ** p``; ``negative`` says whether some entry of ``sups`` is < 0."""
+def _power_moment(sups, negative, p) -> tuple:
+    """``(mean, se)`` of ``sups ** p``; ``negative`` says whether some entry of ``sups`` is < 0."""
     if p != 1.0 and negative:
         raise NegativeBase(f"running maximum is negative on some path; p={p} power undefined")
-    return MomentEstimate(*mean_se(sups ** p), p, n)
+    return mean_se(sups ** p)
 
 
-def sup_moment(batch: TrajectoryBatch, p, n=None, first=0) -> MomentEstimate:
-    """Estimate ``E[(max_{first<=k<=n} path_k)^p]`` with its standard error.
+def sup_moment(batch: TrajectoryBatch, p, n=None, first=0) -> tuple:
+    """Estimate ``E[(max_{first<=k<=n} path_k)^p]`` as ``(mean, se)``.
 
     Fractional powers of a negative running maximum are rejected; for
     batches starting at zero the maximum is automatically nonnegative.
@@ -154,17 +144,17 @@ def sup_moment(batch: TrajectoryBatch, p, n=None, first=0) -> MomentEstimate:
     if not 0 <= first <= n <= batch.n_steps:
         raise ShapeMismatch(f"need 0 <= first <= n <= {batch.n_steps}, got first={first}, n={n}")
     sups = batch.values[:, first : n + 1].max(axis=1)
-    return _power_moment(sups, np.any(sups < 0.0), p, n)
+    return _power_moment(sups, np.any(sups < 0.0), p)
 
 
-def neg_inf_mean(batch: TrajectoryBatch, n=None) -> MomentEstimate:
-    """Estimate ``E[-min_{0<=k<=n} path_k]`` (requires column 0 to be zero)."""
+def neg_inf_mean(batch: TrajectoryBatch, n=None) -> tuple:
+    """Estimate ``E[-min_{0<=k<=n} path_k]`` as ``(mean, se)`` (requires column 0 to be zero)."""
     if np.any(batch.values[:, 0] != 0.0):
         raise NonzeroStart("negative-infimum mean requires paths starting at 0")
     n = batch.n_steps if n is None else int(n)
     if not 0 <= n <= batch.n_steps:
         raise ShapeMismatch(f"need 0 <= n <= {batch.n_steps}, got n={n}")
-    return MomentEstimate(*mean_se(-batch.values[:, : n + 1].min(axis=1)), 1.0, n)
+    return mean_se(-batch.values[:, : n + 1].min(axis=1))
 
 
 def maximal_moment_bound(q, p) -> float:
@@ -325,16 +315,16 @@ def verify_maximal_inequality(batch: TrajectoryBatch, p_grid, n=None) -> Verific
                 stacklevel=2,
             )
     report = VerificationReport(command="gronwall-lemma", columns=GRONWALL_COLUMNS)
-    q = neg_inf_mean(batch, n)
+    q, q_se = neg_inf_mean(batch, n)
     sups = values[:, : n + 1].max(axis=1)
     negative = np.any(sups < 0.0)
     for p in p_grid:
-        lhs = _power_moment(sups, negative, _moment_exponent(p), n)
-        rhs = maximal_moment_bound(q.value, p)
-        rhs_se = power_se(q.value, q.stderr, p) / (1.0 - p)
+        lhs, lhs_se = _power_moment(sups, negative, _moment_exponent(p))
+        rhs = maximal_moment_bound(q, p)
+        rhs_se = power_se(q, q_se, p) / (1.0 - p)
         report.add_row(
-            n=n, p=float(p), mu=None, nu=None, lhs=lhs.value, lhs_se=lhs.stderr, rhs=rhs,
-            **one_sided_verdict(lhs.value, lhs.stderr, rhs, rhs_se),
+            n=n, p=float(p), mu=None, nu=None, lhs=lhs, lhs_se=lhs_se, rhs=rhs,
+            **one_sided_verdict(lhs, lhs_se, rhs, rhs_se),
         )
     return report
 
@@ -371,14 +361,14 @@ def verify_gronwall(instance: GronwallInstance, pairs, n_list=None) -> Verificat
     report = VerificationReport(command="gronwall-theorem", columns=GRONWALL_COLUMNS)
     for pair in pairs:
         for n in n_list:
-            lhs = sup_moment(instance.X, pair.p, n)
+            lhs, lhs_se = sup_moment(instance.X, pair.p, n)
             f_mean, f_se = mean_se(instance.F.values[:, : n + 1].max(axis=1))
             norm, norm_se = _growth_norm(instance.G, pair, n)
             rhs = pair.prefactor * norm * f_mean ** pair.p
             rhs_se = pair.prefactor * math.hypot(f_mean ** pair.p * norm_se, norm * power_se(f_mean, f_se, pair.p))
             report.add_row(
-                n=n, p=pair.p, mu=pair.mu, nu=pair.nu, lhs=lhs.value, lhs_se=lhs.stderr, rhs=rhs,
-                **one_sided_verdict(lhs.value, lhs.stderr, rhs, rhs_se),
+                n=n, p=pair.p, mu=pair.mu, nu=pair.nu, lhs=lhs, lhs_se=lhs_se, rhs=rhs,
+                **one_sided_verdict(lhs, lhs_se, rhs, rhs_se),
             )
             report.checks[f"hypothesis_holds[n={n},p={pair.p:g},mu={pair.mu:g}]"] = violations == 0
     return report

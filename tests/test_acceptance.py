@@ -77,11 +77,10 @@ def test_c2_maximal_inequality_monte_carlo():
                     if row["verdict"] != "pass":
                         failures.append((spec.label, seed, n, row["p"]))
             if spec.kind == "random_walk" and spec.increment == "pm1":
-                lhs = dg.sup_moment(batch, 0.5, 2)
-                q = dg.neg_inf_mean(batch, 2)
-                rhs_se = 0.5 * q.value ** -0.5 * q.stderr / 0.5
-                exact_lhs.append((lhs.value, lhs.stderr))
-                exact_rhs.append((dg.maximal_moment_bound(q.value, 0.5), rhs_se))
+                q, q_se = dg.neg_inf_mean(batch, 2)
+                rhs_se = 0.5 * q ** -0.5 * q_se / 0.5
+                exact_lhs.append(dg.sup_moment(batch, 0.5, 2))
+                exact_rhs.append((dg.maximal_moment_bound(q, 0.5), rhs_se))
     # enumerated two-step walk: sups {0,1,1,2}, infs {0,0,-1,-2}
     lhs_want = (1.0 + math.sqrt(2.0)) / 4.0            # 0.603553...
     rhs_want = math.sqrt(0.75) / 0.5                   # 1.732051...

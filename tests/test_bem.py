@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from demigronwall import bem
 from demigronwall.bem import (
     BemConfig,
     SdeModel,
@@ -185,6 +186,8 @@ class TestBemConfig:
             BemConfig(h=0.3, t_horizon=1.0, h0=0.25, x0=[0.0])
         with pytest.raises(StepBoundViolation):
             BemConfig(h=1.2, t_horizon=2.0, h0=1.5, x0=[0.0])
+        with pytest.raises(StepBoundViolation):  # with L = 0 the 1/(2L) bound would not catch it
+            BemConfig(h=0.1, t_horizon=1.0, h0=math.inf, x0=[0.0])
         cfg = BemConfig(h=0.3, t_horizon=1.0, h0=0.6, x0=[0.0])
         with pytest.raises(StepBoundViolation):
             cfg.validate_against(ou_model(1.0, 2.0))  # h0 >= 1/(2L) = 0.25
@@ -293,7 +296,11 @@ class TestVerifyApriori:
         assert report.checks["s_demimartingale[h=0.1]"]
 
     @pytest.mark.parametrize("level", [1.5, -0.2, 0.0, 1.0])
-    def test_level_outside_the_unit_interval_raises(self, level):
+    def test_level_outside_the_unit_interval_raises(self, level, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a path was simulated before the level was checked")
+
+        monkeypatch.setattr(bem, "simulate_bem", no_simulation)
         cfgs = [BemConfig(h=0.1, t_horizon=1.0, h0=0.25, x0=[1.0])]
         with pytest.raises(InvalidSpec):
             verify_apriori_bound(ou_model(1.0, 1.0), cfgs, [0.5], 200, seed=8, level=level)

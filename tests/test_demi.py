@@ -11,7 +11,6 @@ from demigronwall.demi import (
     TestFunctionFamily,
     check_association,
     check_demimartingale,
-    monotonicity_counterexamples,
     two_point_stats,
 )
 from demigronwall.errors import (
@@ -25,6 +24,21 @@ from demigronwall.generators import GeneratorSpec, TrajectoryBatch, generate_pat
 
 def _batch(spec, n, m, seed):
     return generate_paths(spec, n, m, seed)
+
+
+def monotonicity_counterexamples(family: TestFunctionFamily, dim, n_pairs, seed) -> int:
+    """Count violations of f(s) <= f(s') over random ordered pairs s <= s'."""
+    from demigronwall.rng import uniform_matrix
+
+    lo = 8.0 * uniform_matrix(seed, n_pairs, dim) - 4.0
+    gap = uniform_matrix(int(seed) + 1, n_pairs, dim)
+    hi = lo + 4.0 * gap
+    bad = 0
+    for f in family.members:
+        if f.min_coords > dim:
+            continue
+        bad += int(np.sum(f.evaluate(lo) > f.evaluate(hi) + 1e-12))
+    return bad
 
 
 class TestFamily:

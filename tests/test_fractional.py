@@ -11,15 +11,14 @@ from demigronwall import fractional
 from demigronwall.errors import (
     AlphaOutOfRange,
     BetaOutOfRange,
+    FormMismatch,
     InvalidSpec,
     NegativeInput,
     SeriesNoConvergence,
     ShapeMismatch,
 )
 from demigronwall.fractional import (
-    CoefficientTable,
     FractionalModel,
-    caputo_l1,
     caputo_l1_forms,
     effective_rate,
     fractional_gronwall_bound,
@@ -27,7 +26,6 @@ from demigronwall.fractional import (
     l1_a,
     l1_b_row,
     mittag_leffler,
-    multi_term_caputo,
     multi_term_table,
     verify_fractional_gronwall,
 )
@@ -76,23 +74,21 @@ class TestL1Coefficients:
     def test_b_rows_sum_to_zero(self, beta, n):
         assert abs(l1_b_row(beta, n).sum()) <= 1e-12
 
-    def test_table_build(self):
-        table = CoefficientTable.build(0.5, 8)
-        assert table.a.shape == (9,) and table.b.shape == (9,)
-        assert table.a[0] == 1.0 and table.b[0] == 1.0
-
 
 class TestCaputoL1:
     def test_constant_sequence_vanishes(self):
         for c in (0.0, 1.0, -7.5, 1e6):
-            assert caputo_l1(np.full(6, c), 0.3, 0.25, 5) == 0.0
+            delta_form, direct_form = caputo_l1_forms(np.full(6, c), 0.3, 0.25, 5)
+            assert delta_form == 0.0
+            assert abs(direct_form) <= 1e-12 * max(1.0, abs(c))
 
     def test_one_step_example(self):
-        assert abs(caputo_l1([0.0, 1.0], 0.5, 1.0, 1) - 1.0 / G(1.5)) < 1e-14
+        for got in caputo_l1_forms([0.0, 1.0], 0.5, 1.0, 1):
+            assert abs(got - 1.0 / G(1.5)) < 1e-14
 
     def test_linear_sequence_example(self):
-        got = caputo_l1([0.0, 1.0, 2.0], 0.5, 1.0, 2)
-        assert abs(got - math.sqrt(2.0) / G(1.5)) < 1e-14
+        for got in caputo_l1_forms([0.0, 1.0, 2.0], 0.5, 1.0, 2):
+            assert abs(got - math.sqrt(2.0) / G(1.5)) < 1e-14
 
     def test_two_forms_agree_on_random_sequences(self):
         betas = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -104,26 +100,31 @@ class TestCaputoL1:
 
     def test_argument_validation(self):
         with pytest.raises(InvalidSpec):
-            caputo_l1([0.0, 1.0], 0.5, 0.0, 1)
+            caputo_l1_forms([0.0, 1.0], 0.5, 0.0, 1)
         with pytest.raises(InvalidSpec):
-            caputo_l1([0.0, 1.0], 0.5, 1.0, 0)
+            caputo_l1_forms([0.0, 1.0], 0.5, 1.0, 0)
         with pytest.raises(ShapeMismatch):
-            caputo_l1([0.0, 1.0], 0.5, 1.0, 3)
+            caputo_l1_forms([0.0, 1.0], 0.5, 1.0, 3)
+        with pytest.raises(InvalidSpec):
+            caputo_l1_forms([0.0, math.nan], 0.5, 1.0, 1)
 
 
 class TestMultiTerm:
     def test_single_term_equals_caputo(self):
         model = FractionalModel(betas=(0.4,), q=(1.0,), tau=0.2, n_steps=6)
         f = np.array([0.0, 0.5, 0.3, 0.9, 0.1, 0.4, 0.2])
-        assert multi_term_caputo(model, f, 5) == caputo_l1(f, 0.4, 0.2, 5)
+        row = multi_term_table(model, f[None, :])[0]
+        for n in range(1, 7):
+            assert abs(row[n - 1] - caputo_l1_forms(f, 0.4, 0.2, n)[0]) < 1e-14
 
     def test_constant_sequence_vanishes(self):
         model = FractionalModel(betas=(0.3, 0.7), q=(1.0, 2.0), tau=0.5, n_steps=4)
-        assert multi_term_caputo(model, np.full(5, 3.3), 4) == 0.0
+        table = multi_term_table(model, np.full((3, 5), [[3.3], [-1e6], [0.0]]))
+        assert np.array_equal(table, np.zeros((3, 4)))
 
     def test_two_term_step_one_against_gamma_oracle(self):
         model = FractionalModel(betas=(0.3, 0.7), q=(1.0, 2.0), tau=1.0, n_steps=1)
-        got = multi_term_caputo(model, [0.0, 1.0], 1)
+        got = multi_term_table(model, [[0.0, 1.0]])[0, 0]
         want = 1.0 / G(1.7) + 2.0 / G(1.3)  # ~3.329032
         assert abs(got - want) < 1e-12
 
@@ -133,7 +134,28 @@ class TestMultiTerm:
         table = multi_term_table(model, vals)
         for r in (0, 17, 39):
             for n in (1, 4, 8):
-                assert abs(table[r, n - 1] - multi_term_caputo(model, vals[r], n)) < 1e-10
+                want = sum(w * caputo_l1_forms(vals[r], beta, 0.1, n)[0] for beta, w in zip(model.betas, model.q))
+                assert abs(table[r, n - 1] - want) < 1e-10
+
+    def test_forms_are_checked_in_every_path_block(self, monkeypatch):
+        # only the last row, in the fourth path block, is nonzero
+        model = FractionalModel(betas=(0.3, 0.7), q=(1.0, 2.0), tau=0.1, n_steps=8)
+        vals = np.zeros((3 * (fractional.BLOCK_ENTRIES // 9) + 5, 9))
+        vals[-1] = 2.0 * uniform_matrix(6, 1, 9)[0]
+        assert np.any(multi_term_table(model, vals)[-1] != 0.0)
+        exact_b_row = fractional.l1_b_row
+
+        def perturbed(beta, n):
+            b = exact_b_row(beta, n)
+            b[0] += 1e-6
+            return b
+
+        monkeypatch.setattr(fractional, "l1_b_row", perturbed)
+        with pytest.raises(FormMismatch):
+            multi_term_table(model, vals)
+        x, y = TestFractionalGrid._data()
+        with pytest.raises(FormMismatch):
+            verify_fractional_gronwall(TestFractionalGrid.MODEL, x, y, TestFractionalGrid.PAIRS)
 
     def test_model_validation(self):
         with pytest.raises(InvalidSpec):
@@ -314,6 +336,17 @@ class TestVerifyFractionalGronwall:
         assert len(report.rows) == 4
         assert report.overall_pass, report.rows
 
+    @pytest.mark.parametrize("scale", [1e5, 1e6])
+    def test_large_noise_passes_the_hypothesis_by_construction(self, scale):
+        # F = (D X - linear)^+ meets the hypothesis exactly; at this noise scale the rounding
+        # in F + linear - D exceeds any tolerance taken from the scale of D
+        model = FractionalModel(betas=(0.5,), q=(1.0,), tau=0.1, n_steps=16, lambda1=0.5, lambda2=0.5)
+        x = TrajectoryBatch(associated_increment_matrix(1.0, 17, 2000, seed=21) ** 2)
+        y = scale * associated_increment_matrix(1.0, 16, 2000, seed=22)
+        report = verify_fractional_gronwall(model, x, y, [HolderPair.deterministic(0.5)])
+        assert report.checks == {"fractional_hypothesis_holds[n=16,p=0.5,mu=inf]": True}
+        assert report.overall_pass, report.rows
+
     def test_shape_and_sign_validation(self):
         model = FractionalModel(betas=(0.5,), q=(1.0,), tau=0.1, n_steps=8)
         x = TrajectoryBatch(np.zeros((20, 9)))
@@ -347,8 +380,7 @@ class TestFractionalGrid:
         f = np.maximum(0.0, multi_term_table(model, x.values) - linear)
         c = 1.0 / (model.q_max * scipy_gamma(1.0 + model.beta_max))
         for (pair, n), row in zip(cells, report.rows):
-            est = sup_moment(x, pair.p, n, first=1)
-            assert (row["lhs"], row["lhs_se"]) == (est.value, est.stderr)
+            assert (row["lhs"], row["lhs_se"]) == sup_moment(x, pair.p, n, first=1)
             x0_term = float(np.mean(model.tau ** model.beta_max * c * kernel_mass(model, n) * x.values[:, 0]))
             f_term = float(np.mean(model.time(n) ** model.beta_max * c * f[:, :n].max(axis=1)))
             assert row["rhs"] == fractional_gronwall_bound(model, pair, n, x0_term, f_term)
