@@ -42,7 +42,7 @@ from .errors import (
     StepBoundViolation,
     StepTooLarge,
 )
-from .generators import TrajectoryBatch
+from .generators import TrajectoryBatch, prefix_reduce
 from .reporting import SLACK_SD, VerificationReport, mean_se, one_sided_verdict, root_of_mean
 from .rng import normal_matrix
 
@@ -159,7 +159,20 @@ class BemBatch:
 
     def sup_norms(self) -> np.ndarray:
         """Per-path running supremum of the Euclidean state norm."""
-        return np.sqrt((self.paths ** 2).sum(axis=2)).max(axis=1)
+        return np.sqrt(prefix_reduce(_sq_norm(self.paths), [self.n_steps])[self.n_steps])
+
+
+def _sq_norm(x) -> np.ndarray:
+    """Squared Euclidean norm over the last axis, summed one coordinate at a time.
+
+    Equals ``(x ** 2).sum(axis=-1)`` bit for bit for ``d <= 7``, where numpy
+    also adds left to right; for ``d >= 8`` numpy sums pairwise and the last
+    bits may differ.  No shipped model or benchmark reference has ``d >= 8``.
+    """
+    out = x[..., 0] ** 2
+    for k in range(1, x.shape[-1]):
+        out += x[..., k] ** 2
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -175,6 +188,19 @@ def _fd_jacobian(model: SdeModel, u, fu) -> np.ndarray:
         bumped[:, k] += eps
         jac[:, :, k] = (model.drift(bumped) - fu) / eps[:, None]
     return jac
+
+
+def _newton_delta(matrix, r) -> np.ndarray:
+    """Solve ``matrix[i] @ delta[i] = r[i]`` for every row.
+
+    1 x 1 systems are a division, bit for bit what ``np.linalg.solve`` gives;
+    a zero pivot raises ``LinAlgError`` as it does.
+    """
+    if matrix.shape[1] == 1:
+        if not matrix.all():
+            raise np.linalg.LinAlgError("Singular matrix")
+        return r / matrix[:, :, 0]
+    return np.linalg.solve(matrix, r[:, :, None])[:, :, 0]
 
 
 def _solve_implicit(model: SdeModel, y, b, h, tol):
@@ -196,7 +222,7 @@ def _solve_implicit(model: SdeModel, y, b, h, tol):
     eye = np.eye(model.d)
     u = y + h * model.drift(y) + b  # explicit predictor
     r = residual(u, y, b)
-    rnorm = np.sqrt((r ** 2).sum(axis=1))
+    rnorm = np.sqrt(_sq_norm(r))
     for _ in range(NEWTON_MAX_ITER):
         active = rnorm > tol
         if not active.any():
@@ -207,7 +233,7 @@ def _solve_implicit(model: SdeModel, y, b, h, tol):
         else:
             jf = _fd_jacobian(model, ua, model.drift(ua))
         try:
-            delta = np.linalg.solve(eye[None, :, :] - h * jf, r[active][:, :, None])[:, :, 0]
+            delta = _newton_delta(eye[None, :, :] - h * jf, r[active])
         except np.linalg.LinAlgError:
             raise NewtonNonConvergence(
                 f"singular Newton matrix at h={h:g}: osl={model.osl:g} does not bound the drift"
@@ -216,7 +242,7 @@ def _solve_implicit(model: SdeModel, y, b, h, tol):
         alpha = np.ones(ua.shape[0])
         cand = ua - delta
         rc = residual(cand, ya, ba)
-        rcn = np.sqrt((rc ** 2).sum(axis=1))
+        rcn = np.sqrt(_sq_norm(rc))
         stuck = (rcn >= ra_norm) & (rcn > tol)
         for _ in range(15):
             if not stuck.any():
@@ -224,7 +250,7 @@ def _solve_implicit(model: SdeModel, y, b, h, tol):
             alpha[stuck] *= 0.5
             cand[stuck] = ua[stuck] - alpha[stuck, None] * delta[stuck]
             rc[stuck] = residual(cand[stuck], ya[stuck], ba[stuck])
-            rcn[stuck] = np.sqrt((rc[stuck] ** 2).sum(axis=1))
+            rcn[stuck] = np.sqrt(_sq_norm(rc[stuck]))
             stuck = (rcn >= ra_norm) & (rcn > tol)
         u[active], r[active], rnorm[active] = cand, rc, rcn
     return u, rnorm

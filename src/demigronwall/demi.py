@@ -6,7 +6,12 @@ for the demisubmartingale variant), which no finite procedure can certify.
 The checks here evaluate a fixed, explicitly parameterized family of
 nondecreasing probe functions and run one-sided z-tests per cell:
 
-* a significantly negative estimate is a conclusive failure,
+* each cell is a test at its own ``level`` (0.999 by default, so a true
+  inequality fails a cell with probability about 0.1% under the normal
+  approximation), with no multiplicity correction across cells;
+* a report with many cells can therefore fail on a true demimartingale,
+  so a failed cell calls for a rerun with other seeds or more paths and
+  is not by itself proof of a violation;
 * an all-pass report is evidence, not proof.
 
 No completeness claim is made for the probe family.

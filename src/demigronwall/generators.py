@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BatchTooLarge, InvalidSpec
+from .errors import BatchTooLarge, InvalidSpec, ShapeMismatch
 from .rng import normal_matrix, uniform_matrix
 
 #: Refuse to allocate batches beyond this many matrix entries (~1 GiB).
@@ -44,6 +44,51 @@ MAX_BATCH_ENTRIES = 1 << 27
 #: Batches are generated (and screened) in blocks of about this many
 #: entries (512 KB of float64), so each block's temporaries stay in L2.
 BLOCK_ENTRIES = 1 << 16
+
+
+def prefix_reduce(values, n_list, ufunc=np.maximum, first=0):
+    """``{n: ufunc-reduction of each row over columns first..n}`` for every ``n`` in ``n_list``.
+
+    One sweep over the columns, ``ufunc(acc, block[:, k], out=acc)``, on row
+    blocks of about :data:`BLOCK_ENTRIES` entries, records ``acc`` at each
+    requested ``n``; this avoids the per-row overhead of reducing short rows
+    along ``axis=1``.  Maximum and minimum are exact in any order, so the
+    result equals numpy's row maximum (minimum) of those columns bit for bit,
+    up to the sign of a zero when a row mixes ``+0.0`` and ``-0.0``;
+    ``np.multiply`` multiplies left to right, as ``np.prod`` does over a row.
+    A tuple of ufuncs shares one sweep, so each column is read once for all
+    of them, and gives a tuple of such dicts.
+
+    Raises:
+        ShapeMismatch: ``values`` not 2-D, or some ``n`` outside ``[first, N]``.
+        InvalidSpec: empty ``n_list``.
+    """
+    ufuncs = ufunc if isinstance(ufunc, tuple) else (ufunc,)
+    values = np.asarray(values)
+    wanted = sorted({int(n) for n in n_list})
+    if not wanted:
+        raise InvalidSpec("empty n_list: need at least one column index")
+    if values.ndim != 2 or not 0 <= first <= wanted[0] or wanted[-1] >= values.shape[1]:
+        raise ShapeMismatch(
+            f"need 0 <= first <= n < {values.shape[-1]} on a 2-D array, got first={first}, "
+            f"n_list={wanted}, shape {values.shape}"
+        )
+    last = wanted[-1]
+    outs = [{n: np.empty(values.shape[0], dtype=values.dtype) for n in wanted} for _ in ufuncs]
+    rows = max(1, BLOCK_ENTRIES // (last - first + 1))
+    for r0 in range(0, values.shape[0], rows):
+        block = values[r0 : r0 + rows]
+        accs = [block[:, first].copy() for _ in ufuncs]
+        for k in range(first, last + 1):
+            if k > first:
+                column = block[:, k]
+                for f, acc in zip(ufuncs, accs):
+                    f(acc, column, out=acc)
+            if k in outs[0]:
+                for out, acc in zip(outs, accs):
+                    out[k][r0 : r0 + rows] = acc
+    return tuple(outs) if isinstance(ufunc, tuple) else outs[0]
+
 
 _KINDS = (
     "random_walk",

@@ -39,7 +39,7 @@ from .errors import (
     POutOfRange,
     ShapeMismatch,
 )
-from .generators import BLOCK_ENTRIES, TrajectoryBatch
+from .generators import BLOCK_ENTRIES, TrajectoryBatch, prefix_reduce
 from .reporting import VerificationReport, blocked_mean_se, mean_se, mu_norm, one_sided_verdict, power_se
 
 GRONWALL_COLUMNS = ["n", "p", "mu", "nu", "lhs", "lhs_se", "rhs", "margin", "verdict"]
@@ -143,18 +143,24 @@ def sup_moment(batch: TrajectoryBatch, p, n=None, first=0) -> tuple:
     n = batch.n_steps if n is None else int(n)
     if not 0 <= first <= n <= batch.n_steps:
         raise ShapeMismatch(f"need 0 <= first <= n <= {batch.n_steps}, got first={first}, n={n}")
-    sups = batch.values[:, first : n + 1].max(axis=1)
+    sups = prefix_reduce(batch.values, [n], first=first)[n]
     return _power_moment(sups, np.any(sups < 0.0), p)
 
 
-def neg_inf_mean(batch: TrajectoryBatch, n=None) -> tuple:
-    """Estimate ``E[-min_{0<=k<=n} path_k]`` as ``(mean, se)`` (requires column 0 to be zero)."""
+def _zero_start_index(batch: TrajectoryBatch, n) -> int:
+    """Time index ``n`` (``None`` is N) of a batch starting at 0, both checked."""
     if np.any(batch.values[:, 0] != 0.0):
         raise NonzeroStart("negative-infimum mean requires paths starting at 0")
     n = batch.n_steps if n is None else int(n)
     if not 0 <= n <= batch.n_steps:
         raise ShapeMismatch(f"need 0 <= n <= {batch.n_steps}, got n={n}")
-    return mean_se(-batch.values[:, : n + 1].min(axis=1))
+    return n
+
+
+def neg_inf_mean(batch: TrajectoryBatch, n=None) -> tuple:
+    """Estimate ``E[-min_{0<=k<=n} path_k]`` as ``(mean, se)`` (requires column 0 to be zero)."""
+    n = _zero_start_index(batch, n)
+    return mean_se(-prefix_reduce(batch.values, [n], np.minimum)[n])
 
 
 def maximal_moment_bound(q, p) -> float:
@@ -220,6 +226,29 @@ def transform_batch(batch: TrajectoryBatch, growth) -> TrajectoryBatch:
 # the Gronwall bound
 # --------------------------------------------------------------------------
 
+def _checked_growth(growth, n, n_paths=None) -> np.ndarray:
+    """Growth weights as an array, raising unless nonnegative, 1-D or 2-D, and ``n`` wide.
+
+    ``n_paths``, when given, is the row count that 2-D weights must have.
+    """
+    g = _growth_array(growth)
+    if np.any(g < 0.0):
+        raise NegativeWeights("growth weights must be entrywise nonnegative")
+    if g.ndim not in (1, 2) or g.shape[-1] < n or (g.ndim == 2 and n_paths not in (None, g.shape[0])):
+        raise ShapeMismatch(f"need at least {n} growth weights per path, got shape {g.shape}")
+    return g
+
+
+def _growth_products(g, n_list) -> dict:
+    """``{n: prod_{k<n} (1 + G_k)}`` of checked weights: a scalar if shared, one per path if 2-D."""
+    if g.ndim == 1:
+        return {n: np.prod(1.0 + g[:n]) for n in n_list}
+    n_max = max(n_list)
+    grow = np.ones((g.shape[0], n_max + 1))  # column 0 is the empty product
+    np.add(1.0, g[:, :n_max], out=grow[:, 1:])
+    return prefix_reduce(grow, n_list, np.multiply)
+
+
 def _growth_norm(growth, pair: HolderPair, n) -> tuple:
     """(norm, stderr) of ``prod_{k<n} (1 + G_k)^p`` in the mu-norm.
 
@@ -227,12 +256,7 @@ def _growth_norm(growth, pair: HolderPair, n) -> tuple:
     weights go through :func:`~demigronwall.reporting.mu_norm`, whose
     mu = inf sample maximum only makes the verification harder to pass.
     """
-    g = _growth_array(growth)
-    if np.any(g < 0.0):
-        raise NegativeWeights("growth weights must be entrywise nonnegative")
-    if g.shape[-1] < n:
-        raise ShapeMismatch(f"need at least {n} growth weights per path, got {g.shape[-1]}")
-    return mu_norm(np.prod(1.0 + g[..., :n], axis=-1), pair.p, pair.mu)
+    return mu_norm(_growth_products(_checked_growth(growth, n), [n])[n], pair.p, pair.mu)
 
 
 def gronwall_bound(f_sup_mean, growth, pair: HolderPair, n) -> float:
@@ -293,15 +317,18 @@ def verify_maximal_inequality(batch: TrajectoryBatch, p_grid, n=None) -> Verific
     one path block of about :data:`~demigronwall.generators.BLOCK_ENTRIES`
     entries at a time and merges the block moments with
     :func:`~demigronwall.reporting.blocked_mean_se`.  The running maximum
-    and minimum are reduced once per call.  Each grid point passes when
-    ``lhs <= rhs + SLACK_SD * combined_SE`` with the right-hand error
+    and minimum come from one shared column sweep
+    (:func:`~demigronwall.generators.prefix_reduce`).  Each grid point passes
+    when ``lhs <= rhs + SLACK_SD * combined_SE`` with the right-hand error
     propagated through the power by the delta method.  An empty ``p_grid``
-    raises :class:`InvalidSpec` before any work.
+    raises :class:`InvalidSpec`, a nonzero first column :class:`NonzeroStart`
+    and an ``n`` outside ``[0, N]`` :class:`ShapeMismatch`, all before the
+    screen.
     """
     p_grid = list(p_grid)
     if not p_grid:
         raise InvalidSpec("empty p_grid: need at least one exponent")
-    n = batch.n_steps if n is None else int(n)
+    n = _zero_start_index(batch, n)
     values = batch.values
     if batch.n_paths > 1 and n >= 1:
         rows = max(1, BLOCK_ENTRIES // (n + 1))
@@ -315,8 +342,9 @@ def verify_maximal_inequality(batch: TrajectoryBatch, p_grid, n=None) -> Verific
                 stacklevel=2,
             )
     report = VerificationReport(command="gronwall-lemma", columns=GRONWALL_COLUMNS)
-    q, q_se = neg_inf_mean(batch, n)
-    sups = values[:, : n + 1].max(axis=1)
+    sup, inf = prefix_reduce(values, [n], (np.maximum, np.minimum))
+    q, q_se = mean_se(-inf[n])
+    sups = sup[n]
     negative = np.any(sups < 0.0)
     for p in p_grid:
         lhs, lhs_se = _power_moment(sups, negative, _moment_exponent(p))
@@ -346,24 +374,34 @@ def verify_gronwall(instance: GronwallInstance, pairs, n_list=None) -> Verificat
 
     Once per call, before any cell: an empty ``pairs`` or ``n_list`` raises
     :class:`InvalidSpec`, an ``n`` outside ``[0, N]`` :class:`ShapeMismatch`
-    (``None`` means ``[N]``), and a pathwise violation of the recursion
+    (``None`` means ``[N]``), growth weights that are negative
+    (:class:`NegativeWeights`) or do not cover the N steps of every path
+    (:class:`ShapeMismatch`), and a pathwise violation of the recursion
     beyond :data:`HYPOTHESIS_TOL` of the data scale :class:`HypothesisViolated`.
-    Each cell compares the Monte Carlo left side against the closed-form right
-    side with one-sided ``SLACK_SD * SE`` slack.  Rows are pair-major, then in
+    The running maxima of X and F and the growth products are then swept
+    once per ``n``, so each cell only takes powers and norms.  Each cell
+    compares the Monte Carlo left side against the closed-form right side
+    with one-sided ``SLACK_SD * SE`` slack.  Rows are pair-major, then in
     ``n_list`` order.
     """
-    pairs, n_list = _harness_grid(pairs, n_list, 0, instance.X.n_steps)
+    X = instance.X
+    pairs, n_list = _harness_grid(pairs, n_list, 0, X.n_steps)
+    g = _checked_growth(instance.G, X.n_steps, X.n_paths)
     gap = instance.hypothesis_gap()
-    scale = max(1.0, float(np.abs(instance.X.values).max()), float(np.abs(instance.F.values).max()))
+    scale = max(1.0, float(np.abs(X.values).max()), float(np.abs(instance.F.values).max()))
     violations = int(np.sum(gap < -HYPOTHESIS_TOL * scale))
     if violations:
         raise HypothesisViolated(f"{violations} path/time cells violate the recursion hypothesis beyond tolerance")
+    x_sups = prefix_reduce(X.values, n_list)
+    x_negative = {n: np.any(sups < 0.0) for n, sups in x_sups.items()}
+    f_moments = {n: mean_se(sups) for n, sups in prefix_reduce(instance.F.values, n_list).items()}
+    products = _growth_products(g, n_list)
     report = VerificationReport(command="gronwall-theorem", columns=GRONWALL_COLUMNS)
     for pair in pairs:
         for n in n_list:
-            lhs, lhs_se = sup_moment(instance.X, pair.p, n)
-            f_mean, f_se = mean_se(instance.F.values[:, : n + 1].max(axis=1))
-            norm, norm_se = _growth_norm(instance.G, pair, n)
+            lhs, lhs_se = _power_moment(x_sups[n], x_negative[n], pair.p)
+            f_mean, f_se = f_moments[n]
+            norm, norm_se = mu_norm(products[n], pair.p, pair.mu)
             rhs = pair.prefactor * norm * f_mean ** pair.p
             rhs_se = pair.prefactor * math.hypot(f_mean ** pair.p * norm_se, norm * power_se(f_mean, f_se, pair.p))
             report.add_row(

@@ -114,6 +114,30 @@ class TestBemStep:
             _one_step(model, [1.0], 1.0 / 3.0)
 
 
+class TestScalarKernels:
+    def test_one_by_one_division_equals_the_batched_solve(self):
+        rng = np.random.default_rng(5)
+        m = 20_000
+        jac = rng.standard_normal(m) * 10.0 ** rng.uniform(-3, 3, m)
+        matrix = np.eye(1)[None, :, :] - 0.1 * jac[:, None, None]
+        r = rng.standard_normal((m, 1)) * 10.0 ** rng.uniform(-8, 2, (m, 1))
+        expected = np.linalg.solve(matrix, r[:, :, None])[:, :, 0]
+        assert bem._newton_delta(matrix, r).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_squared_norm_equals_the_numpy_sum(self, d):
+        rng = np.random.default_rng(d)
+        x = rng.standard_normal((300, 9, d)) * 10.0 ** rng.uniform(-5, 5, (300, 9, d))
+        assert bem._sq_norm(x).tobytes() == (x ** 2).sum(axis=-1).tobytes()
+        assert bem._sq_norm(x[:, 0]).tobytes() == (x[:, 0] ** 2).sum(axis=1).tobytes()
+
+    def test_sup_norms_match_the_row_reduction(self):
+        cfg = BemConfig(h=0.1, t_horizon=1.0, h0=0.2, x0=[1.0, -0.5])
+        batch = simulate_bem(linear_model([[-1.0, 2.0], [-2.0, -1.0]], 0.5), cfg, seed=4, n_paths=500)
+        expected = np.sqrt((batch.paths ** 2).sum(axis=2)).max(axis=1)
+        assert batch.sup_norms().tobytes() == expected.tobytes()
+
+
 class TestSimulate:
     def test_deterministic_linear_oracle_1d(self):
         model = ou_model(1.0, 0.0)

@@ -31,6 +31,7 @@ from demigronwall.fractional import (
 )
 from demigronwall.generators import TrajectoryBatch, associated_increment_matrix
 from demigronwall.gronwall import HolderPair, sup_moment
+from demigronwall.reporting import mean_se, one_sided_verdict, power_se
 from demigronwall.rng import uniform_matrix
 
 # math.gamma is the oracle implementation, independent of the scipy-backed
@@ -388,6 +389,27 @@ class TestFractionalGrid:
             f"fractional_hypothesis_holds[n={n},p={q.p:g},mu={q.mu:g}]" for q, n in cells
         }
         assert report.overall_pass, report.rows
+
+    def test_end_points_match_the_per_cell_formula(self):
+        model = self.MODEL
+        x, y = self._data()
+        n_list = [1, model.n_steps]
+        report = verify_fractional_gronwall(model, x, y, self.PAIRS, n_list)
+        linear = y + model.lambda1 * x.values[:, 1:] + model.lambda2 * x.values[:, :-1]
+        f = np.maximum(0.0, multi_term_table(model, x.values) - linear)
+        c = 1.0 / (model.q_max * scipy_gamma(1.0 + model.beta_max))
+        rows = iter(report.rows)
+        for pair in self.PAIRS:
+            for n in n_list:
+                lhs, lhs_se = sup_moment(x, pair.p, n, first=1)
+                x0_mean, x0_se = mean_se(model.tau ** model.beta_max * c * kernel_mass(model, n) * x.values[:, 0])
+                f_mean, f_se = mean_se(model.time(n) ** model.beta_max * c * f[:, :n].max(axis=1))
+                ml = fractional.ml_growth_factor(model, n)
+                rhs = fractional_gronwall_bound(model, pair, n, x0_mean, f_mean)
+                rhs_se = pair.prefactor * ml ** pair.p * power_se(x0_mean + f_mean, math.hypot(x0_se, f_se), pair.p)
+                row = next(rows)
+                assert (row["n"], row["lhs"], row["lhs_se"], row["rhs"]) == (n, lhs, lhs_se, rhs)
+                assert row["margin"] == one_sided_verdict(lhs, lhs_se, rhs, rhs_se)["margin"]
 
     def test_bad_grid_raises_before_any_cell(self, monkeypatch):
         x, y = self._data()

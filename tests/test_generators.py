@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from demigronwall.errors import BatchTooLarge, InvalidSpec
+from demigronwall import generators
+from demigronwall.errors import BatchTooLarge, InvalidSpec, ShapeMismatch
 from demigronwall.generators import (
     BLOCK_ENTRIES,
     GeneratorSpec,
     TrajectoryBatch,
     associated_increment_matrix,
     generate_paths,
+    prefix_reduce,
 )
 
 
@@ -155,3 +159,47 @@ def test_associated_increment_matrix_contract():
     for theta, bound in ((-0.5, None), (math.nan, None), (math.inf, None), (1.0, math.inf)):
         with pytest.raises(InvalidSpec):
             associated_increment_matrix(theta, 6, 10, seed=4, bound=bound)
+
+
+@st.composite
+def _sweep_case(draw):
+    """(values, n_list, first, block entries) for a prefix_reduce call."""
+    m = draw(st.integers(1, 40))
+    cols = draw(st.integers(1, 12))
+    first = draw(st.integers(0, cols - 1))
+    n_list = draw(st.lists(st.integers(first, cols - 1), min_size=1, max_size=5))
+    # + 0.0 turns -0.0 into 0.0: only the sign of a zero may differ from a row reduction
+    entries = draw(st.lists(st.floats(-1e3, 1e3).map(lambda x: x + 0.0), min_size=m * cols, max_size=m * cols))
+    block = draw(st.sampled_from([1, 5, 16, BLOCK_ENTRIES]))
+    return np.array(entries).reshape(m, cols), n_list, first, block
+
+
+class TestPrefixReduce:
+    @settings(max_examples=200, deadline=None)
+    @given(_sweep_case())
+    def test_equals_the_row_reductions_bit_for_bit(self, case):
+        values, n_list, first, block = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(generators, "BLOCK_ENTRIES", block)  # row blocks of every size, ragged last block
+            sups = prefix_reduce(values, n_list, first=first)
+            infs = prefix_reduce(values, n_list, np.minimum, first=first)
+            prods = prefix_reduce(values, n_list, np.multiply, first=first)
+            fused = prefix_reduce(values, n_list, (np.maximum, np.minimum), first=first)
+        assert set(sups) == set(n_list)
+        for n in n_list:
+            cols = values[:, first : n + 1]
+            assert sups[n].tobytes() == cols.max(axis=1).tobytes()
+            assert infs[n].tobytes() == cols.min(axis=1).tobytes()
+            assert prods[n].tobytes() == np.prod(cols, axis=1).tobytes()
+            assert fused[0][n].tobytes() == sups[n].tobytes()
+            assert fused[1][n].tobytes() == infs[n].tobytes()
+
+    def test_argument_errors(self):
+        values = np.arange(12.0).reshape(3, 4)
+        with pytest.raises(InvalidSpec):
+            prefix_reduce(values, [])
+        for n_list, first in (([4], 0), ([-1], 0), ([1], 2)):
+            with pytest.raises(ShapeMismatch):
+                prefix_reduce(values, n_list, first=first)
+        with pytest.raises(ShapeMismatch):
+            prefix_reduce(values[0], [1])

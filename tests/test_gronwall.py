@@ -34,6 +34,7 @@ from demigronwall.gronwall import (
     verify_gronwall,
     verify_maximal_inequality,
 )
+from demigronwall.reporting import mean_se, one_sided_verdict, power_se
 from demigronwall.rng import uniform_matrix
 
 
@@ -288,6 +289,16 @@ class TestVerifyMaximalInequality:
         with pytest.raises(InvalidSpec):
             verify_maximal_inequality(batch, [], 2)
 
+    def test_shape_and_start_are_checked_before_the_screen(self):
+        # a down-drifting batch would warn in the screen; the documented errors must come first
+        drift = np.hstack([np.zeros((200, 1)), np.cumsum(-np.ones((200, 4)), axis=1)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ShapeMismatch):
+                verify_maximal_inequality(TrajectoryBatch(drift), [0.5], 4 + 5)
+            with pytest.raises(NonzeroStart):
+                verify_maximal_inequality(TrajectoryBatch(drift + 1.0), [0.5], 2)
+
 
 class TestVerifyGronwall:
     def test_deterministic_instance(self):
@@ -386,6 +397,48 @@ class TestGronwallGrid:
             verify_gronwall(inst, [], [1])
         with pytest.raises(InvalidSpec):
             verify_gronwall(inst, self.PAIRS, [])
+
+
+class TestPerTimeIndexHoisting:
+    @staticmethod
+    def _cell(inst, pair, n):
+        """One row of ``verify_gronwall`` from the one-cell estimators."""
+        lhs, lhs_se = sup_moment(inst.X, pair.p, n)
+        f_mean, f_se = mean_se(inst.F.values[:, : n + 1].max(axis=1))
+        norm, norm_se = gronwall._growth_norm(inst.G, pair, n)
+        rhs = gronwall_bound(f_mean, inst.G, pair, n)
+        rhs_se = pair.prefactor * math.hypot(f_mean ** pair.p * norm_se, norm * power_se(f_mean, f_se, pair.p))
+        return {"lhs": lhs, "lhs_se": lhs_se, "rhs": rhs, **one_sided_verdict(lhs, lhs_se, rhs, rhs_se)}
+
+    def test_random_growth_rows_match_the_per_cell_formula(self):
+        m, n = 2000, 6
+        s = generate_paths(GeneratorSpec.bounded_associated(1.0, 1.0), n, m, seed=71)
+        x = TrajectoryBatch(2.0 * uniform_matrix(72, m, n + 1), label="x")
+        inst = build_instance(x, s, TrajectoryBatch(0.4 * uniform_matrix(73, m, n)))
+        pairs = [HolderPair.deterministic(0.4), HolderPair(2.0, 2.0, 0.3), HolderPair(3.0, 1.5, 0.5)]
+        n_list = [3, 0, 6, 3]  # 0: the empty growth product is 1
+        report = verify_gronwall(inst, pairs, n_list)
+        cells = [(pair, k) for pair in pairs for k in n_list]
+        assert len(report.rows) == len(cells)
+        for (pair, k), row in zip(cells, report.rows):
+            assert {key: row[key] for key in ("lhs", "lhs_se", "rhs", "margin", "verdict")} == self._cell(inst, pair, k)
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_direct_instance_with_negative_growth_raises(self, shared):
+        x = TrajectoryBatch(np.ones((4, 3)))
+        s = TrajectoryBatch(np.zeros((4, 3)), starts_at_zero=True)
+        g = np.array([0.5, -0.1]) if shared else TrajectoryBatch(np.full((4, 2), -0.1))
+        inst = GronwallInstance(X=x, F=TrajectoryBatch(np.full((4, 3), 3.0)), G=g, S=s)
+        with pytest.raises(NegativeWeights):
+            verify_gronwall(inst, [HolderPair.deterministic(0.5)], [0])
+
+    def test_direct_instance_with_short_growth_raises(self):
+        x = TrajectoryBatch(np.ones((4, 3)))
+        s = TrajectoryBatch(np.zeros((4, 3)), starts_at_zero=True)
+        for g in (np.zeros(1), TrajectoryBatch(np.zeros((3, 2)))):
+            inst = GronwallInstance(X=x, F=TrajectoryBatch(np.ones((4, 3))), G=g, S=s)
+            with pytest.raises(ShapeMismatch):
+                verify_gronwall(inst, [HolderPair.deterministic(0.5)], [1])
 
 
 class TestTailIntegralIdentity:
