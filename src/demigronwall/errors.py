@@ -43,10 +43,6 @@ class POutOfRange(DemigronError, ValueError):
     """Moment exponent p outside its admissible interval."""
 
 
-class NegativeWeights(DemigronError, ValueError):
-    """Growth weights G must be entrywise nonnegative."""
-
-
 class HolderViolation(DemigronError, ValueError):
     """Conjugate-exponent pair invalid or p*nu too close to 1."""
 
@@ -57,6 +53,10 @@ class ShapeMismatch(DemigronError, ValueError):
 
 class NegativeInput(DemigronError, ValueError):
     """Input required to be entrywise nonnegative is not."""
+
+
+class NegativeWeights(NegativeInput):
+    """Growth weights G must be entrywise nonnegative."""
 
 
 class HypothesisViolated(DemigronError):

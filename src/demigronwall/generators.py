@@ -45,15 +45,20 @@ MAX_BATCH_ENTRIES = 1 << 27
 #: entries (512 KB of float64), so each block's temporaries stay in L2.
 BLOCK_ENTRIES = 1 << 16
 
+#: Least rows per block of :func:`prefix_reduce`, so each column slice it
+#: reads stays long enough to amortise the per-call cost of a ufunc on wide rows.
+SWEEP_MIN_ROWS = 1 << 10
+
 
 def prefix_reduce(values, n_list, ufunc=np.maximum, first=0):
     """``{n: ufunc-reduction of each row over columns first..n}`` for every ``n`` in ``n_list``.
 
     One sweep over the columns, ``ufunc(acc, block[:, k], out=acc)``, on row
-    blocks of about :data:`BLOCK_ENTRIES` entries, records ``acc`` at each
-    requested ``n``; this avoids the per-row overhead of reducing short rows
-    along ``axis=1``.  Maximum and minimum are exact in any order, so the
-    result equals numpy's row maximum (minimum) of those columns bit for bit,
+    blocks of about :data:`BLOCK_ENTRIES` entries but at least
+    :data:`SWEEP_MIN_ROWS` rows, records ``acc`` at each requested ``n``; this
+    avoids the per-row overhead of reducing short rows along ``axis=1``.
+    Maximum and minimum are exact in any order, so the result equals numpy's
+    row maximum (minimum) of those columns bit for bit,
     up to the sign of a zero when a row mixes ``+0.0`` and ``-0.0``;
     ``np.multiply`` multiplies left to right, as ``np.prod`` does over a row.
     A tuple of ufuncs shares one sweep, so each column is read once for all
@@ -75,7 +80,7 @@ def prefix_reduce(values, n_list, ufunc=np.maximum, first=0):
         )
     last = wanted[-1]
     outs = [{n: np.empty(values.shape[0], dtype=values.dtype) for n in wanted} for _ in ufuncs]
-    rows = max(1, BLOCK_ENTRIES // (last - first + 1))
+    rows = max(SWEEP_MIN_ROWS, BLOCK_ENTRIES // (last - first + 1))
     for r0 in range(0, values.shape[0], rows):
         block = values[r0 : r0 + rows]
         accs = [block[:, first].copy() for _ in ufuncs]

@@ -109,10 +109,28 @@ def _growth_array(growth) -> np.ndarray:
     return growth.values if isinstance(growth, TrajectoryBatch) else np.asarray(growth, dtype=np.float64)
 
 
+def _checked_growth(growth, n, n_paths=None) -> np.ndarray:
+    """Growth weights as an array, raising unless nonnegative, 1-D or 2-D, and ``n`` wide.
+
+    ``n_paths``, when given, is the row count that 2-D weights must have.
+    """
+    g = _growth_array(growth)
+    if np.any(g < 0.0):
+        raise NegativeWeights("growth weights must be entrywise nonnegative")
+    if g.ndim not in (1, 2) or g.shape[-1] < n or (g.ndim == 2 and n_paths not in (None, g.shape[0])):
+        raise ShapeMismatch(f"need at least {n} growth weights per path, got shape {g.shape}")
+    return g
+
+
 def weighted_history(x, growth) -> np.ndarray:
-    """``H_n = sum_{k<n} G_k X_k`` per path (``H_0 = 0``) for shared or per-path weights ``G``."""
+    """``H_n = sum_{k<n} G_k X_k`` per path (``H_0 = 0``) for shared or per-path weights ``G``.
+
+    Raises :class:`NegativeWeights` or :class:`ShapeMismatch` unless ``G``
+    passes :func:`_checked_growth` for the N steps and rows of ``x``.
+    """
     n = x.shape[1] - 1
-    return np.hstack([np.zeros((x.shape[0], 1)), np.cumsum(_growth_array(growth)[..., :n] * x[:, :n], axis=1)])
+    g = _checked_growth(growth, n, x.shape[0])
+    return np.hstack([np.zeros((x.shape[0], 1)), np.cumsum(g[..., :n] * x[:, :n], axis=1)])
 
 
 # --------------------------------------------------------------------------
@@ -226,19 +244,6 @@ def transform_batch(batch: TrajectoryBatch, growth) -> TrajectoryBatch:
 # the Gronwall bound
 # --------------------------------------------------------------------------
 
-def _checked_growth(growth, n, n_paths=None) -> np.ndarray:
-    """Growth weights as an array, raising unless nonnegative, 1-D or 2-D, and ``n`` wide.
-
-    ``n_paths``, when given, is the row count that 2-D weights must have.
-    """
-    g = _growth_array(growth)
-    if np.any(g < 0.0):
-        raise NegativeWeights("growth weights must be entrywise nonnegative")
-    if g.ndim not in (1, 2) or g.shape[-1] < n or (g.ndim == 2 and n_paths not in (None, g.shape[0])):
-        raise ShapeMismatch(f"need at least {n} growth weights per path, got shape {g.shape}")
-    return g
-
-
 def _growth_products(g, n_list) -> dict:
     """``{n: prod_{k<n} (1 + G_k)}`` of checked weights: a scalar if shared, one per path if 2-D."""
     if g.ndim == 1:
@@ -284,7 +289,10 @@ def build_instance(X: TrajectoryBatch, S: TrajectoryBatch, growth) -> GronwallIn
 
     ``F_n = max(0, X_n - S_n - sum_{k<n} G_k X_k)`` is nonnegative and makes
     ``X_n <= F_n + S_n + sum_{k<n} G_k X_k`` an identity wherever the max is
-    attained and a strict inequality elsewhere.
+    attained and a strict inequality elsewhere.  Negative X raises
+    :class:`NegativeInput`, a nonzero start of S :class:`NonzeroStart`,
+    unequal X and S shapes :class:`ShapeMismatch`, and growth weights are
+    checked as in :func:`weighted_history`.
     """
     if np.any(X.values < 0.0):
         raise NegativeInput("X must be entrywise nonnegative")
@@ -292,17 +300,9 @@ def build_instance(X: TrajectoryBatch, S: TrajectoryBatch, growth) -> GronwallIn
         raise NonzeroStart("S must start at 0 on every path")
     if X.values.shape != S.values.shape:
         raise ShapeMismatch(f"X shape {X.values.shape} != S shape {S.values.shape}")
-    n = X.n_steps
-    if isinstance(growth, TrajectoryBatch):
-        fits = growth.values.shape[0] == X.n_paths and growth.values.shape[1] >= n
-    else:
+    if not isinstance(growth, TrajectoryBatch):
         growth = np.asarray(growth, dtype=np.float64)
-        fits = growth.ndim == 1 and growth.shape[0] >= n
-    if not fits:
-        raise ShapeMismatch(f"growth shape {_growth_array(growth).shape} does not fit X shape {X.values.shape}")
-    if np.any(_growth_array(growth) < 0.0):
-        raise NegativeInput("growth weights must be entrywise nonnegative")
-    hist = weighted_history(X.values, growth)  # before X - S, to lower peak memory
+    hist = weighted_history(X.values, growth)  # checks growth; before X - S, to lower peak memory
     f = np.maximum(0.0, X.values - S.values - hist)
     F = TrajectoryBatch(f, label=f"reverse-F[{X.label}]")
     return GronwallInstance(X=X, F=F, G=growth, S=S)
@@ -386,8 +386,8 @@ def verify_gronwall(instance: GronwallInstance, pairs, n_list=None) -> Verificat
     """
     X = instance.X
     pairs, n_list = _harness_grid(pairs, n_list, 0, X.n_steps)
-    g = _checked_growth(instance.G, X.n_steps, X.n_paths)
-    gap = instance.hypothesis_gap()
+    gap = instance.hypothesis_gap()  # checks the growth weights before the gap
+    g = _growth_array(instance.G)
     scale = max(1.0, float(np.abs(X.values).max()), float(np.abs(instance.F.values).max()))
     violations = int(np.sum(gap < -HYPOTHESIS_TOL * scale))
     if violations:

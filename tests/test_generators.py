@@ -163,7 +163,7 @@ def test_associated_increment_matrix_contract():
 
 @st.composite
 def _sweep_case(draw):
-    """(values, n_list, first, block entries) for a prefix_reduce call."""
+    """(values, n_list, first, block entries, least block rows) for a prefix_reduce call."""
     m = draw(st.integers(1, 40))
     cols = draw(st.integers(1, 12))
     first = draw(st.integers(0, cols - 1))
@@ -171,16 +171,18 @@ def _sweep_case(draw):
     # + 0.0 turns -0.0 into 0.0: only the sign of a zero may differ from a row reduction
     entries = draw(st.lists(st.floats(-1e3, 1e3).map(lambda x: x + 0.0), min_size=m * cols, max_size=m * cols))
     block = draw(st.sampled_from([1, 5, 16, BLOCK_ENTRIES]))
-    return np.array(entries).reshape(m, cols), n_list, first, block
+    min_rows = draw(st.sampled_from([1, 3, generators.SWEEP_MIN_ROWS]))
+    return np.array(entries).reshape(m, cols), n_list, first, block, min_rows
 
 
 class TestPrefixReduce:
     @settings(max_examples=200, deadline=None)
     @given(_sweep_case())
     def test_equals_the_row_reductions_bit_for_bit(self, case):
-        values, n_list, first, block = case
+        values, n_list, first, block, min_rows = case
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(generators, "BLOCK_ENTRIES", block)  # row blocks of every size, ragged last block
+            mp.setattr(generators, "SWEEP_MIN_ROWS", min_rows)
             sups = prefix_reduce(values, n_list, first=first)
             infs = prefix_reduce(values, n_list, np.minimum, first=first)
             prods = prefix_reduce(values, n_list, np.multiply, first=first)

@@ -33,6 +33,7 @@ from demigronwall.gronwall import (
     transform_batch,
     verify_gronwall,
     verify_maximal_inequality,
+    weighted_history,
 )
 from demigronwall.reporting import mean_se, one_sided_verdict, power_se
 from demigronwall.rng import uniform_matrix
@@ -439,6 +440,38 @@ class TestPerTimeIndexHoisting:
             inst = GronwallInstance(X=x, F=TrajectoryBatch(np.ones((4, 3))), G=g, S=s)
             with pytest.raises(ShapeMismatch):
                 verify_gronwall(inst, [HolderPair.deterministic(0.5)], [1])
+
+
+class TestGrowthChecks:
+    """weighted_history, build_instance and verify_gronwall share one growth-weight check."""
+
+    def test_short_or_misshapen_growth_raises(self):
+        x = np.ones((4, 3))
+        s = TrajectoryBatch(np.zeros((4, 3)), starts_at_zero=True)
+        for g in (np.array([0.5]), np.zeros((3, 2)), np.zeros((4, 2, 1)), np.float64(0.5)):
+            with pytest.raises(ShapeMismatch):
+                weighted_history(x, g)
+            with pytest.raises(ShapeMismatch):
+                build_instance(TrajectoryBatch(x), s, g)
+
+    def test_negative_growth_raises_negative_weights(self):
+        x = np.ones((4, 3))
+        s = TrajectoryBatch(np.zeros((4, 3)), starts_at_zero=True)
+        for g in (np.array([0.5, -0.1]), np.full((4, 2), -0.1), TrajectoryBatch(np.full((4, 2), -0.1))):
+            with pytest.raises(NegativeWeights):
+                weighted_history(x, g)
+            with pytest.raises(NegativeWeights):
+                build_instance(TrajectoryBatch(x), s, g)
+        assert issubclass(NegativeWeights, NegativeInput)
+
+    def test_per_path_array_equals_per_path_batch(self):
+        x = TrajectoryBatch(2.0 * uniform_matrix(81, 5, 4), label="x")
+        s = TrajectoryBatch(np.zeros((5, 4)), starts_at_zero=True)
+        g = 0.3 * uniform_matrix(82, 5, 3)
+        from_array = build_instance(x, s, g)
+        from_batch = build_instance(x, s, TrajectoryBatch(g))
+        assert np.array_equal(from_array.F.values, from_batch.F.values)
+        assert np.array_equal(weighted_history(x.values, g), weighted_history(x.values, TrajectoryBatch(g)))
 
 
 class TestTailIntegralIdentity:
