@@ -32,8 +32,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import qmc
 
-from .demi import TestFunctionFamily, check_demimartingale
+from .demi import DEMI_MIN_STEPS, TestFunctionFamily, check_demimartingale
 from .errors import (
+    DegenerateBatch,
     HGridViolation,
     InvalidSpec,
     NewtonNonConvergence,
@@ -323,23 +324,15 @@ def noise_terms(model: SdeModel, paths, increments, h) -> np.ndarray:
 def z_sequence(model: SdeModel, paths, increments, h, h0):
     """Noise terms plus their normalized partial sums.
 
-    Accepts one path (``(N+1, d)`` with ``(N, m)`` increments) or a batch
-    (leading path axis).  Returns ``(Z, S)`` where
+    Takes a batch, paths ``(M, N+1, d)`` with increments ``(M, N, m)``, and
+    returns ``(Z, S)`` of shapes ``(M, N)`` and ``(M, N+1)``, where
     ``S_n = (1 - 2 h0 L)^{-1} sum_{j<n} Z^{j+1}`` and ``S_0 = 0``.
     """
-    paths = np.asarray(paths, dtype=np.float64)
-    increments = np.asarray(increments, dtype=np.float64)
-    single = paths.ndim == 2
-    if single:
-        paths = paths[None, :, :]
-        increments = increments[None, :, :]
     factor = 1.0 - 2.0 * h0 * model.L
     if not factor > 0.0:
         raise StepBoundViolation(f"need 1 - 2 h0 L > 0, got {factor}")
     z = noise_terms(model, paths, increments, h)
     s = np.hstack([np.zeros((z.shape[0], 1)), np.cumsum(z, axis=1)]) / factor
-    if single:
-        return z[0], s[0]
     return z, s
 
 
@@ -392,8 +385,10 @@ def verify_apriori_bound(
     of the noise terms Z within ``SLACK_SD`` standard errors of zero, and
     ``s_demimartingale[h=...]``, the demimartingale check at ``level`` on
     their normalized partial sums.  An empty ``cfg_grid`` raises
-    :class:`HGridViolation`, and an empty ``p_grid`` or a ``level`` outside
-    (0, 1) :class:`InvalidSpec`, all before any simulation.
+    :class:`HGridViolation`, an empty ``p_grid`` or a ``level`` outside
+    (0, 1) :class:`InvalidSpec`, and a configuration with fewer than
+    :data:`~demigronwall.demi.DEMI_MIN_STEPS` steps :class:`DegenerateBatch`,
+    all before any simulation.
     """
     cfg_grid = list(cfg_grid)
     if not cfg_grid:
@@ -407,6 +402,8 @@ def verify_apriori_bound(
     for cfg in cfg_grid:
         if cfg.t_horizon != t0 or cfg.h0 != b0 or not np.array_equal(cfg.x0, x0):
             raise HGridViolation("grid entries must share (T, h0, x0)")
+        if cfg.n_steps < DEMI_MIN_STEPS:
+            raise DegenerateBatch(f"h={cfg.h:g} gives {cfg.n_steps} step(s), need {DEMI_MIN_STEPS} for the demi check")
         cfg.validate_against(model)
     x0_norm = float(np.sqrt((x0 ** 2).sum()))
     g0_norm = model.diffusion_norm(x0)

@@ -220,6 +220,9 @@ def _holder_pairs(p_grid, pairs):
 
 
 def _drive_demi_check(generator, mode, n_steps, level):
+    if n_steps < demi_mod.DEMI_MIN_STEPS:
+        raise ValueError(f"n_steps must be >= {demi_mod.DEMI_MIN_STEPS}, got {n_steps}")
+
     def run(seeds, n_paths):
         report = VerificationReport(command="demi-check", columns=demi_mod.DEMI_COLUMNS, seeds=list(seeds))
         for seed in seeds:
@@ -311,6 +314,10 @@ def _drive_bem(model, kappa, sigma, t_horizon, h0, h_grid, p_grid, x0, newton_to
     ]
     for cfg in cfgs:
         cfg.validate_against(sde)
+        if cfg.n_steps < demi_mod.DEMI_MIN_STEPS:
+            raise ValueError(
+                f"h={cfg.h:g} gives {cfg.n_steps} step(s), need {demi_mod.DEMI_MIN_STEPS} for the demi check"
+            )
 
     def run(seeds, n_paths):
         report = VerificationReport(command="bem", columns=bem_mod.BEM_COLUMNS, seeds=list(seeds))

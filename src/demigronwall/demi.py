@@ -38,6 +38,9 @@ ASSOCIATION_BLOCKS = 30
 #: fewest paths :func:`check_demimartingale` accepts
 DEMI_MIN_PATHS = 30
 
+#: fewest steps :func:`check_demimartingale` accepts: its first cell is j = 1, which needs S_2
+DEMI_MIN_STEPS = 2
+
 #: fewest paths :func:`check_association` accepts: two per block
 ASSOCIATION_MIN_PATHS = 2 * ASSOCIATION_BLOCKS
 
@@ -187,8 +190,6 @@ def _zscore(estimate, stderr) -> float:
 def _cell_row(j, name, estimate, stderr, z_crit) -> dict:
     z = _zscore(estimate, stderr)
     verdict = "fail" if estimate < -z_crit * stderr else "pass"
-    if stderr == 0.0 and estimate < 0.0:
-        verdict = "fail"
     return {"j": j, "function": name, "estimate": float(estimate), "stderr": float(stderr), "z": z, "verdict": verdict}
 
 
@@ -200,7 +201,7 @@ def check_demimartingale(batch: TrajectoryBatch, family: TestFunctionFamily, lev
     """Test ``E[(S_{j+1} - S_j) f(S_1..S_j)] >= 0`` over steps and probes.
 
     Args:
-        batch: sample paths with columns ``S_0 .. S_N``; needs ``N >= 1``.
+        batch: sample paths with columns ``S_0 .. S_N``; needs ``N >= 2``.
         family: probe functions; ``mode="demisub"`` restricts evaluation to
             the nonnegative members.
         level: one-sided confidence level of the per-cell z-test, in (0, 1).
@@ -213,7 +214,8 @@ def check_demimartingale(batch: TrajectoryBatch, family: TestFunctionFamily, lev
     Raises:
         InvalidSpec: unknown ``mode`` or ``level`` outside (0, 1).
         EmptyFamily: no admissible probe for the requested mode.
-        DegenerateBatch: fewer than :data:`DEMI_MIN_PATHS` paths.
+        DegenerateBatch: fewer than :data:`DEMI_MIN_PATHS` paths or
+            :data:`DEMI_MIN_STEPS` steps.
     """
     if mode not in ("demi", "demisub"):
         raise InvalidSpec(f"mode must be 'demi' or 'demisub', got {mode!r}")
@@ -226,6 +228,8 @@ def check_demimartingale(batch: TrajectoryBatch, family: TestFunctionFamily, lev
         raise DegenerateBatch(
             f"need at least {DEMI_MIN_PATHS} paths for usable standard errors, got {batch.n_paths}"
         )
+    if batch.n_steps < DEMI_MIN_STEPS:
+        raise DegenerateBatch(f"need at least {DEMI_MIN_STEPS} steps for one cell, got {batch.n_steps}")
     values = batch.values
     z_crit = float(ndtri(level))
     report = VerificationReport(command=mode, columns=DEMI_COLUMNS)

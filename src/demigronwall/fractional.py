@@ -93,10 +93,6 @@ class FractionalModel:
         """Weight attached to the largest order."""
         return self.q[-1]
 
-    @property
-    def horizon(self) -> float:
-        return self.tau * self.n_steps
-
     def time(self, n) -> float:
         return n * self.tau
 

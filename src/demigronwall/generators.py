@@ -28,6 +28,9 @@ Available generators:
     the demisubmartingale inequality while failing the submartingale
     property.  Requests longer than two steps freeze the final value, which
     keeps both the two-atom law and the defining inequality intact.
+
+Every kind, two-point and zero-step batches included, is drawn in the same
+row blocks from one increment law per kind.
 """
 
 import math
@@ -159,8 +162,11 @@ class GeneratorSpec:
             raise InvalidSpec(f"unknown generator kind {self.kind!r}")
         if self.kind == "random_walk" and self.increment not in ("pm1", "gauss"):
             raise InvalidSpec(f"random_walk increment must be 'pm1' or 'gauss', got {self.increment!r}")
-        if self.kind in ("associated_partial_sum", "bounded_associated_partial_sum"):
-            _check_shock(self.theta, self.bound if self.kind == "bounded_associated_partial_sum" else None)
+        shock = self.kind in ("associated_partial_sum", "bounded_associated_partial_sum")
+        if shock and not 0.0 <= self.theta < math.inf:
+            raise InvalidSpec(f"common-shock weight theta must be finite and >= 0, got {self.theta}")
+        if self.kind == "bounded_associated_partial_sum" and not 0.0 < self.bound < math.inf:
+            raise InvalidSpec(f"increment bound must be finite and > 0, got {self.bound}")
         if self.kind == "two_point_demisub" and not 0.0 <= self.prob <= 1.0:
             raise InvalidSpec(f"two-point probability must lie in [0, 1], got {self.prob}")
 
@@ -191,14 +197,6 @@ class GeneratorSpec:
         return f"two_point_demisub[p={self.prob:g}]"
 
 
-def _check_shock(theta, bound):
-    """Raise unless ``theta`` is finite and >= 0 and ``bound`` is None or finite and > 0."""
-    if not 0.0 <= theta < math.inf:
-        raise InvalidSpec(f"common-shock weight theta must be finite and >= 0, got {theta}")
-    if bound is not None and not 0.0 < bound < math.inf:
-        raise InvalidSpec(f"increment bound must be finite and > 0, got {bound}")
-
-
 def _centered_uniform(u):
     return 2.0 * u - 1.0
 
@@ -210,39 +208,42 @@ def associated_increment_matrix(theta, n_steps, n_paths, seed, bound=None):
     Exposed separately because several harnesses need the increments
     themselves (the associated collection) rather than their partial sums.
     """
-    _check_shock(theta, bound)
-    return _associated_increments(theta, bound, n_steps, n_paths, seed)
+    if bound is None:
+        spec = GeneratorSpec.associated(theta)
+    else:
+        spec = GeneratorSpec.bounded_associated(theta, bound)
+    return _increments(spec, n_steps, n_paths, seed, 0)
 
 
-def _associated_increments(theta, bound, n_steps, n_paths, seed, first_path=0):
-    # draw 0 per path is the shared shock V, draws 1..n are the U_i
-    u = uniform_matrix(seed, n_paths, n_steps + 1, first_path=first_path)
-    inc = _centered_uniform(u[:, 1:]) + theta * _centered_uniform(u[:, :1])
-    if bound is not None:
-        np.clip(inc, -bound, bound, out=inc)
-    return inc
-
-
-def _increments(spec: GeneratorSpec, n_steps, n_paths, seed, first_path):
-    """Increments of paths ``first_path .. first_path + n_paths - 1``."""
+def _increments(spec: GeneratorSpec, n_steps, n_rows, seed, first_path):
+    """Increments of paths ``first_path .. first_path + n_rows - 1``, shape ``(n_rows, n_steps)``."""
     if spec.kind == "random_walk":
         if spec.increment == "pm1":
-            u = uniform_matrix(seed, n_paths, n_steps, first_path=first_path)
+            u = uniform_matrix(seed, n_rows, n_steps, first_path=first_path)
             return np.where(u < 0.5, -1.0, 1.0)
-        return normal_matrix(seed, n_paths, n_steps, first_path=first_path)
-    bound = spec.bound if spec.kind == "bounded_associated_partial_sum" else None
-    return _associated_increments(spec.theta, bound, n_steps, n_paths, seed, first_path)
+        return normal_matrix(seed, n_rows, n_steps, first_path=first_path)
+    if spec.kind == "two_point_demisub":
+        # +-1 on the first two steps, then 0: the atom paths (-1, -2) and (1, 2), frozen after
+        inc = np.zeros((n_rows, n_steps))
+        inc[:, :2] = np.where(uniform_matrix(seed, n_rows, 1, first_path=first_path) < spec.prob, -1.0, 1.0)
+        return inc
+    # draw 0 per path is the shared shock V, draws 1..n are the U_i
+    u = uniform_matrix(seed, n_rows, n_steps + 1, first_path=first_path)
+    inc = _centered_uniform(u[:, 1:]) + spec.theta * _centered_uniform(u[:, :1])
+    if spec.kind == "bounded_associated_partial_sum":
+        np.clip(inc, -spec.bound, spec.bound, out=inc)
+    return inc
 
 
 def generate_paths(spec: GeneratorSpec, n_steps, n_paths, seed) -> TrajectoryBatch:
     """Generate ``n_paths`` seeded sample paths of ``n_steps`` steps.
 
     Generation is per-path deterministic: path ``r`` depends only on
-    ``(seed, r)``, never on ``n_paths`` or on generation order.  Rows are
-    filled in blocks of about :data:`BLOCK_ENTRIES` entries, each drawn
-    with its own ``first_path``, so the block boundaries leave no trace in
-    the values: any batch equals, bit for bit, the first rows of a larger
-    one.
+    ``(seed, r)``, never on ``n_paths`` or on generation order.  Rows of
+    every kind, two-point and ``n_steps = 0`` included, are filled in
+    blocks of about :data:`BLOCK_ENTRIES` entries, each drawn with its own
+    ``first_path``, so the block boundaries leave no trace in the values:
+    any batch equals, bit for bit, the first rows of a larger one.
 
     Raises:
         InvalidSpec: parameter outside its admissible range.
@@ -258,20 +259,6 @@ def generate_paths(spec: GeneratorSpec, n_steps, n_paths, seed) -> TrajectoryBat
         raise BatchTooLarge(
             f"{n_paths} x {n_steps + 1} entries exceed the budget of {MAX_BATCH_ENTRIES}"
         )
-    label = f"{spec.label}@seed={int(seed)}"
-    if n_steps == 0:
-        return TrajectoryBatch(np.zeros((n_paths, 1)), label=label, starts_at_zero=True)
-
-    if spec.kind == "two_point_demisub":
-        neg = uniform_matrix(seed, n_paths, 1)[:, 0] < spec.prob
-        # atom paths (-1, -2) and (1, 2); beyond two steps the value freezes
-        template = np.empty(n_steps)
-        template[0] = 1.0
-        template[1:] = 2.0
-        inc = np.where(neg[:, None], -template, template)
-        values = np.hstack([np.zeros((n_paths, 1)), inc])
-        return TrajectoryBatch(values, label=label, starts_at_zero=True)
-
     values = np.empty((n_paths, n_steps + 1))
     values[:, 0] = 0.0
     rows = max(1, BLOCK_ENTRIES // (n_steps + 1))
@@ -279,5 +266,4 @@ def generate_paths(spec: GeneratorSpec, n_steps, n_paths, seed) -> TrajectoryBat
         r1 = min(r0 + rows, n_paths)
         inc = _increments(spec, n_steps, r1 - r0, seed, r0)
         np.cumsum(inc, axis=1, out=values[r0:r1, 1:])
-    return TrajectoryBatch(values, label=label, starts_at_zero=True)
-
+    return TrajectoryBatch(values, label=f"{spec.label}@seed={int(seed)}", starts_at_zero=True)

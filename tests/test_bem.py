@@ -21,6 +21,7 @@ from demigronwall.bem import (
     z_sequence,
 )
 from demigronwall.errors import (
+    DegenerateBatch,
     HGridViolation,
     InvalidSpec,
     NewtonNonConvergence,
@@ -254,7 +255,7 @@ class TestNoiseTerms:
         z = noise_terms(model, paths, increments, h=0.1)
         assert abs(z[0, 0] + 0.1 * 4.0) < 1e-15
 
-    def test_partial_sums_and_single_path_shapes(self):
+    def test_partial_sums_and_shapes(self):
         model = ou_model(1.0, 1.0)
         cfg = BemConfig(h=0.1, t_horizon=0.5, h0=0.25, x0=[1.0])
         batch = simulate_bem(model, cfg, seed=2, n_paths=10)
@@ -263,8 +264,6 @@ class TestNoiseTerms:
         assert np.all(s[:, 0] == 0.0)
         factor = 1.0 - 2.0 * cfg.h0 * model.L
         assert np.allclose(s[:, -1], z.sum(axis=1) / factor)
-        z1, s1 = z_sequence(model, batch.paths[0], batch.increments[0], cfg.h, cfg.h0)
-        assert np.array_equal(z1, z[0]) and np.array_equal(s1, s[0])
 
     def test_step_bound_guard(self):
         model = ou_model(1.0, 1.0)  # L = 0.5
@@ -328,6 +327,16 @@ class TestVerifyApriori:
         cfgs = [BemConfig(h=0.1, t_horizon=1.0, h0=0.25, x0=[1.0])]
         with pytest.raises(InvalidSpec):
             verify_apriori_bound(ou_model(1.0, 1.0), cfgs, [0.5], 200, seed=8, level=level)
+
+    def test_grid_entry_below_two_steps_raises_before_simulating(self, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a path was simulated before the step counts were checked")
+
+        monkeypatch.setattr(bem, "simulate_bem", no_simulation)
+        # h = 0.1 gives N = 3, but h = 0.2 gives N = 1: no demimartingale cell
+        cfgs = [BemConfig(h=h, t_horizon=0.3, h0=0.25, x0=[1.0]) for h in (0.1, 0.2)]
+        with pytest.raises(DegenerateBatch):
+            verify_apriori_bound(ou_model(), cfgs, [0.5], 200, seed=1)
 
     def test_grid_must_share_shared_parameters(self):
         model = ou_model(1.0, 1.0)

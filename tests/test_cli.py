@@ -53,11 +53,15 @@ class TestExitCodes:
             ("all", "[fractional]\ntau = inf\n", "tau", "2000"),
             # gronwall-lemma would run after demi-check wrote its output
             ("all", "[gronwall-lemma]\ngenerators = random_walk_pm1,associated_inf\n", "generators", "2000"),
+            # one step gives the demimartingale check no cell, whatever the generator
+            ("demi-check", "[demi-check]\nn_steps = 1\ngenerator = two_point_0.9\n", "n_steps", "2000"),
+            ("all", "[bem]\nt_horizon = 0.3\nh_grid = 0.1, 0.2\n", "h=0.2", "2000"),
         ],
         ids=["all-bad-last-value", "all-unknown-key", "all-n_list-range", "misspelled-section",
              "empty-n_list", "empty-g_kinds", "bem-level-range", "all-too-few-paths",
              "all-bem-sigma-nan", "all-bem-kappa-nan", "all-fractional-rate-too-large",
-             "all-fractional-lambda1-nan", "all-fractional-tau-inf", "all-generator-theta-inf"],
+             "all-fractional-lambda1-nan", "all-fractional-tau-inf", "all-generator-theta-inf",
+             "demi-check-one-step", "all-bem-one-step"],
     )
     def test_bad_config_exits_one_before_any_output(self, tmp_path, capsys, command, ini, named, paths):
         cfg = tmp_path / "cfg.ini"

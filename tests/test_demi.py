@@ -116,6 +116,13 @@ class TestCheckDemimartingale:
         with pytest.raises(InvalidSpec):
             check_demimartingale(big, family, mode="sub")
 
+    @pytest.mark.parametrize("n_steps", [0, 1])
+    def test_fewer_than_two_steps_raise(self, n_steps):
+        # steps j = 1..N-1 give no cell below N = 2; E[S_1] = -0.8 must not pass on zero cells
+        batch = _batch(GeneratorSpec.two_point(0.9), n_steps, 1000, 1)
+        with pytest.raises(DegenerateBatch):
+            check_demimartingale(batch, TestFunctionFamily.default(batch))
+
     @pytest.mark.parametrize("level", [1.5, -0.2, 0.0, 1.0, float("nan")])
     def test_level_outside_the_unit_interval_raises(self, level):
         # ndtri(1.5) is NaN, and no cell can fail against a NaN threshold

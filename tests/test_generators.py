@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,19 @@ from demigronwall.generators import (
     generate_paths,
     prefix_reduce,
 )
+from demigronwall.rng import uniform_matrix
+
+_ALL_KINDS = [
+    GeneratorSpec.random_walk("pm1"),
+    GeneratorSpec.random_walk("gauss"),
+    GeneratorSpec.associated(0.5),
+    GeneratorSpec.bounded_associated(1.0, 0.75),
+    GeneratorSpec.two_point(0.4),
+]
+
+
+def _kind_id(spec):
+    return spec.kind + ("-" + spec.increment if spec.kind == "random_walk" else "")
 
 
 class TestGeneratorSpec:
@@ -43,9 +57,31 @@ class TestGeneratorSpec:
 
 class TestGeneratePaths:
     def test_zero_steps_is_a_single_zero_column(self):
-        batch = generate_paths(GeneratorSpec.random_walk(), 0, 17, seed=1)
-        assert batch.values.shape == (17, 1)
-        assert np.all(batch.values == 0.0)
+        for spec in _ALL_KINDS:
+            batch = generate_paths(spec, 0, 17, seed=1)
+            assert batch.values.shape == (17, 1)
+            assert np.all(batch.values == 0.0)
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 6])
+    def test_two_point_rows_follow_draw_zero(self, n_steps):
+        # row r is (0, s, 2s, 2s, ...) with s = -1 exactly when draw 0 of path r is below prob;
+        # 70000 rows span several row blocks at every n_steps here
+        m, prob, seed = 70_000, 0.3, 11
+        batch = generate_paths(GeneratorSpec.two_point(prob), n_steps, m, seed)
+        s = np.where(uniform_matrix(seed, m, 1)[:, 0] < prob, -1.0, 1.0)
+        expected = np.minimum(np.arange(n_steps + 1), 2) * s[:, None]
+        assert batch.values.tobytes() == (expected + 0.0).tobytes()
+
+    @pytest.mark.parametrize("spec", _ALL_KINDS, ids=_kind_id)
+    def test_peak_memory_stays_near_the_batch(self, spec):
+        # every kind is drawn in row blocks, so nothing holds a second copy of the batch
+        tracemalloc.start()
+        try:
+            batch = generate_paths(spec, 50, 20_000, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * batch.values.nbytes
 
     def test_two_point_empirical_probability(self):
         # P(path = (0,-1,-2)) = 0.3 within 3 standard errors
@@ -95,17 +131,7 @@ class TestGeneratePaths:
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.values, big.values[:50])
 
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            GeneratorSpec.random_walk("pm1"),
-            GeneratorSpec.random_walk("gauss"),
-            GeneratorSpec.associated(0.5),
-            GeneratorSpec.bounded_associated(1.0, 0.75),
-            GeneratorSpec.two_point(0.4),
-        ],
-        ids=lambda spec: spec.kind + ("-" + spec.increment if spec.kind == "random_walk" else ""),
-    )
+    @pytest.mark.parametrize("spec", _ALL_KINDS, ids=_kind_id)
     @pytest.mark.parametrize("n_steps", [1, 50, 2 * BLOCK_ENTRIES])
     def test_block_boundaries_leave_no_trace(self, spec, n_steps):
         # two full blocks plus three rows, and a batch that one block covers at 1 and 50
