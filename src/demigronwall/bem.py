@@ -163,17 +163,22 @@ class BemBatch:
         return np.sqrt(prefix_reduce(_sq_norm(self.paths), [self.n_steps])[self.n_steps])
 
 
-def _sq_norm(x) -> np.ndarray:
-    """Squared Euclidean norm over the last axis, summed one coordinate at a time.
+def _row_dot(x, y) -> np.ndarray:
+    """``(x * y).sum(axis=-1)``, summed one coordinate at a time.
 
-    Equals ``(x ** 2).sum(axis=-1)`` bit for bit for ``d <= 7``, where numpy
-    also adds left to right; for ``d >= 8`` numpy sums pairwise and the last
-    bits may differ.  No shipped model or benchmark reference has ``d >= 8``.
+    Bit for bit numpy's sum for at most 7 coordinates, where numpy also adds
+    left to right; from 8 on numpy sums pairwise and the last bits may
+    differ.  A row reduction costs numpy far more than a few column adds.
     """
-    out = x[..., 0] ** 2
+    out = x[..., 0] * y[..., 0]
     for k in range(1, x.shape[-1]):
-        out += x[..., k] ** 2
+        out += x[..., k] * y[..., k]
     return out
+
+
+def _sq_norm(x) -> np.ndarray:
+    """Squared Euclidean norm over the last axis (see :func:`_row_dot`)."""
+    return _row_dot(x, x)
 
 
 # --------------------------------------------------------------------------
@@ -191,16 +196,105 @@ def _fd_jacobian(model: SdeModel, u, fu) -> np.ndarray:
     return jac
 
 
+#: Veltkamp's splitting constant 2^27 + 1 for binary64
+_SPLITTER = 134217729.0
+
+#: the 2 x 2 kernel takes a row only if every operand of its fused steps is 0
+#: or has a magnitude in [1 / _FMA_RANGE, _FMA_RANGE]: there the split cannot
+#: overflow and the product's error term stays normal
+_FMA_RANGE = 2.0 ** 450
+
+
+def _fma(a, b, c) -> np.ndarray:
+    """``a * b + c`` rounded once, for operands inside the ``_FMA_RANGE`` bounds.
+
+    Veltkamp's split and Dekker's product give ``a * b = p + e`` exactly, and
+    TwoSum gives ``c + p = s + t``.  ``t + e`` is rounded to odd (truncated,
+    last bit set when inexact), so the final ``s + v`` rounds to nearest as
+    if once (Boldo & Melquiond, IEEE Trans. Comput. 2008).  Where ``t + e``
+    is exactly zero, ``s`` is the exact sum, signed zero included.
+    """
+    p = a * b
+    t = _SPLITTER * a
+    ah = t - (t - a)
+    al = a - ah
+    t = _SPLITTER * b
+    bh = t - (t - b)
+    bl = b - bh
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    s = c + p
+    t = s - c
+    t = (c - (s - t)) + (p - t)
+    v = t + e
+    w = v - t
+    w = (t - (v - w)) + (e - w)  # v + w == t + e exactly
+    bits = v.view(np.int64)
+    inexact = w != 0.0
+    bits += ((w.view(np.int64) ^ bits) >> 63) * inexact  # one step towards zero if w opposes v
+    bits |= inexact
+    np.add(s, v, out=s, where=v != 0.0)
+    return s
+
+
+def _in_fma_range(*xs) -> np.ndarray:
+    """Rows where every array is finite and 0 or within the ``_FMA_RANGE`` bounds."""
+    ok = np.ones(xs[0].shape, dtype=bool)
+    for x in xs:
+        mag = np.abs(x)
+        ok &= (mag <= _FMA_RANGE) & ((mag >= 1.0 / _FMA_RANGE) | (mag == 0.0))
+    return ok
+
+
+def _solve_2x2(matrix, r) -> np.ndarray:
+    """LU with partial pivoting, rounded step by step as OpenBLAS's ``dgesv`` does."""
+    rows = np.empty((2, 3, r.shape[0]))  # (a_i1, a_i2, b_i) of both equations, one column per system
+    rows[:, :2] = matrix.transpose(1, 2, 0)
+    rows[:, 2] = r.T
+    swap = np.abs(rows[1, 0]) > np.abs(rows[0, 0])
+    if swap.any():
+        rows[:, :, swap] = rows[::-1, :, swap]
+    (a11, a12, b1), (a21, a22, b2) = rows
+    with np.errstate(all="ignore"):  # rows that overflow or divide by zero are redone below
+        l = a21 * (1.0 / a11)
+        u22 = a22 - l * a12
+        x2 = _fma(-l, b1, b2) / u22
+        x1 = _fma(-a12, x2, b1) / a11
+        out = np.stack([x1, x2], axis=1)
+        bad = ~_in_fma_range(a11, a12, b1, b2, l, u22, x2)
+    if bad.any():
+        # non-finite, singular or extreme rows: LAPACK's own branches decide, and raise
+        out[bad] = np.linalg.solve(matrix[bad], r[bad][:, :, None])[:, :, 0]
+    return out
+
+
 def _newton_delta(matrix, r) -> np.ndarray:
     """Solve ``matrix[i] @ delta[i] = r[i]`` for every row.
 
-    1 x 1 systems are a division, bit for bit what ``np.linalg.solve`` gives;
-    a zero pivot raises ``LinAlgError`` as it does.
+    Small systems are solved in closed form, bit for bit what
+    ``np.linalg.solve`` gives with OpenBLAS's SkylakeX kernels, on which
+    ``perfbench/reference/`` was recorded:
+
+    * 1 x 1 is a division, the same on every OpenBLAS core; a zero pivot
+      raises ``LinAlgError`` as LAPACK does.
+    * 2 x 2 swaps the rows only when ``|a21| > |a11|``, then rounds
+      ``l = a21 * (1 / a11)`` and ``u22 = a22 - l * a12`` as written,
+      ``x2 = fma(-l, b1, b2) / u22`` and ``x1 = fma(-a12, x2, b1) / a11``,
+      with :func:`_fma` for the single-rounding multiply-add.  Rows that
+      are not finite, are singular or have an operand outside the
+      ``_FMA_RANGE`` bounds go to ``np.linalg.solve``, which raises
+      ``LinAlgError`` on a singular one.  OpenBLAS's Haswell, Zen,
+      Sandybridge, Nehalem and Prescott kernels (``OPENBLAS_CORETYPE``) do
+      not fuse the substitution: ``np.linalg.solve`` differs there in the
+      last bits, while this solver gives the same bits on every core.
+    * Larger systems go to ``np.linalg.solve``.
     """
-    if matrix.shape[1] == 1:
+    d = matrix.shape[1]
+    if d == 1:
         if not matrix.all():
             raise np.linalg.LinAlgError("Singular matrix")
         return r / matrix[:, :, 0]
+    if d == 2:
+        return _solve_2x2(matrix, r)
     return np.linalg.solve(matrix, r[:, :, None])[:, :, 0]
 
 
@@ -225,16 +319,21 @@ def _solve_implicit(model: SdeModel, y, b, h, tol):
     r = residual(u, y, b)
     rnorm = np.sqrt(_sq_norm(r))
     for _ in range(NEWTON_MAX_ITER):
-        active = rnorm > tol
-        if not active.any():
+        active = np.flatnonzero(rnorm > tol)
+        every = active.size == rnorm.size
+        if every:  # no copies until some row converges
+            ua, ya, ba, ra, ra_norm = u, y, b, r, rnorm
+        elif active.size:
+            # take() gathers rows several times faster than fancy indexing
+            ua, ya, ba, ra, ra_norm = (x.take(active, axis=0) for x in (u, y, b, r, rnorm))
+        else:
             break
-        ua, ya, ba, ra_norm = u[active], y[active], b[active], rnorm[active]
         if model.drift_jacobian is not None:
             jf = model.drift_jacobian(ua)
         else:
             jf = _fd_jacobian(model, ua, model.drift(ua))
         try:
-            delta = _newton_delta(eye[None, :, :] - h * jf, r[active])
+            delta = _newton_delta(eye[None, :, :] - h * jf, ra)
         except np.linalg.LinAlgError:
             raise NewtonNonConvergence(
                 f"singular Newton matrix at h={h:g}: osl={model.osl:g} does not bound the drift"
@@ -253,7 +352,12 @@ def _solve_implicit(model: SdeModel, y, b, h, tol):
             rc[stuck] = residual(cand[stuck], ya[stuck], ba[stuck])
             rcn[stuck] = np.sqrt(_sq_norm(rc[stuck]))
             stuck = (rcn >= ra_norm) & (rcn > tol)
-        u[active], r[active], rnorm[active] = cand, rc, rcn
+        if every:
+            u, r, rnorm = cand, rc, rcn
+        else:
+            for k in range(model.d):  # one 1-D scatter per coordinate beats a 2-D one
+                u[:, k][active], r[:, k][active] = cand[:, k], rc[:, k]
+            rnorm[active] = rcn
     return u, rnorm
 
 
@@ -317,7 +421,8 @@ def noise_terms(model: SdeModel, paths, increments, h) -> np.ndarray:
         y = paths[:, j]
         g = model.diffusion(y)
         gdw = np.einsum("pdm,pm->pd", g, increments[:, j])
-        z[:, j] = (gdw ** 2).sum(axis=1) - h * (g ** 2).sum(axis=(1, 2)) + 2.0 * (gdw * y).sum(axis=1)
+        g_sq = _sq_norm(g.reshape(g.shape[0], -1))  # the d * m entries in row-major order
+        z[:, j] = _sq_norm(gdw) - h * g_sq + 2.0 * _row_dot(gdw, y)
     return z
 
 

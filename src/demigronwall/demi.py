@@ -208,12 +208,14 @@ def check_demimartingale(batch: TrajectoryBatch, family: TestFunctionFamily, lev
         mode: ``"demi"`` or ``"demisub"``.
 
     A cell fails when its estimate is below ``-z(level) * SE``.  Cells whose
-    probe needs more coordinates than the step provides are skipped.  The
-    report's command is ``mode`` and its columns are :data:`DEMI_COLUMNS`.
+    probe needs more coordinates than the step provides are skipped, but
+    every step must keep at least one cell.  The report's command is
+    ``mode`` and its columns are :data:`DEMI_COLUMNS`.
 
     Raises:
         InvalidSpec: unknown ``mode`` or ``level`` outside (0, 1).
-        EmptyFamily: no admissible probe for the requested mode.
+        EmptyFamily: no admissible probe for the requested mode, or a step
+            that no admissible probe fits (named in the message).
         DegenerateBatch: fewer than :data:`DEMI_MIN_PATHS` paths or
             :data:`DEMI_MIN_STEPS` steps.
     """
@@ -230,6 +232,11 @@ def check_demimartingale(batch: TrajectoryBatch, family: TestFunctionFamily, lev
         )
     if batch.n_steps < DEMI_MIN_STEPS:
         raise DegenerateBatch(f"need at least {DEMI_MIN_STEPS} steps for one cell, got {batch.n_steps}")
+    # min_coords is the only fit condition, so the uncovered steps are the first ones
+    last_uncovered = min(min(f.min_coords for f in members), batch.n_steps) - 1
+    if last_uncovered >= 1:
+        steps = "j = 1" if last_uncovered == 1 else f"j = 1..{last_uncovered}"
+        raise EmptyFamily(f"no probe for mode={mode!r} fits step(s) {steps}: each needs more coordinates")
     values = batch.values
     z_crit = float(ndtri(level))
     report = VerificationReport(command=mode, columns=DEMI_COLUMNS)

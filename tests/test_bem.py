@@ -1,3 +1,6 @@
+import ctypes
+import ctypes.util
+import functools
 import math
 
 import numpy as np
@@ -115,7 +118,244 @@ class TestBemStep:
             _one_step(model, [1.0], 1.0 / 3.0)
 
 
+def _libm_fma():
+    """libm's correctly rounded ``fma(a, b, c)``, or None where no C math library loads."""
+    name = ctypes.util.find_library("m") or ctypes.util.find_library("c")
+    try:
+        fma = ctypes.CDLL(name).fma
+    except (OSError, AttributeError, TypeError):
+        return None
+    fma.restype = ctypes.c_double
+    fma.argtypes = [ctypes.c_double] * 3
+    return fma
+
+
+LIBM_FMA = _libm_fma()
+needs_libm = pytest.mark.skipif(LIBM_FMA is None, reason="no C math library with fma() to load through ctypes")
+
+
+def _oracle_2x2(matrix, r):
+    """One system through the LU sequence of the 2 x 2 kernel, one scalar rounding at a time.
+
+    Returns ``(x1, x2, in_kernel)``; ``in_kernel`` is False where an operand of
+    the sequence is not finite or lies outside the kernel's exponent range,
+    and the kernel hands the system to LAPACK instead.
+    """
+    (a11, a12), (a21, a22) = matrix.tolist()
+    b1, b2 = r.tolist()
+    if abs(a21) > abs(a11):
+        (a11, a12, b1), (a21, a22, b2) = (a21, a22, b2), (a11, a12, b1)
+    if a11 == 0.0:
+        return math.nan, math.nan, False
+    l = a21 * (1.0 / a11)
+    u22 = a22 - l * a12
+    if u22 == 0.0:
+        return math.nan, math.nan, False
+    x2 = LIBM_FMA(-l, b1, b2) / u22
+    x1 = LIBM_FMA(-a12, x2, b1) / a11
+    lo, hi = 1.0 / bem._FMA_RANGE, bem._FMA_RANGE
+    in_kernel = all(v == 0.0 or lo <= abs(v) <= hi for v in (a11, a12, b1, b2, l, u22, x2))
+    return x1, x2, in_kernel
+
+
+def _oracle_rows(matrix, r):
+    """Oracle solutions of every system, and which of them the kernel keeps."""
+    out = np.array([_oracle_2x2(m, b) for m, b in zip(matrix, r)])
+    return out[:, :2].copy(), out[:, 2].astype(bool)
+
+
+def _random_systems(rng, m, spread):
+    """``m`` 2 x 2 systems with entries of random sign and magnitude up to ``e^spread``."""
+    matrix = rng.standard_normal((m, 2, 2)) * np.exp(rng.uniform(-spread, spread, (m, 2, 2)))
+    r = rng.standard_normal((m, 2)) * np.exp(rng.uniform(-spread, spread, (m, 2)))
+    return matrix, r
+
+
+def _lapack_matches_the_oracle() -> bool:
+    """Whether ``np.linalg.solve`` rounds 2 x 2 systems as the kernel does on this BLAS core."""
+    if LIBM_FMA is None:
+        return False
+    matrix, r = _random_systems(np.random.default_rng(0), 2000, 9.0)
+    lapack = np.linalg.solve(matrix, r[:, :, None])[:, :, 0]
+    expected, in_kernel = _oracle_rows(matrix, r)
+    return in_kernel.all() and lapack.tobytes() == expected.tobytes()
+
+
+def _masked_newton(model, y, b, h, tol, active_rows):
+    """The damped Newton loop with boolean-mask copies on every iteration and ``np.linalg.solve``.
+
+    ``bem._solve_implicit`` as it stood before the 2 x 2 kernel and the copy-free
+    iterations; ``active_rows`` collects the active row count of each iteration.
+    """
+
+    def residual(u, ys, bs):
+        return u - ys - h * model.drift(u) - bs
+
+    eye = np.eye(model.d)
+    u = y + h * model.drift(y) + b
+    r = residual(u, y, b)
+    rnorm = np.sqrt((r ** 2).sum(axis=1))
+    for _ in range(bem.NEWTON_MAX_ITER):
+        active = rnorm > tol
+        if not active.any():
+            break
+        active_rows.append(int(active.sum()))
+        ua, ya, ba, ra_norm = u[active], y[active], b[active], rnorm[active]
+        jf = model.drift_jacobian(ua)
+        delta = np.linalg.solve(eye[None, :, :] - h * jf, r[active][:, :, None])[:, :, 0]
+        alpha = np.ones(ua.shape[0])
+        cand = ua - delta
+        rc = residual(cand, ya, ba)
+        rcn = np.sqrt((rc ** 2).sum(axis=1))
+        stuck = (rcn >= ra_norm) & (rcn > tol)
+        for _ in range(15):
+            if not stuck.any():
+                break
+            alpha[stuck] *= 0.5
+            cand[stuck] = ua[stuck] - alpha[stuck, None] * delta[stuck]
+            rc[stuck] = residual(cand[stuck], ya[stuck], ba[stuck])
+            rcn[stuck] = np.sqrt((rc[stuck] ** 2).sum(axis=1))
+            stuck = (rcn >= ra_norm) & (rcn > tol)
+        u[active], r[active], rnorm[active] = cand, rc, rcn
+    return u, rnorm
+
+
+def _rotating_cubic_model():
+    """f(x) = A x - |x|^2 x with a strong rotation in A: Newton rows pivot and converge unevenly."""
+    a = np.array([[-1.0, 25.0], [-25.0, -1.0]])
+
+    def drift(y):
+        return y @ a.T - (y * y).sum(axis=1, keepdims=True) * y
+
+    def jacobian(y):
+        jac = a[None, :, :] - 2.0 * y[:, :, None] * y[:, None, :]
+        jac[:, [0, 1], [0, 1]] -= (y * y).sum(axis=1)[:, None]
+        return jac
+
+    # the symmetric part of A is -I and -|x|^2 x is monotone: osl = -1; with g = I,
+    # <f(x), x> + |g|^2 / 2 = 1 - |x|^2 - |x|^4 <= 1 + |x|^2, so L = 1
+    return SdeModel(
+        d=2, m=2, drift=drift, diffusion=lambda y: np.broadcast_to(np.eye(2), (y.shape[0], 2, 2)),
+        drift_jacobian=jacobian, L=1.0, osl=-1.0, label="rotating-cubic",
+    )
+
+
 class TestScalarKernels:
+    @needs_libm
+    def test_fma_rounds_once_as_libm_does(self):
+        rng = np.random.default_rng(11)
+        m = 20_000
+        a = rng.standard_normal(m) * np.exp(rng.uniform(-200, 200, m))
+        b = rng.standard_normal(m) * np.exp(rng.uniform(-200, 200, m))
+        c = rng.standard_normal(m) * np.exp(rng.uniform(-200, 200, m))
+        # near-cancellation: c a few ulps away from minus the rounded product, or exactly at it
+        near = rng.random(m) < 0.5
+        c[near] = -(a[near] * b[near]) * (1.0 + rng.integers(-4, 5, near.sum()) * 2.0 ** -52)
+        c[::97] = -(a[::97] * b[::97])
+        a[::89], b[::83], c[::79], c[::71] = 0.0, -0.0, 0.0, -0.0
+        # double-rounding traps: a * b = 1 + e with RN(a * b) = 1 and |c| = 2^53 + 2k, so c + 1
+        # is a tie that only the sign of e breaks
+        tie_a = 1.0 + rng.uniform(0.0, 1.0, 2000)
+        tie_b = 1.0 / tie_a
+        ties = np.abs(tie_a * tie_b - 1.0) == 0.0
+        tie_c = rng.choice([-1.0, 1.0], ties.sum()) * (2.0 ** 53 + 2.0 * rng.integers(0, 1000, ties.sum()))
+        scale = 2.0 ** rng.integers(-100, 100, ties.sum())
+        a = np.concatenate([a, tie_a[ties] * scale])
+        b = np.concatenate([b, tie_b[ties]])
+        c = np.concatenate([c, tie_c * scale])
+        assert ties.sum() > 500
+        expected = np.array([LIBM_FMA(x, y, z) for x, y, z in zip(a, b, c)])
+        assert bem._fma(a, b, c).tobytes() == expected.tobytes()
+
+    @needs_libm
+    @pytest.mark.parametrize("spread", [1.0, 9.0, 300.0])
+    def test_two_by_two_follows_the_lu_sequence(self, spread):
+        # at e^300 some operands leave the kernel's range: those systems must get LAPACK's bits
+        matrix, r = _random_systems(np.random.default_rng(int(spread)), 3000, spread)
+        got = bem._newton_delta(matrix, r)
+        expected, in_kernel = _oracle_rows(matrix, r)
+        assert got[in_kernel].tobytes() == expected[in_kernel].tobytes()
+        lapack = np.linalg.solve(matrix[~in_kernel], r[~in_kernel][:, :, None])[:, :, 0]
+        assert got[~in_kernel].tobytes() == lapack.tobytes()
+        assert in_kernel.all() if spread < 300.0 else 100 < (~in_kernel).sum() < 2900
+
+    @needs_libm
+    def test_ties_and_signed_zeros(self):
+        rng = np.random.default_rng(3)
+        values = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -3.0, 1.0 + 2.0 ** -52])
+        matrix = rng.choice(values, (4000, 2, 2))
+        r = rng.choice(values, (4000, 2))
+        matrix[::3, 1, 0] = -matrix[::3, 0, 0]  # |a21| == |a11|: LAPACK keeps the first row
+        matrix[1::3, 1, 0] = matrix[1::3, 0, 0]
+        expected, in_kernel = _oracle_rows(matrix, r)
+        assert in_kernel.sum() > 1000  # the others are singular
+        got = bem._newton_delta(matrix[in_kernel], r[in_kernel])
+        assert got.tobytes() == expected[in_kernel].tobytes()
+
+    @pytest.mark.parametrize(
+        "singular",
+        [[[0.0, 1.0], [0.0, 2.0]], [[1.0, 2.0], [2.0, 4.0]], [[-0.0, 0.0], [0.0, -0.0]], [[3.0, 1.0], [-3.0, -1.0]]],
+    )
+    def test_singular_rows_raise(self, singular):
+        matrix = np.array([[[2.0, 1.0], [1.0, 3.0]], singular, [[1.0, 0.0], [0.0, 1.0]]])
+        with pytest.raises(np.linalg.LinAlgError):
+            bem._newton_delta(matrix, np.ones((3, 2)))
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-300, 2.0 ** 460, 2.0 ** -460])
+    def test_extreme_rows_go_to_lapack_without_a_warning(self, scale, monkeypatch):
+        rng = np.random.default_rng(8)
+        matrix, r = _random_systems(rng, 50, 2.0)
+        matrix[::5] *= scale
+        r[1::5] *= scale
+        calls = []
+        solve = np.linalg.solve
+
+        def spy(a, b):
+            calls.append(a.shape[0])
+            return solve(a, b)
+
+        monkeypatch.setattr(bem.np.linalg, "solve", spy)
+        got = bem._newton_delta(matrix, r)  # a warning here is an error in this suite
+        extreme = np.zeros(50, dtype=bool)
+        extreme[::5] = extreme[1::5] = True
+        assert calls == [20]
+        assert got[extreme].tobytes() == solve(matrix[extreme], r[extreme][:, :, None])[:, :, 0].tobytes()
+        if LIBM_FMA is not None:
+            expected, in_kernel = _oracle_rows(matrix, r)
+            assert np.array_equal(in_kernel, ~extreme)
+            assert got[~extreme].tobytes() == expected[~extreme].tobytes()
+
+    @needs_libm
+    @pytest.mark.parametrize("scale", [2.0 ** 440, 2.0 ** -440])
+    def test_operands_near_the_range_bound_stay_in_the_kernel(self, scale, monkeypatch):
+        # diagonally dominant systems keep |l|, |u22| and |x| within a factor 8 of 1, so only
+        # the common scale nears the bound; every other system has its equations in swapped order
+        rng = np.random.default_rng(9)
+        signs = rng.choice([-1.0, 1.0], (500, 2, 2))
+        matrix = signs * np.where(np.eye(2, dtype=bool), rng.uniform(2.0, 4.0, (500, 2, 2)), rng.uniform(0.5, 1.0, (500, 2, 2)))
+        matrix[::2] = matrix[::2, ::-1]
+        r = rng.choice([-1.0, 1.0], (500, 2)) * rng.uniform(0.5, 2.0, (500, 2))
+        monkeypatch.setattr(bem.np.linalg, "solve", lambda a, b: pytest.fail("a row went to LAPACK"))
+        got = bem._newton_delta(matrix * scale, r * scale)
+        assert got.tobytes() == _oracle_rows(matrix * scale, r * scale)[0].tobytes()
+
+    @pytest.mark.skipif(
+        not _lapack_matches_the_oracle(),
+        reason="np.linalg.solve on this BLAS core (see OPENBLAS_CORETYPE) does not round 2 x 2 systems "
+        "with the fused substitution the kernel reproduces, or no libm fma() loads",
+    )
+    def test_simulate_bem_equals_the_masked_lapack_loop(self, monkeypatch):
+        model = _rotating_cubic_model()
+        cfg = BemConfig(h=0.05, t_horizon=0.5, h0=0.2, x0=[1.5, -1.0], newton_tol=1e-12)
+        batch = simulate_bem(model, cfg, seed=21, n_paths=3000)
+        active_rows = []
+        monkeypatch.setattr(bem, "_solve_implicit", functools.partial(_masked_newton, active_rows=active_rows))
+        reference = simulate_bem(model, cfg, seed=21, n_paths=3000)
+        assert batch.paths.tobytes() == reference.paths.tobytes()
+        assert batch.residual_norms.tobytes() == reference.residual_norms.tobytes()
+        # rows converged at different iterations, so the gathers and scatters ran
+        assert any(0 < n < 3000 for n in active_rows)
+
     def test_one_by_one_division_equals_the_batched_solve(self):
         rng = np.random.default_rng(5)
         m = 20_000
@@ -264,6 +504,28 @@ class TestNoiseTerms:
         assert np.all(s[:, 0] == 0.0)
         factor = 1.0 - 2.0 * cfg.h0 * model.L
         assert np.allclose(s[:, -1], z.sum(axis=1) / factor)
+
+    @pytest.mark.parametrize(
+        "model, x0",
+        [
+            (ou_model(1.0, 1.0), [1.0]),
+            (bounded_diffusion_model(1.0, 1.3), [0.7]),
+            (frozen_model(3), [1.0, 2.0, 3.0]),
+            (linear_model([[-1.0, 0.5], [-0.5, -2.0]], 0.7), [1.0, -0.5]),
+            (linear_model([[-1.0, 0.2, 0.0], [0.1, -1.5, 0.3], [0.0, -0.4, -0.8]], 0.9), [0.3, -1.2, 2.0]),
+            (_rotating_cubic_model(), [1.5, -1.0]),
+        ],
+        ids=lambda v: getattr(v, "label", None),
+    )
+    def test_column_sums_equal_the_numpy_row_sums(self, model, x0):
+        cfg = BemConfig(h=0.05, t_horizon=0.5, h0=0.1, x0=x0)
+        batch = simulate_bem(model, cfg, seed=6, n_paths=2000)
+        expected = np.empty((batch.n_paths, batch.n_steps))
+        for j in range(batch.n_steps):
+            y, g = batch.paths[:, j], model.diffusion(batch.paths[:, j])
+            gdw = np.einsum("pdm,pm->pd", g, batch.increments[:, j])
+            expected[:, j] = (gdw ** 2).sum(axis=1) - cfg.h * (g ** 2).sum(axis=(1, 2)) + 2.0 * (gdw * y).sum(axis=1)
+        assert noise_terms(model, batch.paths, batch.increments, cfg.h).tobytes() == expected.tobytes()
 
     def test_step_bound_guard(self):
         model = ou_model(1.0, 1.0)  # L = 0.5

@@ -123,6 +123,27 @@ class TestCheckDemimartingale:
         with pytest.raises(DegenerateBatch):
             check_demimartingale(batch, TestFunctionFamily.default(batch))
 
+    @pytest.mark.parametrize(
+        "members, mode",
+        [((ProductRamp((0.0, 0.0), 1.0),), "demi"), ((CoordinateRamp(3, 0.0, 1.0), ShiftedIdentityLast(0.0)), "demisub")],
+    )
+    def test_a_step_no_probe_fits_raises_instead_of_passing_on_zero_cells(self, members, mode, monkeypatch):
+        # E[S_2 - S_1] = -0.8, but a two-coordinate probe has no cell at j = 1
+        batch = _batch(GeneratorSpec.two_point(0.9), 2, 1000, 1)
+        for probe in (ProductRamp, CoordinateRamp):
+            monkeypatch.setattr(probe, "evaluate", lambda *args: pytest.fail("a cell was computed"))
+        with pytest.raises(EmptyFamily, match="j = 1"):
+            check_demimartingale(batch, TestFunctionFamily(members), mode=mode)
+
+    def test_uncovered_steps_are_named(self):
+        batch = _batch(GeneratorSpec.random_walk(), 6, 200, 3)
+        with pytest.raises(EmptyFamily, match=r"j = 1\.\.2"):
+            check_demimartingale(batch, TestFunctionFamily((CoordinateRamp(3, 0.0, 1.0),)))
+        # a probe that fits every step keeps the check running
+        family = TestFunctionFamily((CoordinateRamp(3, 0.0, 1.0), Constant1()))
+        rows = check_demimartingale(batch, family).rows
+        assert {row["j"] for row in rows} == {1, 2, 3, 4, 5}
+
     @pytest.mark.parametrize("level", [1.5, -0.2, 0.0, 1.0, float("nan")])
     def test_level_outside_the_unit_interval_raises(self, level):
         # ndtri(1.5) is NaN, and no cell can fail against a NaN threshold
