@@ -51,7 +51,7 @@ cfg = cfgs[2]
 batch = simulate_bem(model, cfg, seed=9, n_paths=50_000)
 print(f"max Newton residual over {batch.n_paths} paths x {batch.n_steps} steps: "
       f"{batch.residual_norms.max():.2e}")
-z, s = z_sequence(model, batch.paths, batch.increments, cfg.h, cfg.h0)
+z, s = z_sequence(model, batch, cfg.h0)
 worst = np.abs(z.mean(axis=0) / (z.std(ddof=1, axis=0) / np.sqrt(z.shape[0]))).max()
 print(f"largest |z-score| of the noise-term column means: {worst:.2f} (3.0 allowed)")
 s_batch = TrajectoryBatch(s, label="z-partial-sums", starts_at_zero=True)

@@ -18,7 +18,6 @@ from .bem import (
     coercivity_probe,
     frozen_model,
     linear_model,
-    noise_terms,
     ou_model,
     simulate_bem,
     verify_apriori_bound,
@@ -57,13 +56,10 @@ from .gronwall import (
     GronwallInstance,
     HolderPair,
     build_instance,
-    discount_weights,
-    discounted_transform,
     gronwall_bound,
     maximal_moment_bound,
     neg_inf_mean,
     sup_moment,
-    transform_batch,
     verify_gronwall,
     verify_maximal_inequality,
 )

@@ -13,14 +13,14 @@ Under the coercivity condition ``<f(x), x> + |g(x)|^2 / 2 <= L (1 + |x|^2)``
 the 2p-norm of the running supremum admits a closed-form a-priori bound
 that depends on model constants only, uniformly in the step size h.  The
 verification harness estimates the norm across an h-grid and compares every
-estimate against that single bound.  It also rebuilds the centered
-quadratic noise terms
+estimate against that single bound.  Each step also records the centered
+quadratic noise term
 
     Z^{j+1} = |g(Y^j) dW^{j+1}|^2 - h |g(Y^j)|^2 + 2 <g(Y^j) dW^{j+1}, Y^j>
 
-whose normalized partial sums form a demimartingale; both the zero-mean
-property of Z and the demimartingale check on the partial sums are part of
-the verdict.
+from the same ``g(Y^j) dW^{j+1}`` that drives it; the normalized partial
+sums of Z form a demimartingale, and both the zero-mean property of Z and
+the demimartingale check on the partial sums are part of the verdict.
 
 Drift and diffusion callables are vectorized over paths: ``drift`` maps
 ``(M, d) -> (M, d)`` and ``diffusion`` maps ``(M, d) -> (M, d, m)``.
@@ -141,10 +141,11 @@ class BemConfig:
 
 @dataclass(frozen=True, eq=False)
 class BemBatch:
-    """Simulated paths, Brownian increments and per-step Newton residuals."""
+    """Simulated paths, Brownian increments, noise terms Z and per-step Newton residuals."""
 
     paths: np.ndarray        # (M, N+1, d)
     increments: np.ndarray   # (M, N, m)
+    noise: np.ndarray        # (M, N), Z^{j+1} in column j
     residual_norms: np.ndarray  # (M, N)
     h: float
     seed: int
@@ -366,7 +367,11 @@ def simulate_bem(model: SdeModel, cfg: BemConfig, seed, n_paths) -> BemBatch:
 
     Brownian increments come from per-path substreams with a fixed draw
     order (m normals per step), so path ``r`` is bit-reproducible from
-    ``(seed, r)`` alone and independent of the batch size.
+    ``(seed, r)`` alone and independent of the batch size.  Each step
+    evaluates ``g(Y^j)`` once and records its noise term
+    ``Z^{j+1} = |g dW|^2 - h |g|^2 + 2 <g dW, Y^j>``, which has
+    conditional mean zero: ``E|g dW|^2 = h |g|^2`` cancels the compensator
+    and the cross term is centered.
     """
     cfg.validate_against(model)
     n_paths = int(n_paths)
@@ -375,11 +380,15 @@ def simulate_bem(model: SdeModel, cfg: BemConfig, seed, n_paths) -> BemBatch:
     n, d, m = cfg.n_steps, model.d, model.m
     dw = normal_matrix(seed, n_paths, n * m).reshape(n_paths, n, m) * math.sqrt(cfg.h)
     paths = np.empty((n_paths, n + 1, d))
+    noise = np.empty((n_paths, n))
     residuals = np.empty((n_paths, n))
     paths[:, 0, :] = cfg.x0[None, :]
     y = np.broadcast_to(cfg.x0[None, :], (n_paths, d)).copy()
     for j in range(n):
-        b = np.einsum("pdm,pm->pd", model.diffusion(y), dw[:, j])
+        g = model.diffusion(y)
+        b = np.einsum("pdm,pm->pd", g, dw[:, j])
+        # |g|^2 sums the d * m entries in row-major order
+        noise[:, j] = _sq_norm(b) - cfg.h * _sq_norm(g.reshape(n_paths, -1)) + 2.0 * _row_dot(b, y)
         u, rnorm = _solve_implicit(model, y, b, cfg.h, cfg.newton_tol)
         bad = np.nonzero(~(rnorm <= cfg.newton_tol))[0]
         if bad.size:
@@ -393,50 +402,22 @@ def simulate_bem(model: SdeModel, cfg: BemConfig, seed, n_paths) -> BemBatch:
         residuals[:, j] = rnorm
         y = u
     return BemBatch(
-        paths=paths, increments=dw, residual_norms=residuals, h=cfg.h, seed=int(seed),
+        paths=paths, increments=dw, noise=noise, residual_norms=residuals, h=cfg.h, seed=int(seed),
         label=f"bem[{model.label},h={cfg.h:g}]",
     )
 
 
-# --------------------------------------------------------------------------
-# centered quadratic noise terms
-# --------------------------------------------------------------------------
+def z_sequence(model: SdeModel, batch: BemBatch, h0):
+    """The batch's noise terms plus their normalized partial sums.
 
-def noise_terms(model: SdeModel, paths, increments, h) -> np.ndarray:
-    """Centered quadratic noise contributions, shape (M, N).
-
-    ``Z^{j+1} = |g(Y^j) dW|^2 - h |g(Y^j)|^2 + 2 <g(Y^j) dW, Y^j>`` has
-    conditional mean zero: ``E|g dW|^2 = h |g|^2`` cancels the compensator
-    and the cross term is centered.
-    """
-    paths = np.asarray(paths, dtype=np.float64)
-    increments = np.asarray(increments, dtype=np.float64)
-    if paths.ndim != 3 or increments.ndim != 3 or paths.shape[1] != increments.shape[1] + 1:
-        raise ShapeMismatch(
-            f"expected paths (M, N+1, d) with increments (M, N, m), got {paths.shape}, {increments.shape}"
-        )
-    n = increments.shape[1]
-    z = np.empty((paths.shape[0], n))
-    for j in range(n):
-        y = paths[:, j]
-        g = model.diffusion(y)
-        gdw = np.einsum("pdm,pm->pd", g, increments[:, j])
-        g_sq = _sq_norm(g.reshape(g.shape[0], -1))  # the d * m entries in row-major order
-        z[:, j] = _sq_norm(gdw) - h * g_sq + 2.0 * _row_dot(gdw, y)
-    return z
-
-
-def z_sequence(model: SdeModel, paths, increments, h, h0):
-    """Noise terms plus their normalized partial sums.
-
-    Takes a batch, paths ``(M, N+1, d)`` with increments ``(M, N, m)``, and
-    returns ``(Z, S)`` of shapes ``(M, N)`` and ``(M, N+1)``, where
-    ``S_n = (1 - 2 h0 L)^{-1} sum_{j<n} Z^{j+1}`` and ``S_0 = 0``.
+    Returns ``(Z, S)`` of shapes ``(M, N)`` and ``(M, N+1)``, where
+    ``Z = batch.noise`` and ``S_n = (1 - 2 h0 L)^{-1} sum_{j<n} Z^{j+1}``
+    with ``S_0 = 0``.
     """
     factor = 1.0 - 2.0 * h0 * model.L
     if not factor > 0.0:
         raise StepBoundViolation(f"need 1 - 2 h0 L > 0, got {factor}")
-    z = noise_terms(model, paths, increments, h)
+    z = batch.noise
     s = np.hstack([np.zeros((z.shape[0], 1)), np.cumsum(z, axis=1)]) / factor
     return z, s
 
@@ -487,7 +468,8 @@ def verify_apriori_bound(
     no h) and every estimate must satisfy
     ``estimate <= bound + SLACK_SD * SE``.  For every h two side conditions
     are recorded as named checks: ``z_mean_zero[h=...]``, every column mean
-    of the noise terms Z within ``SLACK_SD`` standard errors of zero, and
+    of the noise terms Z, as each step recorded them, within ``SLACK_SD``
+    standard errors of zero, and
     ``s_demimartingale[h=...]``, the demimartingale check at ``level`` on
     their normalized partial sums.  An empty ``cfg_grid`` raises
     :class:`HGridViolation`, an empty ``p_grid`` or a ``level`` outside
@@ -522,7 +504,7 @@ def verify_apriori_bound(
                 h=cfg.h, p=p, estimate=estimate, stderr=se, bound=bounds[p],
                 **one_sided_verdict(estimate, se, bounds[p], 0.0),
             )
-        z, s = z_sequence(model, batch.paths, batch.increments, cfg.h, b0)
+        z, s = z_sequence(model, batch, b0)
         col_mean, col_se = mean_se(z)
         z_ok = np.all(np.abs(col_mean) <= SLACK_SD * col_se + 1e-15)
         report.checks[f"z_mean_zero[h={cfg.h:g}]"] = bool(z_ok)

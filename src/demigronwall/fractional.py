@@ -42,8 +42,11 @@ from .errors import (
     ShapeMismatch,
 )
 from .generators import BLOCK_ENTRIES, TrajectoryBatch, prefix_reduce
-from .gronwall import FORM_RTOL, GRONWALL_COLUMNS, HolderPair, _harness_grid, _power_moment
+from .gronwall import GRONWALL_COLUMNS, HolderPair, _harness_grid, _power_moment
 from .reporting import VerificationReport, mean_se, mu_norm, one_sided_verdict, power_se
+
+#: the delta and direct forms of the L1 operator must agree this tightly
+FORM_RTOL = 1e-12
 
 
 def _check_beta(beta) -> float:
@@ -161,7 +164,7 @@ def multi_term_table(model: FractionalModel, values) -> np.ndarray:
 
     The table is the delta form.  The direct form is evaluated in path
     blocks of about :data:`~demigronwall.generators.BLOCK_ENTRIES` entries
-    and must agree with it to :data:`~demigronwall.gronwall.FORM_RTOL` times the summed absolute
+    and must agree with it to :data:`FORM_RTOL` times the summed absolute
     contributions (at least 1).
 
     Args:

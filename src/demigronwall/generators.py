@@ -34,7 +34,7 @@ row blocks from one increment law per kind.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -139,12 +139,6 @@ class TrajectoryBatch:
     def n_steps(self) -> int:
         return self.values.shape[1] - 1
 
-    def increments(self) -> "TrajectoryBatch":
-        """Batch of one-step differences (n_steps columns)."""
-        return TrajectoryBatch(
-            np.diff(self.values, axis=1), label=f"{self.label}-increments", starts_at_zero=False
-        )
-
 
 @dataclass(frozen=True)
 class GeneratorSpec:
@@ -155,7 +149,6 @@ class GeneratorSpec:
     theta: float = 0.0
     prob: float = 0.5
     bound: float = 1.0
-    starts_at_zero: bool = field(default=True, init=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:

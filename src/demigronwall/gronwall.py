@@ -8,10 +8,6 @@ Implements, for sequences satisfying the pathwise recursion
   ``E[(sup_k S_k)^p] <= (E[-inf_k S_k])^p / (1 - p)``,
 * the closed-form Gronwall bound on ``E[sup_k X_k^p]`` with its Holder
   prefactor, product norm of the growth weights, and sup-moment of F,
-* the discount weights ``C_k = prod_{j<=k} (1 + G_j)^{-1}`` and the
-  discounted increment transform ``L_n = sum_{k<n} C_k (S_{k+1} - S_k)``
-  (a demimartingale again, computed in two algebraic forms and cross
-  checked), and
 * harnesses that estimate both sides by Monte Carlo and compare them with
   one-sided ``reporting.SLACK_SD * SE`` slack.
 
@@ -28,7 +24,6 @@ from typing import Union
 import numpy as np
 
 from .errors import (
-    FormMismatch,
     HolderViolation,
     HypothesisViolated,
     InvalidSpec,
@@ -46,9 +41,6 @@ GRONWALL_COLUMNS = ["n", "p", "mu", "nu", "lhs", "lhs_se", "rhs", "margin", "ver
 
 #: pathwise slack when re-checking the recursion hypothesis
 HYPOTHESIS_TOL = 1e-12
-
-#: two algebraic forms of the discounted transform must agree this tightly
-FORM_RTOL = 1e-12
 
 
 # --------------------------------------------------------------------------
@@ -190,54 +182,6 @@ def maximal_moment_bound(q, p) -> float:
     if q < 0.0:
         raise NegativeInput(f"q must be >= 0, got {q}")
     return q ** p / (1.0 - p)
-
-
-def discount_weights(growth) -> np.ndarray:
-    """``C_k = prod_{j<=k} (1 + G_j)^{-1}``; positive and nonincreasing."""
-    g = np.asarray(growth, dtype=np.float64)
-    if np.any(g < 0.0):
-        raise NegativeWeights("growth weights must be entrywise nonnegative")
-    return np.cumprod(1.0 / (1.0 + g))
-
-
-def discounted_transform(path, growth) -> np.ndarray:
-    """``L_n = sum_{k<n} C_k (path_{k+1} - path_k)`` with ``L_0 = 0``.
-
-    Both the telescoped form above and its summation-by-parts rewriting
-    ``L_n = C_{n-1} path_n + sum_{1<=k<n} (C_{k-1} - C_k) path_k`` are
-    evaluated; disagreement beyond a condition-aware 1e-12 relative
-    tolerance raises :class:`FormMismatch` (it would indicate an indexing
-    bug in the weights).
-    """
-    s = np.atleast_2d(np.asarray(path, dtype=np.float64))
-    single = np.asarray(path).ndim == 1
-    if np.any(s[:, 0] != 0.0):
-        raise NonzeroStart("discounted transform requires paths starting at 0")
-    n = s.shape[1] - 1
-    g = np.asarray(growth, dtype=np.float64)
-    if g.shape[0] < n:
-        raise ShapeMismatch(f"need at least {n} growth weights, got {g.shape[0]}")
-    c = discount_weights(g[:n])
-    steps = c[None, :] * np.diff(s, axis=1)
-    tele = np.hstack([np.zeros((s.shape[0], 1)), np.cumsum(steps, axis=1)])
-    # summation by parts: L_n = C_{n-1} S_n + sum_{k=1}^{n-1} (C_{k-1}-C_k) S_k
-    sbp = np.zeros_like(tele)
-    if n >= 1:
-        d = np.concatenate([[0.0], c[:-1] - c[1:]]) if n > 1 else np.zeros(1)
-        inner = np.hstack([np.zeros((s.shape[0], 1)), np.cumsum(d[None, 1:] * s[:, 1:n], axis=1)]) if n > 1 else np.zeros((s.shape[0], 1))
-        sbp[:, 1:] = c[None, :n] * s[:, 1:] + inner
-    scale = np.maximum(1.0, np.cumsum(np.abs(steps), axis=1))
-    gap = np.abs(tele[:, 1:] - sbp[:, 1:])
-    if np.any(gap > FORM_RTOL * scale):
-        worst = float((gap / scale).max())
-        raise FormMismatch(f"transform forms disagree by relative {worst:.3e} > {FORM_RTOL}")
-    return tele[0] if single else tele
-
-
-def transform_batch(batch: TrajectoryBatch, growth) -> TrajectoryBatch:
-    """Apply :func:`discounted_transform` to every path of a batch."""
-    out = discounted_transform(batch.values, growth)
-    return TrajectoryBatch(out, label=f"{batch.label}-discounted", starts_at_zero=True)
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import ctypes
 import ctypes.util
+import dataclasses
 import functools
 import math
 
@@ -16,7 +17,6 @@ from demigronwall.bem import (
     coercivity_probe,
     frozen_model,
     linear_model,
-    noise_terms,
     ou_model,
     simulate_bem,
     sup_norm_estimate,
@@ -474,32 +474,41 @@ class TestModelValidation:
             SdeModel(**args)
 
 
+def _fixed_normals(value):
+    """A stand-in for ``normal_matrix`` whose every draw is ``value``."""
+    return lambda seed, n_paths, n_draws: np.full((n_paths, n_draws), value)
+
+
 class TestNoiseTerms:
-    def test_hand_values(self):
+    def test_hand_values(self, monkeypatch):
+        monkeypatch.setattr(bem, "normal_matrix", _fixed_normals(1.0))  # dW = sqrt(h) = 0.1
         model = SdeModel(
             d=1, m=1,
             drift=lambda y: np.zeros_like(y),
             diffusion=lambda y: np.ones((y.shape[0], 1, 1)),
             L=0.5,
         )
-        paths = np.array([[[0.0], [0.1]], [[1.0], [1.1]]])
-        increments = np.array([[[0.1]], [[0.1]]])
-        z = noise_terms(model, paths, increments, h=0.01)
-        assert abs(z[0, 0]) < 1e-15           # 0.01 - 0.01 + 0
-        assert abs(z[1, 0] - 0.2) < 1e-15     # 0.01 - 0.01 + 2*0.1*1
+        for x0 in (0.0, 1.0):
+            cfg = BemConfig(h=0.01, t_horizon=0.02, h0=0.5, x0=[x0])
+            z = simulate_bem(model, cfg, seed=1, n_paths=2).noise
+            assert z.shape == (2, 2)
+            assert np.all(np.abs(z[:, 0] - 0.2 * x0) < 1e-15)           # 0.01 - 0.01 + 2*0.1*x0
+            assert np.all(np.abs(z[:, 1] - 0.2 * (x0 + 0.1)) < 1e-15)   # Y^1 = x0 + 0.1
 
-    def test_zero_increment_gives_minus_h_g_squared(self):
+    def test_zero_increment_gives_minus_h_g_squared(self, monkeypatch):
+        monkeypatch.setattr(bem, "normal_matrix", _fixed_normals(0.0))
         model = ou_model(0.0, 2.0)
-        paths = np.array([[[3.0], [3.0]]])
-        increments = np.zeros((1, 1, 1))
-        z = noise_terms(model, paths, increments, h=0.1)
-        assert abs(z[0, 0] + 0.1 * 4.0) < 1e-15
+        cfg = BemConfig(h=0.1, t_horizon=0.2, h0=0.2, x0=[3.0])
+        batch = simulate_bem(model, cfg, seed=1, n_paths=3)
+        assert np.all(batch.paths == 3.0)
+        assert np.all(np.abs(batch.noise + 0.1 * 4.0) < 1e-15)
 
     def test_partial_sums_and_shapes(self):
         model = ou_model(1.0, 1.0)
         cfg = BemConfig(h=0.1, t_horizon=0.5, h0=0.25, x0=[1.0])
         batch = simulate_bem(model, cfg, seed=2, n_paths=10)
-        z, s = z_sequence(model, batch.paths, batch.increments, cfg.h, cfg.h0)
+        z, s = z_sequence(model, batch, cfg.h0)
+        assert z is batch.noise
         assert z.shape == (10, 5) and s.shape == (10, 6)
         assert np.all(s[:, 0] == 0.0)
         factor = 1.0 - 2.0 * cfg.h0 * model.L
@@ -525,12 +534,13 @@ class TestNoiseTerms:
             y, g = batch.paths[:, j], model.diffusion(batch.paths[:, j])
             gdw = np.einsum("pdm,pm->pd", g, batch.increments[:, j])
             expected[:, j] = (gdw ** 2).sum(axis=1) - cfg.h * (g ** 2).sum(axis=(1, 2)) + 2.0 * (gdw * y).sum(axis=1)
-        assert noise_terms(model, batch.paths, batch.increments, cfg.h).tobytes() == expected.tobytes()
+        assert batch.noise.tobytes() == expected.tobytes()
 
     def test_step_bound_guard(self):
         model = ou_model(1.0, 1.0)  # L = 0.5
+        batch = simulate_bem(model, BemConfig(h=0.1, t_horizon=0.2, h0=0.25, x0=[0.0]), seed=1, n_paths=1)
         with pytest.raises(StepBoundViolation):
-            z_sequence(model, np.zeros((1, 2, 1)), np.zeros((1, 1, 1)), 0.1, 1.0)
+            z_sequence(model, batch, 1.0)
 
 
 class TestAprioriBound:
@@ -572,6 +582,19 @@ class TestVerifyApriori:
         for p in (0.25, 0.5):
             bounds = {row["bound"] for row in report.rows if row["p"] == p}
             assert len(bounds) == 1
+
+    @pytest.mark.parametrize("h", [0.1, 0.25])
+    def test_one_diffusion_call_per_step(self, h):
+        calls = []
+        base = ou_model(1.0, 1.0)
+
+        def diffusion(y):
+            calls.append(y.shape[0])
+            return base.diffusion(y)
+
+        cfg = BemConfig(h=h, t_horizon=1.0, h0=0.5, x0=[1.0])
+        verify_apriori_bound(dataclasses.replace(base, diffusion=diffusion), [cfg], [0.5], 200, seed=3)
+        assert len(calls) == cfg.n_steps + 1  # one per step, one for the bound's |g(x0)|
 
     def test_side_checks_recorded(self):
         model = ou_model(1.0, 1.0)

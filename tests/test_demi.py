@@ -168,14 +168,14 @@ class TestCheckDemimartingale:
 
 class TestCheckAssociation:
     def test_common_shock_increments_are_associated(self):
-        batch = _batch(GeneratorSpec.associated(1.0), 5, 60_000, 19).increments()
+        batch = TrajectoryBatch(np.diff(_batch(GeneratorSpec.associated(1.0), 5, 60_000, 19).values, axis=1))
         family = TestFunctionFamily.default(batch)
         report = check_association(batch, family)
         assert report.overall_pass
         assert len(report.rows) > 0
 
     def test_disjoint_coordinates_of_independent_signs_near_zero(self):
-        batch = _batch(GeneratorSpec.random_walk(), 2, 60_000, 23).increments()
+        batch = TrajectoryBatch(np.diff(_batch(GeneratorSpec.random_walk(), 2, 60_000, 23).values, axis=1))
         fam = TestFunctionFamily((CoordinateRamp(1, 0.0, 1.0), CoordinateRamp(2, 0.0, 1.0)))
         report = check_association(batch, fam)
         assert report.overall_pass

@@ -170,11 +170,6 @@ class TestTrajectoryBatch:
         with pytest.raises(InvalidSpec):
             TrajectoryBatch(np.zeros(4))
 
-    def test_increments(self):
-        batch = TrajectoryBatch(np.array([[0.0, 1.0, 3.0]]), label="demo")
-        inc = batch.increments()
-        assert np.array_equal(inc.values, np.array([[1.0, 2.0]]))
-
 
 def test_associated_increment_matrix_contract():
     inc = associated_increment_matrix(1.0, 6, 2000, seed=4)

@@ -3,10 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from demigronwall.demi import TestFunctionFamily, check_demimartingale
 from demigronwall import gronwall
 from demigronwall.errors import (
     HolderViolation,
@@ -24,13 +21,10 @@ from demigronwall.gronwall import (
     GronwallInstance,
     HolderPair,
     build_instance,
-    discount_weights,
-    discounted_transform,
     gronwall_bound,
     maximal_moment_bound,
     neg_inf_mean,
     sup_moment,
-    transform_batch,
     verify_gronwall,
     verify_maximal_inequality,
     weighted_history,
@@ -95,63 +89,6 @@ class TestMaximalMomentBound:
             maximal_moment_bound(1.0, 1.0)
         with pytest.raises(NegativeInput):
             maximal_moment_bound(-1.0, 0.5)
-
-
-class TestDiscountWeights:
-    def test_examples(self):
-        assert np.array_equal(discount_weights([0.0, 0.0, 0.0]), [1.0, 1.0, 1.0])
-        assert np.allclose(discount_weights([1.0, 1.0]), [0.5, 0.25])
-        assert np.allclose(discount_weights([0.5]), [2.0 / 3.0])
-
-    @settings(max_examples=100, deadline=None)
-    @given(g=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=20))
-    def test_positive_and_nonincreasing(self, g):
-        c = discount_weights(g)
-        assert np.all(c > 0.0)
-        assert np.all(np.diff(c) <= 0.0)
-
-    def test_negative_rejected(self):
-        with pytest.raises(NegativeWeights):
-            discount_weights([0.5, -0.1])
-
-
-class TestDiscountedTransform:
-    def test_zero_growth_is_identity(self):
-        s = np.array([0.0, 1.0, -2.0, 4.0])
-        assert np.array_equal(discounted_transform(s, np.zeros(3)), s)
-
-    def test_hand_examples(self):
-        assert np.allclose(discounted_transform([0.0, 2.0], [1.0]), [0.0, 1.0])
-        assert np.allclose(discounted_transform([0.0, 1.0, 3.0], [1.0, 1.0]), [0.0, 0.5, 1.0])
-
-    def test_requires_zero_start_and_nonnegative_growth(self):
-        with pytest.raises(NonzeroStart):
-            discounted_transform([1.0, 2.0], [0.0])
-        with pytest.raises(NegativeWeights):
-            discounted_transform([0.0, 1.0], [-0.5])
-        with pytest.raises(ShapeMismatch):
-            discounted_transform([0.0, 1.0, 2.0], [0.5])
-
-    @settings(max_examples=150, deadline=None)
-    @given(
-        steps=st.lists(st.floats(-5, 5), min_size=1, max_size=15),
-        data=st.data(),
-    )
-    def test_two_forms_agree_on_random_inputs(self, steps, data):
-        # FormMismatch inside the call would fail the test
-        g = data.draw(
-            st.lists(st.floats(0.0, 3.0), min_size=len(steps), max_size=len(steps))
-        )
-        path = np.concatenate([[0.0], np.cumsum(steps)])
-        out = discounted_transform(path, np.asarray(g))
-        assert out[0] == 0.0
-
-    def test_transform_preserves_demimartingale_property(self):
-        batch = generate_paths(GeneratorSpec.random_walk(), 8, 60_000, seed=29)
-        growth = 0.5 * np.ones(8)
-        l_batch = transform_batch(batch, growth)
-        report = check_demimartingale(l_batch, TestFunctionFamily.default(l_batch), level=0.999)
-        assert report.overall_pass
 
 
 class TestHolderPair:
