@@ -33,38 +33,101 @@ Every kind, two-point and zero-step batches included, is drawn in the same
 row blocks from one increment law per kind.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BatchTooLarge, InvalidSpec, ShapeMismatch
-from .rng import normal_matrix, uniform_matrix
+from .rng import normal_matrix, raw_uint64, uniform_matrix
 
 #: Refuse to allocate batches beyond this many matrix entries (~1 GiB).
 MAX_BATCH_ENTRIES = 1 << 27
 
-#: Batches are generated (and screened) in blocks of about this many
-#: entries (512 KB of float64), so each block's temporaries stay in L2.
+#: Batches are generated in row blocks of about this many entries (512 KB of
+#: float64), so each block's temporaries stay in L2.
 BLOCK_ENTRIES = 1 << 16
 
-#: Least rows per block of :func:`prefix_reduce`, so each column slice it
-#: reads stays long enough to amortise the per-call cost of a ufunc on wide rows.
-SWEEP_MIN_ROWS = 1 << 10
+#: :func:`transposed_blocks` copies row blocks of about this many entries
+#: (256 KB of float64) into one reused scratch buffer, so every reduction
+#: over a block, and a temporary of the same size, stays in a 1 MB L2.
+SWEEP_ENTRIES = 1 << 15
+
+
+def transposed_blocks(values, first, last):
+    """Yield ``(rows, c0, t)`` over columns ``first..last`` of a 2-D ``values``, one row block at a time.
+
+    ``t`` is ``values[rows, c0 : c0 + len(t)]`` transposed, copied into one
+    C-contiguous scratch buffer of about :data:`SWEEP_ENTRIES` entries that the
+    next block overwrites, so a reduction over time reads whole rows of ``t``.
+    Rows wider than the buffer are cut into column chunks that overlap by one
+    column: ``c0`` of a later chunk is the last column of the chunk before, so
+    the increments ``t[1:] - t[:-1]`` of all chunks cover every step once, and
+    a running reduction can carry its accumulator in through ``t[0]``.  Row
+    blocks come in row order, the chunks of one row block in column order.
+    """
+    width = last - first + 1
+    n_rows = max(1, SWEEP_ENTRIES // width)
+    n_cols = min(width, max(2, SWEEP_ENTRIES // n_rows))  # the whole width unless it exceeds the buffer
+    scratch = np.empty(n_rows * n_cols, dtype=values.dtype)
+    for r0 in range(0, values.shape[0], n_rows):
+        rows = slice(r0, min(r0 + n_rows, values.shape[0]))
+        c0 = first
+        while True:
+            c1 = min(c0 + n_cols - 1, last)
+            t = scratch[: (c1 - c0 + 1) * (rows.stop - r0)].reshape(c1 - c0 + 1, -1)
+            np.copyto(t, values[rows, c0 : c1 + 1].T)
+            yield rows, c0, t
+            if c1 == last:
+                break
+            c0 = c1
+
+
+def prefix_sweep(values, ufuncs, outs, first=0):
+    """Fill ``outs`` as :func:`prefix_reduce` does, yielding each block of :func:`transposed_blocks` first.
+
+    ``outs`` holds one dict per ufunc, each mapping the same requested column
+    indices ``n`` (all in ``[first, N]``) to a preallocated output of one entry
+    per row.  A caller may read each yielded ``(rows, c0, t)`` before the block
+    is folded in, but not keep or write it; the outputs are complete once the
+    generator is exhausted.  Each stretch of ``t`` between consecutive stops
+    (requested columns and chunk ends) takes one ``ufunc.reduce(stretch,
+    axis=0)``, after the running accumulator is written into the stretch's
+    first row; a chunk end carries the accumulator to the next chunk in the
+    output of the next requested column.
+    """
+    wanted = sorted(outs[0])
+    for rows, c0, t in transposed_blocks(values, first, wanted[-1]):
+        yield rows, c0, t
+        c1 = c0 + len(t) - 1
+        start, carried = c0, c0 > first
+        stops = [n for n in wanted if c0 <= n <= c1 and not (carried and n == c0)]
+        if not stops or stops[-1] < c1:
+            stops.append(c1)
+        for stop in stops:
+            src, dest = (wanted[bisect.bisect_left(wanted, k)] for k in (start, stop))
+            stretch = t[start - c0 : stop - c0 + 1]
+            for f, out in zip(ufuncs, outs):
+                if carried:
+                    stretch[0] = out[src][rows]
+                f.reduce(stretch, axis=0, out=out[dest][rows])
+            start, carried = stop, True
 
 
 def prefix_reduce(values, n_list, ufunc=np.maximum, first=0):
     """``{n: ufunc-reduction of each row over columns first..n}`` for every ``n`` in ``n_list``.
 
-    One sweep over the columns, ``ufunc(acc, block[:, k], out=acc)``, on row
-    blocks of about :data:`BLOCK_ENTRIES` entries but at least
-    :data:`SWEEP_MIN_ROWS` rows, records ``acc`` at each requested ``n``; this
-    avoids the per-row overhead of reducing short rows along ``axis=1``.
-    Maximum and minimum are exact in any order, so the result equals numpy's
-    row maximum (minimum) of those columns bit for bit,
-    up to the sign of a zero when a row mixes ``+0.0`` and ``-0.0``;
+    One sweep (:func:`prefix_sweep`) reads each row block once, transposed
+    into a contiguous scratch copy (:func:`transposed_blocks`), and reduces
+    it over time with one ``ufunc.reduce`` per stretch between requested
+    ``n``, so no per-row or per-column call is made.  Every element goes
+    through the same left-to-right sequence of operations as a loop
+    ``ufunc(acc, values[:, k], out=acc)`` over the columns: maximum and
+    minimum equal numpy's row maximum (minimum) of those columns bit for bit,
+    up to the sign of a zero when a row mixes ``+0.0`` and ``-0.0``, and
     ``np.multiply`` multiplies left to right, as ``np.prod`` does over a row.
-    A tuple of ufuncs shares one sweep, so each column is read once for all
+    A tuple of ufuncs shares one sweep, so each block is read once for all
     of them, and gives a tuple of such dicts.
 
     Raises:
@@ -81,21 +144,10 @@ def prefix_reduce(values, n_list, ufunc=np.maximum, first=0):
             f"need 0 <= first <= n < {values.shape[-1]} on a 2-D array, got first={first}, "
             f"n_list={wanted}, shape {values.shape}"
         )
-    last = wanted[-1]
-    outs = [{n: np.empty(values.shape[0], dtype=values.dtype) for n in wanted} for _ in ufuncs]
-    rows = max(SWEEP_MIN_ROWS, BLOCK_ENTRIES // (last - first + 1))
-    for r0 in range(0, values.shape[0], rows):
-        block = values[r0 : r0 + rows]
-        accs = [block[:, first].copy() for _ in ufuncs]
-        for k in range(first, last + 1):
-            if k > first:
-                column = block[:, k]
-                for f, acc in zip(ufuncs, accs):
-                    f(acc, column, out=acc)
-            if k in outs[0]:
-                for out, acc in zip(outs, accs):
-                    out[k][r0 : r0 + rows] = acc
-    return tuple(outs) if isinstance(ufunc, tuple) else outs[0]
+    outs = tuple({n: np.empty(values.shape[0], dtype=values.dtype) for n in wanted} for _ in ufuncs)
+    for _ in prefix_sweep(values, ufuncs, outs, first):
+        pass
+    return outs if isinstance(ufunc, tuple) else outs[0]
 
 
 _KINDS = (
@@ -190,6 +242,10 @@ class GeneratorSpec:
         return f"two_point_demisub[p={self.prob:g}]"
 
 
+_SIGN_BIT = np.uint64(1 << 63)
+_ONE_BITS = np.float64(1.0).view(np.uint64)
+
+
 def _centered_uniform(u):
     return 2.0 * u - 1.0
 
@@ -212,8 +268,12 @@ def _increments(spec: GeneratorSpec, n_steps, n_rows, seed, first_path):
     """Increments of paths ``first_path .. first_path + n_rows - 1``, shape ``(n_rows, n_steps)``."""
     if spec.kind == "random_walk":
         if spec.increment == "pm1":
-            u = uniform_matrix(seed, n_rows, n_steps, first_path=first_path)
-            return np.where(u < 0.5, -1.0, 1.0)
+            # u < 0.5 exactly when the word's top bit is 0: -1.0 there, +1.0 elsewhere
+            bits = raw_uint64(seed, n_rows, n_steps, first_path=first_path)
+            np.invert(bits, out=bits)
+            bits &= _SIGN_BIT
+            bits |= _ONE_BITS
+            return bits.view(np.float64)
         return normal_matrix(seed, n_rows, n_steps, first_path=first_path)
     if spec.kind == "two_point_demisub":
         # +-1 on the first two steps, then 0: the atom paths (-1, -2) and (1, 2), frozen after

@@ -34,8 +34,8 @@ from .errors import (
     POutOfRange,
     ShapeMismatch,
 )
-from .generators import BLOCK_ENTRIES, TrajectoryBatch, prefix_reduce
-from .reporting import VerificationReport, blocked_mean_se, mean_se, mu_norm, one_sided_verdict, power_se
+from .generators import TrajectoryBatch, prefix_reduce, prefix_sweep
+from .reporting import VerificationReport, mean_se, mu_norm, one_sided_verdict, power_se
 
 GRONWALL_COLUMNS = ["n", "p", "mu", "nu", "lhs", "lhs_se", "rhs", "margin", "verdict"]
 
@@ -252,17 +252,47 @@ def build_instance(X: TrajectoryBatch, S: TrajectoryBatch, growth) -> GronwallIn
     return GronwallInstance(X=X, F=F, G=growth, S=S)
 
 
+def _screened_extremes(values, n) -> tuple:
+    """``(sup, inf, mean, se)`` from one read of ``values``: running max and min at ``n`` per row,
+    and the mean and SE over rows of each increment ``values[:, k] - values[:, k - 1]``, ``k = 1..n``.
+
+    Each block of the sweep gives its increments' per-step sums and sums of
+    squares.  The sums of squared deviations they imply are merged across row
+    blocks in order by the pairwise update of Chan, Golub & LeVeque (Am. Stat.
+    1983), so the moments equal :func:`~demigronwall.reporting.mean_se` of the
+    increments up to rounding, which grows with the ratio of their mean to
+    their standard deviation within a block.
+    """
+    m = values.shape[0]
+    sup, inf = np.empty(m), np.empty(m)
+    total, m2 = np.zeros(n), np.zeros(n)  # increment k's sum and sum of squared deviations sit at k - 1
+    for rows, c0, t in prefix_sweep(values, (np.maximum, np.minimum), ({n: sup}, {n: inf})):
+        if len(t) < 2:
+            continue
+        steps = slice(c0, c0 + len(t) - 1)
+        count, size = rows.start, rows.stop - rows.start
+        inc = t[1:] - t[:-1]
+        block_sum = inc.sum(axis=1)
+        # the block's sum of squared deviations, from its sum of squares; never below 0 by rounding
+        m2[steps] += np.maximum(np.einsum("ij,ij->i", inc, inc) - block_sum * block_sum / size, 0.0)
+        if count:
+            gap = total[steps] * (size / count) - block_sum
+            m2[steps] += gap * gap * (count / (size * (count + size)))
+        total[steps] += block_sum
+    se = np.sqrt(m2 / ((m - 1) * m)) if m > 1 else np.zeros(n)
+    return sup, inf, total / m, se
+
+
 def verify_maximal_inequality(batch: TrajectoryBatch, p_grid, n=None) -> VerificationReport:
     """Check ``E[(sup S)^p] <= (E[-inf S])^p / (1-p)`` on a demimartingale batch.
 
     The demimartingale property itself is the caller's responsibility; a
     cheap mean-increment screen warns (never fails) if some step's mean
-    increment lies more than 4 SE below zero.  The screen reads the batch
-    one path block of about :data:`~demigronwall.generators.BLOCK_ENTRIES`
-    entries at a time and merges the block moments with
-    :func:`~demigronwall.reporting.blocked_mean_se`.  The running maximum
-    and minimum come from one shared column sweep
-    (:func:`~demigronwall.generators.prefix_reduce`).  Each grid point passes
+    increment lies more than 4 SE below zero.  The batch is read once
+    (:func:`_screened_extremes`): each row block, transposed into a small
+    contiguous scratch copy by :func:`~demigronwall.generators.prefix_sweep`,
+    gives the running maximum and minimum and the screen's increment
+    moments.  Each grid point passes
     when ``lhs <= rhs + SLACK_SD * combined_SE`` with the right-hand error
     propagated through the power by the delta method.  An empty ``p_grid``
     raises :class:`InvalidSpec`, a nonzero first column :class:`NonzeroStart`
@@ -273,22 +303,15 @@ def verify_maximal_inequality(batch: TrajectoryBatch, p_grid, n=None) -> Verific
     if not p_grid:
         raise InvalidSpec("empty p_grid: need at least one exponent")
     n = _zero_start_index(batch, n)
-    values = batch.values
-    if batch.n_paths > 1 and n >= 1:
-        rows = max(1, BLOCK_ENTRIES // (n + 1))
-        mean, se = blocked_mean_se(
-            np.diff(values[r0 : r0 + rows, : n + 1], axis=1) for r0 in range(0, batch.n_paths, rows)
+    sups, infs, mean, se = _screened_extremes(batch.values, n)
+    if batch.n_paths > 1 and np.any(mean < -4.0 * se - 1e-15):
+        warnings.warn(
+            f"batch {batch.label!r} has significantly negative mean increments; "
+            "it may not be a demimartingale",
+            stacklevel=2,
         )
-        if np.any(mean < -4.0 * se - 1e-15):
-            warnings.warn(
-                f"batch {batch.label!r} has significantly negative mean increments; "
-                "it may not be a demimartingale",
-                stacklevel=2,
-            )
     report = VerificationReport(command="gronwall-lemma", columns=GRONWALL_COLUMNS)
-    sup, inf = prefix_reduce(values, [n], (np.maximum, np.minimum))
-    q, q_se = mean_se(-inf[n])
-    sups = sup[n]
+    q, q_se = mean_se(-infs)
     negative = np.any(sups < 0.0)
     for p in p_grid:
         lhs, lhs_se = _power_moment(sups, negative, _moment_exponent(p))

@@ -36,32 +36,6 @@ def mean_se(samples) -> tuple:
     return mean, se
 
 
-def blocked_mean_se(blocks) -> tuple:
-    """Column-wise mean and standard error of the rows of a sequence of blocks.
-
-    Each block is reduced to its count, mean and sum of squared deviations
-    (M2), and the blocks are merged in order with the pairwise update of
-    Chan, Golub & LeVeque (Am. Stat. 1983), so a batch can be reduced one
-    cache-sized block at a time.  The result equals :func:`mean_se` of the
-    stacked rows up to rounding, not bit for bit; :func:`mean_se` keeps its
-    own float order because committed reference outputs pin its bytes.
-    """
-    count, mean, m2 = 0, 0.0, 0.0
-    for block in blocks:
-        x = np.asarray(block, dtype=np.float64)
-        k = x.shape[0]
-        block_mean = x.mean(axis=0)
-        dev = x - block_mean
-        np.square(dev, out=dev)
-        delta = block_mean - mean
-        total = count + k
-        mean = mean + delta * (k / total)
-        m2 = m2 + dev.sum(axis=0) + delta * delta * (count * k / total)
-        count = total
-    se = np.sqrt(m2 / ((count - 1) * count)) if count > 1 else np.zeros_like(mean)
-    return mean, se
-
-
 def root_of_mean(powered, r) -> tuple:
     """``mean(powered) ** (1/r)`` with its delta-method standard error.
 

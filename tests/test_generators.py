@@ -10,6 +10,7 @@ from demigronwall import generators
 from demigronwall.errors import BatchTooLarge, InvalidSpec, ShapeMismatch
 from demigronwall.generators import (
     BLOCK_ENTRIES,
+    SWEEP_ENTRIES,
     GeneratorSpec,
     TrajectoryBatch,
     associated_increment_matrix,
@@ -71,6 +72,16 @@ class TestGeneratePaths:
         s = np.where(uniform_matrix(seed, m, 1)[:, 0] < prob, -1.0, 1.0)
         expected = np.minimum(np.arange(n_steps + 1), 2) * s[:, None]
         assert batch.values.tobytes() == (expected + 0.0).tobytes()
+
+    def test_pm1_steps_follow_the_uniform_rule(self):
+        # the steps are built from the words' sign bits; they must equal the u < 0.5 rule on
+        # the uniforms, here on three row blocks whose last is ragged and starts at a nonzero path
+        seed, n_steps = 12, 50
+        m = 2 * (BLOCK_ENTRIES // (n_steps + 1)) + 37
+        steps = np.where(uniform_matrix(seed, m, n_steps) < 0.5, -1.0, 1.0)
+        batch = generate_paths(GeneratorSpec.random_walk("pm1"), n_steps, m, seed)
+        assert batch.values[:, 1:].tobytes() == np.cumsum(steps, axis=1).tobytes()
+        assert {-1.0, 1.0} == set(np.unique(steps))
 
     @pytest.mark.parametrize("spec", _ALL_KINDS, ids=_kind_id)
     def test_peak_memory_stays_near_the_batch(self, spec):
@@ -184,38 +195,49 @@ def test_associated_increment_matrix_contract():
 
 @st.composite
 def _sweep_case(draw):
-    """(values, n_list, first, block entries, least block rows) for a prefix_reduce call."""
+    """(values, n_list, first, scratch budget) for a prefix_reduce call."""
     m = draw(st.integers(1, 40))
     cols = draw(st.integers(1, 12))
     first = draw(st.integers(0, cols - 1))
     n_list = draw(st.lists(st.integers(first, cols - 1), min_size=1, max_size=5))
     # + 0.0 turns -0.0 into 0.0: only the sign of a zero may differ from a row reduction
     entries = draw(st.lists(st.floats(-1e3, 1e3).map(lambda x: x + 0.0), min_size=m * cols, max_size=m * cols))
-    block = draw(st.sampled_from([1, 5, 16, BLOCK_ENTRIES]))
-    min_rows = draw(st.sampled_from([1, 3, generators.SWEEP_MIN_ROWS]))
-    return np.array(entries).reshape(m, cols), n_list, first, block, min_rows
+    # budgets below the width cut rows into column chunks; the rest give ragged row blocks
+    budget = draw(st.sampled_from([1, 2, 3, 5, 16, SWEEP_ENTRIES]))
+    return np.array(entries).reshape(m, cols), n_list, first, budget
+
+
+def _assert_row_reduction_bits(values, n_list, first):
+    sups = prefix_reduce(values, n_list, first=first)
+    infs = prefix_reduce(values, n_list, np.minimum, first=first)
+    prods = prefix_reduce(values, n_list, np.multiply, first=first)
+    fused = prefix_reduce(values, n_list, (np.maximum, np.minimum), first=first)
+    assert set(sups) == set(n_list)
+    for n in n_list:
+        cols = values[:, first : n + 1]
+        assert sups[n].tobytes() == cols.max(axis=1).tobytes()
+        assert infs[n].tobytes() == cols.min(axis=1).tobytes()
+        assert prods[n].tobytes() == np.prod(cols, axis=1).tobytes()
+        assert fused[0][n].tobytes() == sups[n].tobytes()
+        assert fused[1][n].tobytes() == infs[n].tobytes()
 
 
 class TestPrefixReduce:
     @settings(max_examples=200, deadline=None)
     @given(_sweep_case())
     def test_equals_the_row_reductions_bit_for_bit(self, case):
-        values, n_list, first, block, min_rows = case
+        values, n_list, first, budget = case
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(generators, "BLOCK_ENTRIES", block)  # row blocks of every size, ragged last block
-            mp.setattr(generators, "SWEEP_MIN_ROWS", min_rows)
-            sups = prefix_reduce(values, n_list, first=first)
-            infs = prefix_reduce(values, n_list, np.minimum, first=first)
-            prods = prefix_reduce(values, n_list, np.multiply, first=first)
-            fused = prefix_reduce(values, n_list, (np.maximum, np.minimum), first=first)
-        assert set(sups) == set(n_list)
-        for n in n_list:
-            cols = values[:, first : n + 1]
-            assert sups[n].tobytes() == cols.max(axis=1).tobytes()
-            assert infs[n].tobytes() == cols.min(axis=1).tobytes()
-            assert prods[n].tobytes() == np.prod(cols, axis=1).tobytes()
-            assert fused[0][n].tobytes() == sups[n].tobytes()
-            assert fused[1][n].tobytes() == infs[n].tobytes()
+            mp.setattr(generators, "SWEEP_ENTRIES", budget)
+            _assert_row_reduction_bits(values, n_list, first)
+
+    def test_rows_wider_than_the_buffer(self, monkeypatch):
+        # 7 columns per chunk, one row per block: chunks 0-6, 6-12, 12-18, 18-20, with requested
+        # columns on a chunk's first column, inside a chunk and on its last
+        monkeypatch.setattr(generators, "SWEEP_ENTRIES", 7)
+        values = np.random.default_rng(8).uniform(0.5, 1.5, size=(5, 21))
+        _assert_row_reduction_bits(values, [2, 6, 9, 18, 20], 0)
+        _assert_row_reduction_bits(values, [20], 1)
 
     def test_argument_errors(self):
         values = np.arange(12.0).reshape(3, 4)

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from demigronwall import gronwall
+from demigronwall import generators, gronwall
 from demigronwall.errors import (
     HolderViolation,
     HypothesisViolated,
@@ -236,6 +236,36 @@ class TestVerifyMaximalInequality:
                 verify_maximal_inequality(TrajectoryBatch(drift), [0.5], 4 + 5)
             with pytest.raises(NonzeroStart):
                 verify_maximal_inequality(TrajectoryBatch(drift + 1.0), [0.5], 2)
+
+
+class TestIncrementScreen:
+    """The screen's moments and extremes from the one read of ``_screened_extremes``."""
+
+    @pytest.mark.parametrize(
+        "m, budget",
+        [(1000, 1 << 20), (1000, 400 * 6), (1000, 333 * 6), (7, 6), (9, 4)],
+        ids=["one-block", "uneven-last", "one-row-last", "one-row-blocks", "column-chunks"],
+    )
+    def test_matches_mean_se_of_the_increments(self, monkeypatch, m, budget):
+        # row blocks of budget // 6 rows at n = 5, so 400 gives blocks 400, 400, 200; a budget
+        # below the width cuts every one-row block into overlapping column chunks
+        monkeypatch.setattr(generators, "SWEEP_ENTRIES", budget)
+        rng = np.random.default_rng(5)
+        values = np.hstack([np.zeros((m, 1)), np.cumsum(rng.normal(3.0, 2.0, size=(m, 8)), axis=1)])
+        n = 5
+        sup, inf, mean, se = gronwall._screened_extremes(values, n)
+        ref_mean, ref_se = mean_se(np.diff(values[:, : n + 1], axis=1))
+        np.testing.assert_allclose(mean, ref_mean, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(se, ref_se, rtol=1e-12, atol=0)
+        assert sup.tobytes() == values[:, : n + 1].max(axis=1).tobytes()
+        assert inf.tobytes() == values[:, : n + 1].min(axis=1).tobytes()
+
+    def test_one_row_has_zero_error_and_n_zero_no_increments(self):
+        sup, inf, mean, se = gronwall._screened_extremes(np.array([[0.0, 2.0, 1.0]]), 2)
+        assert np.array_equal(mean, [2.0, -1.0]) and np.array_equal(se, [0.0, 0.0])
+        assert (sup[0], inf[0]) == (2.0, 0.0)
+        _, _, mean, se = gronwall._screened_extremes(np.zeros((4, 3)), 0)
+        assert mean.shape == se.shape == (0,)
 
 
 class TestVerifyGronwall:

@@ -1,9 +1,8 @@
 import math
 
 import numpy as np
-import pytest
 
-from demigronwall.reporting import SLACK_SD, VerificationReport, blocked_mean_se, mean_se, one_sided_verdict
+from demigronwall.reporting import SLACK_SD, VerificationReport, mean_se, one_sided_verdict
 
 
 def _report(seed, **checks):
@@ -40,22 +39,3 @@ class TestEstimatorCore:
         assert one_sided_verdict(0.5 + SLACK_SD * 0.5, 0.3, 0.5, 0.4) == {"margin": 0.0, "verdict": "pass"}
         cells = one_sided_verdict(0.5 + SLACK_SD * 0.5, 0.3, 0.5, 0.0)
         assert cells["verdict"] == "fail" and cells["margin"] < 0.0
-
-    @pytest.mark.parametrize(
-        "sizes",
-        [[1000], [400, 400, 200], [333, 333, 333, 1], [1, 999], [1, 1, 1]],
-        ids=["one-block", "uneven-last", "one-row-last", "one-row-first", "one-row-blocks"],
-    )
-    def test_blocked_mean_se_matches_mean_se(self, sizes):
-        rng = np.random.default_rng(5)
-        x = rng.normal(3.0, 2.0, size=(sum(sizes), 4))
-        bounds = np.cumsum([0] + sizes)
-        mean, se = blocked_mean_se(x[a:b] for a, b in zip(bounds[:-1], bounds[1:]))
-        ref_mean, ref_se = mean_se(x)
-        np.testing.assert_allclose(mean, ref_mean, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(se, ref_se, rtol=1e-12, atol=0)
-
-    def test_blocked_mean_se_of_one_row_has_zero_error(self):
-        mean, se = blocked_mean_se([np.array([[2.0, -1.0]])])
-        assert np.array_equal(mean, [2.0, -1.0])
-        assert np.array_equal(se, [0.0, 0.0])
