@@ -54,7 +54,7 @@ print(f"max Newton residual over {batch.n_paths} paths x {batch.n_steps} steps: 
 z, s = z_sequence(model, batch, cfg.h0)
 worst = np.abs(z.mean(axis=0) / (z.std(ddof=1, axis=0) / np.sqrt(z.shape[0]))).max()
 print(f"largest |z-score| of the noise-term column means: {worst:.2f} (3.0 allowed)")
-s_batch = TrajectoryBatch(s, label="z-partial-sums", starts_at_zero=True)
+s_batch = TrajectoryBatch(s, label="z-partial-sums")
 s_report = check_demimartingale(s_batch, TestFunctionFamily.default(s_batch), level=0.999)
 print(f"demimartingale check on the partial sums: "
       f"{'pass' if s_report.overall_pass else 'FAIL'} "

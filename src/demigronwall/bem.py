@@ -453,6 +453,18 @@ def sup_norm_estimate(batch: BemBatch, p) -> tuple:
     return root_of_mean(batch.sup_norms() ** r, r)
 
 
+def _check_grid(model: SdeModel, cfg_grid) -> tuple:
+    """Return the (T, h0, x0) that all configurations share; raise at the first that breaks a grid rule."""
+    t0, b0, x0 = cfg_grid[0].t_horizon, cfg_grid[0].h0, cfg_grid[0].x0
+    for cfg in cfg_grid:
+        if cfg.t_horizon != t0 or cfg.h0 != b0 or not np.array_equal(cfg.x0, x0):
+            raise HGridViolation("grid entries must share (T, h0, x0)")
+        if cfg.n_steps < DEMI_MIN_STEPS:
+            raise DegenerateBatch(f"h={cfg.h:g} gives {cfg.n_steps} step(s), need {DEMI_MIN_STEPS} for the demi check")
+        cfg.validate_against(model)
+    return t0, b0, x0
+
+
 def verify_apriori_bound(
     model: SdeModel,
     cfg_grid,
@@ -485,13 +497,7 @@ def verify_apriori_bound(
         raise InvalidSpec("empty p_grid: need at least one exponent")
     if not 0.0 < level < 1.0:
         raise InvalidSpec(f"level must lie in (0, 1), got {level}")
-    t0, b0, x0 = cfg_grid[0].t_horizon, cfg_grid[0].h0, cfg_grid[0].x0
-    for cfg in cfg_grid:
-        if cfg.t_horizon != t0 or cfg.h0 != b0 or not np.array_equal(cfg.x0, x0):
-            raise HGridViolation("grid entries must share (T, h0, x0)")
-        if cfg.n_steps < DEMI_MIN_STEPS:
-            raise DegenerateBatch(f"h={cfg.h:g} gives {cfg.n_steps} step(s), need {DEMI_MIN_STEPS} for the demi check")
-        cfg.validate_against(model)
+    t0, b0, x0 = _check_grid(model, cfg_grid)
     x0_norm = float(np.sqrt((x0 ** 2).sum()))
     g0_norm = model.diffusion_norm(x0)
     bounds = {p: apriori_moment_bound(p, model.L, t0, b0, x0_norm, g0_norm) for p in p_grid}
@@ -508,7 +514,7 @@ def verify_apriori_bound(
         col_mean, col_se = mean_se(z)
         z_ok = np.all(np.abs(col_mean) <= SLACK_SD * col_se + 1e-15)
         report.checks[f"z_mean_zero[h={cfg.h:g}]"] = bool(z_ok)
-        s_batch = TrajectoryBatch(s, label=f"z-partial-sums[h={cfg.h:g}]", starts_at_zero=True)
+        s_batch = TrajectoryBatch(s, label=f"z-partial-sums[h={cfg.h:g}]")
         demi = check_demimartingale(s_batch, TestFunctionFamily.default(s_batch), level=level)
         report.checks[f"s_demimartingale[h={cfg.h:g}]"] = demi.overall_pass
     return report

@@ -312,12 +312,7 @@ def _drive_bem(model, kappa, sigma, t_horizon, h0, h_grid, p_grid, x0, newton_to
         bem_mod.BemConfig(h=h, t_horizon=t_horizon, h0=h0, x0=np.array(x0), newton_tol=newton_tol)
         for h in h_grid
     ]
-    for cfg in cfgs:
-        cfg.validate_against(sde)
-        if cfg.n_steps < demi_mod.DEMI_MIN_STEPS:
-            raise ValueError(
-                f"h={cfg.h:g} gives {cfg.n_steps} step(s), need {demi_mod.DEMI_MIN_STEPS} for the demi check"
-            )
+    bem_mod._check_grid(sde, cfgs)
 
     def run(seeds, n_paths):
         report = VerificationReport(command="bem", columns=bem_mod.BEM_COLUMNS, seeds=list(seeds))

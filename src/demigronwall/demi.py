@@ -17,6 +17,7 @@ nondecreasing probe functions and run one-sided z-tests per cell:
 No completeness claim is made for the probe family.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -188,9 +189,10 @@ def _zscore(estimate, stderr) -> float:
 
 
 def _cell_row(j, name, estimate, stderr, z_crit) -> dict:
+    estimate, stderr = float(estimate), float(stderr)
     z = _zscore(estimate, stderr)
     verdict = "fail" if estimate < -z_crit * stderr else "pass"
-    return {"j": j, "function": name, "estimate": float(estimate), "stderr": float(stderr), "z": z, "verdict": verdict}
+    return {"j": j, "function": name, "estimate": estimate, "stderr": stderr, "z": z, "verdict": verdict}
 
 
 # --------------------------------------------------------------------------
@@ -252,14 +254,15 @@ def check_demimartingale(batch: TrajectoryBatch, family: TestFunctionFamily, lev
 
 
 def check_association(batch: TrajectoryBatch, family: TestFunctionFamily) -> VerificationReport:
-    """Test ``Cov(f(X), g(X)) >= 0`` for every ordered pair of probes.
+    """Test ``Cov(f(X), g(X)) >= 0`` for each unordered pair of distinct probes.
 
     Columns of ``batch`` are interpreted as the collection ``X_1 .. X_n``.
-    Standard errors come from batch means over :data:`ASSOCIATION_BLOCKS`
-    contiguous blocks of paths, which stays honest under heavy tails, and
-    each cell is a one-sided z-test at :data:`ASSOCIATION_LEVEL`.  The
-    report's command is ``"association"`` and its columns are
-    :data:`DEMI_COLUMNS`.
+    The condition is symmetric and holds for ``f = g``, so the cells are the
+    pairs ``f|g`` with ``f`` before ``g`` in member order.  Standard errors
+    come from batch means over :data:`ASSOCIATION_BLOCKS` contiguous blocks
+    of paths, which stays honest under heavy tails, and each cell is a
+    one-sided z-test at :data:`ASSOCIATION_LEVEL`.  The report's command is
+    ``"association"`` and its columns are :data:`DEMI_COLUMNS`.
 
     Raises:
         EmptyFamily: fewer than two applicable probes.
@@ -276,18 +279,13 @@ def check_association(batch: TrajectoryBatch, family: TestFunctionFamily) -> Ver
         )
     values = batch.values
     z_crit = float(ndtri(ASSOCIATION_LEVEL))
-    evals = [np.asarray(f.evaluate(values), dtype=np.float64) for f in members]
+    evals = np.array([f.evaluate(values) for f in members], dtype=np.float64)
     bounds = np.linspace(0, m, ASSOCIATION_BLOCKS + 1).astype(int)
+    est = np.cov(evals, ddof=1)
+    _, se = mean_se(np.array([np.cov(evals[:, lo:hi], ddof=1) for lo, hi in zip(bounds[:-1], bounds[1:])]))
     report = VerificationReport(command="association", columns=DEMI_COLUMNS)
-    for a, fa in enumerate(members):
-        for b, fb in enumerate(members):
-            fv, gv = evals[a], evals[b]
-            est = float(np.cov(fv, gv, ddof=1)[0, 1])
-            block_covs = np.array(
-                [np.cov(fv[lo:hi], gv[lo:hi], ddof=1)[0, 1] for lo, hi in zip(bounds[:-1], bounds[1:])]
-            )
-            _, se = mean_se(block_covs)
-            report.rows.append(_cell_row(None, f"{fa.name}|{fb.name}", est, se, z_crit))
+    for (a, fa), (b, fb) in itertools.combinations(enumerate(members), 2):
+        report.rows.append(_cell_row(None, f"{fa.name}|{fb.name}", est[a, b], se[a, b], z_crit))
     return report
 
 

@@ -166,12 +166,10 @@ class TrajectoryBatch:
         values: float matrix of shape (n_paths, n_steps + 1); row ``r``,
             column ``k`` is path ``r`` at time index ``k``.
         label: generator descriptor for reports.
-        starts_at_zero: when True, column 0 is asserted to be identically 0.
     """
 
     values: np.ndarray
     label: str = ""
-    starts_at_zero: bool = False
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -179,8 +177,6 @@ class TrajectoryBatch:
             raise InvalidSpec(f"batch values must be a 2-D M x (N+1) matrix, got shape {values.shape}")
         if not np.isfinite(values).all():
             raise InvalidSpec("batch contains non-finite entries")
-        if self.starts_at_zero and np.any(values[:, 0] != 0.0):
-            raise InvalidSpec("batch flagged starts_at_zero has a nonzero first column")
         object.__setattr__(self, "values", values)
 
     @property
@@ -319,4 +315,4 @@ def generate_paths(spec: GeneratorSpec, n_steps, n_paths, seed) -> TrajectoryBat
         r1 = min(r0 + rows, n_paths)
         inc = _increments(spec, n_steps, r1 - r0, seed, r0)
         np.cumsum(inc, axis=1, out=values[r0:r1, 1:])
-    return TrajectoryBatch(values, label=f"{spec.label}@seed={int(seed)}", starts_at_zero=True)
+    return TrajectoryBatch(values, label=f"{spec.label}@seed={int(seed)}")

@@ -25,7 +25,7 @@ SLACK_SD = 3.0
 def mean_se(samples) -> tuple:
     """Sample mean along axis 0 and its standard error (0 for one sample).
 
-    A 1-D input gives two floats, a 2-D input one mean and one SE per column.
+    A 1-D input gives two floats, a wider input arrays over its other axes.
     """
     x = np.asarray(samples)
     m = x.shape[0]

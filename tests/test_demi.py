@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demigronwall.demi import (
+    ASSOCIATION_BLOCKS,
     Constant1,
     CoordinateRamp,
     ProductRamp,
@@ -20,6 +23,7 @@ from demigronwall.errors import (
     NotNondecreasing,
 )
 from demigronwall.generators import GeneratorSpec, TrajectoryBatch, generate_paths
+from demigronwall.reporting import mean_se
 
 
 def _batch(spec, n, m, seed):
@@ -188,6 +192,42 @@ class TestCheckAssociation:
         fam = TestFunctionFamily((CoordinateRamp(1, 0.0, 1.0), CoordinateRamp(2, 0.0, 1.0)))
         report = check_association(batch, fam)
         assert not report.overall_pass
+
+    @staticmethod
+    def _associated_batch(m):
+        return TrajectoryBatch(np.diff(_batch(GeneratorSpec.associated(1.0), 4, m, 29).values, axis=1))
+
+    def test_one_cell_per_unordered_pair_of_distinct_probes(self):
+        batch = self._associated_batch(300)
+        family = TestFunctionFamily.default(batch)
+        names = [f"{f.name}|{g.name}" for f, g in itertools.combinations(family.members, 2)]
+        assert [r["function"] for r in check_association(batch, family).rows] == names
+        assert len(names) == 15
+
+    def test_cells_match_a_per_pair_covariance_loop(self):
+        m = 6007  # not a multiple of ASSOCIATION_BLOCKS: the last block is ragged
+        batch = self._associated_batch(m)
+        family = TestFunctionFamily.default(batch)
+        evals = [f.evaluate(batch.values) for f in family.members]
+        bounds = np.linspace(0, m, ASSOCIATION_BLOCKS + 1).astype(int)
+        rows = iter(check_association(batch, family).rows)
+        for fv, gv in itertools.combinations(evals, 2):
+            est = np.cov(fv, gv, ddof=1)[0, 1]
+            block_covs = [np.cov(fv[lo:hi], gv[lo:hi], ddof=1)[0, 1] for lo, hi in zip(bounds[:-1], bounds[1:])]
+            _, se = mean_se(np.array(block_covs))
+            row = next(rows)
+            atol = 1e-12 * np.std(fv) * np.std(gv)
+            np.testing.assert_allclose(row["estimate"], est, rtol=1e-12, atol=atol)
+            np.testing.assert_allclose(row["stderr"], se, rtol=1e-12, atol=atol)
+
+    def test_one_covariance_matrix_per_path_block(self, monkeypatch):
+        batch = self._associated_batch(300)
+        family = TestFunctionFamily.default(batch)
+        calls = []
+        cov = np.cov
+        monkeypatch.setattr(np, "cov", lambda *a, **k: calls.append(None) or cov(*a, **k))
+        check_association(batch, family)
+        assert len(calls) == 1 + ASSOCIATION_BLOCKS
 
     def test_errors(self):
         batch = _batch(GeneratorSpec.random_walk(), 3, 40, 1)

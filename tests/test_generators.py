@@ -177,8 +177,6 @@ class TestTrajectoryBatch:
         with pytest.raises(InvalidSpec):
             TrajectoryBatch(np.array([[0.0, np.inf]]))
         with pytest.raises(InvalidSpec):
-            TrajectoryBatch(np.array([[1.0, 2.0]]), starts_at_zero=True)
-        with pytest.raises(InvalidSpec):
             TrajectoryBatch(np.zeros(4))
 
 

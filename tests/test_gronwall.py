@@ -33,9 +33,9 @@ from demigronwall.reporting import mean_se, one_sided_verdict, power_se
 from demigronwall.rng import uniform_matrix
 
 
-def _const_batch(rows, m=1, label="det", starts_at_zero=False):
+def _const_batch(rows, m=1, label="det"):
     vals = np.tile(np.asarray(rows, dtype=float)[None, :], (m, 1))
-    return TrajectoryBatch(vals, label=label, starts_at_zero=starts_at_zero)
+    return TrajectoryBatch(vals, label=label)
 
 
 class TestMomentEstimators:
@@ -146,20 +146,20 @@ class TestGronwallBound:
 
 class TestBuildInstance:
     def test_zero_x_gives_positive_part_of_minus_s(self):
-        s = TrajectoryBatch(np.array([[0.0, -1.0, 2.0]]), starts_at_zero=True)
+        s = TrajectoryBatch(np.array([[0.0, -1.0, 2.0]]))
         x = TrajectoryBatch(np.zeros((1, 3)))
         inst = build_instance(x, s, np.array([0.5, 0.5]))
         assert np.array_equal(inst.F.values, [[0.0, 1.0, 0.0]])
 
     def test_constant_x_without_growth(self):
         x = TrajectoryBatch(np.ones((2, 3)))
-        s = TrajectoryBatch(np.zeros((2, 3)), starts_at_zero=True)
+        s = TrajectoryBatch(np.zeros((2, 3)))
         inst = build_instance(x, s, np.zeros(2))
         assert np.array_equal(inst.F.values, np.ones((2, 3)))
 
     def test_hand_example_uses_x0_in_the_sum(self):
         x = TrajectoryBatch(np.array([[0.0, 2.0]]))
-        s = TrajectoryBatch(np.array([[0.0, 1.0]]), starts_at_zero=True)
+        s = TrajectoryBatch(np.array([[0.0, 1.0]]))
         inst = build_instance(x, s, np.array([0.5]))
         assert np.array_equal(inst.F.values, [[0.0, 1.0]])
 
@@ -172,20 +172,20 @@ class TestBuildInstance:
 
     def test_errors(self):
         x = TrajectoryBatch(np.zeros((2, 3)))
-        s = TrajectoryBatch(np.zeros((2, 3)), starts_at_zero=True)
+        s = TrajectoryBatch(np.zeros((2, 3)))
         with pytest.raises(NegativeInput):
             build_instance(TrajectoryBatch(-np.ones((2, 3))), s, np.zeros(2))
         with pytest.raises(NegativeInput):
             build_instance(x, s, np.array([-0.1, 0.0]))
         with pytest.raises(ShapeMismatch):
-            build_instance(x, TrajectoryBatch(np.zeros((2, 4)), starts_at_zero=True), np.zeros(3))
+            build_instance(x, TrajectoryBatch(np.zeros((2, 4))), np.zeros(3))
         with pytest.raises(NonzeroStart):
             build_instance(x, TrajectoryBatch(np.ones((2, 3))), np.zeros(2))
 
 
 class TestVerifyMaximalInequality:
     def test_all_zero_batch_passes_with_zero_bound(self):
-        batch = TrajectoryBatch(np.zeros((100, 5)), starts_at_zero=True)
+        batch = TrajectoryBatch(np.zeros((100, 5)))
         report = verify_maximal_inequality(batch, [0.25, 0.5, 0.75])
         assert report.overall_pass
         assert all(row["lhs"] == 0.0 and row["rhs"] == 0.0 for row in report.rows)
@@ -203,7 +203,7 @@ class TestVerifyMaximalInequality:
 
     def test_suspicious_batch_warns(self):
         drift = np.cumsum(-np.ones((200, 6)), axis=1)
-        batch = TrajectoryBatch(np.hstack([np.zeros((200, 1)), drift]), starts_at_zero=True)
+        batch = TrajectoryBatch(np.hstack([np.zeros((200, 1)), drift]))
         with pytest.warns(UserWarning, match="mean increments"):
             verify_maximal_inequality(batch, [0.5])
 
@@ -272,7 +272,7 @@ class TestVerifyGronwall:
     def test_deterministic_instance(self):
         x = TrajectoryBatch(np.ones((1, 2)))
         f = TrajectoryBatch(np.ones((1, 2)))
-        s = TrajectoryBatch(np.zeros((1, 2)), starts_at_zero=True)
+        s = TrajectoryBatch(np.zeros((1, 2)))
         inst = GronwallInstance(X=x, F=f, G=np.zeros(1), S=s)
         report = verify_gronwall(inst, [HolderPair.deterministic(0.5)], [1])
         row = report.rows[0]
@@ -306,7 +306,7 @@ class TestVerifyGronwall:
     def test_hypothesis_violation_detected(self):
         x = TrajectoryBatch(np.full((3, 2), 2.0))
         f = TrajectoryBatch(np.ones((3, 2)))  # too small: 2 > 1 + 0 + 0
-        s = TrajectoryBatch(np.zeros((3, 2)), starts_at_zero=True)
+        s = TrajectoryBatch(np.zeros((3, 2)))
         inst = GronwallInstance(X=x, F=f, G=np.zeros(1), S=s)
         with pytest.raises(HypothesisViolated):
             verify_gronwall(inst, [HolderPair.deterministic(0.5)], [1])
@@ -394,7 +394,7 @@ class TestPerTimeIndexHoisting:
     @pytest.mark.parametrize("shared", [True, False])
     def test_direct_instance_with_negative_growth_raises(self, shared):
         x = TrajectoryBatch(np.ones((4, 3)))
-        s = TrajectoryBatch(np.zeros((4, 3)), starts_at_zero=True)
+        s = TrajectoryBatch(np.zeros((4, 3)))
         g = np.array([0.5, -0.1]) if shared else TrajectoryBatch(np.full((4, 2), -0.1))
         inst = GronwallInstance(X=x, F=TrajectoryBatch(np.full((4, 3), 3.0)), G=g, S=s)
         with pytest.raises(NegativeWeights):
@@ -402,7 +402,7 @@ class TestPerTimeIndexHoisting:
 
     def test_direct_instance_with_short_growth_raises(self):
         x = TrajectoryBatch(np.ones((4, 3)))
-        s = TrajectoryBatch(np.zeros((4, 3)), starts_at_zero=True)
+        s = TrajectoryBatch(np.zeros((4, 3)))
         for g in (np.zeros(1), TrajectoryBatch(np.zeros((3, 2)))):
             inst = GronwallInstance(X=x, F=TrajectoryBatch(np.ones((4, 3))), G=g, S=s)
             with pytest.raises(ShapeMismatch):
@@ -414,7 +414,7 @@ class TestGrowthChecks:
 
     def test_short_or_misshapen_growth_raises(self):
         x = np.ones((4, 3))
-        s = TrajectoryBatch(np.zeros((4, 3)), starts_at_zero=True)
+        s = TrajectoryBatch(np.zeros((4, 3)))
         for g in (np.array([0.5]), np.zeros((3, 2)), np.zeros((4, 2, 1)), np.float64(0.5)):
             with pytest.raises(ShapeMismatch):
                 weighted_history(x, g)
@@ -423,7 +423,7 @@ class TestGrowthChecks:
 
     def test_negative_growth_raises_negative_weights(self):
         x = np.ones((4, 3))
-        s = TrajectoryBatch(np.zeros((4, 3)), starts_at_zero=True)
+        s = TrajectoryBatch(np.zeros((4, 3)))
         for g in (np.array([0.5, -0.1]), np.full((4, 2), -0.1), TrajectoryBatch(np.full((4, 2), -0.1))):
             with pytest.raises(NegativeWeights):
                 weighted_history(x, g)
@@ -433,7 +433,7 @@ class TestGrowthChecks:
 
     def test_per_path_array_equals_per_path_batch(self):
         x = TrajectoryBatch(2.0 * uniform_matrix(81, 5, 4), label="x")
-        s = TrajectoryBatch(np.zeros((5, 4)), starts_at_zero=True)
+        s = TrajectoryBatch(np.zeros((5, 4)))
         g = 0.3 * uniform_matrix(82, 5, 3)
         from_array = build_instance(x, s, g)
         from_batch = build_instance(x, s, TrajectoryBatch(g))
