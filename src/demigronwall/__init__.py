@@ -37,7 +37,6 @@ from .fractional import (
     FractionalModel,
     caputo_l1_forms,
     effective_rate,
-    fractional_gronwall_bound,
     kernel_mass,
     l1_a,
     l1_b_row,
@@ -56,7 +55,7 @@ from .gronwall import (
     GronwallInstance,
     HolderPair,
     build_instance,
-    gronwall_bound,
+    holder_bound,
     maximal_moment_bound,
     neg_inf_mean,
     sup_moment,

@@ -26,7 +26,7 @@ from scipy.special import ndtri
 
 from .errors import DegenerateBatch, EmptyFamily, InvalidSpec, NotNondecreasing
 from .generators import TrajectoryBatch
-from .reporting import VerificationReport, mean_se
+from .reporting import VerificationReport, mean_se, one_sided_verdict
 
 DEMI_COLUMNS = ["j", "function", "estimate", "stderr", "z", "verdict"]
 
@@ -191,7 +191,7 @@ def _zscore(estimate, stderr) -> float:
 def _cell_row(j, name, estimate, stderr, z_crit) -> dict:
     estimate, stderr = float(estimate), float(stderr)
     z = _zscore(estimate, stderr)
-    verdict = "fail" if estimate < -z_crit * stderr else "pass"
+    verdict = one_sided_verdict(0.0, 0.0, estimate, stderr, z_crit)["verdict"]
     return {"j": j, "function": name, "estimate": estimate, "stderr": stderr, "z": z, "verdict": verdict}
 
 

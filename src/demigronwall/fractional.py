@@ -21,7 +21,9 @@ nonnegative sequences satisfying
     sum_r q_r D^{beta_r} X_n <= F_n + Y_n + lambda1 X_n + lambda2 X_{n-1}
 
 with ``(Y_n)`` mean-zero associated, in terms of a Mittag-Leffler growth
-factor and plug-in moments of ``X_0`` and ``sup F``.
+factor and plug-in moments of ``X_0`` and ``sup F``.  Its right-hand side is
+:func:`~demigronwall.gronwall.holder_bound`, the one the discrete Gronwall
+theorem uses, with the Mittag-Leffler factor as the growth weight.
 """
 
 import math
@@ -42,8 +44,8 @@ from .errors import (
     ShapeMismatch,
 )
 from .generators import BLOCK_ENTRIES, TrajectoryBatch, prefix_reduce
-from .gronwall import GRONWALL_COLUMNS, HolderPair, _harness_grid, _power_moment
-from .reporting import VerificationReport, mean_se, mu_norm, one_sided_verdict, power_se
+from .gronwall import GRONWALL_COLUMNS, _harness_grid, _power_moment, holder_bound
+from .reporting import VerificationReport, mean_se, one_sided_verdict
 
 #: the delta and direct forms of the L1 operator must agree this tightly
 FORM_RTOL = 1e-12
@@ -312,30 +314,8 @@ def ml_growth_factor(model: FractionalModel, n) -> float:
 
 
 # --------------------------------------------------------------------------
-# the fractional Gronwall bound
+# the fractional Gronwall harness
 # --------------------------------------------------------------------------
-
-def fractional_gronwall_bound(
-    model: FractionalModel, pair: HolderPair, n, x0_mean_term, f_sup_mean_term, ml_factor=None
-) -> float:
-    """Right-hand side of the fractional Gronwall inequality at step ``n``.
-
-    ``prefactor(pair) * ||ml^p||_mu * (x0_term + f_term)^p`` where
-    ``x0_term`` estimates ``E[tau^{beta_m}/(q_m Gamma(1+beta_m)) X_0 W]``
-    and ``f_term`` estimates the matching ``sup F`` expectation.  The
-    Mittag-Leffler factor defaults to the deterministic value computed from
-    the model; an array may be passed for a random-coefficient variant, in
-    which case its mu-norm is a plug-in estimate.
-    """
-    x0_mean_term = float(x0_mean_term)
-    f_sup_mean_term = float(f_sup_mean_term)
-    if x0_mean_term < 0.0 or f_sup_mean_term < 0.0:
-        raise NegativeInput("expectation terms must be >= 0")
-    if ml_factor is None:
-        ml_factor = ml_growth_factor(model, n)
-    norm, _ = mu_norm(ml_factor, pair.p, pair.mu)
-    return pair.prefactor * norm * (x0_mean_term + f_sup_mean_term) ** pair.p
-
 
 def verify_fractional_gronwall(
     model: FractionalModel, X: TrajectoryBatch, Y, pairs, n_list=None
@@ -349,8 +329,10 @@ def verify_fractional_gronwall(
     and each ``fractional_hypothesis_holds[...]`` check is True.  The running
     maxima, the plug-in means and the Mittag-Leffler factor are computed once
     per ``n``.  Each cell
-    compares ``E[sup_{1<=k<=n} X_k^p]`` against :func:`fractional_gronwall_bound`
-    with one-sided ``SLACK_SD * SE`` slack; rows are pair-major.  ``Y``
+    compares ``E[sup_{1<=k<=n} X_k^p]`` against
+    :func:`~demigronwall.gronwall.holder_bound` of the Mittag-Leffler factor
+    and the summed plug-in means, with one-sided ``SLACK_SD * SE`` slack;
+    rows are pair-major.  ``Y``
     should be a mean-zero associated family; certifying that (via
     ``check_association``) is the caller's responsibility.
 
@@ -385,8 +367,7 @@ def verify_fractional_gronwall(
         for n in n_list:
             (x0_mean, x0_se), (f_mean, f_se), ml = per_n[n]
             lhs, lhs_se = _power_moment(x_sups[n], False, pair.p)  # X >= 0 was checked above
-            rhs = fractional_gronwall_bound(model, pair, n, x0_mean, f_mean, ml)
-            rhs_se = pair.prefactor * ml ** pair.p * power_se(x0_mean + f_mean, math.hypot(x0_se, f_se), pair.p)
+            rhs, rhs_se = holder_bound(pair, ml, x0_mean + f_mean, math.hypot(x0_se, f_se))
             report.add_row(
                 n=n, p=pair.p, mu=pair.mu, nu=pair.nu, lhs=lhs, lhs_se=lhs_se, rhs=rhs,
                 **one_sided_verdict(lhs, lhs_se, rhs, rhs_se),

@@ -68,9 +68,13 @@ def mu_norm(values, p, mu) -> tuple:
     return root_of_mean(x ** (p * mu), mu)
 
 
-def one_sided_verdict(lhs, lhs_se, rhs, rhs_se) -> dict:
-    """``margin`` and ``verdict`` cells of the check ``lhs <= rhs + SLACK_SD * combined SE``."""
-    margin = rhs + SLACK_SD * math.hypot(lhs_se, rhs_se) - lhs
+def one_sided_verdict(lhs, lhs_se, rhs, rhs_se, slack=SLACK_SD) -> dict:
+    """``margin`` and ``verdict`` cells of the check ``lhs <= rhs + slack * combined SE``.
+
+    Every verdict is decided here; the demimartingale and association
+    z-tests pass ``slack = z(level)``.
+    """
+    margin = rhs + slack * math.hypot(lhs_se, rhs_se) - lhs
     return {"margin": margin, "verdict": "pass" if margin >= 0.0 else "fail"}
 
 

@@ -21,17 +21,17 @@ from demigronwall.fractional import (
     FractionalModel,
     caputo_l1_forms,
     effective_rate,
-    fractional_gronwall_bound,
     kernel_mass,
     l1_a,
     l1_b_row,
     mittag_leffler,
+    ml_growth_factor,
     multi_term_table,
     verify_fractional_gronwall,
 )
 from demigronwall.generators import TrajectoryBatch, associated_increment_matrix
-from demigronwall.gronwall import HolderPair, sup_moment
-from demigronwall.reporting import mean_se, one_sided_verdict, power_se
+from demigronwall.gronwall import HolderPair, holder_bound, sup_moment
+from demigronwall.reporting import mean_se, one_sided_verdict
 from demigronwall.rng import uniform_matrix
 
 # math.gamma is the oracle implementation, independent of the scipy-backed
@@ -256,22 +256,25 @@ class TestRateAndKernelMass:
 
 
 class TestFractionalGronwallBound:
+    """:func:`holder_bound` with the Mittag-Leffler factor as the growth weight."""
+
     def test_zero_terms_give_zero(self):
         model = FractionalModel(betas=(0.5,), q=(1.0,), tau=0.1, n_steps=10)
         pair = HolderPair.deterministic(0.5)
-        assert fractional_gronwall_bound(model, pair, 10, 0.0, 0.0) == 0.0
+        assert holder_bound(pair, ml_growth_factor(model, 10), 0.0, 0.0) == (0.0, 0.0)
 
     def test_zero_rate_gives_factor_two(self):
         model = FractionalModel(betas=(0.5,), q=(1.0,), tau=0.1, n_steps=10)
         pair = HolderPair.deterministic(0.5)
-        got = fractional_gronwall_bound(model, pair, 10, 0.4, 0.6)
+        assert ml_growth_factor(model, 10) == 2.0
+        got, _ = holder_bound(pair, ml_growth_factor(model, 10), 0.4 + 0.6, 0.0)
         assert abs(got - 3.0 * 2.0 ** 0.5 * 1.0 ** 0.5) < 1e-14
 
     def test_unit_rate_example_against_erfc_oracle(self):
         # t_n = 1, lambda = 1: bound = 3 (2 E_{1/2}(2))^{1/2}, E_{1/2}(2) = e^4 erfc(-2)
         model = FractionalModel(betas=(0.5,), q=(1.0,), tau=0.1, n_steps=10, lambda1=1.0)
         pair = HolderPair.deterministic(0.5)
-        got = fractional_gronwall_bound(model, pair, 10, 0.5, 0.5)
+        got, _ = holder_bound(pair, ml_growth_factor(model, 10), 0.5 + 0.5, 0.0)
         want = 3.0 * math.sqrt(2.0 * math.exp(4.0) * erfc(-2.0))
         assert abs(got - want) <= 1e-9 * want
 
@@ -284,22 +287,21 @@ class TestFractionalGronwallBound:
         t = n * 0.2
         ml = 2.0 * mittag_leffler(0.6, 2.0 * lam * t ** 0.6 / 2.0)
         inlined = (1.0 + 1.0 / (1.0 - p)) * ml ** p * (0.7 + 1.3) ** p
-        assert abs(fractional_gronwall_bound(model, pair, n, 0.7, 1.3) - inlined) < 1e-12
+        assert abs(holder_bound(pair, ml_growth_factor(model, n), 0.7 + 1.3, 0.0)[0] - inlined) < 1e-12
 
     def test_random_factor_batch_norms(self):
-        model = FractionalModel(betas=(0.5,), q=(1.0,), tau=0.1, n_steps=10)
+        # a sample of factors: the mu = inf norm is the sample maximum, mu = 2 a plug-in mean
         vals = np.array([2.0, 4.0, 6.0])
         inf_pair = HolderPair.deterministic(0.5)
-        got = fractional_gronwall_bound(model, inf_pair, 10, 1.0, 0.0, ml_factor=vals)
-        assert abs(got - 3.0 * 6.0 ** 0.5) < 1e-14
+        assert abs(holder_bound(inf_pair, vals, 1.0, 0.0)[0] - 3.0 * 6.0 ** 0.5) < 1e-14
         two_pair = HolderPair(2.0, 2.0, 0.25)
         want = two_pair.prefactor * float(np.mean(vals ** 0.5)) ** 0.5
-        assert abs(fractional_gronwall_bound(model, two_pair, 10, 1.0, 0.0, vals) - want) < 1e-14
+        assert abs(holder_bound(two_pair, vals, 1.0, 0.0)[0] - want) < 1e-14
 
     def test_negative_terms_rejected(self):
         model = FractionalModel(betas=(0.5,), q=(1.0,), tau=0.1, n_steps=10)
         with pytest.raises(NegativeInput):
-            fractional_gronwall_bound(model, HolderPair.deterministic(0.5), 10, -1.0, 0.0)
+            holder_bound(HolderPair.deterministic(0.5), ml_growth_factor(model, 10), -1.0, 0.0)
 
 
 class TestVerifyFractionalGronwall:
@@ -384,7 +386,7 @@ class TestFractionalGrid:
             assert (row["lhs"], row["lhs_se"]) == sup_moment(x, pair.p, n, first=1)
             x0_term = float(np.mean(model.tau ** model.beta_max * c * kernel_mass(model, n) * x.values[:, 0]))
             f_term = float(np.mean(model.time(n) ** model.beta_max * c * f[:, :n].max(axis=1)))
-            assert row["rhs"] == fractional_gronwall_bound(model, pair, n, x0_term, f_term)
+            assert row["rhs"] == holder_bound(pair, ml_growth_factor(model, n), x0_term + f_term, 0.0)[0]
         assert set(report.checks) == {
             f"fractional_hypothesis_holds[n={n},p={q.p:g},mu={q.mu:g}]" for q, n in cells
         }
@@ -404,9 +406,7 @@ class TestFractionalGrid:
                 lhs, lhs_se = sup_moment(x, pair.p, n, first=1)
                 x0_mean, x0_se = mean_se(model.tau ** model.beta_max * c * kernel_mass(model, n) * x.values[:, 0])
                 f_mean, f_se = mean_se(model.time(n) ** model.beta_max * c * f[:, :n].max(axis=1))
-                ml = fractional.ml_growth_factor(model, n)
-                rhs = fractional_gronwall_bound(model, pair, n, x0_mean, f_mean)
-                rhs_se = pair.prefactor * ml ** pair.p * power_se(x0_mean + f_mean, math.hypot(x0_se, f_se), pair.p)
+                rhs, rhs_se = holder_bound(pair, ml_growth_factor(model, n), x0_mean + f_mean, math.hypot(x0_se, f_se))
                 row = next(rows)
                 assert (row["n"], row["lhs"], row["lhs_se"], row["rhs"]) == (n, lhs, lhs_se, rhs)
                 assert row["margin"] == one_sided_verdict(lhs, lhs_se, rhs, rhs_se)["margin"]

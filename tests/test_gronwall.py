@@ -21,7 +21,7 @@ from demigronwall.gronwall import (
     GronwallInstance,
     HolderPair,
     build_instance,
-    gronwall_bound,
+    holder_bound,
     maximal_moment_bound,
     neg_inf_mean,
     sup_moment,
@@ -31,6 +31,16 @@ from demigronwall.gronwall import (
 )
 from demigronwall.reporting import mean_se, one_sided_verdict, power_se
 from demigronwall.rng import uniform_matrix
+
+
+def _growth_product(growth, n):
+    """``prod_{k<n} (1 + G_k)``: one number for shared weights, one per path, left to right, for a batch."""
+    if not isinstance(growth, TrajectoryBatch):
+        return np.prod(1.0 + growth[:n])
+    out = np.ones(growth.n_paths)
+    for k in range(n):
+        out *= 1.0 + growth.values[:, k]
+    return out
 
 
 def _const_batch(rows, m=1, label="det"):
@@ -116,17 +126,17 @@ class TestHolderPair:
 class TestGronwallBound:
     def test_unit_example(self):
         pair = HolderPair.deterministic(0.5)
-        assert gronwall_bound(1.0, np.zeros(4), pair, 4) == 3.0
+        assert holder_bound(pair, _growth_product(np.zeros(4), 4), 1.0, 0.0) == (3.0, 0.0)
 
     def test_deterministic_growth_example(self):
         pair = HolderPair.deterministic(0.5)
-        assert abs(gronwall_bound(4.0, np.array([1.0, 1.0]), pair, 2) - 12.0) < 1e-12
+        assert abs(holder_bound(pair, _growth_product(np.array([1.0, 1.0]), 2), 4.0, 0.0)[0] - 12.0) < 1e-12
 
     def test_random_growth_with_sup_norm(self):
         # every path has product (1+G_0)(1+G_1) = 4
         g = TrajectoryBatch(np.tile([1.0, 1.0, 0.0], (50, 1)), label="g")
         pair = HolderPair.deterministic(0.5)
-        assert abs(gronwall_bound(1.0, g, pair, 2) - 6.0) < 1e-12
+        assert abs(holder_bound(pair, _growth_product(g, 2), 1.0, 0.0)[0] - 6.0) < 1e-12
 
     def test_deterministic_form_is_bitwise_identical_to_general_form(self):
         # product-then-power convention shared with the closed-form display
@@ -134,14 +144,24 @@ class TestGronwallBound:
         for p in (0.25, 0.45, 0.8):
             pair = HolderPair.deterministic(p)
             by_hand = (1.0 + 1.0 / (1.0 - p)) * np.prod(1.0 + g) ** p * 2.5 ** p
-            assert gronwall_bound(2.5, g, pair, 4) == by_hand
+            assert holder_bound(pair, np.prod(1.0 + g), 2.5, 0.0)[0] == by_hand
+
+    def test_standard_error_combines_the_norm_and_power_errors(self):
+        pair = HolderPair(2.0, 2.0, 0.25)
+        w = np.array([2.0, 4.0, 6.0])
+        mean, se = 2.5, 0.1
+        norm = float(np.mean(w ** 0.5)) ** 0.5
+        norm_se = float(np.std(w ** 0.5, ddof=1)) / math.sqrt(3) * 0.5 / norm
+        power = 0.25 * 2.5 ** -0.75 * 0.1
+        want = pair.prefactor * math.hypot(2.5 ** 0.25 * norm_se, norm * power)
+        assert abs(holder_bound(pair, w, mean, se)[1] - want) < 1e-14
+        # a scalar weight is exact, so only the power carries an error
+        assert holder_bound(pair, 4.0, mean, se)[1] == pair.prefactor * (4.0 ** 0.25 * power_se(mean, se, 0.25))
 
     def test_errors(self):
         pair = HolderPair.deterministic(0.5)
         with pytest.raises(NegativeInput):
-            gronwall_bound(-1.0, np.zeros(2), pair, 2)
-        with pytest.raises(NegativeWeights):
-            gronwall_bound(1.0, np.array([-0.2, 0.0]), pair, 2)
+            holder_bound(pair, 1.0, -1.0, 0.0)
 
 
 class TestBuildInstance:
@@ -342,7 +362,7 @@ class TestGronwallGrid:
         for (pair, n), row in zip(cells, report.rows):
             assert (row["lhs"], row["lhs_se"]) == sup_moment(inst.X, pair.p, n)
             f_mean = float(inst.F.values[:, : n + 1].max(axis=1).mean())
-            assert row["rhs"] == gronwall_bound(f_mean, inst.G, pair, n)
+            assert row["rhs"] == holder_bound(pair, _growth_product(inst.G, n), f_mean, 0.0)[0]
         assert set(report.checks) == {f"hypothesis_holds[n={n},p={q.p:g},mu={q.mu:g}]" for q, n in cells}
         assert report.overall_pass, report.rows
 
@@ -372,10 +392,7 @@ class TestPerTimeIndexHoisting:
     def _cell(inst, pair, n):
         """One row of ``verify_gronwall`` from the one-cell estimators."""
         lhs, lhs_se = sup_moment(inst.X, pair.p, n)
-        f_mean, f_se = mean_se(inst.F.values[:, : n + 1].max(axis=1))
-        norm, norm_se = gronwall._growth_norm(inst.G, pair, n)
-        rhs = gronwall_bound(f_mean, inst.G, pair, n)
-        rhs_se = pair.prefactor * math.hypot(f_mean ** pair.p * norm_se, norm * power_se(f_mean, f_se, pair.p))
+        rhs, rhs_se = holder_bound(pair, _growth_product(inst.G, n), *mean_se(inst.F.values[:, : n + 1].max(axis=1)))
         return {"lhs": lhs, "lhs_se": lhs_se, "rhs": rhs, **one_sided_verdict(lhs, lhs_se, rhs, rhs_se)}
 
     def test_random_growth_rows_match_the_per_cell_formula(self):

@@ -1,6 +1,8 @@
+import itertools
 import math
 
 import numpy as np
+from scipy.special import ndtri
 
 from demigronwall.reporting import SLACK_SD, VerificationReport, mean_se, one_sided_verdict
 
@@ -39,3 +41,24 @@ class TestEstimatorCore:
         assert one_sided_verdict(0.5 + SLACK_SD * 0.5, 0.3, 0.5, 0.4) == {"margin": 0.0, "verdict": "pass"}
         cells = one_sided_verdict(0.5 + SLACK_SD * 0.5, 0.3, 0.5, 0.0)
         assert cells["verdict"] == "fail" and cells["margin"] < 0.0
+
+
+class TestOneRule:
+    """``one_sided_verdict`` is the only pass/fail rule; the z-tests reach it with ``lhs = lhs_se = 0``."""
+
+    def test_a_zero_margin_passes_and_the_next_float_below_fails(self):
+        assert one_sided_verdict(0.0, 0.0, 0.0, 0.0) == {"margin": 0.0, "verdict": "pass"}
+        below = one_sided_verdict(math.nextafter(0.0, 1.0), 0.0, 0.0, 0.0)
+        assert below == {"margin": math.nextafter(0.0, -1.0), "verdict": "fail"}
+
+    def test_z_test_cells_agree_with_the_estimate_against_minus_z_se(self):
+        # fl(a + b) has the sign of a + b, so the margin's sign is exactly the comparison's
+        for z in (float(ndtri(0.999)), SLACK_SD, 1.0):
+            for se in (0.0, 5e-324, 1e-300, 0.1, 1.0, 3.7, 1e150):
+                edge = -z * se
+                grid = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 0.5 * edge, 2.0 * edge, edge]
+                grid += [math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)]
+                for est, sign in itertools.product(grid, (1.0, -1.0)):
+                    est *= sign
+                    want = "pass" if not est < -z * se else "fail"
+                    assert one_sided_verdict(0.0, 0.0, est, se, z)["verdict"] == want, (z, se, est)
