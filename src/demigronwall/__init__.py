@@ -17,7 +17,6 @@ from .bem import (
     bounded_diffusion_model,
     coercivity_probe,
     frozen_model,
-    linear_model,
     ou_model,
     simulate_bem,
     verify_apriori_bound,

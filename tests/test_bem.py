@@ -16,7 +16,6 @@ from demigronwall.bem import (
     bounded_diffusion_model,
     coercivity_probe,
     frozen_model,
-    linear_model,
     ou_model,
     simulate_bem,
     sup_norm_estimate,
@@ -33,6 +32,32 @@ from demigronwall.errors import (
     StepBoundViolation,
     StepTooLarge,
 )
+
+
+def linear_model(matrix, sigma=0.0) -> SdeModel:
+    """Linear drift f(x) = A x with optional isotropic noise g = sigma I.
+
+    ``L = max(0, lambda_max((A + A^T)/2)) + sigma^2 d / 2`` certifies the
+    coercivity condition; the symmetric-part eigenvalue also serves as the
+    one-sided Lipschitz constant.
+    """
+    a = np.asarray(matrix, dtype=np.float64)
+    d = a.shape[0]
+    lam = float(np.linalg.eigvalsh(0.5 * (a + a.T)).max())
+    g0 = sigma * np.eye(d)
+    if sigma == 0.0:
+        diffusion, m = (lambda y: np.zeros((y.shape[0], d, 1))), 1
+    else:
+        diffusion, m = (lambda y: np.broadcast_to(g0, (y.shape[0], d, d))), d
+    return SdeModel(
+        d=d, m=m,
+        drift=lambda y: y @ a.T,
+        diffusion=diffusion,
+        drift_jacobian=lambda y: np.broadcast_to(a, (y.shape[0], d, d)),
+        L=max(0.0, lam) + 0.5 * sigma ** 2 * d,
+        osl=lam,
+        label=f"linear[d={d}]",
+    )
 
 
 def _one_step(model, x0, h):
@@ -438,6 +463,57 @@ class TestSimulate:
         assert np.abs(means).max() <= 3.0 * math.sqrt(cfg.h / m)
         var = batch.increments[:, :, 0].var(ddof=1, axis=0)
         assert np.abs(var - cfg.h).max() <= 3.0 * cfg.h * math.sqrt(2.0 / (m - 1))
+
+
+def _cubic_drift(y):
+    """f(x) = -x - |x|^2 x, the drift of the benchmark's 2-D model."""
+    return -y - (y * y).sum(axis=1, keepdims=True) * y
+
+
+def _cubic_jacobian(y):
+    """Df(x) = -(1 + |x|^2) I - 2 x x^T."""
+    jac = -2.0 * y[:, :, None] * y[:, None, :]
+    diag = np.arange(y.shape[1])
+    jac[:, diag, diag] -= 1.0 + (y * y).sum(axis=1)[:, None]
+    return jac
+
+
+class TestStateLayout:
+    def test_model_calls_receive_column_major_state(self):
+        # row sums over the short state axis of a row-major array cost numpy several times more
+        calls = []
+
+        def spy(f):
+            def call(y):
+                calls.append((f.__name__, y.shape, y.flags.f_contiguous))
+                return f(y)
+            return call
+
+        model = SdeModel(
+            d=2, m=2, drift=spy(_cubic_drift), drift_jacobian=spy(_cubic_jacobian),
+            diffusion=spy(lambda y: np.broadcast_to(np.eye(2), (y.shape[0], 2, 2))), L=1.0, osl=-1.0,
+        )
+        cfg = BemConfig(h=0.1, t_horizon=1.0, h0=0.25, x0=[2.0, -1.0])
+        simulate_bem(model, cfg, seed=7, n_paths=2000)
+        every = {name for name, shape, _ in calls if shape[0] == 2000}
+        assert every == {"_cubic_drift", "_cubic_jacobian", "<lambda>"}
+        assert any(1 < shape[0] < 2000 for _, shape, _ in calls)  # rows converged unevenly: subsets ran
+        assert all(shape[1] == 2 and f_contiguous for _, shape, f_contiguous in calls)
+
+    def test_paths_do_not_depend_on_the_state_layout(self):
+        model = _rotating_cubic_model()
+
+        def row_major(f):
+            return lambda y: f(np.ascontiguousarray(y))
+
+        rows = dataclasses.replace(
+            model, drift=row_major(model.drift), diffusion=row_major(model.diffusion),
+            drift_jacobian=row_major(model.drift_jacobian),
+        )
+        cfg = BemConfig(h=0.05, t_horizon=0.5, h0=0.2, x0=[1.5, -1.0], newton_tol=1e-12)
+        a, b = (simulate_bem(m, cfg, seed=21, n_paths=3000) for m in (model, rows))
+        for name in ("paths", "noise", "residual_norms"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
 
 
 class TestBemConfig:
