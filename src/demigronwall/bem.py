@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
 from .demi import DEMI_MIN_STEPS, TestFunctionFamily, check_demimartingale
 from .errors import (
@@ -546,7 +545,9 @@ def coercivity_probe(model: SdeModel, lows, highs, n_samples, seed) -> dict:
 
     Returns the minimum of ``L (1 + |x|^2) - <f(x), x> - |g(x)|^2 / 2``
     over a scrambled Sobol sample; a negative minimum means the stated L
-    does not certify the model on that box.
+    does not certify the model on that box.  The sampler comes from
+    ``scipy.stats``, which this function imports on its first call (about
+    0.7 s); no verdict needs it, so importing the package does not load it.
     """
     lows = np.atleast_1d(np.asarray(lows, dtype=np.float64))
     highs = np.atleast_1d(np.asarray(highs, dtype=np.float64))
@@ -555,6 +556,8 @@ def coercivity_probe(model: SdeModel, lows, highs, n_samples, seed) -> dict:
     n_samples = int(n_samples)
     if n_samples < 1:
         raise InvalidSpec(f"n_samples must be >= 1, got {n_samples}")
+    from scipy.stats import qmc
+
     sampler = qmc.Sobol(d=model.d, scramble=True, seed=int(seed))
     pts = qmc.scale(sampler.random_base2(max(1, math.ceil(math.log2(n_samples)))), lows, highs)
     f = model.drift(pts)

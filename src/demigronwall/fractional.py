@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 from scipy.special import gamma as gamma_fn
 from scipy.special import gammaln
 
@@ -161,6 +160,12 @@ def caputo_l1_forms(f_seq, beta, tau, n) -> tuple:
     return delta_form, direct_form
 
 
+def _l1_kernel(beta, n) -> np.ndarray:
+    """Lower-triangular Toeplitz ``(n, n)`` matrix with entry ``(k, j) = a_{k-j}`` for ``j <= k``, C-ordered."""
+    steps = np.arange(n)
+    return np.tril(l1_a(beta, steps)[np.abs(np.subtract.outer(steps, steps))])
+
+
 def multi_term_table(model: FractionalModel, values) -> np.ndarray:
     """Multi-term differences of every path at every step, both forms cross-checked.
 
@@ -189,8 +194,7 @@ def multi_term_table(model: FractionalModel, values) -> np.ndarray:
     magnitude = np.zeros((n, n + 1))
     for beta, w in zip(model.betas, model.q):
         pref = _prefactor(beta, model.tau)
-        kernel = toeplitz(l1_a(beta, np.arange(n)), np.zeros(n))
-        out += w * pref * diffs @ kernel.T
+        out += w * pref * diffs @ _l1_kernel(beta, n).T
         for k in range(1, n + 1):
             row = w * pref * l1_b_row(beta, k)[::-1]
             direct[k - 1, : k + 1] += row

@@ -158,14 +158,19 @@ def sup_moment(batch: TrajectoryBatch, p, n=None, first=0) -> tuple:
     return _power_moment(sups, np.any(sups < 0.0), p)
 
 
-def _zero_start_index(batch: TrajectoryBatch, n) -> int:
-    """Time index ``n`` (``None`` is N) of a batch starting at 0, both checked."""
-    if np.any(batch.values[:, 0] != 0.0):
-        raise NonzeroStart("negative-infimum mean requires paths starting at 0")
+def _time_index(batch: TrajectoryBatch, n) -> int:
+    """Time index ``n`` (``None`` is N), checked to lie in ``[0, N]``."""
     n = batch.n_steps if n is None else int(n)
     if not 0 <= n <= batch.n_steps:
         raise ShapeMismatch(f"need 0 <= n <= {batch.n_steps}, got n={n}")
     return n
+
+
+def _zero_start_index(batch: TrajectoryBatch, n) -> int:
+    """Time index ``n`` (``None`` is N) of a batch starting at 0, both checked."""
+    if np.any(batch.values[:, 0] != 0.0):
+        raise NonzeroStart("negative-infimum mean requires paths starting at 0")
+    return _time_index(batch, n)
 
 
 def neg_inf_mean(batch: TrajectoryBatch, n=None) -> tuple:
@@ -247,6 +252,7 @@ def build_instance(X: TrajectoryBatch, S: TrajectoryBatch, growth) -> GronwallIn
 def _screened_extremes(values, n) -> tuple:
     """``(sup, inf, mean, se)`` from one read of ``values``: running max and min at ``n`` per row,
     and the mean and SE over rows of each increment ``values[:, k] - values[:, k - 1]``, ``k = 1..n``.
+    A nonzero entry in column 0 raises :class:`NonzeroStart` from the row block holding it.
 
     Each block of the sweep gives its increments' per-step sums and sums of
     squares.  The sums of squared deviations they imply are merged across row
@@ -259,6 +265,8 @@ def _screened_extremes(values, n) -> tuple:
     sup, inf = np.empty(m), np.empty(m)
     total, m2 = np.zeros(n), np.zeros(n)  # increment k's sum and sum of squared deviations sit at k - 1
     for rows, c0, t in prefix_sweep(values, (np.maximum, np.minimum), ({n: sup}, {n: inf})):
+        if c0 == 0 and np.any(t[0] != 0.0):
+            raise NonzeroStart("the maximal inequality requires paths starting at 0")
         if len(t) < 2:
             continue
         steps = slice(c0, c0 + len(t) - 1)
@@ -287,14 +295,14 @@ def verify_maximal_inequality(batch: TrajectoryBatch, p_grid, n=None) -> Verific
     moments.  Each grid point passes
     when ``lhs <= rhs + SLACK_SD * combined_SE`` with the right-hand error
     propagated through the power by the delta method.  An empty ``p_grid``
-    raises :class:`InvalidSpec`, a nonzero first column :class:`NonzeroStart`
-    and an ``n`` outside ``[0, N]`` :class:`ShapeMismatch`, all before the
-    screen.
+    raises :class:`InvalidSpec`, an ``n`` outside ``[0, N]``
+    :class:`ShapeMismatch` and then, from the sweep's copy of column 0, a
+    nonzero first column :class:`NonzeroStart`, all before the screen.
     """
     p_grid = list(p_grid)
     if not p_grid:
         raise InvalidSpec("empty p_grid: need at least one exponent")
-    n = _zero_start_index(batch, n)
+    n = _time_index(batch, n)
     sups, infs, mean, se = _screened_extremes(batch.values, n)
     if batch.n_paths > 1 and np.any(mean < -4.0 * se - 1e-15):
         warnings.warn(

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import demigronwall
 from demigronwall.cli import main
 
 
@@ -151,3 +157,36 @@ class TestAllCommand:
         assert names == {"demi-check", "gronwall-lemma", "gronwall-theorem", "fractional", "bem"}
         for name in names:
             assert (tmp_path / "o" / name / "cases.csv").is_file()
+
+
+class TestColdStart:
+    def test_no_verdict_loads_scipy_stats_or_linalg(self, tmp_path):
+        # sys.modules of the test process already holds whatever other tests imported, so a fresh
+        # interpreter records which of the slow scipy subpackages each stage has loaded
+        script = textwrap.dedent(
+            """
+            import json, sys
+            def loaded():
+                return [name for name in ("scipy.stats", "scipy.linalg") if name in sys.modules]
+            seen = {}
+            import demigronwall
+            seen["import demigronwall"] = loaded()
+            import demigronwall.cli
+            seen["import demigronwall.cli"] = loaded()
+            code = demigronwall.cli.main(["all", "--paths", "2000", "--seed", "1", "--out", sys.argv[1], "--quiet"])
+            seen["all"] = loaded()
+            probe = demigronwall.bem.coercivity_probe(demigronwall.bem.ou_model(), [-10.0], [10.0], 256, 0)
+            seen["coercivity_probe"] = loaded()
+            print(json.dumps({"code": code, "passed": probe["passed"], "seen": seen}))
+            """
+        )
+        src = str(Path(demigronwall.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "o")], env=env, capture_output=True, text=True, check=True
+        )
+        result = json.loads(done.stdout.splitlines()[-1])
+        assert result["code"] == 0 and result["passed"]
+        stages = result["seen"]
+        assert stages.pop("coercivity_probe")[0] == "scipy.stats"  # scipy.stats brings scipy.linalg along
+        assert stages == {"import demigronwall": [], "import demigronwall.cli": [], "all": []}

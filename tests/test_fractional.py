@@ -111,6 +111,15 @@ class TestCaputoL1:
 
 
 class TestMultiTerm:
+    @pytest.mark.parametrize("beta", [0.1, 0.5, 0.99])
+    @pytest.mark.parametrize("n", [1, 2, 17, 64])
+    def test_kernel_is_the_toeplitz_matrix_of_the_l1_coefficients(self, n, beta):
+        from scipy.linalg import toeplitz
+
+        kernel = fractional._l1_kernel(beta, n)
+        assert kernel.flags.c_contiguous
+        assert kernel.tobytes() == toeplitz(l1_a(beta, np.arange(n)), np.zeros(n)).tobytes()
+
     def test_single_term_equals_caputo(self):
         model = FractionalModel(betas=(0.4,), q=(1.0,), tau=0.2, n_steps=6)
         f = np.array([0.0, 0.5, 0.3, 0.9, 0.1, 0.4, 0.2])

@@ -256,6 +256,15 @@ class TestVerifyMaximalInequality:
                 verify_maximal_inequality(TrajectoryBatch(drift), [0.5], 4 + 5)
             with pytest.raises(NonzeroStart):
                 verify_maximal_inequality(TrajectoryBatch(drift + 1.0), [0.5], 2)
+            with pytest.raises(ShapeMismatch):  # the range of n is checked before the sweep reads column 0
+                verify_maximal_inequality(TrajectoryBatch(drift + 1.0), [0.5], 4 + 5)
+
+    def test_nonzero_start_in_the_last_row_block_raises(self):
+        # the start is read from the sweep's copy of each row block, so the last block must be checked
+        values = np.zeros((3 * (generators.SWEEP_ENTRIES // 6) + 5, 6))
+        values[-1, 0] = -0.5
+        with pytest.raises(NonzeroStart):
+            verify_maximal_inequality(TrajectoryBatch(values), [0.5], 5)
 
 
 class TestIncrementScreen:
