@@ -46,7 +46,7 @@ from .errors import (
     StepBoundViolation,
     StepTooLarge,
 )
-from .generators import TrajectoryBatch
+from .generators import TrajectoryBatch, partial_sums
 from .reporting import VerificationReport, mean_se, one_sided_verdict, root_of_mean
 from .rng import normal_matrix
 
@@ -431,13 +431,14 @@ def z_sequence(model: SdeModel, batch: BemBatch, h0):
 
     Returns ``(Z, S)`` of shapes ``(M, N)`` and ``(M, N+1)``, where
     ``Z = batch.noise`` and ``S_n = (1 - 2 h0 L)^{-1} sum_{j<n} Z^{j+1}``
-    with ``S_0 = 0``.
+    with ``S_0 = 0``; ``S`` is time-major (Fortran order).
     """
     factor = 1.0 - 2.0 * h0 * model.L
     if not factor > 0.0:
         raise StepBoundViolation(f"need 1 - 2 h0 L > 0, got {factor}")
     z = batch.noise
-    s = np.hstack([np.zeros((z.shape[0], 1)), np.cumsum(z, axis=1)]) / factor
+    s = partial_sums(z.shape[0], z.shape[1], z.T)
+    s /= factor
     return z, s
 
 

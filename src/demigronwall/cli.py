@@ -33,7 +33,8 @@ from . import gronwall as gron_mod
 from .errors import ConfigError, DemigronError
 from .generators import GeneratorSpec, TrajectoryBatch, associated_increment_matrix, generate_paths
 from .reporting import VerificationReport
-from .rng import uniform_matrix
+# uniform_matrix stays importable here: perfbench/tracer.py wraps it by this name
+from .rng import draw_columns, uniform_matrix  # noqa: F401
 
 # offsets deriving auxiliary master seeds from the user seed
 _X_SEED_OFFSET = 0x100000001
@@ -44,6 +45,14 @@ _Y_SEED_OFFSET = 0x300000007
 def _aux_seed(seed, offset):
     """Auxiliary master seed ``seed + offset``, wrapped modulo 2**64."""
     return (seed + offset) % 2 ** 64
+
+
+def _uniform_batch(seed, offset, scale, n_paths, n_steps, label):
+    """``scale`` times the i.i.d. uniforms of ``_aux_seed(seed, offset)``, time-major, ``n_steps + 1`` columns."""
+    values = np.empty((n_paths, n_steps + 1), order="F")
+    for k, u in enumerate(draw_columns(_aux_seed(seed, offset), n_paths, n_steps + 1)):
+        np.multiply(scale, u, out=values[:, k])
+    return TrajectoryBatch(values, label=label)
 
 
 # --------------------------------------------------------------------------
@@ -258,17 +267,12 @@ def _drive_gronwall_theorem(n_steps, theta, bound, x_scale, g_value, g_kinds, p_
         report = VerificationReport(command="gronwall-theorem", columns=gron_mod.GRONWALL_COLUMNS, seeds=list(seeds))
         for seed in seeds:
             s_batch = generate_paths(spec, n_steps, n_paths, seed)
-            x_batch = TrajectoryBatch(
-                x_scale * uniform_matrix(_aux_seed(seed, _X_SEED_OFFSET), n_paths, n_steps + 1), label="uniform-X"
-            )
+            x_batch = _uniform_batch(seed, _X_SEED_OFFSET, x_scale, n_paths, n_steps, "uniform-X")
             for kind in g_kinds:
                 if kind == "det":
                     growth = np.full(n_steps, g_value)
                 else:
-                    growth = TrajectoryBatch(
-                        g_value * uniform_matrix(_aux_seed(seed, _G_SEED_OFFSET), n_paths, n_steps + 1),
-                        label="uniform-G",
-                    )
+                    growth = _uniform_batch(seed, _G_SEED_OFFSET, g_value, n_paths, n_steps, "uniform-G")
                 instance = gron_mod.build_instance(x_batch, s_batch, growth)
                 report.extend(gron_mod.verify_gronwall(instance, holder_pairs, n_list))
         return report
@@ -289,7 +293,7 @@ def _drive_fractional(betas, q, tau, n_steps, lambda1, lambda2, theta, p_grid, p
         report = VerificationReport(command="fractional", columns=gron_mod.GRONWALL_COLUMNS, seeds=list(seeds))
         for seed in seeds:
             x_inc = associated_increment_matrix(theta, n_steps + 1, n_paths, _aux_seed(seed, _X_SEED_OFFSET))
-            x_batch = TrajectoryBatch(x_inc ** 2, label="squared-associated-X")
+            x_batch = TrajectoryBatch(np.square(x_inc, out=x_inc), label="squared-associated-X")
             y_vals = associated_increment_matrix(theta, n_steps, n_paths, _aux_seed(seed, _Y_SEED_OFFSET))
             if check_association:
                 y_batch = TrajectoryBatch(y_vals, label="associated-Y")

@@ -42,12 +42,16 @@ from .errors import (
     SeriesNoConvergence,
     ShapeMismatch,
 )
-from .generators import BLOCK_ENTRIES, TrajectoryBatch, prefix_reduce
+from .generators import TrajectoryBatch, prefix_reduce
 from .gronwall import GRONWALL_COLUMNS, _harness_grid, _power_moment, holder_bound
 from .reporting import VerificationReport, mean_se, one_sided_verdict
 
 #: the delta and direct forms of the L1 operator must agree this tightly
 FORM_RTOL = 1e-12
+
+#: :func:`multi_term_table` cross-checks the forms in path blocks of about this
+#: many entries (512 KB of float64), so each block's temporaries stay in L2
+BLOCK_ENTRIES = 1 << 16
 
 
 def _check_beta(beta) -> float:
@@ -170,7 +174,7 @@ def multi_term_table(model: FractionalModel, values) -> np.ndarray:
     """Multi-term differences of every path at every step, both forms cross-checked.
 
     The table is the delta form.  The direct form is evaluated in path
-    blocks of about :data:`~demigronwall.generators.BLOCK_ENTRIES` entries
+    blocks of about :data:`BLOCK_ENTRIES` entries
     and must agree with it to :data:`FORM_RTOL` times the summed absolute
     contributions (at least 1).
 

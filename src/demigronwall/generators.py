@@ -2,7 +2,11 @@
 
 A :class:`TrajectoryBatch` is the universal carrier used by every check in
 the package: ``M`` independent sample paths of length ``N + 1``, stored as
-an ``M x (N+1)`` matrix with column ``k`` holding time index ``k``.
+an ``M x (N+1)`` matrix with column ``k`` holding time index ``k``.  Every
+path matrix the package builds is time-major (Fortran order, each time
+column contiguous): it is filled one time step for all paths at a time
+(:func:`partial_sums`) and reduced one column at a time
+(:func:`prefix_reduce`).  Any layout is accepted and gives the same bits.
 
 Available generators:
 
@@ -28,107 +32,31 @@ Available generators:
     the demisubmartingale inequality while failing the submartingale
     property.  Requests longer than two steps freeze the final value, which
     keeps both the two-atom law and the defining inequality intact.
-
-Every kind, two-point and zero-step batches included, is drawn in the same
-row blocks from one increment law per kind.
 """
 
-import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BatchTooLarge, InvalidSpec, ShapeMismatch
-from .rng import normal_matrix, raw_uint64, uniform_matrix
+# uniform_matrix and normal_matrix stay importable here: perfbench/tracer.py wraps them by this name
+from .rng import draw_columns, normal_matrix, uniform_matrix  # noqa: F401
 
 #: Refuse to allocate batches beyond this many matrix entries (~1 GiB).
 MAX_BATCH_ENTRIES = 1 << 27
-
-#: Batches are generated in row blocks of about this many entries (512 KB of
-#: float64), so each block's temporaries stay in L2.
-BLOCK_ENTRIES = 1 << 16
-
-#: :func:`transposed_blocks` copies row blocks of about this many entries
-#: (256 KB of float64) into one reused scratch buffer, so every reduction
-#: over a block, and a temporary of the same size, stays in a 1 MB L2.
-SWEEP_ENTRIES = 1 << 15
-
-
-def transposed_blocks(values, first, last):
-    """Yield ``(rows, c0, t)`` over columns ``first..last`` of a 2-D ``values``, one row block at a time.
-
-    ``t`` is ``values[rows, c0 : c0 + len(t)]`` transposed, copied into one
-    C-contiguous scratch buffer of about :data:`SWEEP_ENTRIES` entries that the
-    next block overwrites, so a reduction over time reads whole rows of ``t``.
-    Rows wider than the buffer are cut into column chunks that overlap by one
-    column: ``c0`` of a later chunk is the last column of the chunk before, so
-    the increments ``t[1:] - t[:-1]`` of all chunks cover every step once, and
-    a running reduction can carry its accumulator in through ``t[0]``.  Row
-    blocks come in row order, the chunks of one row block in column order.
-    """
-    width = last - first + 1
-    n_rows = max(1, SWEEP_ENTRIES // width)
-    n_cols = min(width, max(2, SWEEP_ENTRIES // n_rows))  # the whole width unless it exceeds the buffer
-    scratch = np.empty(n_rows * n_cols, dtype=values.dtype)
-    for r0 in range(0, values.shape[0], n_rows):
-        rows = slice(r0, min(r0 + n_rows, values.shape[0]))
-        c0 = first
-        while True:
-            c1 = min(c0 + n_cols - 1, last)
-            t = scratch[: (c1 - c0 + 1) * (rows.stop - r0)].reshape(c1 - c0 + 1, -1)
-            np.copyto(t, values[rows, c0 : c1 + 1].T)
-            yield rows, c0, t
-            if c1 == last:
-                break
-            c0 = c1
-
-
-def prefix_sweep(values, ufuncs, outs, first=0):
-    """Fill ``outs`` as :func:`prefix_reduce` does, yielding each block of :func:`transposed_blocks` first.
-
-    ``outs`` holds one dict per ufunc, each mapping the same requested column
-    indices ``n`` (all in ``[first, N]``) to a preallocated output of one entry
-    per row.  A caller may read each yielded ``(rows, c0, t)`` before the block
-    is folded in, but not keep or write it; the outputs are complete once the
-    generator is exhausted.  Each stretch of ``t`` between consecutive stops
-    (requested columns and chunk ends) takes one ``ufunc.reduce(stretch,
-    axis=0)``, after the running accumulator is written into the stretch's
-    first row; a chunk end carries the accumulator to the next chunk in the
-    output of the next requested column.
-    """
-    wanted = sorted(outs[0])
-    for rows, c0, t in transposed_blocks(values, first, wanted[-1]):
-        yield rows, c0, t
-        c1 = c0 + len(t) - 1
-        start, carried = c0, c0 > first
-        stops = [n for n in wanted if c0 <= n <= c1 and not (carried and n == c0)]
-        if not stops or stops[-1] < c1:
-            stops.append(c1)
-        for stop in stops:
-            src, dest = (wanted[bisect.bisect_left(wanted, k)] for k in (start, stop))
-            stretch = t[start - c0 : stop - c0 + 1]
-            for f, out in zip(ufuncs, outs):
-                if carried:
-                    stretch[0] = out[src][rows]
-                f.reduce(stretch, axis=0, out=out[dest][rows])
-            start, carried = stop, True
 
 
 def prefix_reduce(values, n_list, ufunc=np.maximum, first=0):
     """``{n: ufunc-reduction of each row over columns first..n}`` for every ``n`` in ``n_list``.
 
-    One sweep (:func:`prefix_sweep`) reads each row block once, transposed
-    into a contiguous scratch copy (:func:`transposed_blocks`), and reduces
-    it over time with one ``ufunc.reduce`` per stretch between requested
-    ``n``, so no per-row or per-column call is made.  Every element goes
-    through the same left-to-right sequence of operations as a loop
-    ``ufunc(acc, values[:, k], out=acc)`` over the columns: maximum and
-    minimum equal numpy's row maximum (minimum) of those columns bit for bit,
-    up to the sign of a zero when a row mixes ``+0.0`` and ``-0.0``, and
-    ``np.multiply`` multiplies left to right, as ``np.prod`` does over a row.
-    A tuple of ufuncs shares one sweep, so each block is read once for all
-    of them, and gives a tuple of such dicts.
+    One loop over the columns ``first..max(n_list)`` runs ``ufunc(acc,
+    values[:, k], out=acc)`` and keeps a copy of ``acc`` at each requested
+    ``n``, whatever the layout of ``values``.  Maximum and minimum equal
+    numpy's row maximum (minimum) bit for bit, up to the sign of a zero when
+    a row mixes ``+0.0`` and ``-0.0``; ``np.multiply`` multiplies left to
+    right, as ``np.prod`` does over a row.  A tuple of ufuncs shares the
+    loop and gives a tuple of such dicts.
 
     Raises:
         ShapeMismatch: ``values`` not 2-D, or some ``n`` outside ``[first, N]``.
@@ -144,10 +72,35 @@ def prefix_reduce(values, n_list, ufunc=np.maximum, first=0):
             f"need 0 <= first <= n < {values.shape[-1]} on a 2-D array, got first={first}, "
             f"n_list={wanted}, shape {values.shape}"
         )
-    outs = tuple({n: np.empty(values.shape[0], dtype=values.dtype) for n in wanted} for _ in ufuncs)
-    for _ in prefix_sweep(values, ufuncs, outs, first):
-        pass
+    accs = [values[:, first].copy() for _ in ufuncs]
+    outs = tuple({} for _ in ufuncs)
+    last = wanted[-1]
+    for k in range(first, last + 1):
+        if k > first:
+            for f, acc in zip(ufuncs, accs):
+                f(acc, values[:, k], out=acc)
+        if k in wanted:
+            for acc, out in zip(accs, outs):
+                out[k] = acc if k == last else acc.copy()
     return outs if isinstance(ufunc, tuple) else outs[0]
+
+
+def partial_sums(n_paths, n_steps, increments):
+    """Time-major partial sums: ``S_0 = 0`` and ``S_k = S_{k-1} + inc_k`` for ``k = 1..n_steps``.
+
+    ``increments`` yields the ``n_steps`` columns of ``n_paths`` entries in
+    time order.  The result is one Fortran-order ``(n_paths, n_steps + 1)``
+    array; column 1 is ``inc_1`` itself, so every bit equals ``np.cumsum``
+    along the rows, a ``-0.0`` first increment included.
+    """
+    out = np.empty((n_paths, n_steps + 1), order="F")
+    out[:, 0] = 0.0
+    for k, inc in zip(range(1, n_steps + 1), increments):
+        if k == 1:
+            out[:, 1] = inc
+        else:
+            np.add(out[:, k - 1], inc, out=out[:, k])
+    return out
 
 
 _KINDS = (
@@ -164,7 +117,10 @@ class TrajectoryBatch:
 
     Attributes:
         values: float matrix of shape (n_paths, n_steps + 1); row ``r``,
-            column ``k`` is path ``r`` at time index ``k``.
+            column ``k`` is path ``r`` at time index ``k``.  Every batch the
+            package builds is column-major (Fortran order), so each time
+            column is contiguous; any layout is accepted and kept, and gives
+            the same results.
         label: generator descriptor for reports.
     """
 
@@ -243,56 +199,74 @@ _ONE_BITS = np.float64(1.0).view(np.uint64)
 
 
 def _centered_uniform(u):
-    return 2.0 * u - 1.0
+    """``2u - 1`` in place on the uniforms ``u``."""
+    return np.subtract(np.multiply(u, 2.0, out=u), 1.0, out=u)
 
 
 def associated_increment_matrix(theta, n_steps, n_paths, seed, bound=None):
-    """Mean-zero associated increments, shape ``(n_paths, n_steps)``.
+    """Mean-zero associated increments, a Fortran-order array of shape ``(n_paths, n_steps)``.
 
     ``U_i + theta * V`` clipped to ``[-bound, bound]`` when a bound is given.
     Exposed separately because several harnesses need the increments
     themselves (the associated collection) rather than their partial sums.
     """
-    if bound is None:
-        spec = GeneratorSpec.associated(theta)
-    else:
-        spec = GeneratorSpec.bounded_associated(theta, bound)
-    return _increments(spec, n_steps, n_paths, seed, 0)
-
-
-def _increments(spec: GeneratorSpec, n_steps, n_rows, seed, first_path):
-    """Increments of paths ``first_path .. first_path + n_rows - 1``, shape ``(n_rows, n_steps)``."""
-    if spec.kind == "random_walk":
-        if spec.increment == "pm1":
-            # u < 0.5 exactly when the word's top bit is 0: -1.0 there, +1.0 elsewhere
-            bits = raw_uint64(seed, n_rows, n_steps, first_path=first_path)
-            np.invert(bits, out=bits)
-            bits &= _SIGN_BIT
-            bits |= _ONE_BITS
-            return bits.view(np.float64)
-        return normal_matrix(seed, n_rows, n_steps, first_path=first_path)
-    if spec.kind == "two_point_demisub":
-        # +-1 on the first two steps, then 0: the atom paths (-1, -2) and (1, 2), frozen after
-        inc = np.zeros((n_rows, n_steps))
-        inc[:, :2] = np.where(uniform_matrix(seed, n_rows, 1, first_path=first_path) < spec.prob, -1.0, 1.0)
-        return inc
-    # draw 0 per path is the shared shock V, draws 1..n are the U_i
-    u = uniform_matrix(seed, n_rows, n_steps + 1, first_path=first_path)
-    inc = _centered_uniform(u[:, 1:]) + spec.theta * _centered_uniform(u[:, :1])
-    if spec.kind == "bounded_associated_partial_sum":
-        np.clip(inc, -spec.bound, spec.bound, out=inc)
+    spec = GeneratorSpec.associated(theta) if bound is None else GeneratorSpec.bounded_associated(theta, bound)
+    inc = np.empty((n_paths, n_steps), order="F")
+    for k, column in enumerate(_increment_columns(spec, n_steps, n_paths, seed)):
+        inc[:, k] = column
     return inc
 
 
-def generate_paths(spec: GeneratorSpec, n_steps, n_paths, seed) -> TrajectoryBatch:
-    """Generate ``n_paths`` seeded sample paths of ``n_steps`` steps.
+def _pm1_steps(bits):
+    """-1.0 where the word's top bit is 0 (the uniform is below 0.5), +1.0 elsewhere, in place on ``bits``."""
+    np.invert(bits, out=bits)
+    bits &= _SIGN_BIT
+    bits |= _ONE_BITS
+    return bits.view(np.float64)
 
-    Generation is per-path deterministic: path ``r`` depends only on
-    ``(seed, r)``, never on ``n_paths`` or on generation order.  Rows of
-    every kind, two-point and ``n_steps = 0`` included, are filled in
-    blocks of about :data:`BLOCK_ENTRIES` entries, each drawn with its own
-    ``first_path``, so the block boundaries leave no trace in the values:
-    any batch equals, bit for bit, the first rows of a larger one.
+
+def _shock_steps(spec: GeneratorSpec, uniforms, n_steps):
+    """Increment columns of the kinds whose draw 0 of a path is a per-path shock."""
+    shock = next(uniforms)
+    if spec.kind == "two_point_demisub":
+        # +-1 on the first two steps, then 0: the atom paths (-1, -2) and (1, 2), frozen after
+        step = np.where(shock < spec.prob, -1.0, 1.0)
+        zero = np.zeros_like(step)
+        for k in range(n_steps):
+            yield step if k < 2 else zero
+        return
+    shock = spec.theta * _centered_uniform(shock)
+    for u in uniforms:
+        inc = _centered_uniform(u)
+        inc += shock
+        if spec.kind == "bounded_associated_partial_sum":
+            np.clip(inc, -spec.bound, spec.bound, out=inc)
+        yield inc
+
+
+def _increment_columns(spec: GeneratorSpec, n_steps, n_paths, seed):
+    """Iterator over the increments of steps ``1..n_steps`` of paths ``0..n_paths-1``, one step at a time.
+
+    The only code that knows each kind's law.  Step ``k`` of a random walk
+    is draw ``k - 1`` of its path; the other kinds draw their shock at
+    counter 0 and step ``k`` at counter ``k``.  The seed is checked at the
+    call, and each step is drawn when the iterator reaches it.
+    """
+    if spec.kind == "random_walk":
+        if spec.increment == "pm1":
+            return map(_pm1_steps, draw_columns(seed, n_paths, n_steps, "words"))
+        return draw_columns(seed, n_paths, n_steps, "normal")
+    return _shock_steps(spec, draw_columns(seed, n_paths, n_steps + 1), n_steps)
+
+
+def generate_paths(spec: GeneratorSpec, n_steps, n_paths, seed) -> TrajectoryBatch:
+    """Generate ``n_paths`` seeded sample paths of ``n_steps`` steps, time-major.
+
+    ``values`` is one Fortran-order array, filled one time step for all
+    paths at a time (:func:`partial_sums`).  Generation is per-path
+    deterministic: path ``r`` depends only on ``(seed, r)``, never on
+    ``n_paths`` or on generation order, so any batch equals, bit for bit,
+    the first rows of a larger one.
 
     Raises:
         InvalidSpec: parameter outside its admissible range.
@@ -308,11 +282,5 @@ def generate_paths(spec: GeneratorSpec, n_steps, n_paths, seed) -> TrajectoryBat
         raise BatchTooLarge(
             f"{n_paths} x {n_steps + 1} entries exceed the budget of {MAX_BATCH_ENTRIES}"
         )
-    values = np.empty((n_paths, n_steps + 1))
-    values[:, 0] = 0.0
-    rows = max(1, BLOCK_ENTRIES // (n_steps + 1))
-    for r0 in range(0, n_paths, rows):
-        r1 = min(r0 + rows, n_paths)
-        inc = _increments(spec, n_steps, r1 - r0, seed, r0)
-        np.cumsum(inc, axis=1, out=values[r0:r1, 1:])
+    values = partial_sums(n_paths, n_steps, _increment_columns(spec, n_steps, n_paths, seed))
     return TrajectoryBatch(values, label=f"{spec.label}@seed={int(seed)}")

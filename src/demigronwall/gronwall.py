@@ -35,7 +35,7 @@ from .errors import (
     POutOfRange,
     ShapeMismatch,
 )
-from .generators import TrajectoryBatch, prefix_reduce, prefix_sweep
+from .generators import TrajectoryBatch, partial_sums, prefix_reduce
 from .reporting import VerificationReport, mean_se, mu_norm, one_sided_verdict, power_se
 
 GRONWALL_COLUMNS = ["n", "p", "mu", "nu", "lhs", "lhs_se", "rhs", "margin", "verdict"]
@@ -118,12 +118,13 @@ def _checked_growth(growth, n, n_paths=None) -> np.ndarray:
 def weighted_history(x, growth) -> np.ndarray:
     """``H_n = sum_{k<n} G_k X_k`` per path (``H_0 = 0``) for shared or per-path weights ``G``.
 
+    ``H`` is a time-major array (:func:`~demigronwall.generators.partial_sums`).
     Raises :class:`NegativeWeights` or :class:`ShapeMismatch` unless ``G``
     passes :func:`_checked_growth` for the N steps and rows of ``x``.
     """
     n = x.shape[1] - 1
     g = _checked_growth(growth, n, x.shape[0])
-    return np.hstack([np.zeros((x.shape[0], 1)), np.cumsum(g[..., :n] * x[:, :n], axis=1)])
+    return partial_sums(x.shape[0], n, (g[..., k] * x[:, k] for k in range(n)))
 
 
 # --------------------------------------------------------------------------
@@ -199,7 +200,8 @@ def _growth_products(g, n_list) -> dict:
     if g.ndim == 1:
         return {n: np.prod(1.0 + g[:n]) for n in n_list}
     n_max = max(n_list)
-    grow = np.ones((g.shape[0], n_max + 1))  # column 0 is the empty product
+    grow = np.empty((g.shape[0], n_max + 1), order="F")
+    grow[:, 0] = 1.0  # the empty product
     np.add(1.0, g[:, :n_max], out=grow[:, 1:])
     return prefix_reduce(grow, n_list, np.multiply)
 
@@ -250,37 +252,24 @@ def build_instance(X: TrajectoryBatch, S: TrajectoryBatch, growth) -> GronwallIn
 
 
 def _screened_extremes(values, n) -> tuple:
-    """``(sup, inf, mean, se)`` from one read of ``values``: running max and min at ``n`` per row,
-    and the mean and SE over rows of each increment ``values[:, k] - values[:, k - 1]``, ``k = 1..n``.
-    A nonzero entry in column 0 raises :class:`NonzeroStart` from the row block holding it.
+    """``(sup, inf, mean, se)`` from one left-to-right read of the columns ``0..n`` of ``values``.
 
-    Each block of the sweep gives its increments' per-step sums and sums of
-    squares.  The sums of squared deviations they imply are merged across row
-    blocks in order by the pairwise update of Chan, Golub & LeVeque (Am. Stat.
-    1983), so the moments equal :func:`~demigronwall.reporting.mean_se` of the
-    increments up to rounding, which grows with the ratio of their mean to
-    their standard deviation within a block.
+    ``sup`` and ``inf`` are each row's running maximum and minimum at ``n``,
+    as :func:`~demigronwall.generators.prefix_reduce` gives them; ``mean[k-1]``
+    and ``se[k-1]`` are :func:`~demigronwall.reporting.mean_se` of the
+    increment column ``values[:, k] - values[:, k-1]``, bit for bit.  A
+    nonzero entry in column 0 raises :class:`NonzeroStart` before any other.
     """
-    m = values.shape[0]
-    sup, inf = np.empty(m), np.empty(m)
-    total, m2 = np.zeros(n), np.zeros(n)  # increment k's sum and sum of squared deviations sit at k - 1
-    for rows, c0, t in prefix_sweep(values, (np.maximum, np.minimum), ({n: sup}, {n: inf})):
-        if c0 == 0 and np.any(t[0] != 0.0):
-            raise NonzeroStart("the maximal inequality requires paths starting at 0")
-        if len(t) < 2:
-            continue
-        steps = slice(c0, c0 + len(t) - 1)
-        count, size = rows.start, rows.stop - rows.start
-        inc = t[1:] - t[:-1]
-        block_sum = inc.sum(axis=1)
-        # the block's sum of squared deviations, from its sum of squares; never below 0 by rounding
-        m2[steps] += np.maximum(np.einsum("ij,ij->i", inc, inc) - block_sum * block_sum / size, 0.0)
-        if count:
-            gap = total[steps] * (size / count) - block_sum
-            m2[steps] += gap * gap * (count / (size * (count + size)))
-        total[steps] += block_sum
-    se = np.sqrt(m2 / ((m - 1) * m)) if m > 1 else np.zeros(n)
-    return sup, inf, total / m, se
+    if np.any(values[:, 0] != 0.0):
+        raise NonzeroStart("the maximal inequality requires paths starting at 0")
+    sup, inf = values[:, 0].copy(), values[:, 0].copy()
+    mean, se = np.empty(n), np.empty(n)
+    for k in range(1, n + 1):
+        column = values[:, k]
+        np.maximum(sup, column, out=sup)
+        np.minimum(inf, column, out=inf)
+        mean[k - 1], se[k - 1] = mean_se(column - values[:, k - 1])
+    return sup, inf, mean, se
 
 
 def verify_maximal_inequality(batch: TrajectoryBatch, p_grid, n=None) -> VerificationReport:
@@ -288,16 +277,15 @@ def verify_maximal_inequality(batch: TrajectoryBatch, p_grid, n=None) -> Verific
 
     The demimartingale property itself is the caller's responsibility; a
     cheap mean-increment screen warns (never fails) if some step's mean
-    increment lies more than 4 SE below zero.  The batch is read once
-    (:func:`_screened_extremes`): each row block, transposed into a small
-    contiguous scratch copy by :func:`~demigronwall.generators.prefix_sweep`,
-    gives the running maximum and minimum and the screen's increment
-    moments.  Each grid point passes
+    increment lies more than 4 SE below zero.  The batch is read once,
+    one time column at a time (:func:`_screened_extremes`), for the running
+    maximum and minimum and the screen's increment moments.  Each grid
+    point passes
     when ``lhs <= rhs + SLACK_SD * combined_SE`` with the right-hand error
     propagated through the power by the delta method.  An empty ``p_grid``
     raises :class:`InvalidSpec`, an ``n`` outside ``[0, N]``
-    :class:`ShapeMismatch` and then, from the sweep's copy of column 0, a
-    nonzero first column :class:`NonzeroStart`, all before the screen.
+    :class:`ShapeMismatch` and then a nonzero first column
+    :class:`NonzeroStart`, all before the screen.
     """
     p_grid = list(p_grid)
     if not p_grid:

@@ -14,11 +14,13 @@ The matrix functions take ``first_path`` and ``first_counter``: row ``r``
 and column ``j`` of the result are path ``first_path + r`` at draw
 ``first_counter + j``.  A batch can therefore be drawn one block of rows
 (or columns) at a time, and the blocks are bit-identical to the matching
-slice of the whole matrix.  The finalizer mixes the freshly built word
-array in place with one scratch array, the uniform conversion shifts the
-words in place and scales the one float array it converts them to, and
-normals overwrite their uniforms, so a draw allocates little beyond its
-result.
+slice of the whole matrix.  :func:`draw_columns` is the time-major
+counterpart: it derives the path keys once and yields one draw of every
+path at a time, bit for bit the matching column of the matrix functions.
+The finalizer mixes the freshly built word array in place with one scratch
+array, the uniform conversion shifts the words in place and scales the one
+float array it converts them to, and normals overwrite their uniforms, so a
+draw allocates little beyond its result.
 
 Normals are produced from uniforms by the inverse normal CDF.  Rejection
 samplers would consume a data-dependent number of uniforms per normal and
@@ -80,9 +82,8 @@ def raw_uint64(master_seed, n_paths, n_draws, first_counter=0, first_path=0):
         return _mix64(keys[:, None] + (ctr + np.uint64(1)) * _GAMMA)
 
 
-def uniform_matrix(master_seed, n_paths, n_draws, first_counter=0, first_path=0):
-    """I.i.d. uniforms strictly inside (0, 1), shape ``(n_paths, n_draws)``."""
-    bits = raw_uint64(master_seed, n_paths, n_draws, first_counter, first_path)
+def _uniform(bits):
+    """Uniforms strictly inside (0, 1) from the top 53 bits of ``bits``, which is overwritten."""
     np.right_shift(bits, np.uint64(11), out=bits)
     u = bits.astype(np.float64)
     u += 0.5
@@ -90,7 +91,37 @@ def uniform_matrix(master_seed, n_paths, n_draws, first_counter=0, first_path=0)
     return u
 
 
+def _normal(bits):
+    """Standard normals by the inverse CDF of :func:`_uniform` of ``bits``."""
+    u = _uniform(bits)
+    return ndtri(u, out=u)
+
+
+_LAWS = {"words": lambda bits: bits, "uniform": _uniform, "normal": _normal}
+
+
+def uniform_matrix(master_seed, n_paths, n_draws, first_counter=0, first_path=0):
+    """I.i.d. uniforms strictly inside (0, 1), shape ``(n_paths, n_draws)``."""
+    return _uniform(raw_uint64(master_seed, n_paths, n_draws, first_counter, first_path))
+
+
 def normal_matrix(master_seed, n_paths, n_draws, first_counter=0, first_path=0):
     """I.i.d. standard normals via the inverse CDF, shape ``(n_paths, n_draws)``."""
-    u = uniform_matrix(master_seed, n_paths, n_draws, first_counter, first_path)
-    return ndtri(u, out=u)
+    return _normal(raw_uint64(master_seed, n_paths, n_draws, first_counter, first_path))
+
+
+def draw_columns(master_seed, n_paths, n_draws, law="uniform"):
+    """Iterate over draws ``0 .. n_draws - 1`` of paths ``0 .. n_paths - 1``, one draw of every path at a time.
+
+    The ``j``-th array equals, bit for bit, column ``j`` of :func:`raw_uint64`
+    (``law="words"``), :func:`uniform_matrix` (``"uniform"``) or
+    :func:`normal_matrix` (``"normal"``) with the same seed and path count.
+    The seed is checked and the path keys are derived once, at the call;
+    each column is drawn when the iterator reaches it, into a fresh array
+    that belongs to the caller.
+    """
+    convert = _LAWS[law]
+    keys = path_keys(master_seed, np.arange(n_paths, dtype=np.uint64))
+    with np.errstate(over="ignore"):
+        offsets = (np.arange(n_draws, dtype=np.uint64) + np.uint64(1)) * _GAMMA
+    return (convert(_mix64(keys + offset)) for offset in offsets)

@@ -589,6 +589,9 @@ class TestNoiseTerms:
         assert np.all(s[:, 0] == 0.0)
         factor = 1.0 - 2.0 * cfg.h0 * model.L
         assert np.allclose(s[:, -1], z.sum(axis=1) / factor)
+        # time-major, with the bits of the row-major cumsum
+        assert s.flags.f_contiguous
+        assert s.tobytes() == (np.hstack([np.zeros((10, 1)), np.cumsum(z, axis=1)]) / factor).tobytes()
 
     @pytest.mark.parametrize(
         "model, x0",

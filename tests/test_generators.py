@@ -6,18 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from demigronwall import generators
 from demigronwall.errors import BatchTooLarge, InvalidSpec, ShapeMismatch
 from demigronwall.generators import (
-    BLOCK_ENTRIES,
-    SWEEP_ENTRIES,
     GeneratorSpec,
     TrajectoryBatch,
     associated_increment_matrix,
     generate_paths,
+    partial_sums,
     prefix_reduce,
 )
-from demigronwall.rng import uniform_matrix
+from demigronwall.rng import normal_matrix, uniform_matrix
 
 _ALL_KINDS = [
     GeneratorSpec.random_walk("pm1"),
@@ -56,6 +54,30 @@ class TestGeneratorSpec:
             bad()
 
 
+def _row_major_increments(spec, n_steps, m, seed):
+    """Each kind's increment law, drawn as one row-major matrix from the matrix functions."""
+    if spec.kind == "random_walk":
+        if spec.increment == "pm1":
+            return np.where(uniform_matrix(seed, m, n_steps) < 0.5, -1.0, 1.0)
+        return normal_matrix(seed, m, n_steps)
+    u = uniform_matrix(seed, m, n_steps + 1)
+    if spec.kind == "two_point_demisub":
+        inc = np.zeros((m, n_steps))
+        inc[:, :2] = np.where(u[:, :1] < spec.prob, -1.0, 1.0)
+        return inc
+    inc = (2.0 * u[:, 1:] - 1.0) + spec.theta * (2.0 * u[:, :1] - 1.0)
+    if spec.kind == "bounded_associated_partial_sum":
+        np.clip(inc, -spec.bound, spec.bound, out=inc)
+    return inc
+
+
+def _row_major_paths(spec, n_steps, m, seed):
+    """The batch as the row-major ``np.cumsum`` of :func:`_row_major_increments` along each row."""
+    paths = np.zeros((m, n_steps + 1))
+    np.cumsum(_row_major_increments(spec, n_steps, m, seed), axis=1, out=paths[:, 1:])
+    return paths
+
+
 class TestGeneratePaths:
     def test_zero_steps_is_a_single_zero_column(self):
         for spec in _ALL_KINDS:
@@ -65,8 +87,7 @@ class TestGeneratePaths:
 
     @pytest.mark.parametrize("n_steps", [1, 2, 6])
     def test_two_point_rows_follow_draw_zero(self, n_steps):
-        # row r is (0, s, 2s, 2s, ...) with s = -1 exactly when draw 0 of path r is below prob;
-        # 70000 rows span several row blocks at every n_steps here
+        # row r is (0, s, 2s, 2s, ...) with s = -1 exactly when draw 0 of path r is below prob
         m, prob, seed = 70_000, 0.3, 11
         batch = generate_paths(GeneratorSpec.two_point(prob), n_steps, m, seed)
         s = np.where(uniform_matrix(seed, m, 1)[:, 0] < prob, -1.0, 1.0)
@@ -75,9 +96,8 @@ class TestGeneratePaths:
 
     def test_pm1_steps_follow_the_uniform_rule(self):
         # the steps are built from the words' sign bits; they must equal the u < 0.5 rule on
-        # the uniforms, here on three row blocks whose last is ragged and starts at a nonzero path
-        seed, n_steps = 12, 50
-        m = 2 * (BLOCK_ENTRIES // (n_steps + 1)) + 37
+        # the uniforms
+        seed, n_steps, m = 12, 50, 2607
         steps = np.where(uniform_matrix(seed, m, n_steps) < 0.5, -1.0, 1.0)
         batch = generate_paths(GeneratorSpec.random_walk("pm1"), n_steps, m, seed)
         assert batch.values[:, 1:].tobytes() == np.cumsum(steps, axis=1).tobytes()
@@ -85,7 +105,7 @@ class TestGeneratePaths:
 
     @pytest.mark.parametrize("spec", _ALL_KINDS, ids=_kind_id)
     def test_peak_memory_stays_near_the_batch(self, spec):
-        # every kind is drawn in row blocks, so nothing holds a second copy of the batch
+        # every kind is drawn one time step at a time, so nothing holds a second copy of the batch
         tracemalloc.start()
         try:
             batch = generate_paths(spec, 50, 20_000, seed=3)
@@ -143,18 +163,15 @@ class TestGeneratePaths:
         assert np.array_equal(a.values, big.values[:50])
 
     @pytest.mark.parametrize("spec", _ALL_KINDS, ids=_kind_id)
-    @pytest.mark.parametrize("n_steps", [1, 50, 2 * BLOCK_ENTRIES])
+    @pytest.mark.parametrize("n_steps", [1, 50, 131072])
     def test_block_boundaries_leave_no_trace(self, spec, n_steps):
-        # two full blocks plus three rows, and a batch that one block covers at 1 and 50
-        # steps, against the first rows of a larger batch; at 2 * BLOCK_ENTRIES steps
-        # every block is a single row
-        rows = max(1, BLOCK_ENTRIES // (n_steps + 1))
-        m = 2 * rows + 3
-        big = generate_paths(spec, n_steps, m + rows, seed=404)
-        for size in (m, 5):
+        # a batch is drawn one time step for all paths at a time, so no boundary between
+        # groups of paths exists; smaller batches equal the first rows of a larger one
+        sizes = (1,) if n_steps > 1000 else (2000, 1)
+        oracle = _row_major_paths(spec, n_steps, sizes[0] + 1, seed=404)
+        for size in sizes:
             small = generate_paths(spec, n_steps, size, seed=404)
-            assert np.array_equal(small.values, big.values[:size])
-            assert np.all(small.values[:, 0] == 0.0)
+            assert small.values.tobytes() == oracle[:size].tobytes()
 
     def test_substream_independence_proxy(self):
         # correlation of terminal values of paths 0 and 1 across 1000 seeds
@@ -191,18 +208,43 @@ def test_associated_increment_matrix_contract():
             associated_increment_matrix(theta, 6, 10, seed=4, bound=bound)
 
 
+class TestTimeMajorLayout:
+    @pytest.mark.parametrize("spec", _ALL_KINDS, ids=_kind_id)
+    @pytest.mark.parametrize("n_steps", [0, 1, 2, 16, 50])
+    def test_batches_are_column_major_with_the_row_cumsum_bits(self, spec, n_steps):
+        m, seed = 1500, 29
+        batch = generate_paths(spec, n_steps, m, seed)
+        assert batch.values.flags.f_contiguous
+        oracle = _row_major_paths(spec, n_steps, m, seed)
+        assert batch.values.tobytes() == oracle.tobytes()
+        assert generate_paths(spec, n_steps, 7, seed).values.tobytes() == oracle[:7].tobytes()
+
+    def test_associated_increments_are_column_major_draws_of_the_same_law(self):
+        inc = associated_increment_matrix(0.5, 9, 300, seed=4, bound=0.75)
+        assert inc.flags.f_contiguous
+        spec = GeneratorSpec.bounded_associated(0.5, 0.75)
+        assert inc.tobytes() == _row_major_increments(spec, 9, 300, 4).tobytes()
+
+    def test_partial_sums_keep_a_negative_zero_first_increment(self):
+        inc = np.array([[-0.0, 0.0, -0.0], [-0.0, -0.0, 1.0], [2.0, -0.0, -2.0]])
+        sums = partial_sums(3, 3, inc.T)
+        assert sums.flags.f_contiguous
+        assert sums[:, 1:].tobytes() == np.cumsum(inc, axis=1).tobytes()
+        assert np.signbit(sums[:2, 1]).all() and np.signbit(sums[1, 2])
+        assert sums[:, 0].tobytes() == np.zeros(3).tobytes()
+
+
 @st.composite
-def _sweep_case(draw):
-    """(values, n_list, first, scratch budget) for a prefix_reduce call."""
+def _reduce_case(draw):
+    """(values, n_list, first) for a prefix_reduce call, in C or Fortran order."""
     m = draw(st.integers(1, 40))
     cols = draw(st.integers(1, 12))
     first = draw(st.integers(0, cols - 1))
     n_list = draw(st.lists(st.integers(first, cols - 1), min_size=1, max_size=5))
     # + 0.0 turns -0.0 into 0.0: only the sign of a zero may differ from a row reduction
     entries = draw(st.lists(st.floats(-1e3, 1e3).map(lambda x: x + 0.0), min_size=m * cols, max_size=m * cols))
-    # budgets below the width cut rows into column chunks; the rest give ragged row blocks
-    budget = draw(st.sampled_from([1, 2, 3, 5, 16, SWEEP_ENTRIES]))
-    return np.array(entries).reshape(m, cols), n_list, first, budget
+    order = draw(st.sampled_from("CF"))
+    return np.array(np.array(entries).reshape(m, cols), order=order), n_list, first
 
 
 def _assert_row_reduction_bits(values, n_list, first):
@@ -220,22 +262,34 @@ def _assert_row_reduction_bits(values, n_list, first):
         assert fused[1][n].tobytes() == infs[n].tobytes()
 
 
+def _reductions(values, n_list):
+    ufuncs = (np.maximum, np.minimum, np.multiply, (np.maximum, np.minimum))
+    results = [prefix_reduce(values, n_list, f) for f in ufuncs]
+    results[-1:] = results[-1]
+    return [out[n].tobytes() for out in results for n in n_list]
+
+
 class TestPrefixReduce:
     @settings(max_examples=200, deadline=None)
-    @given(_sweep_case())
+    @given(_reduce_case())
     def test_equals_the_row_reductions_bit_for_bit(self, case):
-        values, n_list, first, budget = case
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(generators, "SWEEP_ENTRIES", budget)
-            _assert_row_reduction_bits(values, n_list, first)
+        _assert_row_reduction_bits(*case)
 
-    def test_rows_wider_than_the_buffer(self, monkeypatch):
-        # 7 columns per chunk, one row per block: chunks 0-6, 6-12, 12-18, 18-20, with requested
-        # columns on a chunk's first column, inside a chunk and on its last
-        monkeypatch.setattr(generators, "SWEEP_ENTRIES", 7)
-        values = np.random.default_rng(8).uniform(0.5, 1.5, size=(5, 21))
-        _assert_row_reduction_bits(values, [2, 6, 9, 18, 20], 0)
-        _assert_row_reduction_bits(values, [20], 1)
+    def test_rows_wider_than_the_buffer(self):
+        # long rows, with requested columns first, inside and last, on both layouts
+        values = np.random.default_rng(8).uniform(0.5, 1.5, size=(5, 2001))
+        for order in "CF":
+            _assert_row_reduction_bits(np.array(values, order=order), [0, 6, 900, 1999, 2000], 0)
+            _assert_row_reduction_bits(np.array(values, order=order), [2000], 1)
+
+    def test_c_and_fortran_copies_give_the_same_bytes(self):
+        # rows mixing +0.0 and -0.0, where a row reduction may pick either zero
+        rng = np.random.default_rng(3)
+        values = rng.choice([-0.0, 0.0, -1.5, 2.0, 0.5], size=(64, 9))
+        values[0] = [0.0, -0.0, 0.0, -0.0, -0.0, 0.0, 0.0, -0.0, 0.0]
+        n_list = [0, 1, 4, 8]
+        c_bytes = _reductions(np.ascontiguousarray(values), n_list)
+        assert c_bytes == _reductions(np.asfortranarray(values), n_list)
 
     def test_argument_errors(self):
         values = np.arange(12.0).reshape(3, 4)

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from demigronwall import generators, gronwall
+from demigronwall import gronwall
 from demigronwall.errors import (
     HolderViolation,
     HypothesisViolated,
@@ -256,12 +256,12 @@ class TestVerifyMaximalInequality:
                 verify_maximal_inequality(TrajectoryBatch(drift), [0.5], 4 + 5)
             with pytest.raises(NonzeroStart):
                 verify_maximal_inequality(TrajectoryBatch(drift + 1.0), [0.5], 2)
-            with pytest.raises(ShapeMismatch):  # the range of n is checked before the sweep reads column 0
+            with pytest.raises(ShapeMismatch):  # the range of n is checked before column 0 is read
                 verify_maximal_inequality(TrajectoryBatch(drift + 1.0), [0.5], 4 + 5)
 
     def test_nonzero_start_in_the_last_row_block_raises(self):
-        # the start is read from the sweep's copy of each row block, so the last block must be checked
-        values = np.zeros((3 * (generators.SWEEP_ENTRIES // 6) + 5, 6))
+        # column 0 is read whole before the loop, so a nonzero start in the last row must raise
+        values = np.zeros((20_000, 6), order="F")
         values[-1, 0] = -0.5
         with pytest.raises(NonzeroStart):
             verify_maximal_inequality(TrajectoryBatch(values), [0.5], 5)
@@ -271,21 +271,25 @@ class TestIncrementScreen:
     """The screen's moments and extremes from the one read of ``_screened_extremes``."""
 
     @pytest.mark.parametrize(
-        "m, budget",
-        [(1000, 1 << 20), (1000, 400 * 6), (1000, 333 * 6), (7, 6), (9, 4)],
+        "m, order",
+        [(1000, "F"), (1000, "C"), (999, "F"), (7, "C"), (9, "F")],
+        # the ids are those of the row-block screen that the column loop replaced
         ids=["one-block", "uneven-last", "one-row-last", "one-row-blocks", "column-chunks"],
     )
-    def test_matches_mean_se_of_the_increments(self, monkeypatch, m, budget):
-        # row blocks of budget // 6 rows at n = 5, so 400 gives blocks 400, 400, 200; a budget
-        # below the width cuts every one-row block into overlapping column chunks
-        monkeypatch.setattr(generators, "SWEEP_ENTRIES", budget)
+    def test_matches_mean_se_of_the_increments(self, m, order):
+        # bit for bit on either layout; the oracle's 2-D mean_se takes a Fortran copy because
+        # numpy adds the rows of a C array one by one, but each column of a Fortran array pairwise,
+        # as a 1-D mean_se does
         rng = np.random.default_rng(5)
         values = np.hstack([np.zeros((m, 1)), np.cumsum(rng.normal(3.0, 2.0, size=(m, 8)), axis=1)])
+        values = np.array(values, order=order)
         n = 5
         sup, inf, mean, se = gronwall._screened_extremes(values, n)
-        ref_mean, ref_se = mean_se(np.diff(values[:, : n + 1], axis=1))
-        np.testing.assert_allclose(mean, ref_mean, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(se, ref_se, rtol=1e-12, atol=0)
+        ref_mean, ref_se = mean_se(np.diff(np.asfortranarray(values)[:, : n + 1], axis=1))
+        assert mean.tobytes() == ref_mean.tobytes()
+        assert se.tobytes() == ref_se.tobytes()
+        for k in range(1, n + 1):
+            assert (mean[k - 1], se[k - 1]) == mean_se(values[:, k] - values[:, k - 1])
         assert sup.tobytes() == values[:, : n + 1].max(axis=1).tobytes()
         assert inf.tobytes() == values[:, : n + 1].min(axis=1).tobytes()
 
@@ -456,6 +460,17 @@ class TestGrowthChecks:
             with pytest.raises(NegativeWeights):
                 build_instance(TrajectoryBatch(x), s, g)
         assert issubclass(NegativeWeights, NegativeInput)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_history_is_time_major_with_the_row_cumsum_bits(self, order):
+        # x < 0 with G = 0 gives -0.0 products; the first one keeps its sign, as in np.cumsum
+        x = np.array(4.0 * uniform_matrix(83, 6, 5) - 2.0, order=order)
+        x[:, 0] = -1.0
+        for g in (np.array([0.0, 0.3, 0.1, 0.7]), np.array(0.3 * uniform_matrix(84, 6, 4), order=order)):
+            hist = weighted_history(x, g)
+            assert hist.flags.f_contiguous
+            oracle = np.hstack([np.zeros((6, 1)), np.cumsum(g[..., :4] * x[:, :4], axis=1)])
+            assert hist.tobytes() == oracle.tobytes()
 
     def test_per_path_array_equals_per_path_batch(self):
         x = TrajectoryBatch(2.0 * uniform_matrix(81, 5, 4), label="x")
