@@ -46,7 +46,7 @@ from .errors import (
     StepBoundViolation,
     StepTooLarge,
 )
-from .generators import TrajectoryBatch, partial_sums
+from .generators import TrajectoryBatch, check_batch, partial_sums
 from .reporting import VerificationReport, mean_se, one_sided_verdict, root_of_mean
 from .rng import normal_matrix
 
@@ -381,6 +381,11 @@ def _solve_implicit(model: SdeModel, y, b, h, tol):
     return u, rnorm
 
 
+def _check_size(model: SdeModel, n_steps, n_paths) -> int:
+    """``n_paths`` as an int, checked before anything is drawn: the larger of the paths and increments must fit."""
+    return check_batch(n_paths, n_steps, max((n_steps + 1) * model.d, n_steps * model.m))[0]
+
+
 def simulate_bem(model: SdeModel, cfg: BemConfig, seed, n_paths) -> BemBatch:
     """Simulate ``n_paths`` backward Euler-Maruyama paths.
 
@@ -393,9 +398,7 @@ def simulate_bem(model: SdeModel, cfg: BemConfig, seed, n_paths) -> BemBatch:
     and the cross term is centered.
     """
     cfg.validate_against(model)
-    n_paths = int(n_paths)
-    if n_paths < 1:
-        raise InvalidSpec(f"n_paths must be >= 1, got {n_paths}")
+    n_paths = _check_size(model, cfg.n_steps, n_paths)
     n, d, m = cfg.n_steps, model.d, model.m
     dw = normal_matrix(seed, n_paths, n * m).reshape(n_paths, n, m) * math.sqrt(cfg.h)
     paths = np.empty((n_paths, n + 1, d))
@@ -504,10 +507,10 @@ def verify_apriori_bound(
     standard errors of zero, and
     ``s_demimartingale[h=...]``, the demimartingale check at ``level`` on
     their normalized partial sums.  An empty ``cfg_grid`` raises
-    :class:`HGridViolation`, an empty ``p_grid`` or a ``level`` outside
-    (0, 1) :class:`InvalidSpec`, and a configuration with fewer than
-    :data:`~demigronwall.demi.DEMI_MIN_STEPS` steps :class:`DegenerateBatch`,
-    all before any simulation.
+    :class:`HGridViolation`, an empty ``p_grid``, a ``level`` outside (0, 1)
+    or ``n_paths < 1`` :class:`InvalidSpec`, a configuration with fewer than
+    :data:`~demigronwall.demi.DEMI_MIN_STEPS` steps :class:`DegenerateBatch`
+    and a finest h above the batch budget :class:`BatchTooLarge`, all before any simulation.
     """
     cfg_grid = list(cfg_grid)
     if not cfg_grid:
@@ -518,6 +521,7 @@ def verify_apriori_bound(
     if not 0.0 < level < 1.0:
         raise InvalidSpec(f"level must lie in (0, 1), got {level}")
     t0, b0, x0 = _check_grid(model, cfg_grid)
+    _check_size(model, max(cfg.n_steps for cfg in cfg_grid), n_paths)
     x0_norm = float(np.sqrt((x0 ** 2).sum()))
     g0_norm = model.diffusion_norm(x0)
     bounds = {p: apriori_moment_bound(p, model.L, t0, b0, x0_norm, g0_norm) for p in p_grid}

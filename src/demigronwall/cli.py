@@ -31,7 +31,7 @@ from . import demi as demi_mod
 from . import fractional as frac_mod
 from . import gronwall as gron_mod
 from .errors import ConfigError, DemigronError
-from .generators import GeneratorSpec, TrajectoryBatch, associated_increment_matrix, generate_paths
+from .generators import GeneratorSpec, TrajectoryBatch, associated_increment_matrix, generate_paths, time_major
 from .reporting import VerificationReport
 # uniform_matrix stays importable here: perfbench/tracer.py wraps it by this name
 from .rng import draw_columns, uniform_matrix  # noqa: F401
@@ -49,9 +49,8 @@ def _aux_seed(seed, offset):
 
 def _uniform_batch(seed, offset, scale, n_paths, n_steps, label):
     """``scale`` times the i.i.d. uniforms of ``_aux_seed(seed, offset)``, time-major, ``n_steps + 1`` columns."""
-    values = np.empty((n_paths, n_steps + 1), order="F")
-    for k, u in enumerate(draw_columns(_aux_seed(seed, offset), n_paths, n_steps + 1)):
-        np.multiply(scale, u, out=values[:, k])
+    values = time_major(n_paths, n_steps + 1, lambda: draw_columns(_aux_seed(seed, offset), n_paths, n_steps + 1))
+    values *= scale
     return TrajectoryBatch(values, label=label)
 
 

@@ -5,7 +5,8 @@ the package: ``M`` independent sample paths of length ``N + 1``, stored as
 an ``M x (N+1)`` matrix with column ``k`` holding time index ``k``.  Every
 path matrix the package builds is time-major (Fortran order, each time
 column contiguous): it is filled one time step for all paths at a time
-(:func:`partial_sums`) and reduced one column at a time
+(:func:`partial_sums`, :func:`time_major`), after one size check
+(:func:`check_batch`), and reduced one column at a time
 (:func:`prefix_reduce`).  Any layout is accepted and gives the same bits.
 
 Available generators:
@@ -47,6 +48,29 @@ from .rng import draw_columns, normal_matrix, uniform_matrix  # noqa: F401
 MAX_BATCH_ENTRIES = 1 << 27
 
 
+def check_batch(n_paths, n_steps, width):
+    """``(n_paths, n_steps)`` as ints: the one size check, which every sample matrix passes before it is drawn.
+
+    Raises :class:`InvalidSpec` unless ``n_paths >= 1`` and ``n_steps >= 0``, and
+    :class:`BatchTooLarge` if ``n_paths * width`` exceeds :data:`MAX_BATCH_ENTRIES`.
+    """
+    n_paths, n_steps = int(n_paths), int(n_steps)
+    if n_paths < 1 or n_steps < 0:
+        raise InvalidSpec(f"need n_paths >= 1 and n_steps >= 0, got {n_paths} and {n_steps}")
+    if n_paths * width > MAX_BATCH_ENTRIES:
+        raise BatchTooLarge(f"{n_paths} x {width} entries exceed the budget of {MAX_BATCH_ENTRIES}")
+    return n_paths, n_steps
+
+
+def time_major(n_paths, n_cols, columns):
+    """Fortran-order ``(n_paths, n_cols)`` floats, column ``k`` the ``k``-th array of ``columns()``, called after :func:`check_batch`."""
+    n_paths, n_cols = check_batch(n_paths, n_cols, n_cols)
+    out = np.empty((n_paths, n_cols), order="F")
+    for k, column in zip(range(n_cols), columns()):
+        out[:, k] = column
+    return out
+
+
 def prefix_reduce(values, n_list, ufunc=np.maximum, first=0):
     """``{n: ufunc-reduction of each row over columns first..n}`` for every ``n`` in ``n_list``.
 
@@ -55,14 +79,12 @@ def prefix_reduce(values, n_list, ufunc=np.maximum, first=0):
     ``n``, whatever the layout of ``values``.  Maximum and minimum equal
     numpy's row maximum (minimum) bit for bit, up to the sign of a zero when
     a row mixes ``+0.0`` and ``-0.0``; ``np.multiply`` multiplies left to
-    right, as ``np.prod`` does over a row.  A tuple of ufuncs shares the
-    loop and gives a tuple of such dicts.
+    right, as ``np.prod`` does over a row.
 
     Raises:
-        ShapeMismatch: ``values`` not 2-D, or some ``n`` outside ``[first, N]``.
         InvalidSpec: empty ``n_list``.
+        ShapeMismatch: ``values`` not 2-D, or some ``n`` outside ``[first, N]``.
     """
-    ufuncs = ufunc if isinstance(ufunc, tuple) else (ufunc,)
     values = np.asarray(values)
     wanted = sorted({int(n) for n in n_list})
     if not wanted:
@@ -72,17 +94,13 @@ def prefix_reduce(values, n_list, ufunc=np.maximum, first=0):
             f"need 0 <= first <= n < {values.shape[-1]} on a 2-D array, got first={first}, "
             f"n_list={wanted}, shape {values.shape}"
         )
-    accs = [values[:, first].copy() for _ in ufuncs]
-    outs = tuple({} for _ in ufuncs)
-    last = wanted[-1]
-    for k in range(first, last + 1):
+    acc, out = values[:, first].copy(), {}
+    for k in range(first, wanted[-1] + 1):
         if k > first:
-            for f, acc in zip(ufuncs, accs):
-                f(acc, values[:, k], out=acc)
+            ufunc(acc, values[:, k], out=acc)
         if k in wanted:
-            for acc, out in zip(accs, outs):
-                out[k] = acc if k == last else acc.copy()
-    return outs if isinstance(ufunc, tuple) else outs[0]
+            out[k] = acc if k == wanted[-1] else acc.copy()
+    return out
 
 
 def partial_sums(n_paths, n_steps, increments):
@@ -117,10 +135,9 @@ class TrajectoryBatch:
 
     Attributes:
         values: float matrix of shape (n_paths, n_steps + 1); row ``r``,
-            column ``k`` is path ``r`` at time index ``k``.  Every batch the
-            package builds is column-major (Fortran order), so each time
-            column is contiguous; any layout is accepted and kept, and gives
-            the same results.
+            column ``k`` is path ``r`` at time index ``k``.  The package
+            builds it time-major; any layout is accepted, kept and gives the
+            same results.
         label: generator descriptor for reports.
     """
 
@@ -209,12 +226,13 @@ def associated_increment_matrix(theta, n_steps, n_paths, seed, bound=None):
     ``U_i + theta * V`` clipped to ``[-bound, bound]`` when a bound is given.
     Exposed separately because several harnesses need the increments
     themselves (the associated collection) rather than their partial sums.
+
+    Raises:
+        InvalidSpec: ``theta``, ``bound``, ``n_paths`` or ``n_steps`` out of range.
+        BatchTooLarge: ``n_paths * n_steps`` above the budget (:func:`check_batch`).
     """
     spec = GeneratorSpec.associated(theta) if bound is None else GeneratorSpec.bounded_associated(theta, bound)
-    inc = np.empty((n_paths, n_steps), order="F")
-    for k, column in enumerate(_increment_columns(spec, n_steps, n_paths, seed)):
-        inc[:, k] = column
-    return inc
+    return time_major(n_paths, n_steps, lambda: _increment_columns(spec, n_steps, n_paths, seed))
 
 
 def _pm1_steps(bits):
@@ -232,8 +250,7 @@ def _shock_steps(spec: GeneratorSpec, uniforms, n_steps):
         # +-1 on the first two steps, then 0: the atom paths (-1, -2) and (1, 2), frozen after
         step = np.where(shock < spec.prob, -1.0, 1.0)
         zero = np.zeros_like(step)
-        for k in range(n_steps):
-            yield step if k < 2 else zero
+        yield from (step if k < 2 else zero for k in range(n_steps))
         return
     shock = spec.theta * _centered_uniform(shock)
     for u in uniforms:
@@ -269,18 +286,9 @@ def generate_paths(spec: GeneratorSpec, n_steps, n_paths, seed) -> TrajectoryBat
     the first rows of a larger one.
 
     Raises:
-        InvalidSpec: parameter outside its admissible range.
-        BatchTooLarge: ``n_paths * (n_steps + 1)`` above the memory budget.
+        InvalidSpec: ``n_paths < 1``, ``n_steps < 0`` or a seed outside 64 bits.
+        BatchTooLarge: ``n_paths * (n_steps + 1)`` above the budget (:func:`check_batch`).
     """
-    n_steps = int(n_steps)
-    n_paths = int(n_paths)
-    if n_paths < 1:
-        raise InvalidSpec(f"n_paths must be >= 1, got {n_paths}")
-    if n_steps < 0:
-        raise InvalidSpec(f"n_steps must be >= 0, got {n_steps}")
-    if n_paths * (n_steps + 1) > MAX_BATCH_ENTRIES:
-        raise BatchTooLarge(
-            f"{n_paths} x {n_steps + 1} entries exceed the budget of {MAX_BATCH_ENTRIES}"
-        )
+    n_paths, n_steps = check_batch(n_paths, n_steps, int(n_steps) + 1)
     values = partial_sums(n_paths, n_steps, _increment_columns(spec, n_steps, n_paths, seed))
     return TrajectoryBatch(values, label=f"{spec.label}@seed={int(seed)}")

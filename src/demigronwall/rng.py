@@ -8,15 +8,8 @@ SplitMix64 finalizer.  Consequences that the rest of the package relies on:
 * identical arguments reproduce bit-identical output,
 * path ``r`` sees the same draws no matter how many paths are generated
   alongside it or in which order,
-* whole batches vectorize as plain uint64 array arithmetic.
+* batches vectorize as uint64 arithmetic, whole or by column (:func:`draw_columns`).
 
-The matrix functions take ``first_path`` and ``first_counter``: row ``r``
-and column ``j`` of the result are path ``first_path + r`` at draw
-``first_counter + j``.  A batch can therefore be drawn one block of rows
-(or columns) at a time, and the blocks are bit-identical to the matching
-slice of the whole matrix.  :func:`draw_columns` is the time-major
-counterpart: it derives the path keys once and yields one draw of every
-path at a time, bit for bit the matching column of the matrix functions.
 The finalizer mixes the freshly built word array in place with one scratch
 array, the uniform conversion shifts the words in place and scales the one
 float array it converts them to, and normals overwrite their uniforms, so a
@@ -70,16 +63,11 @@ def path_keys(master_seed, path_indices):
     return keys if idx.ndim else keys[0]
 
 
-def raw_uint64(master_seed, n_paths, n_draws, first_counter=0, first_path=0):
-    """Raw 64-bit words, shape ``(n_paths, n_draws)``.
-
-    Entry ``(r, j)`` depends only on
-    ``(master_seed, first_path + r, first_counter + j)``.
-    """
-    keys = path_keys(master_seed, np.arange(first_path, first_path + n_paths, dtype=np.uint64))
-    ctr = np.arange(first_counter, first_counter + n_draws, dtype=np.uint64)
+def raw_uint64(master_seed, n_paths, n_draws):
+    """Raw 64-bit words, shape ``(n_paths, n_draws)``; entry ``(r, j)`` depends only on ``(master_seed, r, j)``."""
+    keys = path_keys(master_seed, np.arange(n_paths, dtype=np.uint64))
     with np.errstate(over="ignore"):
-        return _mix64(keys[:, None] + (ctr + np.uint64(1)) * _GAMMA)
+        return _mix64(keys[:, None] + (np.arange(n_draws, dtype=np.uint64) + np.uint64(1)) * _GAMMA)
 
 
 def _uniform(bits):
@@ -100,14 +88,14 @@ def _normal(bits):
 _LAWS = {"words": lambda bits: bits, "uniform": _uniform, "normal": _normal}
 
 
-def uniform_matrix(master_seed, n_paths, n_draws, first_counter=0, first_path=0):
+def uniform_matrix(master_seed, n_paths, n_draws):
     """I.i.d. uniforms strictly inside (0, 1), shape ``(n_paths, n_draws)``."""
-    return _uniform(raw_uint64(master_seed, n_paths, n_draws, first_counter, first_path))
+    return _uniform(raw_uint64(master_seed, n_paths, n_draws))
 
 
-def normal_matrix(master_seed, n_paths, n_draws, first_counter=0, first_path=0):
+def normal_matrix(master_seed, n_paths, n_draws):
     """I.i.d. standard normals via the inverse CDF, shape ``(n_paths, n_draws)``."""
-    return _normal(raw_uint64(master_seed, n_paths, n_draws, first_counter, first_path))
+    return _normal(raw_uint64(master_seed, n_paths, n_draws))
 
 
 def draw_columns(master_seed, n_paths, n_draws, law="uniform"):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from demigronwall import bem
+from demigronwall import bem, generators
 from demigronwall.bem import (
     BemConfig,
     SdeModel,
@@ -23,6 +23,7 @@ from demigronwall.bem import (
     z_sequence,
 )
 from demigronwall.errors import (
+    BatchTooLarge,
     DegenerateBatch,
     HGridViolation,
     InvalidSpec,
@@ -448,6 +449,21 @@ class TestSimulate:
         assert np.array_equal(a.paths, b.paths)
         assert np.array_equal(a.increments, b.increments)
 
+    def test_the_larger_of_paths_and_increments_meets_the_budget(self, monkeypatch):
+        cfg = BemConfig(h=0.25, t_horizon=1.0, h0=0.3, x0=[1.0])  # N = 4
+        # d = m = 1: 5 path entries and 4 increments per path; d = 1, m = 3: 5 and 12
+        three_noises = SdeModel(
+            d=1, m=3, drift=lambda y: -y, diffusion=lambda y: np.ones((y.shape[0], 1, 3)), L=1.5, osl=-1.0,
+        )
+        monkeypatch.setattr(generators, "MAX_BATCH_ENTRIES", 120)
+        for model, width in ((ou_model(), 5), (three_noises, 12)):
+            n_paths = 120 // width
+            assert simulate_bem(model, cfg, seed=1, n_paths=n_paths).n_paths == n_paths
+            with pytest.raises(BatchTooLarge, match=f"{n_paths + 1} x {width} entries"):
+                simulate_bem(model, cfg, seed=1, n_paths=n_paths + 1)
+        with pytest.raises(InvalidSpec):
+            simulate_bem(ou_model(), cfg, seed=1, n_paths=0)
+
     def test_residual_contract(self):
         model = bounded_diffusion_model(1.0, 1.0)
         cfg = BemConfig(h=0.05, t_horizon=0.5, h0=0.5, x0=[0.7], newton_tol=1e-11)
@@ -701,6 +717,17 @@ class TestVerifyApriori:
         cfgs = [BemConfig(h=h, t_horizon=0.3, h0=0.25, x0=[1.0]) for h in (0.1, 0.2)]
         with pytest.raises(DegenerateBatch):
             verify_apriori_bound(ou_model(), cfgs, [0.5], 200, seed=1)
+
+    def test_finest_step_above_the_budget_raises_before_simulating(self, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a path was simulated before the batch size was checked")
+
+        monkeypatch.setattr(bem, "simulate_bem", no_simulation)
+        monkeypatch.setattr(generators, "MAX_BATCH_ENTRIES", 1000)
+        # 100 paths of h = 0.2 hold 100 x 6 entries, of h = 0.1 100 x 11: only the second h is too large
+        cfgs = [BemConfig(h=h, t_horizon=1.0, h0=0.25, x0=[1.0]) for h in (0.2, 0.1)]
+        with pytest.raises(BatchTooLarge, match="100 x 11 entries"):
+            verify_apriori_bound(ou_model(), cfgs, [0.5], 100, seed=1)
 
     def test_grid_must_share_shared_parameters(self):
         model = ou_model(1.0, 1.0)

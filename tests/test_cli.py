@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import demigronwall
+from demigronwall import generators
 from demigronwall.cli import main
 
 
@@ -86,6 +87,14 @@ class TestExitCodes:
     def test_seed_near_two_to_the_64_derives_wrapped_auxiliary_seeds(self, tmp_path, command):
         seed = str(2 ** 64 - 1)
         assert _run(tmp_path, command, "--seed", seed, "--paths", "100", "--quiet") in (0, 2)
+
+    @pytest.mark.parametrize("command, width", [("gronwall-lemma", 17), ("gronwall-theorem", 17), ("fractional", 17), ("bem", 11)])
+    def test_every_batch_above_the_budget_exits_one(self, tmp_path, capsys, monkeypatch, command, width):
+        # one size check covers generated paths, the associated increments and BEM's paths
+        monkeypatch.setattr(generators, "MAX_BATCH_ENTRIES", 1000)
+        assert _run(tmp_path, command, "--paths", "100", "--seed", "1", "--quiet") == 1
+        assert f"100 x {width} entries exceed the budget of 1000" in capsys.readouterr().err
+        assert not (tmp_path / "out" / command / "cases.csv").exists()
 
     def test_unknown_generator_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.ini"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from demigronwall import generators
 from demigronwall.errors import BatchTooLarge, InvalidSpec, ShapeMismatch
 from demigronwall.generators import (
     GeneratorSpec,
@@ -164,9 +165,9 @@ class TestGeneratePaths:
 
     @pytest.mark.parametrize("spec", _ALL_KINDS, ids=_kind_id)
     @pytest.mark.parametrize("n_steps", [1, 50, 131072])
-    def test_block_boundaries_leave_no_trace(self, spec, n_steps):
-        # a batch is drawn one time step for all paths at a time, so no boundary between
-        # groups of paths exists; smaller batches equal the first rows of a larger one
+    def test_batches_are_the_first_rows_of_the_row_major_oracle(self, spec, n_steps):
+        # 2000 paths and 1 path (1 path alone at 131072 steps) equal, bit for bit, the first rows
+        # of the row-major np.cumsum oracle drawn one path wider
         sizes = (1,) if n_steps > 1000 else (2000, 1)
         oracle = _row_major_paths(spec, n_steps, sizes[0] + 1, seed=404)
         for size in sizes:
@@ -197,7 +198,7 @@ class TestTrajectoryBatch:
             TrajectoryBatch(np.zeros(4))
 
 
-def test_associated_increment_matrix_contract():
+def test_associated_increment_matrix_contract(monkeypatch):
     inc = associated_increment_matrix(1.0, 6, 2000, seed=4)
     assert inc.shape == (2000, 6)
     assert abs(inc.mean()) < 0.05
@@ -206,6 +207,16 @@ def test_associated_increment_matrix_contract():
     for theta, bound in ((-0.5, None), (math.nan, None), (math.inf, None), (1.0, math.inf)):
         with pytest.raises(InvalidSpec):
             associated_increment_matrix(theta, 6, 10, seed=4, bound=bound)
+    for n_steps, n_paths in ((6, 0), (6, -3), (-1, 10), (-4, 10)):
+        with pytest.raises(InvalidSpec):
+            associated_increment_matrix(1.0, n_steps, n_paths, seed=4)
+    empty = associated_increment_matrix(1.0, 0, 7, seed=4)
+    assert empty.shape == (7, 0) and empty.flags.f_contiguous
+    at_budget = associated_increment_matrix(1.0, 10, 100, seed=4)
+    monkeypatch.setattr(generators, "MAX_BATCH_ENTRIES", 1000)
+    assert associated_increment_matrix(1.0, 10, 100, seed=4).tobytes() == at_budget.tobytes()
+    with pytest.raises(BatchTooLarge, match="100 x 11 entries"):
+        associated_increment_matrix(1.0, 11, 100, seed=4)
 
 
 class TestTimeMajorLayout:
@@ -251,21 +262,16 @@ def _assert_row_reduction_bits(values, n_list, first):
     sups = prefix_reduce(values, n_list, first=first)
     infs = prefix_reduce(values, n_list, np.minimum, first=first)
     prods = prefix_reduce(values, n_list, np.multiply, first=first)
-    fused = prefix_reduce(values, n_list, (np.maximum, np.minimum), first=first)
     assert set(sups) == set(n_list)
     for n in n_list:
         cols = values[:, first : n + 1]
         assert sups[n].tobytes() == cols.max(axis=1).tobytes()
         assert infs[n].tobytes() == cols.min(axis=1).tobytes()
         assert prods[n].tobytes() == np.prod(cols, axis=1).tobytes()
-        assert fused[0][n].tobytes() == sups[n].tobytes()
-        assert fused[1][n].tobytes() == infs[n].tobytes()
 
 
 def _reductions(values, n_list):
-    ufuncs = (np.maximum, np.minimum, np.multiply, (np.maximum, np.minimum))
-    results = [prefix_reduce(values, n_list, f) for f in ufuncs]
-    results[-1:] = results[-1]
+    results = [prefix_reduce(values, n_list, f) for f in (np.maximum, np.minimum, np.multiply)]
     return [out[n].tobytes() for out in results for n in n_list]
 
 
@@ -275,8 +281,8 @@ class TestPrefixReduce:
     def test_equals_the_row_reductions_bit_for_bit(self, case):
         _assert_row_reduction_bits(*case)
 
-    def test_rows_wider_than_the_buffer(self):
-        # long rows, with requested columns first, inside and last, on both layouts
+    def test_long_rows_on_both_layouts(self):
+        # 2001-column rows in C and Fortran order, with requested columns first, inside and last
         values = np.random.default_rng(8).uniform(0.5, 1.5, size=(5, 2001))
         for order in "CF":
             _assert_row_reduction_bits(np.array(values, order=order), [0, 6, 900, 1999, 2000], 0)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from demigronwall.errors import InvalidSpec
-from demigronwall.rng import normal_matrix, path_keys, raw_uint64, uniform_matrix
+from demigronwall.rng import draw_columns, normal_matrix, path_keys, raw_uint64, uniform_matrix
+
+_LAWS = [("words", raw_uint64), ("uniform", uniform_matrix), ("normal", normal_matrix)]
 
 
 def test_bit_identical_reproducibility():
@@ -17,19 +19,30 @@ def test_per_path_determinism_across_batch_sizes():
     assert np.array_equal(small, large[:5])
 
 
-def test_counter_offset_is_a_pure_shift():
-    full = uniform_matrix(7, 8, 60)
-    tail = uniform_matrix(7, 8, 40, first_counter=20)
-    assert np.array_equal(full[:, 20:], tail)
+@pytest.mark.parametrize("law, matrix", _LAWS, ids=[law for law, _ in _LAWS])
+@pytest.mark.parametrize("n_paths, n_draws", [(50, 9), (1, 3), (1000, 1)])
+def test_draw_columns_stack_into_the_matrix_functions(law, matrix, n_paths, n_draws):
+    columns = list(draw_columns(21, n_paths, n_draws, law))
+    assert len(columns) == n_draws
+    assert np.stack(columns, axis=1).tobytes() == matrix(21, n_paths, n_draws).tobytes()
 
 
-@pytest.mark.parametrize("draw", [raw_uint64, uniform_matrix, normal_matrix])
-@pytest.mark.parametrize("first_path, k", [(0, 7), (13, 20), (49, 1)])
-def test_path_offset_selects_rows_of_the_full_matrix(draw, first_path, k):
-    full = draw(21, 50, 9)
-    assert np.array_equal(draw(21, k, 9, first_path=first_path), full[first_path : first_path + k])
-    tail = draw(21, k, 4, first_counter=5, first_path=first_path)
-    assert np.array_equal(tail, full[first_path : first_path + k, 5:])
+@pytest.mark.parametrize("law", [law for law, _ in _LAWS])
+def test_no_draws_yield_no_columns(law):
+    assert list(draw_columns(21, 50, 0, law)) == []
+
+
+@pytest.mark.parametrize("law, matrix", _LAWS, ids=[law for law, _ in _LAWS])
+def test_each_column_is_a_fresh_writable_array(law, matrix):
+    # a caller may overwrite a column in place: later columns keep their bits, earlier ones what was written
+    expected = matrix(8, 30, 5)
+    seen = []
+    for j, column in enumerate(draw_columns(8, 30, 5, law)):
+        assert column.flags.writeable and column.shape == (30,)
+        assert column.tobytes() == expected[:, j].tobytes()
+        column[...] = j
+        seen.append(column)
+    assert all(np.all(column == j) for j, column in enumerate(seen))
 
 
 def test_uniforms_open_interval_and_moments():
