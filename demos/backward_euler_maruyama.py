@@ -55,7 +55,7 @@ z, s = z_sequence(model, batch, cfg.h0)
 worst = np.abs(z.mean(axis=0) / (z.std(ddof=1, axis=0) / np.sqrt(z.shape[0]))).max()
 print(f"largest |z-score| of the noise-term column means: {worst:.2f} (3.0 allowed)")
 s_batch = TrajectoryBatch(s, label="z-partial-sums")
-s_report = check_demimartingale(s_batch, TestFunctionFamily.default(s_batch), level=0.999)
+s_report = check_demimartingale(s_batch, TestFunctionFamily.default(s_batch))
 print(f"demimartingale check on the partial sums: "
       f"{'pass' if s_report.overall_pass else 'FAIL'} "
       f"({len(s_report.rows)} cells)")

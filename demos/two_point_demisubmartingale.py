@@ -37,7 +37,7 @@ m = 50_000
 for p in (0.3, 0.6):
     batch = generate_paths(GeneratorSpec.two_point(p), 2, m, seed=12)
     family = TestFunctionFamily.default(batch)
-    report = check_demimartingale(batch, family, level=0.999, mode="demisub")
+    report = check_demimartingale(batch, family, mode="demisub")
     n_failures = sum(row["verdict"] == "fail" for row in report.rows)
     print(f"p = {p}: demisubmartingale check on {m} paths -> "
           f"{'pass' if report.overall_pass else 'FAIL'} "

@@ -40,6 +40,7 @@ from .errors import (
     DegenerateBatch,
     HGridViolation,
     InvalidSpec,
+    NegativeInput,
     NewtonNonConvergence,
     POutOfRange,
     ShapeMismatch,
@@ -459,8 +460,10 @@ def apriori_moment_bound(p, L, T, h0, x0_norm, g_x0_norm) -> float:
     p = float(p)
     if not 0.0 < p < 1.0:
         raise POutOfRange(f"p must lie in (0, 1), got {p}")
-    if L < 0.0 or not T > 0.0:
-        raise InvalidSpec(f"need L >= 0 and T > 0, got L={L}, T={T}")
+    if not (L >= 0.0 and 0.0 < T < math.inf):
+        raise InvalidSpec(f"need L >= 0 and finite T > 0, got L={L}, T={T}")
+    if not (x0_norm >= 0.0 and g_x0_norm >= 0.0):
+        raise NegativeInput(f"norms must be >= 0, got |x0|={x0_norm}, |g(x0)|={g_x0_norm}")
     if not h0 > 0.0 or (L > 0.0 and not h0 < 1.0 / (2.0 * L)):
         raise StepBoundViolation(f"h0 must lie in (0, 1/(2L)), got h0={h0}, L={L}")
     damp = 1.0 - 2.0 * h0 * L
@@ -494,7 +497,6 @@ def verify_apriori_bound(
     p_grid,
     n_paths,
     seed,
-    level=0.999,
 ) -> VerificationReport:
     """Estimate ``||sup_j |Y^j|||_{2p}`` across an h-grid against one bound.
 
@@ -505,21 +507,19 @@ def verify_apriori_bound(
     are recorded as named checks: ``z_mean_zero[h=...]``, every column mean
     of the noise terms Z, as each step recorded them, within ``SLACK_SD``
     standard errors of zero, and
-    ``s_demimartingale[h=...]``, the demimartingale check at ``level`` on
-    their normalized partial sums.  An empty ``cfg_grid`` raises
-    :class:`HGridViolation`, an empty ``p_grid``, a ``level`` outside (0, 1)
-    or ``n_paths < 1`` :class:`InvalidSpec`, a configuration with fewer than
+    ``s_demimartingale[h=...]``, the demimartingale check on their
+    normalized partial sums.  ``p_grid`` is a list of exponents.  An empty
+    ``cfg_grid`` raises :class:`HGridViolation`, an empty ``p_grid`` or
+    ``n_paths < 1`` :class:`InvalidSpec`, a configuration with fewer than
     :data:`~demigronwall.demi.DEMI_MIN_STEPS` steps :class:`DegenerateBatch`
     and a finest h above the batch budget :class:`BatchTooLarge`, all before any simulation.
     """
     cfg_grid = list(cfg_grid)
     if not cfg_grid:
         raise HGridViolation("empty step-size grid")
-    p_grid = [float(p) for p in (p_grid if np.ndim(p_grid) else [p_grid])]
+    p_grid = [float(p) for p in p_grid]
     if not p_grid:
         raise InvalidSpec("empty p_grid: need at least one exponent")
-    if not 0.0 < level < 1.0:
-        raise InvalidSpec(f"level must lie in (0, 1), got {level}")
     t0, b0, x0 = _check_grid(model, cfg_grid)
     _check_size(model, max(cfg.n_steps for cfg in cfg_grid), n_paths)
     x0_norm = float(np.sqrt((x0 ** 2).sum()))
@@ -540,7 +540,7 @@ def verify_apriori_bound(
             one_sided_verdict(abs(m), se, 0.0, 0.0)["verdict"] == "pass" for m, se in zip(col_mean, col_se)
         )
         s_batch = TrajectoryBatch(s, label=f"z-partial-sums[h={cfg.h:g}]")
-        demi = check_demimartingale(s_batch, TestFunctionFamily.default(s_batch), level=level)
+        demi = check_demimartingale(s_batch, TestFunctionFamily.default(s_batch))
         report.checks[f"s_demimartingale[h={cfg.h:g}]"] = demi.overall_pass
     return report
 

@@ -95,12 +95,6 @@ def _choice(*options):
     return parse
 
 
-def _bool(raw):
-    if raw.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
-        raise ValueError(f"expected a boolean, got {raw!r}")
-    return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
-
-
 def _generator(token):
     if token == "random_walk_pm1":
         return GeneratorSpec.random_walk("pm1")
@@ -132,7 +126,6 @@ CONFIG = {
         "generator": (_generator, "two_point_0.3"),
         "mode": (_choice("demi", "demisub"), "demisub"),
         "n_steps": (_positive_int, "2"),
-        "level": (_fraction, "0.999"),
     },
     "gronwall-lemma": {
         "generators": (_list(_generator), "random_walk_pm1,associated_0.5"),
@@ -162,7 +155,6 @@ CONFIG = {
         "p_grid": (_list(_fraction), "0.5"),
         "pairs": (_list(_exponents), "inf:1"),
         "n_list": (_list(int), "8,16"),
-        "check_association": (_bool, "true"),
     },
     "bem": {
         "model": (_choice("ou", "bounded_diffusion", "frozen"), "ou"),
@@ -174,7 +166,6 @@ CONFIG = {
         "p_grid": (_list(_fraction), "0.25,0.5"),
         "x0": (_list(_finite), "1.0"),
         "newton_tol": (_finite, "1e-10"),
-        "level": (_fraction, "0.999"),
     },
 }
 
@@ -227,7 +218,7 @@ def _holder_pairs(p_grid, pairs):
     return [gron_mod.HolderPair(mu, nu, p) for p in p_grid for mu, nu in pairs]
 
 
-def _drive_demi_check(generator, mode, n_steps, level):
+def _drive_demi_check(generator, mode, n_steps):
     if n_steps < demi_mod.DEMI_MIN_STEPS:
         raise ValueError(f"n_steps must be >= {demi_mod.DEMI_MIN_STEPS}, got {n_steps}")
 
@@ -236,7 +227,7 @@ def _drive_demi_check(generator, mode, n_steps, level):
         for seed in seeds:
             batch = generate_paths(generator, n_steps, n_paths, seed)
             family = demi_mod.TestFunctionFamily.default(batch)
-            report.extend(demi_mod.check_demimartingale(batch, family, level=level, mode=mode))
+            report.extend(demi_mod.check_demimartingale(batch, family, mode=mode))
         return report
 
     return run
@@ -279,7 +270,7 @@ def _drive_gronwall_theorem(n_steps, theta, bound, x_scale, g_value, g_kinds, p_
     return run
 
 
-def _drive_fractional(betas, q, tau, n_steps, lambda1, lambda2, theta, p_grid, pairs, n_list, check_association):
+def _drive_fractional(betas, q, tau, n_steps, lambda1, lambda2, theta, p_grid, pairs, n_list):
     model = frac_mod.FractionalModel(
         betas=tuple(betas), q=tuple(q), tau=tau, n_steps=n_steps, lambda1=lambda1, lambda2=lambda2,
     )
@@ -294,17 +285,16 @@ def _drive_fractional(betas, q, tau, n_steps, lambda1, lambda2, theta, p_grid, p
             x_inc = associated_increment_matrix(theta, n_steps + 1, n_paths, _aux_seed(seed, _X_SEED_OFFSET))
             x_batch = TrajectoryBatch(np.square(x_inc, out=x_inc), label="squared-associated-X")
             y_vals = associated_increment_matrix(theta, n_steps, n_paths, _aux_seed(seed, _Y_SEED_OFFSET))
-            if check_association:
-                y_batch = TrajectoryBatch(y_vals, label="associated-Y")
-                assoc = demi_mod.check_association(y_batch, demi_mod.TestFunctionFamily.default(y_batch))
-                report.checks[f"y_association[seed={seed}]"] = assoc.overall_pass
+            y_batch = TrajectoryBatch(y_vals, label="associated-Y")
+            assoc = demi_mod.check_association(y_batch, demi_mod.TestFunctionFamily.default(y_batch))
+            report.checks[f"y_association[seed={seed}]"] = assoc.overall_pass
             report.extend(frac_mod.verify_fractional_gronwall(model, x_batch, y_vals, holder_pairs, n_list))
         return report
 
     return run
 
 
-def _drive_bem(model, kappa, sigma, t_horizon, h0, h_grid, p_grid, x0, newton_tol, level):
+def _drive_bem(model, kappa, sigma, t_horizon, h0, h_grid, p_grid, x0, newton_tol):
     if model == "ou":
         sde = bem_mod.ou_model(kappa, sigma)
     elif model == "bounded_diffusion":
@@ -320,7 +310,7 @@ def _drive_bem(model, kappa, sigma, t_horizon, h0, h_grid, p_grid, x0, newton_to
     def run(seeds, n_paths):
         report = VerificationReport(command="bem", columns=bem_mod.BEM_COLUMNS, seeds=list(seeds))
         for seed in seeds:
-            report.extend(bem_mod.verify_apriori_bound(sde, cfgs, p_grid, n_paths, seed, level=level))
+            report.extend(bem_mod.verify_apriori_bound(sde, cfgs, p_grid, n_paths, seed))
         return report
 
     return run
@@ -341,11 +331,11 @@ COMMANDS = (*_DRIVERS, "all")
 # orchestration
 # --------------------------------------------------------------------------
 
-def _min_paths(command, params):
-    """Fewest paths the checks of ``command`` accept under ``params``."""
+def _min_paths(command):
+    """Fewest paths the checks of ``command`` accept."""
     if command in ("demi-check", "bem"):
         return demi_mod.DEMI_MIN_PATHS
-    if command == "fractional" and params["check_association"]:
+    if command == "fractional":
         return demi_mod.ASSOCIATION_MIN_PATHS
     return 1
 
@@ -357,7 +347,7 @@ def _prepare(parser, command):
     """
     params = _section_params(parser, command)
     try:
-        return _DRIVERS[command](**params), _min_paths(command, params)
+        return _DRIVERS[command](**params), _min_paths(command)
     except (ValueError, DemigronError) as exc:
         raise ConfigError(f"[{command}] {exc}") from None
 

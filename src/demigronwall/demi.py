@@ -6,9 +6,9 @@ for the demisubmartingale variant), which no finite procedure can certify.
 The checks here evaluate a fixed, explicitly parameterized family of
 nondecreasing probe functions and run one-sided z-tests per cell:
 
-* each cell is a test at its own ``level`` (0.999 by default, so a true
-  inequality fails a cell with probability about 0.1% under the normal
-  approximation), with no multiplicity correction across cells;
+* each cell is a test at :data:`~demigronwall.reporting.Z_LEVEL` = 0.999,
+  so a true inequality fails a cell with probability about 0.1% under the
+  normal approximation, with no multiplicity correction across cells;
 * a report with many cells can therefore fail on a true demimartingale,
   so a failed cell calls for a rerun with other seeds or more paths and
   is not by itself proof of a violation;
@@ -22,16 +22,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import DegenerateBatch, EmptyFamily, InvalidSpec, NotNondecreasing
 from .generators import TrajectoryBatch
-from .reporting import VerificationReport, mean_se, one_sided_verdict
+from .reporting import Z_SLACK, VerificationReport, mean_se, one_sided_verdict
 
 DEMI_COLUMNS = ["j", "function", "estimate", "stderr", "z", "verdict"]
-
-#: one-sided confidence level of each association cell's z-test
-ASSOCIATION_LEVEL = 0.999
 
 #: contiguous path blocks whose covariances give an association cell's SE
 ASSOCIATION_BLOCKS = 30
@@ -153,17 +149,14 @@ class TestFunctionFamily:
         return tuple(f for f in self.members if f.nonnegative)
 
     @classmethod
-    def default(cls, batch: TrajectoryBatch = None) -> "TestFunctionFamily":
+    def default(cls, batch: TrajectoryBatch) -> "TestFunctionFamily":
         """Data-driven default: ramps at batch quantiles plus the two extremes.
 
         Centers sit at the pooled 25/50/75% quantiles and the ramp width is
         a quarter of the interquartile range (floored away from zero), so
         the probes stay responsive on whatever scale the batch lives on.
         """
-        if batch is None:
-            q1, q2, q3 = -1.0, 0.0, 1.0
-        else:
-            q1, q2, q3 = np.quantile(batch.values, [0.25, 0.5, 0.75])
+        q1, q2, q3 = np.quantile(batch.values, [0.25, 0.5, 0.75])
         width = max((q3 - q1) / 4.0, 1e-6, 1e-9 * max(abs(q1), abs(q3)))
         members = [
             Constant1(),
@@ -188,10 +181,10 @@ def _zscore(estimate, stderr) -> float:
     return math.copysign(math.inf, estimate)
 
 
-def _cell_row(j, name, estimate, stderr, z_crit) -> dict:
+def _cell_row(j, name, estimate, stderr) -> dict:
     estimate, stderr = float(estimate), float(stderr)
     z = _zscore(estimate, stderr)
-    verdict = one_sided_verdict(0.0, 0.0, estimate, stderr, z_crit)["verdict"]
+    verdict = one_sided_verdict(0.0, 0.0, estimate, stderr, Z_SLACK)["verdict"]
     return {"j": j, "function": name, "estimate": estimate, "stderr": stderr, "z": z, "verdict": verdict}
 
 
@@ -199,23 +192,22 @@ def _cell_row(j, name, estimate, stderr, z_crit) -> dict:
 # checks
 # --------------------------------------------------------------------------
 
-def check_demimartingale(batch: TrajectoryBatch, family: TestFunctionFamily, level=0.999, mode="demi") -> VerificationReport:
+def check_demimartingale(batch: TrajectoryBatch, family: TestFunctionFamily, mode="demi") -> VerificationReport:
     """Test ``E[(S_{j+1} - S_j) f(S_1..S_j)] >= 0`` over steps and probes.
 
     Args:
         batch: sample paths with columns ``S_0 .. S_N``; needs ``N >= 2``.
         family: probe functions; ``mode="demisub"`` restricts evaluation to
             the nonnegative members.
-        level: one-sided confidence level of the per-cell z-test, in (0, 1).
         mode: ``"demi"`` or ``"demisub"``.
 
-    A cell fails when its estimate is below ``-z(level) * SE``.  Cells whose
+    A cell fails when its estimate is below ``-Z_SLACK * SE``.  Cells whose
     probe needs more coordinates than the step provides are skipped, but
     every step must keep at least one cell.  The report's command is
     ``mode`` and its columns are :data:`DEMI_COLUMNS`.
 
     Raises:
-        InvalidSpec: unknown ``mode`` or ``level`` outside (0, 1).
+        InvalidSpec: unknown ``mode``.
         EmptyFamily: no admissible probe for the requested mode, or a step
             that no admissible probe fits (named in the message).
         DegenerateBatch: fewer than :data:`DEMI_MIN_PATHS` paths or
@@ -223,8 +215,6 @@ def check_demimartingale(batch: TrajectoryBatch, family: TestFunctionFamily, lev
     """
     if mode not in ("demi", "demisub"):
         raise InvalidSpec(f"mode must be 'demi' or 'demisub', got {mode!r}")
-    if not 0.0 < level < 1.0:
-        raise InvalidSpec(f"level must lie in (0, 1), got {level}")
     members = family.members if mode == "demi" else family.nonnegative_members()
     if not members:
         raise EmptyFamily(f"no admissible probe functions for mode={mode!r}")
@@ -240,7 +230,6 @@ def check_demimartingale(batch: TrajectoryBatch, family: TestFunctionFamily, lev
         steps = "j = 1" if last_uncovered == 1 else f"j = 1..{last_uncovered}"
         raise EmptyFamily(f"no probe for mode={mode!r} fits step(s) {steps}: each needs more coordinates")
     values = batch.values
-    z_crit = float(ndtri(level))
     report = VerificationReport(command=mode, columns=DEMI_COLUMNS)
     for j in range(1, batch.n_steps):
         prefix = values[:, 1 : j + 1]
@@ -249,7 +238,7 @@ def check_demimartingale(batch: TrajectoryBatch, family: TestFunctionFamily, lev
             if f.min_coords > j:
                 continue
             est, se = mean_se(diff * f.evaluate(prefix))
-            report.rows.append(_cell_row(j, f.name, est, se, z_crit))
+            report.rows.append(_cell_row(j, f.name, est, se))
     return report
 
 
@@ -261,8 +250,9 @@ def check_association(batch: TrajectoryBatch, family: TestFunctionFamily) -> Ver
     pairs ``f|g`` with ``f`` before ``g`` in member order.  Standard errors
     come from batch means over :data:`ASSOCIATION_BLOCKS` contiguous blocks
     of paths, which stays honest under heavy tails, and each cell is a
-    one-sided z-test at :data:`ASSOCIATION_LEVEL`.  The report's command is
-    ``"association"`` and its columns are :data:`DEMI_COLUMNS`.
+    one-sided z-test at :data:`~demigronwall.reporting.Z_LEVEL`.  The
+    report's command is ``"association"`` and its columns are
+    :data:`DEMI_COLUMNS`.
 
     Raises:
         EmptyFamily: fewer than two applicable probes.
@@ -278,14 +268,13 @@ def check_association(batch: TrajectoryBatch, family: TestFunctionFamily) -> Ver
             f"need at least {ASSOCIATION_MIN_PATHS} paths for {ASSOCIATION_BLOCKS}-block standard errors, got {m}"
         )
     values = batch.values
-    z_crit = float(ndtri(ASSOCIATION_LEVEL))
     evals = np.array([f.evaluate(values) for f in members], dtype=np.float64)
     bounds = np.linspace(0, m, ASSOCIATION_BLOCKS + 1).astype(int)
     est = np.cov(evals, ddof=1)
     _, se = mean_se(np.array([np.cov(evals[:, lo:hi], ddof=1) for lo, hi in zip(bounds[:-1], bounds[1:])]))
     report = VerificationReport(command="association", columns=DEMI_COLUMNS)
     for (a, fa), (b, fb) in itertools.combinations(enumerate(members), 2):
-        report.rows.append(_cell_row(None, f"{fa.name}|{fb.name}", est[a, b], se[a, b], z_crit))
+        report.rows.append(_cell_row(None, f"{fa.name}|{fb.name}", est[a, b], se[a, b]))
     return report
 
 

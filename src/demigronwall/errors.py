@@ -16,7 +16,7 @@ class InvalidSpec(DemigronError, ValueError):
 
 
 class BatchTooLarge(DemigronError):
-    """Requested sample matrix exceeds the configured memory budget."""
+    """One requested sample matrix exceeds the per-matrix entry budget."""
 
 
 class EmptyFamily(DemigronError, ValueError):

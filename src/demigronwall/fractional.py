@@ -315,9 +315,12 @@ def kernel_mass(model: FractionalModel, k) -> float:
 
 
 def ml_growth_factor(model: FractionalModel, n) -> float:
-    """Growth factor ``2 E_{beta_m}(2 lambda t_n^{beta_m} / q_m)`` of the bound."""
+    """Growth factor ``2 E_{beta_m}(2 lambda t_n^{beta_m} / q_m)`` of the bound; ``n < 0`` raises :class:`InvalidSpec`."""
+    n = int(n)
+    if n < 0:
+        raise InvalidSpec(f"n must be >= 0, got {n}")
     lam = effective_rate(model.lambda1, model.lambda2, model.beta_max)
-    arg = 2.0 * lam * model.time(int(n)) ** model.beta_max / model.q_max
+    arg = 2.0 * lam * model.time(n) ** model.beta_max / model.q_max
     return 2.0 * mittag_leffler(model.beta_max, arg)
 
 
@@ -346,14 +349,13 @@ def verify_fractional_gronwall(
 
     Args:
         X: nonnegative batch of shape (M, N+1).
-        Y: batch or array aligned so column ``n`` (batch) or ``n-1``
-            (plain (M, N) array) is ``Y_n``.
+        Y: array of shape (M, N); column ``n-1`` is ``Y_n``.
     """
     if np.any(X.values < 0.0):
         raise NegativeInput("X must be entrywise nonnegative")
     if X.n_steps != model.n_steps:
         raise ShapeMismatch(f"X has {X.n_steps} steps but the model expects {model.n_steps}")
-    y = Y.values[:, 1:] if isinstance(Y, TrajectoryBatch) else np.asarray(Y, dtype=np.float64)
+    y = np.asarray(Y, dtype=np.float64)
     if y.shape != (X.n_paths, model.n_steps):
         raise ShapeMismatch(f"Y must align to shape {(X.n_paths, model.n_steps)}, got {y.shape}")
     pairs, n_list = _harness_grid(pairs, n_list, 1, model.n_steps)

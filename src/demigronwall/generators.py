@@ -2,12 +2,15 @@
 
 A :class:`TrajectoryBatch` is the universal carrier used by every check in
 the package: ``M`` independent sample paths of length ``N + 1``, stored as
-an ``M x (N+1)`` matrix with column ``k`` holding time index ``k``.  Every
-path matrix the package builds is time-major (Fortran order, each time
-column contiguous): it is filled one time step for all paths at a time
-(:func:`partial_sums`, :func:`time_major`), after one size check
-(:func:`check_batch`), and reduced one column at a time
-(:func:`prefix_reduce`).  Any layout is accepted and gives the same bits.
+an ``M x (N+1)`` matrix with column ``k`` holding time index ``k``.  The
+batches built here and the partial sums built from them are time-major
+(Fortran order, each time column contiguous): they are filled one time
+step for all paths at a time (:func:`partial_sums`, :func:`time_major`),
+after one size check (:func:`check_batch`), and reduced one column at a
+time (:func:`prefix_reduce`).  Not every matrix is: BEM's ``paths``,
+``increments``, ``noise`` and ``residual_norms`` and the operator table of
+:func:`~demigronwall.fractional.multi_term_table` are C-order.  Any layout
+is accepted and gives the same bits.
 
 Available generators:
 
@@ -44,7 +47,8 @@ from .errors import BatchTooLarge, InvalidSpec, ShapeMismatch
 # uniform_matrix and normal_matrix stay importable here: perfbench/tracer.py wraps them by this name
 from .rng import draw_columns, normal_matrix, uniform_matrix  # noqa: F401
 
-#: Refuse to allocate batches beyond this many matrix entries (~1 GiB).
+#: Refuse to allocate a sample matrix beyond this many entries (1 GiB of float64).
+#: The budget bounds each matrix, not a command, which may hold several at once.
 MAX_BATCH_ENTRIES = 1 << 27
 
 
@@ -53,6 +57,8 @@ def check_batch(n_paths, n_steps, width):
 
     Raises :class:`InvalidSpec` unless ``n_paths >= 1`` and ``n_steps >= 0``, and
     :class:`BatchTooLarge` if ``n_paths * width`` exceeds :data:`MAX_BATCH_ENTRIES`.
+    The check bounds one matrix: the caller's other matrices and temporaries
+    are not counted.
     """
     n_paths, n_steps = int(n_paths), int(n_steps)
     if n_paths < 1 or n_steps < 0:

@@ -186,7 +186,7 @@ def maximal_moment_bound(q, p) -> float:
     if not 0.0 < p < 1.0:
         raise POutOfRange(f"p must lie in (0, 1), got {p}")
     q = float(q)
-    if q < 0.0:
+    if not q >= 0.0:
         raise NegativeInput(f"q must be >= 0, got {q}")
     return q ** p / (1.0 - p)
 
@@ -213,11 +213,14 @@ def holder_bound(pair: HolderPair, weights, mean, se) -> tuple:
     factor), exact as a scalar or a sample as in
     :func:`~demigronwall.reporting.mu_norm`; ``(mean, se)`` estimates the
     expectation raised to ``p``.  With (mu, nu) = (inf, 1) and a scalar ``W``
-    this is ``(1 + 1/(1-p)) * W^p * mean^p`` bit for bit.  A negative ``mean``
-    raises :class:`NegativeInput`.
+    this is ``(1 + 1/(1-p)) * W^p * mean^p`` bit for bit.  A negative or
+    NaN ``mean`` raises :class:`NegativeInput`, a negative or NaN weight
+    :class:`NegativeWeights`.
     """
-    if mean < 0.0:
+    if not mean >= 0.0:
         raise NegativeInput(f"the mean raised to p must be >= 0, got {mean}")
+    if not np.all(np.asarray(weights) >= 0.0):
+        raise NegativeWeights("growth weights must be >= 0")
     norm, norm_se = mu_norm(weights, pair.p, pair.mu)
     rhs = pair.prefactor * norm * mean ** pair.p
     return rhs, pair.prefactor * math.hypot(mean ** pair.p * norm_se, norm * power_se(mean, se, pair.p))

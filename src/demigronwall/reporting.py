@@ -17,9 +17,16 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import ndtri
 
 #: every one-sided check passes when ``lhs <= rhs + SLACK_SD * combined SE``
 SLACK_SD = 3.0
+
+#: one-sided confidence level of every demimartingale and association z-test cell
+Z_LEVEL = 0.999
+
+#: the z-test cells' slack ``z(Z_LEVEL)``: a cell fails when its estimate is below ``-Z_SLACK * SE``
+Z_SLACK = float(ndtri(Z_LEVEL))
 
 
 def mean_se(samples) -> tuple:
@@ -72,7 +79,7 @@ def one_sided_verdict(lhs, lhs_se, rhs, rhs_se, slack=SLACK_SD) -> dict:
     """``margin`` and ``verdict`` cells of the check ``lhs <= rhs + slack * combined SE``.
 
     Every verdict is decided here; the demimartingale and association
-    z-tests pass ``slack = z(level)``.
+    z-tests pass ``slack = Z_SLACK``.
     """
     margin = rhs + slack * math.hypot(lhs_se, rhs_se) - lhs
     return {"margin": margin, "verdict": "pass" if margin >= 0.0 else "fail"}

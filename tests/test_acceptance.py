@@ -279,7 +279,7 @@ def test_c8_apriori_bound_ou_grid():
         dg.BemConfig(h=h, t_horizon=1.0, h0=0.25, x0=[1.0], newton_tol=1e-10)
         for h in (0.02, 0.05, 0.1, 0.2)
     ]
-    report = dg.verify_apriori_bound(model, cfgs, [0.25, 0.5], 100_000, seed=2020, level=0.999)
+    report = dg.verify_apriori_bound(model, cfgs, [0.25, 0.5], 100_000, seed=2020)
     for row in report.rows:
         if row["verdict"] != "pass":
             failures.append(("row", row["h"], row["p"], row["margin"]))

@@ -49,7 +49,10 @@ class TestExitCodes:
             ("gronwall-lemma", "[gronwall_lemma]\np_grid = 1.5\n", "gronwall_lemma", "2000"),
             ("gronwall-theorem", "[gronwall-theorem]\nn_list =\n", "n_list", "2000"),
             ("gronwall-theorem", "[gronwall-theorem]\ng_kinds =\n", "g_kinds", "2000"),
-            ("bem", "[bem]\nlevel = 1.5\n", "level", "2000"),
+            # keys that once set the z-test level or switched the association check off
+            ("bem", "[bem]\nlevel = 0.999\n", "unknown key 'level'", "2000"),
+            ("demi-check", "[demi-check]\nlevel = 0.999\n", "unknown key 'level'", "2000"),
+            ("fractional", "[fractional]\ncheck_association = false\n", "unknown key 'check_association'", "2000"),
             # fractional's association check needs 60 paths; the first three commands would run
             ("all", "", "fractional needs at least 60 paths", "40"),
             ("all", "[bem]\nsigma = nan\n", "sigma", "2000"),
@@ -65,7 +68,8 @@ class TestExitCodes:
             ("all", "[bem]\nt_horizon = 0.3\nh_grid = 0.1, 0.2\n", "h=0.2", "2000"),
         ],
         ids=["all-bad-last-value", "all-unknown-key", "all-n_list-range", "misspelled-section",
-             "empty-n_list", "empty-g_kinds", "bem-level-range", "all-too-few-paths",
+             "empty-n_list", "empty-g_kinds", "bem-stale-level-key", "demi-check-stale-level-key",
+             "fractional-stale-check_association-key", "all-too-few-paths",
              "all-bem-sigma-nan", "all-bem-kappa-nan", "all-fractional-rate-too-large",
              "all-fractional-lambda1-nan", "all-fractional-tau-inf", "all-generator-theta-inf",
              "demi-check-one-step", "all-bem-one-step"],
@@ -78,9 +82,9 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
 
     def test_path_floor_follows_the_requested_checks(self, tmp_path):
-        cfg = tmp_path / "cfg.ini"
-        cfg.write_text("[fractional]\ncheck_association = false\n")
-        assert _run(tmp_path, "fractional", "--config", str(cfg), "--paths", "40", "--seed", "1", "--quiet") == 0
+        # fractional always checks the association of Y: two paths per block
+        assert _run(tmp_path, "fractional", "--paths", "59", "--seed", "1", "--quiet") == 1
+        assert _run(tmp_path, "fractional", "--paths", "60", "--seed", "1", "--quiet") in (0, 2)
         assert _run(tmp_path, "demi-check", "--paths", "29", "--seed", "1", "--quiet") == 1
 
     @pytest.mark.parametrize("command", ["gronwall-theorem", "fractional"])

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
+from demigronwall import reporting
 from demigronwall.demi import (
     ASSOCIATION_BLOCKS,
     Constant1,
@@ -23,7 +25,7 @@ from demigronwall.errors import (
     NotNondecreasing,
 )
 from demigronwall.generators import GeneratorSpec, TrajectoryBatch, generate_paths
-from demigronwall.reporting import mean_se
+from demigronwall.reporting import mean_se, one_sided_verdict
 
 
 def _batch(spec, n, m, seed):
@@ -52,7 +54,7 @@ class TestFamily:
         assert monotonicity_counterexamples(family, dim=4, n_pairs=1000, seed=11) == 0
 
     def test_nonnegative_flags(self):
-        family = TestFunctionFamily.default()
+        family = TestFunctionFamily.default(_batch(GeneratorSpec.random_walk(), 4, 100, 1))
         nonneg = family.nonnegative_members()
         assert all(f.nonnegative for f in nonneg)
         assert any(isinstance(f, ShiftedIdentityLast) for f in family.members)
@@ -77,7 +79,7 @@ class TestFamily:
 class TestCheckDemimartingale:
     def test_random_walk_passes(self):
         batch = _batch(GeneratorSpec.random_walk(), 8, 100_000, 101)
-        report = check_demimartingale(batch, TestFunctionFamily.default(batch), level=0.999)
+        report = check_demimartingale(batch, TestFunctionFamily.default(batch))
         assert report.overall_pass
         assert sum(row["verdict"] == "fail" for row in report.rows) == 0
 
@@ -87,14 +89,14 @@ class TestCheckDemimartingale:
         passed = 0
         for seed in range(100):
             batch = _batch(spec, 6, 100_000, seed)
-            report = check_demimartingale(batch, TestFunctionFamily.default(batch), level=0.999)
+            report = check_demimartingale(batch, TestFunctionFamily.default(batch))
             passed += report.overall_pass
         assert passed >= 99
 
     def test_two_point_demisub_passes_with_exact_cell(self):
         batch = _batch(GeneratorSpec.two_point(0.3), 2, 100_000, 7)
         family = TestFunctionFamily.default(batch)
-        report = check_demimartingale(batch, family, level=0.999, mode="demisub")
+        report = check_demimartingale(batch, family, mode="demisub")
         assert report.overall_pass
         cell = next(r for r in report.rows if r["function"] == "const1" and r["j"] == 1)
         # E[(S_2 - S_1) * 1] = 1 - 2p = 0.4 exactly
@@ -103,7 +105,7 @@ class TestCheckDemimartingale:
     def test_two_point_above_half_fails_on_constant_probe(self):
         batch = _batch(GeneratorSpec.two_point(0.6), 2, 100_000, 7)
         family = TestFunctionFamily((Constant1(),))
-        report = check_demimartingale(batch, family, level=0.999, mode="demisub")
+        report = check_demimartingale(batch, family, mode="demisub")
         assert not report.overall_pass
         cell = report.rows[0]
         assert abs(cell["estimate"] - (-0.2)) <= 4.0 * cell["stderr"]
@@ -111,7 +113,7 @@ class TestCheckDemimartingale:
 
     def test_errors(self):
         batch = _batch(GeneratorSpec.random_walk(), 4, 10, 1)
-        family = TestFunctionFamily.default()
+        family = TestFunctionFamily.default(batch)
         with pytest.raises(DegenerateBatch):
             check_demimartingale(batch, family)
         big = _batch(GeneratorSpec.random_walk(), 4, 64, 1)
@@ -148,14 +150,9 @@ class TestCheckDemimartingale:
         rows = check_demimartingale(batch, family).rows
         assert {row["j"] for row in rows} == {1, 2, 3, 4, 5}
 
-    @pytest.mark.parametrize("level", [1.5, -0.2, 0.0, 1.0, float("nan")])
-    def test_level_outside_the_unit_interval_raises(self, level):
-        # ndtri(1.5) is NaN, and no cell can fail against a NaN threshold
+    def test_decreasing_walk_fails(self):
         batch = TrajectoryBatch(np.hstack([np.zeros((200, 1)), np.cumsum(-np.ones((200, 5)), axis=1)]))
-        family = TestFunctionFamily.default(batch)
-        assert not check_demimartingale(batch, family, level=0.999).overall_pass
-        with pytest.raises(InvalidSpec):
-            check_demimartingale(batch, family, level=level)
+        assert not check_demimartingale(batch, TestFunctionFamily.default(batch)).overall_pass
 
     def test_report_serialization(self, tmp_path):
         batch = _batch(GeneratorSpec.random_walk(), 4, 5000, 3)
@@ -266,3 +263,22 @@ class TestTwoPointStats:
             two_point_stats(1.2, 0.0, 1.0)
         with pytest.raises(NotNondecreasing):
             two_point_stats(0.3, 1.0, 0.0)
+
+
+def test_every_cell_is_the_one_sided_rule_at_the_one_z_level():
+    assert reporting.Z_SLACK == float(ndtri(0.999))
+    # passing and failing cells of both checks
+    walk = _batch(GeneratorSpec.random_walk(), 6, 2000, 5)
+    above_half = _batch(GeneratorSpec.two_point(0.6), 2, 2000, 7)
+    increments = TrajectoryBatch(np.diff(_batch(GeneratorSpec.associated(1.0), 4, 2000, 6).values, axis=1))
+    x = np.linspace(-2.0, 2.0, 600)
+    anti = TrajectoryBatch(np.column_stack([x, -x]))
+    rows = []
+    for batch, mode in ((walk, "demi"), (above_half, "demisub")):
+        rows += check_demimartingale(batch, TestFunctionFamily.default(batch), mode=mode).rows
+    for batch in (increments, anti):
+        rows += check_association(batch, TestFunctionFamily.default(batch)).rows
+    assert {row["verdict"] for row in rows} == {"pass", "fail"}
+    for row in rows:
+        want = one_sided_verdict(0.0, 0.0, row["estimate"], row["stderr"], reporting.Z_SLACK)["verdict"]
+        assert row["verdict"] == want

@@ -276,8 +276,14 @@ class TestFractionalGronwallBound:
         model = FractionalModel(betas=(0.5,), q=(1.0,), tau=0.1, n_steps=10)
         pair = HolderPair.deterministic(0.5)
         assert ml_growth_factor(model, 10) == 2.0
+        assert ml_growth_factor(model, 0) == 2.0
         got, _ = holder_bound(pair, ml_growth_factor(model, 10), 0.4 + 0.6, 0.0)
         assert abs(got - 3.0 * 2.0 ** 0.5 * 1.0 ** 0.5) < 1e-14
+
+    def test_negative_step_index_raises(self):
+        model = FractionalModel(betas=(0.5,), q=(1.0,), tau=0.1, n_steps=10, lambda1=1.0)
+        with pytest.raises(InvalidSpec):
+            ml_growth_factor(model, -1)
 
     def test_unit_rate_example_against_erfc_oracle(self):
         # t_n = 1, lambda = 1: bound = 3 (2 E_{1/2}(2))^{1/2}, E_{1/2}(2) = e^4 erfc(-2)

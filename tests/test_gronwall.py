@@ -100,6 +100,10 @@ class TestMaximalMomentBound:
         with pytest.raises(NegativeInput):
             maximal_moment_bound(-1.0, 0.5)
 
+    def test_nan_q_raises(self):
+        with pytest.raises(NegativeInput):
+            maximal_moment_bound(math.nan, 0.5)
+
 
 class TestHolderPair:
     def test_prefactor_values(self):
@@ -162,6 +166,19 @@ class TestGronwallBound:
         pair = HolderPair.deterministic(0.5)
         with pytest.raises(NegativeInput):
             holder_bound(pair, 1.0, -1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "weights, mean, exc",
+        [
+            (2.0, math.nan, NegativeInput),
+            (-2.0, 0.1, NegativeWeights),
+            (math.nan, 0.1, NegativeWeights),
+            (np.array([1.0, -2.0]), 0.1, NegativeWeights),
+        ],
+    )
+    def test_nan_or_negative_inputs_raise(self, weights, mean, exc):
+        with pytest.raises(exc):
+            holder_bound(HolderPair.deterministic(0.5), weights, mean, 0.1)
 
 
 class TestBuildInstance:
