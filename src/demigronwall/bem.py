@@ -48,7 +48,7 @@ from .errors import (
     StepTooLarge,
 )
 from .generators import TrajectoryBatch, check_batch, partial_sums
-from .reporting import VerificationReport, mean_se, one_sided_verdict, root_of_mean
+from .reporting import VerificationReport, exponent_list, mean_se, one_sided_verdict, root_of_mean
 from .rng import normal_matrix
 
 BEM_COLUMNS = ["h", "p", "estimate", "stderr", "bound", "margin", "verdict"]
@@ -456,14 +456,18 @@ def apriori_moment_bound(p, L, T, h0, x0_norm, g_x0_norm) -> float:
     ``((2-p)/(1-p))^{1/(2p)} exp(LT/(1-2 h0 L))
     (|x0|^2 + (1-2 h0 L)^{-1} (h0 |g(x0)|^2 + 2LT))^{1/2}``.
     The signature takes no ``h``: one value covers every admissible step.
+    A ``p`` outside (0, 1) raises :class:`POutOfRange`, a negative or NaN
+    ``L`` or a ``T`` outside (0, inf) :class:`InvalidSpec`, a negative, NaN
+    or infinite norm :class:`NegativeInput` and an ``h0`` outside
+    (0, 1/(2L)) :class:`StepBoundViolation`.
     """
     p = float(p)
     if not 0.0 < p < 1.0:
         raise POutOfRange(f"p must lie in (0, 1), got {p}")
     if not (L >= 0.0 and 0.0 < T < math.inf):
         raise InvalidSpec(f"need L >= 0 and finite T > 0, got L={L}, T={T}")
-    if not (x0_norm >= 0.0 and g_x0_norm >= 0.0):
-        raise NegativeInput(f"norms must be >= 0, got |x0|={x0_norm}, |g(x0)|={g_x0_norm}")
+    if not (0.0 <= x0_norm < math.inf and 0.0 <= g_x0_norm < math.inf):
+        raise NegativeInput(f"norms must be finite and >= 0, got |x0|={x0_norm}, |g(x0)|={g_x0_norm}")
     if not h0 > 0.0 or (L > 0.0 and not h0 < 1.0 / (2.0 * L)):
         raise StepBoundViolation(f"h0 must lie in (0, 1/(2L)), got h0={h0}, L={L}")
     damp = 1.0 - 2.0 * h0 * L
@@ -509,17 +513,15 @@ def verify_apriori_bound(
     standard errors of zero, and
     ``s_demimartingale[h=...]``, the demimartingale check on their
     normalized partial sums.  ``p_grid`` is a list of exponents.  An empty
-    ``cfg_grid`` raises :class:`HGridViolation`, an empty ``p_grid`` or
-    ``n_paths < 1`` :class:`InvalidSpec`, a configuration with fewer than
+    ``cfg_grid`` raises :class:`HGridViolation`, a scalar or empty
+    ``p_grid`` or ``n_paths < 1`` :class:`InvalidSpec`, a configuration with fewer than
     :data:`~demigronwall.demi.DEMI_MIN_STEPS` steps :class:`DegenerateBatch`
     and a finest h above the batch budget :class:`BatchTooLarge`, all before any simulation.
     """
     cfg_grid = list(cfg_grid)
     if not cfg_grid:
         raise HGridViolation("empty step-size grid")
-    p_grid = [float(p) for p in p_grid]
-    if not p_grid:
-        raise InvalidSpec("empty p_grid: need at least one exponent")
+    p_grid = [float(p) for p in exponent_list(p_grid)]
     t0, b0, x0 = _check_grid(model, cfg_grid)
     _check_size(model, max(cfg.n_steps for cfg in cfg_grid), n_paths)
     x0_norm = float(np.sqrt((x0 ** 2).sum()))

@@ -49,7 +49,11 @@ def _aux_seed(seed, offset):
 
 def _uniform_batch(seed, offset, scale, n_paths, n_steps, label):
     """``scale`` times the i.i.d. uniforms of ``_aux_seed(seed, offset)``, time-major, ``n_steps + 1`` columns."""
-    values = time_major(n_paths, n_steps + 1, lambda: draw_columns(_aux_seed(seed, offset), n_paths, n_steps + 1))
+    master = _aux_seed(seed, offset)
+    values = time_major(
+        n_paths, n_steps + 1,
+        lambda r0, r1, width: draw_columns(master, r1 - r0, n_steps + 1, first_path=r0, width=width),
+    )
     values *= scale
     return TrajectoryBatch(values, label=label)
 

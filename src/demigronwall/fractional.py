@@ -248,14 +248,14 @@ def mittag_leffler(alpha, z) -> float:
 
     Raises:
         AlphaOutOfRange: ``alpha <= 0``.
-        SeriesNoConvergence: guard exceeded, series overflows, or
+        SeriesNoConvergence: guard exceeded (a NaN ``z`` included), series overflows, or
             cancellation for ``z < 0`` would exceed ``ML_REL_TOL``.
     """
     alpha = float(alpha)
     if not alpha > 0.0:
         raise AlphaOutOfRange(f"alpha must be > 0, got {alpha}")
     z = float(z)
-    if abs(z) > ML_Z_MAX:
+    if not abs(z) <= ML_Z_MAX:  # a NaN z fails here too
         raise SeriesNoConvergence(f"|z| = {abs(z)} beyond the overflow guard {ML_Z_MAX}")
     if z == 0.0:
         return 1.0

@@ -4,13 +4,24 @@ A :class:`TrajectoryBatch` is the universal carrier used by every check in
 the package: ``M`` independent sample paths of length ``N + 1``, stored as
 an ``M x (N+1)`` matrix with column ``k`` holding time index ``k``.  The
 batches built here and the partial sums built from them are time-major
-(Fortran order, each time column contiguous): they are filled one time
-step for all paths at a time (:func:`partial_sums`, :func:`time_major`),
-after one size check (:func:`check_batch`), and reduced one column at a
-time (:func:`prefix_reduce`).  Not every matrix is: BEM's ``paths``,
+(Fortran order, each time column contiguous): they are filled in time
+order (:func:`partial_sums`, :func:`time_major`), after one size check
+(:func:`check_batch`), and reduced one column at a time
+(:func:`prefix_reduce`).  Not every matrix is: BEM's ``paths``,
 ``increments``, ``noise`` and ``residual_norms`` and the operator table of
 :func:`~demigronwall.fractional.multi_term_table` are C-order.  Any layout
 is accepted and gives the same bits.
+
+A batch is filled in contiguous row blocks, one per worker
+(:func:`row_blocks`): the calling thread fills block 0 and a pool of
+``WORKERS - 1`` threads the others, each block drawing its own paths
+(``rng.draw_columns(..., first_path=r0)``).  A block holds at least
+:data:`ROW_FLOOR` rows, so smaller batches stay on the calling thread.
+Path ``r`` depends only on ``(seed, r)`` and no row operation is split,
+so the bits do not depend on the worker count.  Inside a block the draws
+and partial sums go in Fortran tiles of ``max(1, TILE_ENTRIES // M)`` time
+steps for a batch of ``M`` rows, so a long, narrow batch takes few Python
+steps and a wide one keeps one column per step.
 
 Available generators:
 
@@ -38,7 +49,10 @@ Available generators:
     keeps both the two-atom law and the defining inequality intact.
 """
 
+import itertools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,12 +82,86 @@ def check_batch(n_paths, n_steps, width):
     return n_paths, n_steps
 
 
-def time_major(n_paths, n_cols, columns):
-    """Fortran-order ``(n_paths, n_cols)`` floats, column ``k`` the ``k``-th array of ``columns()``, called after :func:`check_batch`."""
+def _cpu_count():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+#: worker count of :func:`row_blocks`, the CPUs this process may run on; the bits never depend on it
+WORKERS = _cpu_count()
+
+#: fewest rows per block of :func:`row_blocks`, so smaller work stays on the calling thread: blocks
+#: near 10 000 rows ran no faster than one block of 20 000
+ROW_FLOOR = 1 << 14
+
+#: entries per tile step: a batch of ``M`` rows draws and sums ``max(1, TILE_ENTRIES // M)`` columns per step
+TILE_ENTRIES = 1 << 16
+
+_pool = None  # (pid, executor), started on the first split
+
+
+def _worker_pool():
+    """The ``WORKERS - 1`` pool threads, started on first use, and again in a forked child."""
+    global _pool
+    if _pool is None or _pool[0] != os.getpid():
+        _pool = (os.getpid(), ThreadPoolExecutor(max(1, WORKERS - 1), thread_name_prefix="demigronwall-rows"))
+    return _pool[1]
+
+
+def row_blocks(n_rows, fn, rows=None):
+    """Run ``fn(r0, r1)`` over contiguous blocks ``[r0, r1)`` that cover ``0 .. n_rows``, one block per worker.
+
+    The blocks are as even as integer division makes them, and there are
+    at most ``WORKERS``, at most ``n_rows`` and at most one per
+    :data:`ROW_FLOOR` rows, so each block of a split batch holds at least
+    that many rows, however many CPUs there are.  ``rows`` counts the rows,
+    ``n_rows`` by default; a caller that splits something else, such as the
+    columns of a batch, passes the batch's row count.  The calling thread
+    runs block 0 and the pool the others.  Returns once every block has
+    finished; if blocks raised, the error of the lowest one is re-raised.  ``fn`` writes only
+    its own block, gives the same bits for any block bounds, and neither
+    calls :func:`row_blocks` nor a function that a profiler may have wrapped.
+    """
+    workers = min(WORKERS, n_rows, max(1, (n_rows if rows is None else rows) // ROW_FLOOR))
+    if workers <= 1:
+        fn(0, n_rows)
+        return
+    bounds = [n_rows * i // workers for i in range(workers + 1)]
+    pool = _worker_pool()
+    futures = [pool.submit(fn, bounds[i], bounds[i + 1]) for i in range(1, workers)]
+    try:
+        fn(0, bounds[1])
+    finally:
+        for future in futures:
+            future.exception()  # waits: no block may still be writing once this returns
+    for future in futures:
+        future.result()
+
+
+def _tile_width(n_paths):
+    """Columns per tile of an ``n_paths``-row batch: its blocks' tiles hold about ``TILE_ENTRIES`` entries in all."""
+    return max(1, TILE_ENTRIES // n_paths)
+
+
+def time_major(n_paths, n_cols, tiles):
+    """Fortran-order ``(n_paths, n_cols)`` floats, filled by row blocks (:func:`row_blocks`) after :func:`check_batch`.
+
+    ``tiles(r0, r1, width)`` yields the columns of rows ``r0 .. r1 - 1`` in
+    order, as ``(r1 - r0, w)`` arrays with ``1 <= w <= width``.
+    """
     n_paths, n_cols = check_batch(n_paths, n_cols, n_cols)
     out = np.empty((n_paths, n_cols), order="F")
-    for k, column in zip(range(n_cols), columns()):
-        out[:, k] = column
+    width = _tile_width(n_paths)
+
+    def fill(r0, r1):
+        k = 0
+        for tile in tiles(r0, r1, width):
+            out[r0:r1, k : k + tile.shape[1]] = tile
+            k += tile.shape[1]
+
+    row_blocks(n_paths, fill)
     return out
 
 
@@ -109,21 +197,35 @@ def prefix_reduce(values, n_list, ufunc=np.maximum, first=0):
     return out
 
 
-def partial_sums(n_paths, n_steps, increments):
+def partial_sums(n_paths, n_steps, increments, out=None):
     """Time-major partial sums: ``S_0 = 0`` and ``S_k = S_{k-1} + inc_k`` for ``k = 1..n_steps``.
 
-    ``increments`` yields the ``n_steps`` columns of ``n_paths`` entries in
-    time order.  The result is one Fortran-order ``(n_paths, n_steps + 1)``
-    array; column 1 is ``inc_1`` itself, so every bit equals ``np.cumsum``
-    along the rows, a ``-0.0`` first increment included.
+    ``increments`` yields the ``n_steps`` increments of ``n_paths`` rows in
+    time order, one column (1-D) or a ``(n_paths, w)`` tile of columns at a
+    time.  The result is a Fortran-order ``(n_paths, n_steps + 1)`` array,
+    or ``out``, an array of that shape (rows of a larger batch, say).  A
+    tile wider than tall is summed along its rows from the previous sum
+    (``np.cumsum``, left to right); any other is added one column at a time.
+    ``S_0`` is ``-0.0``, the identity of addition, until the end, so column
+    1 is ``inc_1`` itself and every bit equals ``np.cumsum`` along the rows,
+    a ``-0.0`` first increment included.
     """
-    out = np.empty((n_paths, n_steps + 1), order="F")
-    out[:, 0] = 0.0
-    for k, inc in zip(range(1, n_steps + 1), increments):
-        if k == 1:
-            out[:, 1] = inc
+    if out is None:
+        out = np.empty((n_paths, n_steps + 1), order="F")
+    out[:, 0] = -0.0
+    k = 1
+    for inc in increments:
+        tile = inc.reshape(n_paths, -1)
+        w = tile.shape[1]
+        if n_paths < w:
+            run = out[:, k - 1 : k + w]
+            out[:, k : k + w] = tile
+            np.cumsum(run, axis=1, out=run)
         else:
-            np.add(out[:, k - 1], inc, out=out[:, k])
+            for j in range(w):
+                np.add(out[:, k + j - 1], tile[:, j], out=out[:, k + j])
+        k += w
+    out[:, 0] = 0.0
     return out
 
 
@@ -133,6 +235,17 @@ _KINDS = (
     "bounded_associated_partial_sum",
     "two_point_demisub",
 )
+
+
+def _all_finite(values):
+    """Whether every entry of the 2-D ``values`` is finite, checked by row blocks (:func:`row_blocks`).
+
+    Each worker allocates the mask of its own rows, so with several workers
+    no thread holds a batch-sized mask.
+    """
+    finite = []
+    row_blocks(len(values), lambda r0, r1: finite.append(bool(np.isfinite(values[r0:r1]).all())))
+    return all(finite)
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,7 +267,7 @@ class TrajectoryBatch:
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
             raise InvalidSpec(f"batch values must be a 2-D M x (N+1) matrix, got shape {values.shape}")
-        if not np.isfinite(values).all():
+        if not _all_finite(values):
             raise InvalidSpec("batch contains non-finite entries")
         object.__setattr__(self, "values", values)
 
@@ -229,16 +342,17 @@ def _centered_uniform(u):
 def associated_increment_matrix(theta, n_steps, n_paths, seed, bound=None):
     """Mean-zero associated increments, a Fortran-order array of shape ``(n_paths, n_steps)``.
 
-    ``U_i + theta * V`` clipped to ``[-bound, bound]`` when a bound is given.
-    Exposed separately because several harnesses need the increments
-    themselves (the associated collection) rather than their partial sums.
+    ``U_i + theta * V`` clipped to ``[-bound, bound]`` when a bound is given,
+    filled by row blocks (:func:`time_major`).  Exposed separately because
+    several harnesses need the increments themselves (the associated
+    collection) rather than their partial sums.
 
     Raises:
         InvalidSpec: ``theta``, ``bound``, ``n_paths`` or ``n_steps`` out of range.
         BatchTooLarge: ``n_paths * n_steps`` above the budget (:func:`check_batch`).
     """
     spec = GeneratorSpec.associated(theta) if bound is None else GeneratorSpec.bounded_associated(theta, bound)
-    return time_major(n_paths, n_steps, lambda: _increment_columns(spec, n_steps, n_paths, seed))
+    return time_major(n_paths, n_steps, lambda r0, r1, width: _increment_tiles(spec, n_steps, r0, r1, seed, width))
 
 
 def _pm1_steps(bits):
@@ -249,52 +363,69 @@ def _pm1_steps(bits):
     return bits.view(np.float64)
 
 
-def _shock_steps(spec: GeneratorSpec, uniforms, n_steps):
-    """Increment columns of the kinds whose draw 0 of a path is a per-path shock."""
-    shock = next(uniforms)
-    if spec.kind == "two_point_demisub":
-        # +-1 on the first two steps, then 0: the atom paths (-1, -2) and (1, 2), frozen after
-        step = np.where(shock < spec.prob, -1.0, 1.0)
-        zero = np.zeros_like(step)
-        yield from (step if k < 2 else zero for k in range(n_steps))
-        return
-    shock = spec.theta * _centered_uniform(shock)
-    for u in uniforms:
-        inc = _centered_uniform(u)
-        inc += shock
-        if spec.kind == "bounded_associated_partial_sum":
-            np.clip(inc, -spec.bound, spec.bound, out=inc)
-        yield inc
+def _shock_steps(spec: GeneratorSpec, tiles):
+    """Increment tiles of the common-shock kinds: draw 0 of a path is its shock, draw ``k`` its step ``k``."""
+    first = next(tiles)
+    shock = spec.theta * _centered_uniform(first[:, :1])
+    tiles = itertools.chain([first[:, 1:]], tiles)
+    del first  # the first tile's steps go with the chain once it moves on
+    for u in tiles:
+        if u.shape[1]:
+            inc = _centered_uniform(u)
+            inc += shock
+            if spec.kind == "bounded_associated_partial_sum":
+                np.clip(inc, -spec.bound, spec.bound, out=inc)
+            yield inc
 
 
-def _increment_columns(spec: GeneratorSpec, n_steps, n_paths, seed):
-    """Iterator over the increments of steps ``1..n_steps`` of paths ``0..n_paths-1``, one step at a time.
+def _two_point_steps(spec: GeneratorSpec, shock, n_steps, width):
+    """+-1 on the first two steps, then 0: the atom paths (-1, -2) and (1, 2), frozen after; ``shock`` is one column."""
+    step = np.where(shock < spec.prob, -1.0, 1.0)
+    for k in range(0, n_steps, width):
+        tile = np.zeros((len(step), min(width, n_steps - k)), order="F")
+        tile[:, : max(0, 2 - k)] = step
+        yield tile
+
+
+def _increment_tiles(spec: GeneratorSpec, n_steps, r0, r1, seed, width):
+    """Iterator over the increments of steps ``1..n_steps`` of paths ``r0..r1-1``, as tiles of at most ``width`` steps.
 
     The only code that knows each kind's law.  Step ``k`` of a random walk
     is draw ``k - 1`` of its path; the other kinds draw their shock at
     counter 0 and step ``k`` at counter ``k``.  The seed is checked at the
-    call, and each step is drawn when the iterator reaches it.
+    call, and each tile is drawn when the iterator reaches it.
     """
+    rows = r1 - r0
     if spec.kind == "random_walk":
         if spec.increment == "pm1":
-            return map(_pm1_steps, draw_columns(seed, n_paths, n_steps, "words"))
-        return draw_columns(seed, n_paths, n_steps, "normal")
-    return _shock_steps(spec, draw_columns(seed, n_paths, n_steps + 1), n_steps)
+            return map(_pm1_steps, draw_columns(seed, rows, n_steps, "words", r0, width))
+        return draw_columns(seed, rows, n_steps, "normal", r0, width)
+    if spec.kind == "two_point_demisub":
+        return _two_point_steps(spec, next(draw_columns(seed, rows, 1, first_path=r0)), n_steps, width)
+    return _shock_steps(spec, draw_columns(seed, rows, n_steps + 1, "uniform", r0, width))
 
 
 def generate_paths(spec: GeneratorSpec, n_steps, n_paths, seed) -> TrajectoryBatch:
     """Generate ``n_paths`` seeded sample paths of ``n_steps`` steps, time-major.
 
-    ``values`` is one Fortran-order array, filled one time step for all
-    paths at a time (:func:`partial_sums`).  Generation is per-path
+    ``values`` is one Fortran-order array; each row block
+    (:func:`row_blocks`) draws its own increments and writes their partial
+    sums (:func:`partial_sums`) into its rows.  Generation is per-path
     deterministic: path ``r`` depends only on ``(seed, r)``, never on
-    ``n_paths`` or on generation order, so any batch equals, bit for bit,
-    the first rows of a larger one.
+    ``n_paths``, on generation order or on the worker count, so any batch
+    equals, bit for bit, the first rows of a larger one.
 
     Raises:
         InvalidSpec: ``n_paths < 1``, ``n_steps < 0`` or a seed outside 64 bits.
         BatchTooLarge: ``n_paths * (n_steps + 1)`` above the budget (:func:`check_batch`).
     """
     n_paths, n_steps = check_batch(n_paths, n_steps, int(n_steps) + 1)
-    values = partial_sums(n_paths, n_steps, _increment_columns(spec, n_steps, n_paths, seed))
+    values = np.empty((n_paths, n_steps + 1), order="F")
+    width = _tile_width(n_paths)
+
+    def fill(r0, r1):
+        tiles = _increment_tiles(spec, n_steps, r0, r1, seed, width)
+        partial_sums(r1 - r0, n_steps, tiles, out=values[r0:r1])
+
+    row_blocks(n_paths, fill)
     return TrajectoryBatch(values, label=f"{spec.label}@seed={int(seed)}")

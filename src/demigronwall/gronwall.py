@@ -10,7 +10,9 @@ Implements, for sequences satisfying the pathwise recursion
   of the product of the growth weights and the sup-moment of F, the one
   Holder right-hand side, which the fractional variant shares,
 * harnesses that estimate both sides by Monte Carlo and compare them with
-  one-sided ``reporting.SLACK_SD * SE`` slack.
+  one-sided ``reporting.SLACK_SD * SE`` slack.  The maximal-lemma harness
+  sweeps its batch on every worker
+  (:func:`~demigronwall.generators.row_blocks`), with the same bits as on one.
 
 Verification instances are built in reverse: given X, S and G, setting
 ``F_n = (X_n - S_n - sum_{k<n} G_k X_k)^+`` makes the recursion hold
@@ -35,8 +37,8 @@ from .errors import (
     POutOfRange,
     ShapeMismatch,
 )
-from .generators import TrajectoryBatch, partial_sums, prefix_reduce
-from .reporting import VerificationReport, mean_se, mu_norm, one_sided_verdict, power_se
+from .generators import TrajectoryBatch, partial_sums, prefix_reduce, row_blocks
+from .reporting import VerificationReport, exponent_list, mean_se, mu_norm, one_sided_verdict, power_se
 
 GRONWALL_COLUMNS = ["n", "p", "mu", "nu", "lhs", "lhs_se", "rhs", "margin", "verdict"]
 
@@ -181,13 +183,17 @@ def neg_inf_mean(batch: TrajectoryBatch, n=None) -> tuple:
 
 
 def maximal_moment_bound(q, p) -> float:
-    """Closed form ``q^p / (1 - p)`` bounding the sup moment by the neg-inf mean."""
+    """Closed form ``q^p / (1 - p)`` bounding the sup moment by the neg-inf mean.
+
+    A ``p`` outside (0, 1) raises :class:`POutOfRange`; a negative, NaN or
+    infinite ``q`` :class:`NegativeInput`.
+    """
     p = float(p)
     if not 0.0 < p < 1.0:
         raise POutOfRange(f"p must lie in (0, 1), got {p}")
     q = float(q)
-    if not q >= 0.0:
-        raise NegativeInput(f"q must be >= 0, got {q}")
+    if not 0.0 <= q < math.inf:
+        raise NegativeInput(f"q must be finite and >= 0, got {q}")
     return q ** p / (1.0 - p)
 
 
@@ -213,14 +219,15 @@ def holder_bound(pair: HolderPair, weights, mean, se) -> tuple:
     factor), exact as a scalar or a sample as in
     :func:`~demigronwall.reporting.mu_norm`; ``(mean, se)`` estimates the
     expectation raised to ``p``.  With (mu, nu) = (inf, 1) and a scalar ``W``
-    this is ``(1 + 1/(1-p)) * W^p * mean^p`` bit for bit.  A negative or
-    NaN ``mean`` raises :class:`NegativeInput`, a negative or NaN weight
-    :class:`NegativeWeights`.
+    this is ``(1 + 1/(1-p)) * W^p * mean^p`` bit for bit.  A negative, NaN
+    or infinite ``mean`` or ``se`` raises :class:`NegativeInput`, such a
+    weight :class:`NegativeWeights`.
     """
-    if not mean >= 0.0:
-        raise NegativeInput(f"the mean raised to p must be >= 0, got {mean}")
-    if not np.all(np.asarray(weights) >= 0.0):
-        raise NegativeWeights("growth weights must be >= 0")
+    if not (0.0 <= mean < math.inf and 0.0 <= se < math.inf):
+        raise NegativeInput(f"the mean raised to p and its SE must be finite and >= 0, got {mean} and {se}")
+    w = np.asarray(weights)
+    if not np.all((w >= 0.0) & np.isfinite(w)):
+        raise NegativeWeights("growth weights must be finite and >= 0")
     norm, norm_se = mu_norm(weights, pair.p, pair.mu)
     rhs = pair.prefactor * norm * mean ** pair.p
     return rhs, pair.prefactor * math.hypot(mean ** pair.p * norm_se, norm * power_se(mean, se, pair.p))
@@ -255,23 +262,34 @@ def build_instance(X: TrajectoryBatch, S: TrajectoryBatch, growth) -> GronwallIn
 
 
 def _screened_extremes(values, n) -> tuple:
-    """``(sup, inf, mean, se)`` from one left-to-right read of the columns ``0..n`` of ``values``.
+    """``(sup, inf, mean, se)`` of the columns ``0..n`` of ``values``.
 
     ``sup`` and ``inf`` are each row's running maximum and minimum at ``n``,
-    as :func:`~demigronwall.generators.prefix_reduce` gives them; ``mean[k-1]``
-    and ``se[k-1]`` are :func:`~demigronwall.reporting.mean_se` of the
-    increment column ``values[:, k] - values[:, k-1]``, bit for bit.  A
+    as :func:`~demigronwall.generators.prefix_reduce` gives them, swept by
+    row blocks; ``mean[k-1]`` and ``se[k-1]`` are
+    :func:`~demigronwall.reporting.mean_se` of the whole increment column
+    ``values[:, k] - values[:, k-1]``, bit for bit, with the columns spread
+    over the workers (:func:`~demigronwall.generators.row_blocks`).  A
     nonzero entry in column 0 raises :class:`NonzeroStart` before any other.
     """
     if np.any(values[:, 0] != 0.0):
         raise NonzeroStart("the maximal inequality requires paths starting at 0")
     sup, inf = values[:, 0].copy(), values[:, 0].copy()
     mean, se = np.empty(n), np.empty(n)
-    for k in range(1, n + 1):
-        column = values[:, k]
-        np.maximum(sup, column, out=sup)
-        np.minimum(inf, column, out=inf)
-        mean[k - 1], se[k - 1] = mean_se(column - values[:, k - 1])
+
+    def extremes(r0, r1):
+        block_sup, block_inf = sup[r0:r1], inf[r0:r1]
+        for k in range(1, n + 1):
+            column = values[r0:r1, k]
+            np.maximum(block_sup, column, out=block_sup)
+            np.minimum(block_inf, column, out=block_inf)
+
+    def moments(k0, k1):
+        for k in range(k0 + 1, k1 + 1):
+            mean[k - 1], se[k - 1] = mean_se(values[:, k] - values[:, k - 1])
+
+    row_blocks(len(values), extremes)
+    row_blocks(n, moments, rows=len(values))
     return sup, inf, mean, se
 
 
@@ -280,19 +298,17 @@ def verify_maximal_inequality(batch: TrajectoryBatch, p_grid, n=None) -> Verific
 
     The demimartingale property itself is the caller's responsibility; a
     cheap mean-increment screen warns (never fails) if some step's mean
-    increment lies more than 4 SE below zero.  The batch is read once,
-    one time column at a time (:func:`_screened_extremes`), for the running
-    maximum and minimum and the screen's increment moments.  Each grid
+    increment lies more than 4 SE below zero.  :func:`_screened_extremes`
+    sweeps the running maximum and minimum by row blocks and takes the
+    screen's increment moments column by column, on every worker.  Each grid
     point passes
     when ``lhs <= rhs + SLACK_SD * combined_SE`` with the right-hand error
-    propagated through the power by the delta method.  An empty ``p_grid``
-    raises :class:`InvalidSpec`, an ``n`` outside ``[0, N]``
+    propagated through the power by the delta method.  A scalar or empty
+    ``p_grid`` raises :class:`InvalidSpec`, an ``n`` outside ``[0, N]``
     :class:`ShapeMismatch` and then a nonzero first column
     :class:`NonzeroStart`, all before the screen.
     """
-    p_grid = list(p_grid)
-    if not p_grid:
-        raise InvalidSpec("empty p_grid: need at least one exponent")
+    p_grid = exponent_list(p_grid)
     n = _time_index(batch, n)
     sups, infs, mean, se = _screened_extremes(batch.values, n)
     if batch.n_paths > 1 and np.any(mean < -4.0 * se - 1e-15):

@@ -14,10 +14,13 @@ import hashlib
 import json
 import math
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
+
+from .errors import InvalidSpec
 
 #: every one-sided check passes when ``lhs <= rhs + SLACK_SD * combined SE``
 SLACK_SD = 3.0
@@ -41,6 +44,16 @@ def mean_se(samples) -> tuple:
     if x.ndim == 1:
         return float(mean), float(se)
     return mean, se
+
+
+def exponent_list(p_grid) -> list:
+    """``p_grid`` as a list; a scalar (a string included) or an empty grid raises :class:`InvalidSpec`."""
+    if isinstance(p_grid, str) or not isinstance(p_grid, Iterable):
+        raise InvalidSpec(f"p_grid must be a list of exponents, got {p_grid!r}")
+    p_grid = list(p_grid)
+    if not p_grid:
+        raise InvalidSpec("empty p_grid: need at least one exponent")
+    return p_grid
 
 
 def root_of_mean(powered, r) -> tuple:

@@ -8,7 +8,8 @@ SplitMix64 finalizer.  Consequences that the rest of the package relies on:
 * identical arguments reproduce bit-identical output,
 * path ``r`` sees the same draws no matter how many paths are generated
   alongside it or in which order,
-* batches vectorize as uint64 arithmetic, whole or by column (:func:`draw_columns`).
+* batches vectorize as uint64 arithmetic, whole or by tile of columns,
+  for any contiguous range of paths (:func:`draw_columns`).
 
 The finalizer mixes the freshly built word array in place with one scratch
 array, the uniform conversion shifts the words in place and scales the one
@@ -98,18 +99,23 @@ def normal_matrix(master_seed, n_paths, n_draws):
     return _normal(raw_uint64(master_seed, n_paths, n_draws))
 
 
-def draw_columns(master_seed, n_paths, n_draws, law="uniform"):
-    """Iterate over draws ``0 .. n_draws - 1`` of paths ``0 .. n_paths - 1``, one draw of every path at a time.
+def draw_columns(master_seed, n_paths, n_draws, law="uniform", first_path=0, width=1):
+    """Iterate over draws ``0 .. n_draws - 1`` of paths ``first_path .. first_path + n_paths - 1``, in draw order.
 
-    The ``j``-th array equals, bit for bit, column ``j`` of :func:`raw_uint64`
-    (``law="words"``), :func:`uniform_matrix` (``"uniform"``) or
-    :func:`normal_matrix` (``"normal"``) with the same seed and path count.
-    The seed is checked and the path keys are derived once, at the call;
-    each column is drawn when the iterator reaches it, into a fresh array
-    that belongs to the caller.
+    Each item is a Fortran-order ``(n_paths, w)`` tile of the next
+    ``w = width`` draws (fewer in the last tile).  Its entries equal, bit
+    for bit, the matching entries of :func:`raw_uint64` (``law="words"``),
+    :func:`uniform_matrix` (``"uniform"``) or :func:`normal_matrix`
+    (``"normal"``) with the same seed, at rows ``first_path ..``: path ``r``
+    is path ``r`` of every batch.  The seed is checked and the path keys are
+    derived once, at the call; each tile is drawn when the iterator reaches
+    it, into a fresh array that belongs to the caller.
     """
     convert = _LAWS[law]
-    keys = path_keys(master_seed, np.arange(n_paths, dtype=np.uint64))
+    keys = path_keys(master_seed, np.arange(first_path, first_path + n_paths, dtype=np.uint64))
     with np.errstate(over="ignore"):
         offsets = (np.arange(n_draws, dtype=np.uint64) + np.uint64(1)) * _GAMMA
-    return (convert(_mix64(keys + offset)) for offset in offsets)
+    return (
+        convert(_mix64(np.add(keys[:, None], chunk, out=np.empty((n_paths, chunk.size), np.uint64, order="F"))))
+        for chunk in (offsets[j : j + width] for j in range(0, n_draws, width))
+    )

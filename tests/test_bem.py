@@ -672,6 +672,11 @@ class TestAprioriBound:
         with pytest.raises(exc):
             apriori_moment_bound(0.5, L, T, 0.25, x0_norm, g_x0_norm)
 
+    @pytest.mark.parametrize("x0_norm, g_x0_norm", [(math.inf, 1.0), (1.0, math.inf)])
+    def test_infinite_norms_raise(self, x0_norm, g_x0_norm):
+        with pytest.raises(NegativeInput):
+            apriori_moment_bound(0.5, 1.0, 1.0, 0.25, x0_norm, g_x0_norm)
+
 
 class TestVerifyApriori:
     def test_frozen_model_is_exact(self):
@@ -747,6 +752,12 @@ class TestVerifyApriori:
         cfgs = [BemConfig(h=0.1, t_horizon=1.0, h0=0.25, x0=[1.0])]
         with pytest.raises(InvalidSpec):
             verify_apriori_bound(ou_model(), cfgs, [], 200, seed=1)
+
+    @pytest.mark.parametrize("p_grid", [0.5, "0.5"], ids=["float", "string"])
+    def test_scalar_p_grid_raises(self, p_grid):
+        cfgs = [BemConfig(h=0.1, t_horizon=1.0, h0=0.25, x0=[1.0])]
+        with pytest.raises(InvalidSpec, match="list of exponents"):
+            verify_apriori_bound(ou_model(), cfgs, p_grid, 200, seed=1)
 
     def test_sup_norm_estimate_shape(self):
         model = ou_model(1.0, 1.0)

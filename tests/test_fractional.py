@@ -240,6 +240,12 @@ class TestMittagLeffler:
         with pytest.raises(SeriesNoConvergence):
             mittag_leffler(0.1, 90.0)  # value overflows a double
 
+    def test_nan_argument_fails_the_guard_before_any_term(self, monkeypatch):
+        # a NaN compares false with the guard; no term of the series may be summed
+        monkeypatch.setattr(fractional, "gammaln", None)
+        with pytest.raises(SeriesNoConvergence, match="guard"):
+            mittag_leffler(0.5, math.nan)
+
 
 class TestRateAndKernelMass:
     def test_effective_rate_examples(self):

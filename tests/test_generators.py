@@ -1,5 +1,11 @@
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -306,3 +312,134 @@ class TestPrefixReduce:
                 prefix_reduce(values, n_list, first=first)
         with pytest.raises(ShapeMismatch):
             prefix_reduce(values[0], [1])
+
+
+def _split_rows(monkeypatch, workers):
+    """Split every batch of more than one row over ``workers`` blocks, on a fresh pool of ``workers - 1`` threads."""
+    monkeypatch.setattr(generators, "WORKERS", workers)
+    monkeypatch.setattr(generators, "ROW_FLOOR", 1)
+    monkeypatch.setattr(generators, "_pool", None)
+
+
+class TestRowBlocks:
+    # 3 workers split 2000 rows into 666, 667 and 667: no block size divides another
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("spec", _ALL_KINDS, ids=_kind_id)
+    def test_batches_do_not_depend_on_the_worker_count(self, monkeypatch, spec, workers):
+        serial = generate_paths(spec, 50, 2000, seed=61).values.tobytes()
+        _split_rows(monkeypatch, workers)
+        assert generate_paths(spec, 50, 2000, seed=61).values.tobytes() == serial
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_associated_increments_do_not_depend_on_the_worker_count(self, monkeypatch, workers):
+        serial = [associated_increment_matrix(0.5, 17, 2000, seed=8, bound=b).tobytes() for b in (None, 0.75)]
+        _split_rows(monkeypatch, workers)
+        assert [associated_increment_matrix(0.5, 17, 2000, seed=8, bound=b).tobytes() for b in (None, 0.75)] == serial
+
+    @pytest.mark.parametrize("spec", _ALL_KINDS, ids=_kind_id)
+    @pytest.mark.parametrize("entries", [1, 7 * 2000, 64 * 2000])
+    def test_tiles_of_any_width_give_the_same_bits(self, monkeypatch, spec, entries):
+        # one column, 7 columns (which do not divide 50 steps) and one tile wider than the batch
+        serial = generate_paths(spec, 50, 2000, seed=62).values.tobytes()
+        _split_rows(monkeypatch, 3)
+        monkeypatch.setattr(generators, "TILE_ENTRIES", entries)
+        assert generate_paths(spec, 50, 2000, seed=62).values.tobytes() == serial
+
+    def test_the_calling_thread_runs_block_zero(self, monkeypatch):
+        _split_rows(monkeypatch, 3)
+        seen = {}
+        generators.row_blocks(10, lambda r0, r1: seen.setdefault((r0, r1), threading.current_thread()))
+        assert sorted(seen) == [(0, 3), (3, 6), (6, 10)]
+        assert seen[0, 3] is threading.current_thread()
+        assert all(thread is not threading.current_thread() for block, thread in seen.items() if block[0])
+
+    @pytest.mark.parametrize("workers", [3, 64])
+    def test_no_block_holds_fewer_rows_than_the_floor(self, monkeypatch, workers):
+        # however many CPUs there are, work is split into at most one block per ROW_FLOOR rows, and
+        # work over fewer rows is one block on the calling thread
+        monkeypatch.setattr(generators, "WORKERS", workers)
+        monkeypatch.setattr(generators, "ROW_FLOOR", 100)
+        monkeypatch.setattr(generators, "_pool", None)
+        cases = [(99, None, 1), (50, 99, 1), (299, None, 2), (300, None, 3)]
+        for n_rows, rows, blocks in cases + [(1000, None, min(workers, 10)), (2, 250, 2)]:
+            seen = {}
+
+            def fn(r0, r1):
+                seen[r0, r1] = threading.current_thread()
+
+            generators.row_blocks(n_rows, fn, rows=rows)
+            bounds = sorted(seen)
+            assert len(bounds) == blocks and bounds[0][0] == 0 and bounds[-1][1] == n_rows
+            assert rows is not None or min(r1 - r0 for r0, r1 in bounds) >= min(n_rows, 100)
+            assert blocks > 1 or seen[0, n_rows] is threading.current_thread()
+
+    @pytest.mark.parametrize("failing", [(1, 2), (0, 2), (2,)])
+    def test_the_lowest_failing_block_raises_after_every_block_ends(self, monkeypatch, failing):
+        _split_rows(monkeypatch, 3)
+        done = []
+
+        def fn(r0, r1):
+            block = r0 // 4
+            if block in failing:
+                time.sleep(0.05 * (2 - block))  # the lowest failing block fails last
+                raise ValueError(f"block {block}")
+            time.sleep(0.15)  # and the others end after every failure
+            done.append(block)
+
+        with pytest.raises(ValueError, match=f"block {min(failing)}"):
+            generators.row_blocks(12, fn)
+        assert sorted(done) == sorted({0, 1, 2} - set(failing))
+
+    def test_more_workers_than_cores_with_frequent_thread_switches(self, monkeypatch):
+        # every block writes only its own rows, and a non-finite entry in the last block's rows
+        # is reported even when its verdict is the last to arrive
+        serial = [generate_paths(spec, 20, 2000, seed=63).values.tobytes() for spec in _ALL_KINDS]
+        _split_rows(monkeypatch, 7)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            split = [generate_paths(spec, 20, 2000, seed=63).values.tobytes() for spec in _ALL_KINDS]
+            values = np.zeros((2000, 3))
+            values[-1, 2] = np.nan
+            with pytest.raises(InvalidSpec, match="non-finite"):
+                TrajectoryBatch(values)
+        finally:
+            sys.setswitchinterval(interval)
+        assert split == serial
+
+    def test_a_bad_seed_raises_from_every_block(self, monkeypatch):
+        _split_rows(monkeypatch, 3)
+        with pytest.raises(InvalidSpec, match="64-bit"):
+            generate_paths(GeneratorSpec.random_walk(), 5, 2000, seed=-1)
+
+    def test_import_starts_no_thread(self):
+        # the pool starts on the first split, so importing and small batches stay single-threaded
+        script = (
+            "import threading, demigronwall\n"
+            "n = threading.active_count()\n"
+            "demigronwall.generate_paths(demigronwall.GeneratorSpec.random_walk(), 5, 100, 1)\n"
+            "print(n, threading.active_count())\n"
+        )
+        src = str(Path(generators.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.split() == ["1", "1"]
+
+
+class TestTiledPartialSums:
+    @pytest.mark.parametrize("widths", [(1, 1, 1), (3,), (2, 1), (1, 2)])
+    def test_tiles_keep_the_row_cumsum_bits(self, widths):
+        # 2 rows take the np.cumsum branch for tiles wider than 2 and the column loop for the rest
+        inc = np.array([[-0.0, 0.0, -0.0], [-0.0, -0.0, 1.0]])
+        starts = np.cumsum((0,) + widths)
+        tiles = [np.asfortranarray(inc[:, a:b]) for a, b in zip(starts[:-1], starts[1:])]
+        sums = partial_sums(2, 3, tiles)
+        assert sums[:, 1:].tobytes() == np.cumsum(inc, axis=1).tobytes()
+        assert sums[:, 0].tobytes() == np.zeros(2).tobytes()
+
+    def test_out_receives_rows_of_a_larger_batch(self):
+        inc = np.random.default_rng(4).normal(size=(6, 9))
+        out = np.full((10, 10), np.nan, order="F")
+        assert np.shares_memory(partial_sums(6, 9, [inc[:, :4], inc[:, 4:]], out=out[2:8]), out)
+        assert out[2:8, 1:].tobytes() == np.asfortranarray(np.cumsum(inc, axis=1)).tobytes()
+        assert np.isnan(out[:2]).all() and np.isnan(out[8:]).all()

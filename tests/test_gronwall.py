@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from demigronwall import gronwall
+from demigronwall import generators, gronwall
 from demigronwall.errors import (
     HolderViolation,
     HypothesisViolated,
@@ -104,6 +104,10 @@ class TestMaximalMomentBound:
         with pytest.raises(NegativeInput):
             maximal_moment_bound(math.nan, 0.5)
 
+    def test_infinite_q_raises(self):
+        with pytest.raises(NegativeInput):
+            maximal_moment_bound(math.inf, 0.5)
+
 
 class TestHolderPair:
     def test_prefactor_values(self):
@@ -179,6 +183,21 @@ class TestGronwallBound:
     def test_nan_or_negative_inputs_raise(self, weights, mean, exc):
         with pytest.raises(exc):
             holder_bound(HolderPair.deterministic(0.5), weights, mean, 0.1)
+
+    @pytest.mark.parametrize(
+        "weights, mean, se, exc",
+        [
+            (2.0, math.inf, 0.1, NegativeInput),
+            (2.0, 1.0, math.nan, NegativeInput),
+            (2.0, 1.0, math.inf, NegativeInput),
+            (2.0, 1.0, -0.1, NegativeInput),
+            (math.inf, 0.1, 0.1, NegativeWeights),
+            (np.array([1.0, math.inf]), 0.1, 0.1, NegativeWeights),
+        ],
+    )
+    def test_infinite_inputs_or_a_bad_se_raise(self, weights, mean, se, exc):
+        with pytest.raises(exc):
+            holder_bound(HolderPair.deterministic(0.5), weights, mean, se)
 
 
 class TestBuildInstance:
@@ -264,6 +283,12 @@ class TestVerifyMaximalInequality:
         with pytest.raises(InvalidSpec):
             verify_maximal_inequality(batch, [], 2)
 
+    @pytest.mark.parametrize("p_grid", [0.5, "0.5"], ids=["float", "string"])
+    def test_scalar_p_grid_raises(self, p_grid):
+        batch = generate_paths(GeneratorSpec.random_walk(), 4, 100, seed=1)
+        with pytest.raises(InvalidSpec, match="list of exponents"):
+            verify_maximal_inequality(batch, p_grid, 2)
+
     def test_shape_and_start_are_checked_before_the_screen(self):
         # a down-drifting batch would warn in the screen; the documented errors must come first
         drift = np.hstack([np.zeros((200, 1)), np.cumsum(-np.ones((200, 4)), axis=1)])
@@ -282,6 +307,33 @@ class TestVerifyMaximalInequality:
         values[-1, 0] = -0.5
         with pytest.raises(NonzeroStart):
             verify_maximal_inequality(TrajectoryBatch(values), [0.5], 5)
+
+
+class TestWorkerCount:
+    """Screens and reports over row blocks and spread columns have the serial bits."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "spec",
+        [GeneratorSpec.random_walk("gauss"), GeneratorSpec.associated(0.5), GeneratorSpec.two_point(0.4)],
+        ids=lambda spec: spec.kind,
+    )
+    def test_maximal_reports_do_not_depend_on_the_worker_count(self, monkeypatch, spec, workers):
+        # 3 workers split the 2000 rows unevenly and the 25 increment columns into 8, 8 and 9
+        batch = generate_paths(spec, 25, 2000, seed=17)
+        order = np.ascontiguousarray(batch.values)
+        p_grid = [0.25, 0.5, 0.75]
+
+        def run():
+            reports = [verify_maximal_inequality(batch, p_grid, n) for n in (2, 10, 25)]
+            screen = gronwall._screened_extremes(order, 25)
+            return [repr(r.rows) for r in reports], [a.tobytes() for a in screen]
+
+        serial = run()
+        monkeypatch.setattr(generators, "WORKERS", workers)
+        monkeypatch.setattr(generators, "ROW_FLOOR", 1)
+        monkeypatch.setattr(generators, "_pool", None)
+        assert run() == serial
 
 
 class TestIncrementScreen:

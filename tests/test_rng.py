@@ -22,9 +22,10 @@ def test_per_path_determinism_across_batch_sizes():
 @pytest.mark.parametrize("law, matrix", _LAWS, ids=[law for law, _ in _LAWS])
 @pytest.mark.parametrize("n_paths, n_draws", [(50, 9), (1, 3), (1000, 1)])
 def test_draw_columns_stack_into_the_matrix_functions(law, matrix, n_paths, n_draws):
+    # by default each tile is one column
     columns = list(draw_columns(21, n_paths, n_draws, law))
-    assert len(columns) == n_draws
-    assert np.stack(columns, axis=1).tobytes() == matrix(21, n_paths, n_draws).tobytes()
+    assert [column.shape for column in columns] == [(n_paths, 1)] * n_draws
+    assert np.concatenate(columns, axis=1).tobytes() == matrix(21, n_paths, n_draws).tobytes()
 
 
 @pytest.mark.parametrize("law", [law for law, _ in _LAWS])
@@ -38,11 +39,23 @@ def test_each_column_is_a_fresh_writable_array(law, matrix):
     expected = matrix(8, 30, 5)
     seen = []
     for j, column in enumerate(draw_columns(8, 30, 5, law)):
-        assert column.flags.writeable and column.shape == (30,)
+        assert column.flags.writeable and column.shape == (30, 1)
         assert column.tobytes() == expected[:, j].tobytes()
         column[...] = j
         seen.append(column)
     assert all(np.all(column == j) for j, column in enumerate(seen))
+
+
+@pytest.mark.parametrize("law, matrix", _LAWS, ids=[law for law, _ in _LAWS])
+@pytest.mark.parametrize("first_path, n_paths", [(0, 40), (13, 20), (39, 1)])
+@pytest.mark.parametrize("width", [1, 4, 9, 30])
+def test_path_ranges_and_tiles_are_rows_and_columns_of_the_matrix(law, matrix, first_path, n_paths, width):
+    # tiles of 4 columns leave a last tile of 1; 30 is wider than the 9 draws
+    expected = matrix(21, 40, 9)[first_path : first_path + n_paths]
+    items = list(draw_columns(21, n_paths, 9, law, first_path=first_path, width=width))
+    assert [tile.shape[1] for tile in items] == [min(width, 9 - j) for j in range(0, 9, width)]
+    assert all(tile.flags.f_contiguous and tile.flags.writeable for tile in items)
+    assert np.concatenate(items, axis=1).tobytes() == expected.tobytes()
 
 
 def test_uniforms_open_interval_and_moments():
