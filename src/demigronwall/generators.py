@@ -17,6 +17,8 @@ A batch is filled in contiguous row blocks, one per worker
 ``WORKERS - 1`` threads the others, each block drawing its own paths
 (``rng.draw_columns(..., first_path=r0)``).  A block holds at least
 :data:`ROW_FLOOR` rows, so smaller batches stay on the calling thread.
+:func:`alongside` runs two different parts of one computation on the
+calling thread and one pool thread, for batches that would be split.
 Path ``r`` depends only on ``(seed, r)`` and no row operation is split,
 so the bits do not depend on the worker count.  Inside a block the draws
 and partial sums go in Fortran tiles of ``max(1, TILE_ENTRIES // M)`` time
@@ -92,9 +94,10 @@ def _cpu_count():
 #: worker count of :func:`row_blocks`, the CPUs this process may run on; the bits never depend on it
 WORKERS = _cpu_count()
 
-#: fewest rows per block of :func:`row_blocks`, so smaller work stays on the calling thread: blocks
-#: near 10 000 rows ran no faster than one block of 20 000
-ROW_FLOOR = 1 << 14
+#: fewest rows per block of :func:`row_blocks`, so smaller work stays on the calling thread: on 2 CPUs
+#: ``demigronwall all --paths 50000`` ran no faster with its batches in two blocks of 25 000 rows than
+#: in one, and its two threads traded the interpreter lock some 4 000 times a pass
+ROW_FLOOR = 1 << 15
 
 #: entries per tile step: a batch of ``M`` rows draws and sums ``max(1, TILE_ENTRIES // M)`` columns per step
 TILE_ENTRIES = 1 << 16
@@ -110,21 +113,24 @@ def _worker_pool():
     return _pool[1]
 
 
-def row_blocks(n_rows, fn, rows=None):
+def _workers(n_rows):
+    """Workers for work over ``n_rows`` rows: at most ``WORKERS``, ``n_rows`` and one per :data:`ROW_FLOOR` rows."""
+    return min(WORKERS, n_rows, max(1, n_rows // ROW_FLOOR))
+
+
+def row_blocks(n_rows, fn):
     """Run ``fn(r0, r1)`` over contiguous blocks ``[r0, r1)`` that cover ``0 .. n_rows``, one block per worker.
 
     The blocks are as even as integer division makes them, and there are
     at most ``WORKERS``, at most ``n_rows`` and at most one per
     :data:`ROW_FLOOR` rows, so each block of a split batch holds at least
-    that many rows, however many CPUs there are.  ``rows`` counts the rows,
-    ``n_rows`` by default; a caller that splits something else, such as the
-    columns of a batch, passes the batch's row count.  The calling thread
+    that many rows, however many CPUs there are.  The calling thread
     runs block 0 and the pool the others.  Returns once every block has
     finished; if blocks raised, the error of the lowest one is re-raised.  ``fn`` writes only
     its own block, gives the same bits for any block bounds, and neither
     calls :func:`row_blocks` nor a function that a profiler may have wrapped.
     """
-    workers = min(WORKERS, n_rows, max(1, (n_rows if rows is None else rows) // ROW_FLOOR))
+    workers = _workers(n_rows)
     if workers <= 1:
         fn(0, n_rows)
         return
@@ -138,6 +144,30 @@ def row_blocks(n_rows, fn, rows=None):
             future.exception()  # waits: no block may still be writing once this returns
     for future in futures:
         future.result()
+
+
+def alongside(n_rows, side, main):
+    """Run ``side()`` on a pool thread while the calling thread runs ``main()``, for work over ``n_rows`` rows.
+
+    Work that :func:`row_blocks` would not split runs ``side()`` and then
+    ``main()`` on the calling thread.  Returns once both have finished; if
+    both raised, the error of ``side`` is re-raised, as in that serial
+    order.  The two write disjoint outputs, and neither calls
+    :func:`row_blocks` nor a function that a profiler may have wrapped.
+    ``side`` should spend its time in a few long numpy calls, which let
+    go of the interpreter lock, so that ``main`` seldom waits for it.
+    """
+    if _workers(n_rows) <= 1:
+        side()
+        main()
+        return
+    future = _worker_pool().submit(side)
+    try:
+        main()
+    except BaseException:
+        future.result()  # waits, and raises the error of side first
+        raise
+    future.result()
 
 
 def _tile_width(n_paths):

@@ -11,8 +11,9 @@ Implements, for sequences satisfying the pathwise recursion
   Holder right-hand side, which the fractional variant shares,
 * harnesses that estimate both sides by Monte Carlo and compare them with
   one-sided ``reporting.SLACK_SD * SE`` slack.  The maximal-lemma harness
-  sweeps its batch on every worker
-  (:func:`~demigronwall.generators.row_blocks`), with the same bits as on one.
+  takes a large batch's running extremes on a pool thread while the
+  calling thread takes its increment moments
+  (:func:`~demigronwall.generators.alongside`), with the same bits as on one.
 
 Verification instances are built in reverse: given X, S and G, setting
 ``F_n = (X_n - S_n - sum_{k<n} G_k X_k)^+`` makes the recursion hold
@@ -37,7 +38,7 @@ from .errors import (
     POutOfRange,
     ShapeMismatch,
 )
-from .generators import TrajectoryBatch, partial_sums, prefix_reduce, row_blocks
+from .generators import TrajectoryBatch, alongside, partial_sums, prefix_reduce
 from .reporting import VerificationReport, exponent_list, mean_se, mu_norm, one_sided_verdict, power_se
 
 GRONWALL_COLUMNS = ["n", "p", "mu", "nu", "lhs", "lhs_se", "rhs", "margin", "verdict"]
@@ -265,31 +266,33 @@ def _screened_extremes(values, n) -> tuple:
     """``(sup, inf, mean, se)`` of the columns ``0..n`` of ``values``.
 
     ``sup`` and ``inf`` are each row's running maximum and minimum at ``n``,
-    as :func:`~demigronwall.generators.prefix_reduce` gives them, swept by
-    row blocks; ``mean[k-1]`` and ``se[k-1]`` are
+    one ``np.maximum.reduce`` (``np.minimum.reduce``) call each, with the
+    bits of :func:`~demigronwall.generators.prefix_reduce` up to the sign
+    of a zero in a row that mixes ``+0.0`` and ``-0.0``, which no report
+    value reads.  ``mean[k-1]`` and ``se[k-1]`` are
     :func:`~demigronwall.reporting.mean_se` of the whole increment column
-    ``values[:, k] - values[:, k-1]``, bit for bit, with the columns spread
-    over the workers (:func:`~demigronwall.generators.row_blocks`).  A
-    nonzero entry in column 0 raises :class:`NonzeroStart` before any other.
+    ``values[:, k] - values[:, k-1]``, bit for bit.  On a batch that
+    :func:`~demigronwall.generators.row_blocks` would split, the two
+    reductions run on a pool thread while the calling thread takes the
+    moments (:func:`~demigronwall.generators.alongside`): the reductions
+    hold the interpreter lock for a few calls only, so the moments seldom
+    wait for it.  A nonzero entry in column 0 raises :class:`NonzeroStart`
+    before any other.
     """
     if np.any(values[:, 0] != 0.0):
         raise NonzeroStart("the maximal inequality requires paths starting at 0")
-    sup, inf = values[:, 0].copy(), values[:, 0].copy()
+    sup, inf = np.empty(len(values)), np.empty(len(values))
     mean, se = np.empty(n), np.empty(n)
 
-    def extremes(r0, r1):
-        block_sup, block_inf = sup[r0:r1], inf[r0:r1]
-        for k in range(1, n + 1):
-            column = values[r0:r1, k]
-            np.maximum(block_sup, column, out=block_sup)
-            np.minimum(block_inf, column, out=block_inf)
+    def extremes():
+        np.maximum.reduce(values[:, : n + 1], axis=1, out=sup)
+        np.minimum.reduce(values[:, : n + 1], axis=1, out=inf)
 
-    def moments(k0, k1):
-        for k in range(k0 + 1, k1 + 1):
+    def moments():
+        for k in range(1, n + 1):
             mean[k - 1], se[k - 1] = mean_se(values[:, k] - values[:, k - 1])
 
-    row_blocks(len(values), extremes)
-    row_blocks(n, moments, rows=len(values))
+    alongside(len(values), extremes, moments)
     return sup, inf, mean, se
 
 
@@ -299,8 +302,8 @@ def verify_maximal_inequality(batch: TrajectoryBatch, p_grid, n=None) -> Verific
     The demimartingale property itself is the caller's responsibility; a
     cheap mean-increment screen warns (never fails) if some step's mean
     increment lies more than 4 SE below zero.  :func:`_screened_extremes`
-    sweeps the running maximum and minimum by row blocks and takes the
-    screen's increment moments column by column, on every worker.  Each grid
+    takes the running maximum and minimum of a large batch on a pool thread
+    while the calling thread takes the screen's increment moments.  Each grid
     point passes
     when ``lhs <= rhs + SLACK_SD * combined_SE`` with the right-hand error
     propagated through the power by the delta method.  A scalar or empty

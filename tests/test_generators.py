@@ -360,17 +360,16 @@ class TestRowBlocks:
         monkeypatch.setattr(generators, "WORKERS", workers)
         monkeypatch.setattr(generators, "ROW_FLOOR", 100)
         monkeypatch.setattr(generators, "_pool", None)
-        cases = [(99, None, 1), (50, 99, 1), (299, None, 2), (300, None, 3)]
-        for n_rows, rows, blocks in cases + [(1000, None, min(workers, 10)), (2, 250, 2)]:
+        for n_rows, blocks in [(99, 1), (199, 1), (299, 2), (300, 3), (1000, min(workers, 10))]:
             seen = {}
 
             def fn(r0, r1):
                 seen[r0, r1] = threading.current_thread()
 
-            generators.row_blocks(n_rows, fn, rows=rows)
+            generators.row_blocks(n_rows, fn)
             bounds = sorted(seen)
             assert len(bounds) == blocks and bounds[0][0] == 0 and bounds[-1][1] == n_rows
-            assert rows is not None or min(r1 - r0 for r0, r1 in bounds) >= min(n_rows, 100)
+            assert min(r1 - r0 for r0, r1 in bounds) >= min(n_rows, 100)
             assert blocks > 1 or seen[0, n_rows] is threading.current_thread()
 
     @pytest.mark.parametrize("failing", [(1, 2), (0, 2), (2,)])
@@ -389,6 +388,40 @@ class TestRowBlocks:
         with pytest.raises(ValueError, match=f"block {min(failing)}"):
             generators.row_blocks(12, fn)
         assert sorted(done) == sorted({0, 1, 2} - set(failing))
+
+    @pytest.mark.parametrize("n_rows, split", [(199, False), (200, True)])
+    def test_alongside_runs_side_on_the_pool_when_the_rows_would_be_split(self, monkeypatch, n_rows, split):
+        monkeypatch.setattr(generators, "WORKERS", 3)
+        monkeypatch.setattr(generators, "ROW_FLOOR", 100)
+        monkeypatch.setattr(generators, "_pool", None)
+        order = []
+        generators.alongside(
+            n_rows,
+            lambda: order.append(("side", threading.current_thread())),
+            lambda: order.append(("main", threading.current_thread())),
+        )
+        threads = dict(order)
+        assert sorted(threads) == ["main", "side"] and threads["main"] is threading.current_thread()
+        assert (threads["side"] is not threading.current_thread()) == split
+        assert split or [name for name, _ in order] == ["side", "main"]
+
+    @pytest.mark.parametrize("failing", [("side",), ("main",), ("side", "main")])
+    def test_alongside_raises_the_error_of_side_first_after_both_end(self, monkeypatch, failing):
+        _split_rows(monkeypatch, 2)
+        done = []
+
+        def part(name, delay):
+            def run():
+                time.sleep(delay)
+                if name in failing:
+                    raise ValueError(name)
+                done.append(name)
+            return run
+
+        # side ends last, so main's error is already raised when side's arrives
+        with pytest.raises(ValueError, match=failing[0]):
+            generators.alongside(2, part("side", 0.1), part("main", 0.0))
+        assert sorted(done) == sorted({"side", "main"} - set(failing))
 
     def test_more_workers_than_cores_with_frequent_thread_switches(self, monkeypatch):
         # every block writes only its own rows, and a non-finite entry in the last block's rows

@@ -362,6 +362,19 @@ class TestIncrementScreen:
         assert sup.tobytes() == values[:, : n + 1].max(axis=1).tobytes()
         assert inf.tobytes() == values[:, : n + 1].min(axis=1).tobytes()
 
+    def test_reports_do_not_read_the_sign_of_a_zero_extreme(self):
+        # numpy folds a C-order row in another order than a Fortran one, so a row that mixes +0.0
+        # and -0.0 may keep either zero as its maximum or minimum; the reports are the same
+        rng = np.random.default_rng(6)
+        values = np.hstack([np.zeros((500, 1)), rng.choice([-0.0, 0.0, 1.0, -1.0], size=(500, 12))])
+        assert np.sum(values.max(axis=1) == 0.0) > 0 and np.sum(values.min(axis=1) == 0.0) > 0
+        reports = [
+            [verify_maximal_inequality(TrajectoryBatch(np.array(values, order=order)), [0.25, 0.5, 0.75], n)
+             for n in (1, 6, 12)]
+            for order in "FC"
+        ]
+        assert [repr(r.rows) for r in reports[0]] == [repr(r.rows) for r in reports[1]]
+
     def test_one_row_has_zero_error_and_n_zero_no_increments(self):
         sup, inf, mean, se = gronwall._screened_extremes(np.array([[0.0, 2.0, 1.0]]), 2)
         assert np.array_equal(mean, [2.0, -1.0]) and np.array_equal(se, [0.0, 0.0])
