@@ -55,7 +55,7 @@ import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -282,6 +282,12 @@ def _all_finite(values):
 class TrajectoryBatch:
     """M independent discrete-time sample paths of length N + 1.
 
+    A batch's values must not change after construction: the finiteness
+    check runs once, here, and the maximal-lemma sweep state that
+    :func:`~demigronwall.gronwall.verify_maximal_inequality` keeps on the
+    batch (running extremes and increment moments up to the last column it
+    read) is continued by later calls, not recomputed.
+
     Attributes:
         values: float matrix of shape (n_paths, n_steps + 1); row ``r``,
             column ``k`` is path ``r`` at time index ``k``.  The package
@@ -292,6 +298,7 @@ class TrajectoryBatch:
 
     values: np.ndarray
     label: str = ""
+    _sweep: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)

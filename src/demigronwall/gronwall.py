@@ -11,9 +11,10 @@ Implements, for sequences satisfying the pathwise recursion
   Holder right-hand side, which the fractional variant shares,
 * harnesses that estimate both sides by Monte Carlo and compare them with
   one-sided ``reporting.SLACK_SD * SE`` slack.  The maximal-lemma harness
-  takes a large batch's running extremes on a pool thread while the
-  calling thread takes its increment moments
-  (:func:`~demigronwall.generators.alongside`), with the same bits as on one.
+  sweeps a batch's columns once across calls at several ``n``: a large
+  batch's running extremes on a pool thread while the calling thread takes
+  its increment moments (:func:`~demigronwall.generators.alongside`), with
+  the same bits as on one.
 
 Verification instances are built in reverse: given X, S and G, setting
 ``F_n = (X_n - S_n - sum_{k<n} G_k X_k)^+`` makes the recursion hold
@@ -39,7 +40,15 @@ from .errors import (
     ShapeMismatch,
 )
 from .generators import TrajectoryBatch, alongside, partial_sums, prefix_reduce
-from .reporting import VerificationReport, exponent_list, mean_se, mu_norm, one_sided_verdict, power_se
+from .reporting import (
+    VerificationReport,
+    difference_mean_se,
+    exponent_list,
+    mean_se,
+    mu_norm,
+    one_sided_verdict,
+    power_se,
+)
 
 GRONWALL_COLUMNS = ["n", "p", "mu", "nu", "lhs", "lhs_se", "rhs", "margin", "verdict"]
 
@@ -262,38 +271,73 @@ def build_instance(X: TrajectoryBatch, S: TrajectoryBatch, growth) -> GronwallIn
     return GronwallInstance(X=X, F=F, G=growth, S=S)
 
 
-def _screened_extremes(values, n) -> tuple:
-    """``(sup, inf, mean, se)`` of the columns ``0..n`` of ``values``.
+class _Sweep:
+    """Running extremes and increment moments of the columns ``0..upto`` of ``values``, extended in place.
 
-    ``sup`` and ``inf`` are each row's running maximum and minimum at ``n``,
-    one ``np.maximum.reduce`` (``np.minimum.reduce``) call each, with the
-    bits of :func:`~demigronwall.generators.prefix_reduce` up to the sign
-    of a zero in a row that mixes ``+0.0`` and ``-0.0``, which no report
-    value reads.  ``mean[k-1]`` and ``se[k-1]`` are
-    :func:`~demigronwall.reporting.mean_se` of the whole increment column
-    ``values[:, k] - values[:, k-1]``, bit for bit.  On a batch that
-    :func:`~demigronwall.generators.row_blocks` would split, the two
-    reductions run on a pool thread while the calling thread takes the
-    moments (:func:`~demigronwall.generators.alongside`): the reductions
-    hold the interpreter lock for a few calls only, so the moments seldom
-    wait for it.  A nonzero entry in column 0 raises :class:`NonzeroStart`
-    before any other.
+    ``sup`` and ``inf`` are each row's running maximum and minimum at
+    ``upto``; ``mean[k-1]`` and ``se[k-1]`` are
+    :func:`~demigronwall.reporting.mean_se` of the increment column
+    ``values[:, k] - values[:, k-1]`` for ``k = 1..upto``.  A nonzero entry
+    in column 0 raises :class:`NonzeroStart`.
     """
-    if np.any(values[:, 0] != 0.0):
-        raise NonzeroStart("the maximal inequality requires paths starting at 0")
-    sup, inf = np.empty(len(values)), np.empty(len(values))
-    mean, se = np.empty(n), np.empty(n)
 
-    def extremes():
-        np.maximum.reduce(values[:, : n + 1], axis=1, out=sup)
-        np.minimum.reduce(values[:, : n + 1], axis=1, out=inf)
+    def __init__(self, values):
+        if np.any(values[:, 0] != 0.0):
+            raise NonzeroStart("the maximal inequality requires paths starting at 0")
+        self.values, self.upto = values, 0
+        self.sup = values[:, 0].copy()
+        self.inf = self.sup.copy()
+        self.mean, self.se = np.empty(values.shape[1] - 1), np.empty(values.shape[1] - 1)
 
-    def moments():
-        for k in range(1, n + 1):
-            mean[k - 1], se[k - 1] = mean_se(values[:, k] - values[:, k - 1])
+    def at(self, n) -> tuple:
+        """``(sup, inf, mean, se)`` of the columns ``0..n``.
 
-    alongside(len(values), extremes, moments)
-    return sup, inf, mean, se
+        An ``n`` at or beyond ``upto`` extends the sweep to ``n``, and
+        ``sup`` and ``inf`` are the sweep's own vectors, which a later
+        extension moves.  A smaller ``n`` slices the moments and takes the
+        extremes afresh, leaving the sweep as it was.
+        """
+        if n < self.upto:
+            head = self.values[:, : n + 1]
+            return head.max(axis=1), head.min(axis=1), self.mean[:n], self.se[:n]
+        self._extend(n)
+        return self.sup, self.inf, self.mean[:n], self.se[:n]
+
+    def _extend(self, n):
+        """Read the columns ``upto + 1..n`` once.
+
+        On a batch that :func:`~demigronwall.generators.row_blocks` would
+        split, a pool thread folds their ``np.maximum.reduce``
+        (``np.minimum.reduce``) into ``sup`` (``inf``) while the calling
+        thread takes their moments
+        (:func:`~demigronwall.generators.alongside`).  The reductions hold
+        the interpreter lock for a few calls only, so the moments seldom
+        wait for it.  Maximum and minimum are exact, so ``sup`` and ``inf``
+        have the bits of :func:`~demigronwall.generators.prefix_reduce`
+        in any order of calls, up to the sign of a zero in a row that mixes
+        ``+0.0`` and ``-0.0``, which no report value reads.
+        """
+        values, lo = self.values, self.upto
+        if n == lo:
+            return
+        fold, scratch = np.empty(len(values)), np.empty(len(values))
+
+        def extremes():
+            for ufunc, acc in ((np.maximum, self.sup), (np.minimum, self.inf)):
+                ufunc.reduce(values[:, lo + 1 : n + 1], axis=1, out=fold)
+                ufunc(acc, fold, out=acc)
+
+        def moments():
+            for k in range(lo + 1, n + 1):
+                self.mean[k - 1], self.se[k - 1] = difference_mean_se(values[:, k], values[:, k - 1], scratch)
+
+        alongside(len(values), extremes, moments)
+        self.upto = n
+
+
+def _screened_extremes(values, n) -> tuple:
+    """``(sup, inf, mean, se)`` of the columns ``0..n`` of ``values``, from a new :class:`_Sweep`."""
+    return _Sweep(values).at(n)
 
 
 def verify_maximal_inequality(batch: TrajectoryBatch, p_grid, n=None) -> VerificationReport:
@@ -301,10 +345,12 @@ def verify_maximal_inequality(batch: TrajectoryBatch, p_grid, n=None) -> Verific
 
     The demimartingale property itself is the caller's responsibility; a
     cheap mean-increment screen warns (never fails) if some step's mean
-    increment lies more than 4 SE below zero.  :func:`_screened_extremes`
-    takes the running maximum and minimum of a large batch on a pool thread
-    while the calling thread takes the screen's increment moments.  Each grid
-    point passes
+    increment lies more than 4 SE below zero.  The running maximum and
+    minimum and the screen's increment moments come from one sweep of the
+    batch's columns that later calls continue (:class:`_Sweep`): calls at
+    ``n = 2, 10, 25, 50`` read each column once, a repeated ``n`` reads
+    none, and a smaller ``n`` reads only its extremes.  The reports are the
+    same bits in any order of calls.  Each grid point passes
     when ``lhs <= rhs + SLACK_SD * combined_SE`` with the right-hand error
     propagated through the power by the delta method.  A scalar or empty
     ``p_grid`` raises :class:`InvalidSpec`, an ``n`` outside ``[0, N]``
@@ -313,7 +359,9 @@ def verify_maximal_inequality(batch: TrajectoryBatch, p_grid, n=None) -> Verific
     """
     p_grid = exponent_list(p_grid)
     n = _time_index(batch, n)
-    sups, infs, mean, se = _screened_extremes(batch.values, n)
+    # off the batch until the report is made, so that no other call extends it (and moves sups) meanwhile
+    sweep = vars(batch).pop("_sweep", None) or _Sweep(batch.values)
+    sups, infs, mean, se = sweep.at(n)
     if batch.n_paths > 1 and np.any(mean < -4.0 * se - 1e-15):
         warnings.warn(
             f"batch {batch.label!r} has significantly negative mean increments; "
@@ -331,6 +379,7 @@ def verify_maximal_inequality(batch: TrajectoryBatch, p_grid, n=None) -> Verific
             n=n, p=float(p), mu=None, nu=None, lhs=lhs, lhs_se=lhs_se, rhs=rhs,
             **one_sided_verdict(lhs, lhs_se, rhs, rhs_se),
         )
+    object.__setattr__(batch, "_sweep", sweep)  # a call that raised leaves no sweep behind
     return report
 
 

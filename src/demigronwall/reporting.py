@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import InvalidSpec
+from .errors import DegenerateBatch, InvalidSpec
 
 #: every one-sided check passes when ``lhs <= rhs + SLACK_SD * combined SE``
 SLACK_SD = 3.0
@@ -32,18 +32,47 @@ Z_LEVEL = 0.999
 Z_SLACK = float(ndtri(Z_LEVEL))
 
 
+def _mean_se(x, out=None) -> tuple:
+    """``(mean, se)`` of ``x`` along axis 0, with its deviations written to ``out`` (a new array if ``None``).
+
+    The ufunc reductions of numpy's ``x.mean(axis=0)`` and
+    ``x.std(ddof=1, axis=0)``, in their order, but with the mean taken
+    once: the bits equal ``(mean, std / sqrt(m))`` on any layout.
+    """
+    m = x.shape[0]
+    if m == 0:
+        raise DegenerateBatch("need at least one sample for a mean")
+    dtype = np.float64 if x.dtype.kind in "biu" else None  # numpy's mean and std sum integers as floats
+    mean = np.add.reduce(x, axis=0, dtype=dtype) / m
+    if m == 1:
+        return mean, np.zeros_like(mean)
+    dev = np.subtract(x, mean, out=out)
+    np.square(dev, out=dev)
+    return mean, np.sqrt(np.add.reduce(dev, axis=0) / (m - 1)) / math.sqrt(m)
+
+
 def mean_se(samples) -> tuple:
     """Sample mean along axis 0 and its standard error (0 for one sample).
 
     A 1-D input gives two floats, a wider input arrays over its other axes.
+    Bit for bit ``x.mean(axis=0)`` and ``x.std(ddof=1, axis=0) / sqrt(m)``.
+    An empty sample raises :class:`DegenerateBatch`.
     """
     x = np.asarray(samples)
-    m = x.shape[0]
-    mean = x.mean(axis=0)
-    se = x.std(ddof=1, axis=0) / math.sqrt(m) if m > 1 else np.zeros_like(mean)
+    mean, se = _mean_se(x)
     if x.ndim == 1:
         return float(mean), float(se)
     return mean, se
+
+
+def difference_mean_se(a, b, scratch) -> tuple:
+    """``mean_se(a - b)`` of two 1-D samples, bit for bit, worked in ``scratch``, which it overwrites.
+
+    ``scratch`` is a float array of the samples' length; nothing of that
+    length is allocated.
+    """
+    mean, se = _mean_se(np.subtract(a, b, out=scratch), out=scratch)
+    return float(mean), float(se)
 
 
 def exponent_list(p_grid) -> list:
@@ -78,11 +107,14 @@ def mu_norm(values, p, mu) -> tuple:
 
     A scalar is exact.  For a sample, mu = inf uses the sample maximum,
     which can only understate the essential supremum; finite mu is a
-    plug-in estimate with a delta-method standard error.
+    plug-in estimate with a delta-method standard error.  An empty sample
+    raises :class:`DegenerateBatch`.
     """
     x = np.asarray(values, dtype=np.float64)
     if x.ndim == 0:
         return float(x) ** p, 0.0
+    if x.size == 0:
+        raise DegenerateBatch("need at least one sample for a norm")
     if math.isinf(mu):
         return float(x.max()) ** p, 0.0
     return root_of_mean(x ** (p * mu), mu)

@@ -1,10 +1,12 @@
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
-from demigronwall import generators, gronwall
+from demigronwall import generators, gronwall, reporting
 from demigronwall.errors import (
     HolderViolation,
     HypothesisViolated,
@@ -29,7 +31,7 @@ from demigronwall.gronwall import (
     verify_maximal_inequality,
     weighted_history,
 )
-from demigronwall.reporting import mean_se, one_sided_verdict, power_se
+from demigronwall.reporting import format_cell, mean_se, one_sided_verdict, power_se
 from demigronwall.rng import uniform_matrix
 
 
@@ -381,6 +383,98 @@ class TestIncrementScreen:
         assert (sup[0], inf[0]) == (2.0, 0.0)
         _, _, mean, se = gronwall._screened_extremes(np.zeros((4, 3)), 0)
         assert mean.shape == se.shape == (0,)
+
+
+def _cells(report):
+    """A report's rows as the CSV cells, and its named checks."""
+    return [[format_cell(row.get(col)) for col in report.columns] for row in report.rows], report.checks
+
+
+class TestSweepOrder:
+    """Calls at any sequence of ``n`` continue one sweep per batch, with the reports of a fresh batch per call."""
+
+    P_GRID = [0.25, 0.5, 0.75]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "order",
+        [(0, 2, 10, 25), (25, 10, 2, 0), (10, 10, 25, 25, 3), (25, 7, 0, 25, 1)],
+        ids=["ascending", "descending", "repeated", "below-after-full"],
+    )
+    @pytest.mark.parametrize(
+        "spec", [GeneratorSpec.random_walk("gauss"), GeneratorSpec.two_point(0.9)], ids=lambda spec: spec.kind
+    )
+    def test_reports_equal_those_of_a_fresh_batch_per_call(self, monkeypatch, spec, order, workers):
+        monkeypatch.setattr(generators, "WORKERS", workers)
+        monkeypatch.setattr(generators, "ROW_FLOOR", 1)
+        monkeypatch.setattr(generators, "_pool", None)
+        batch = generate_paths(spec, 25, 2000, seed=23)
+
+        def call(target, n):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                report = verify_maximal_inequality(target, self.P_GRID, n)
+            return _cells(report), len(caught)
+
+        for n in order:
+            swept = call(batch, n)
+            fresh = call(TrajectoryBatch(batch.values, label=batch.label), n)
+            assert swept == fresh
+            if spec.kind == "two_point_demisub":  # mean increment -0.8 on the first two steps
+                assert swept[1] == (1 if n >= 1 else 0)
+
+    def test_column_moments_are_taken_once_per_column(self, monkeypatch):
+        counted = []
+
+        def counting(a, b, scratch):
+            counted.append(1)
+            return reporting.difference_mean_se(a, b, scratch)
+
+        monkeypatch.setattr(gronwall, "difference_mean_se", counting)
+        batch = generate_paths(GeneratorSpec.random_walk(), 50, 300, seed=4)
+        for n in (2, 10, 25, 50):
+            verify_maximal_inequality(batch, self.P_GRID, n)
+        assert len(counted) == 50  # one call per n from column 0 would take 2 + 10 + 25 + 50 = 87
+        for n in (50, 10, 0):
+            verify_maximal_inequality(batch, self.P_GRID, n)
+        assert len(counted) == 50
+
+    def test_concurrent_calls_on_one_batch_give_the_reports_of_fresh_batches(self):
+        # each call takes the sweep off the batch until its report is made, so no other call moves its extremes
+        batch = generate_paths(GeneratorSpec.associated(0.5), 25, 2000, seed=29)
+        expected = {n: _cells(verify_maximal_inequality(TrajectoryBatch(batch.values), self.P_GRID, n)) for n in range(26)}
+        plans = [list(np.random.default_rng(t).integers(0, 26, size=40)) for t in range(6)]
+        mismatches = []
+
+        def run(plan):
+            try:
+                for n in plan:
+                    if _cells(verify_maximal_inequality(batch, self.P_GRID, int(n))) != expected[n]:
+                        mismatches.append(n)
+            except Exception as exc:  # an error in a thread would not fail the test by itself
+                mismatches.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(plan,)) for plan in plans]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+
+    def test_a_refused_start_leaves_no_sweep(self):
+        values = np.zeros((10, 4))
+        values[3, 0] = 1.0
+        batch = TrajectoryBatch(values)
+        for _ in range(2):
+            with pytest.raises(NonzeroStart):
+                verify_maximal_inequality(batch, self.P_GRID, 2)
+            assert batch._sweep is None
 
 
 class TestVerifyGronwall:

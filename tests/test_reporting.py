@@ -2,9 +2,18 @@ import itertools
 import math
 
 import numpy as np
+import pytest
 from scipy.special import ndtri
 
-from demigronwall.reporting import SLACK_SD, VerificationReport, mean_se, one_sided_verdict
+from demigronwall.errors import DegenerateBatch
+from demigronwall.reporting import (
+    SLACK_SD,
+    VerificationReport,
+    difference_mean_se,
+    mean_se,
+    mu_norm,
+    one_sided_verdict,
+)
 
 
 def _report(seed, **checks):
@@ -41,6 +50,55 @@ class TestEstimatorCore:
         assert one_sided_verdict(0.5 + SLACK_SD * 0.5, 0.3, 0.5, 0.4) == {"margin": 0.0, "verdict": "pass"}
         cells = one_sided_verdict(0.5 + SLACK_SD * 0.5, 0.3, 0.5, 0.0)
         assert cells["verdict"] == "fail" and cells["margin"] < 0.0
+
+
+def _numpy_mean_se(x):
+    """numpy's own mean and ``std(ddof=1) / sqrt(m)`` along axis 0, the bits that ``mean_se`` keeps."""
+    m = x.shape[0]
+    se = x.std(ddof=1, axis=0) / math.sqrt(m) if m > 1 else np.zeros_like(x.mean(axis=0))
+    return x.mean(axis=0), se
+
+
+def _bits(pair):
+    return tuple(np.asarray(v, dtype=np.float64).tobytes() for v in pair)
+
+
+class TestMeanSeBits:
+    """``mean_se`` takes the mean once, with the bits of numpy's ``mean`` and ``std``."""
+
+    _rng = np.random.default_rng(11)
+    SAMPLES = {
+        "1-d": _rng.normal(3.0, 2.0, size=10_001),
+        "2-d-c": np.ascontiguousarray(_rng.normal(size=(3001, 7))),
+        "2-d-f": np.asfortranarray(_rng.normal(size=(3001, 7))),
+        "integer": _rng.integers(-1000, 1000, size=(2049, 3)),
+        "integer-1-d": np.array([2**53] + [1] * 7),  # numpy sums integers as floats, which round 2**53 + 1
+        "one-sample": np.array([[2.5, -1.0]]),
+        "one-sample-1-d": np.array([7.25]),
+        "mixed-magnitudes": _rng.normal(size=20_000) * 10.0 ** _rng.integers(-150, 150, size=20_000),
+    }
+
+    @pytest.mark.parametrize("name", SAMPLES)
+    def test_equals_numpy_mean_and_std(self, name):
+        x = self.SAMPLES[name]
+        assert _bits(mean_se(x)) == _bits(_numpy_mean_se(x))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 1000, 100_003])
+    def test_difference_form_equals_mean_se_of_the_difference(self, m):
+        values = np.asfortranarray(np.random.default_rng(m).normal(size=(m, 2)))
+        for a, b in ((values[:, 1], values[:, 0]), (np.ascontiguousarray(values)[:, 1], values[:, 0])):
+            scratch = np.empty(m)
+            assert difference_mean_se(a, b, scratch) == mean_se(a - b)
+
+    def test_empty_samples_raise(self):
+        for empty in (np.empty(0), np.empty((0, 3)), []):
+            with pytest.raises(DegenerateBatch):
+                mean_se(empty)
+        with pytest.raises(DegenerateBatch):
+            difference_mean_se(np.empty(0), np.empty(0), np.empty(0))
+        for mu in (math.inf, 2.0):
+            with pytest.raises(DegenerateBatch):
+                mu_norm(np.empty(0), 0.5, mu)
 
 
 class TestOneRule:
