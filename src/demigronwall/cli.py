@@ -247,6 +247,7 @@ def _drive_gronwall_lemma(generators, n_steps, p_grid, n_list):
                 batch = generate_paths(spec, n_steps, n_paths, seed)
                 for n in n_list:
                     report.extend(gron_mod.verify_maximal_inequality(batch, p_grid, n))
+                del batch  # before the next batch is drawn
         return report
 
     return run
@@ -269,6 +270,8 @@ def _drive_gronwall_theorem(n_steps, theta, bound, x_scale, g_value, g_kinds, p_
                     growth = _uniform_batch(seed, _G_SEED_OFFSET, g_value, n_paths, n_steps, "uniform-G")
                 instance = gron_mod.build_instance(x_batch, s_batch, growth)
                 report.extend(gron_mod.verify_gronwall(instance, holder_pairs, n_list))
+                del growth, instance  # before the next ones are built
+            del s_batch, x_batch  # before the next seed's are drawn
         return report
 
     return run
@@ -293,6 +296,7 @@ def _drive_fractional(betas, q, tau, n_steps, lambda1, lambda2, theta, p_grid, p
             assoc = demi_mod.check_association(y_batch, demi_mod.TestFunctionFamily.default(y_batch))
             report.checks[f"y_association[seed={seed}]"] = assoc.overall_pass
             report.extend(frac_mod.verify_fractional_gronwall(model, x_batch, y_vals, holder_pairs, n_list))
+            del x_inc, x_batch, y_vals, y_batch  # before the next seed's are drawn
         return report
 
     return run

@@ -173,7 +173,9 @@ def _l1_kernel(beta, n) -> np.ndarray:
 def multi_term_table(model: FractionalModel, values) -> np.ndarray:
     """Multi-term differences of every path at every step, both forms cross-checked.
 
-    The table is the delta form.  The direct form is evaluated in path
+    The table is the delta form: zeros plus, per order, one whole-matrix
+    BLAS product of the scaled differences with the kernel, the first
+    product becoming the table.  The direct form is evaluated in path
     blocks of about :data:`BLOCK_ENTRIES` entries
     and must agree with it to :data:`FORM_RTOL` times the summed absolute
     contributions (at least 1).
@@ -192,17 +194,24 @@ def multi_term_table(model: FractionalModel, values) -> np.ndarray:
         raise ShapeMismatch(f"expected shape (M, {model.n_steps + 1}), got {x.shape}")
     n = model.n_steps
     diffs = np.diff(x, axis=1)
-    out = np.zeros((x.shape[0], n))
     # row k-1 of ``direct`` weighs f_0..f_k at step k; ``magnitude`` holds the absolute weights
     direct = np.zeros((n, n + 1))
     magnitude = np.zeros((n, n + 1))
-    for beta, w in zip(model.betas, model.q):
+    last = len(model.betas) - 1
+    for i, (beta, w) in enumerate(zip(model.betas, model.q)):
         pref = _prefactor(beta, model.tau)
-        out += w * pref * diffs @ _l1_kernel(beta, n).T
+        # one whole-matrix product per order: row blocks of it change the last bits on some BLAS cores
+        product = np.multiply(diffs, w * pref, out=diffs if i == last else None) @ _l1_kernel(beta, n).T
+        if i:
+            out += product
+        else:
+            out = product
+            out += 0.0  # the bits of zeros plus the product: a -0.0 entry becomes 0.0
         for k in range(1, n + 1):
             row = w * pref * l1_b_row(beta, k)[::-1]
             direct[k - 1, : k + 1] += row
             magnitude[k - 1, : k + 1] += np.abs(row)
+    del diffs  # before the cross-check's block temporaries
     rows = max(1, BLOCK_ENTRIES // (n + 1))
     for lo in range(0, x.shape[0], rows):
         block = x[lo : lo + rows]
@@ -336,7 +345,8 @@ def verify_fractional_gronwall(
     The grid is checked as in :func:`~demigronwall.gronwall.verify_gronwall`,
     with ``1 <= n <= N``.  Then, once per call and from one L1 operator table,
     ``F_n = (sum_r q_r D^{beta_r} X_n - Y_n - lambda1 X_n - lambda2 X_{n-1})^+``
-    is reverse-constructed, so the hypothesis holds pathwise by construction
+    is reverse-constructed in place of the table, one column at a time, so
+    the hypothesis holds pathwise by construction
     and each ``fractional_hypothesis_holds[...]`` check is True.  The running
     maxima, the plug-in means and the Mittag-Leffler factor are computed once
     per ``n``.  Each cell
@@ -360,16 +370,23 @@ def verify_fractional_gronwall(
         raise ShapeMismatch(f"Y must align to shape {(X.n_paths, model.n_steps)}, got {y.shape}")
     pairs, n_list = _harness_grid(pairs, n_list, 1, model.n_steps)
 
-    d = multi_term_table(model, X.values)
-    linear = y + model.lambda1 * X.values[:, 1:] + model.lambda2 * X.values[:, :-1]
-    f = np.maximum(0.0, d - linear)
+    x = X.values
+    f = multi_term_table(model, x)  # overwritten with F, one column at a time
+    linear, term = np.empty(X.n_paths), np.empty(X.n_paths)
+    for k in range(model.n_steps):
+        np.multiply(model.lambda1, x[:, k + 1], out=linear)
+        np.add(y[:, k], linear, out=linear)
+        linear += np.multiply(model.lambda2, x[:, k], out=term)
+        column = f[:, k]
+        column -= linear
+        np.maximum(0.0, column, out=column)
 
     c_shared = 1.0 / (model.q_max * gamma_fn(1.0 + model.beta_max))
-    x_sups = prefix_reduce(X.values, n_list, first=1)
+    x_sups = prefix_reduce(x, n_list, first=1)
     f_sups = prefix_reduce(f, [n - 1 for n in n_list])  # column n - 1 of f is F_n
     per_n = {}
     for n in set(n_list):
-        x0_vals = model.tau ** model.beta_max * c_shared * kernel_mass(model, n) * X.values[:, 0]
+        x0_vals = model.tau ** model.beta_max * c_shared * kernel_mass(model, n) * x[:, 0]
         f_vals = model.time(n) ** model.beta_max * c_shared * f_sups[n - 1]
         per_n[n] = (mean_se(x0_vals), mean_se(f_vals), ml_growth_factor(model, n))
     report = VerificationReport(command="fractional", columns=GRONWALL_COLUMNS)

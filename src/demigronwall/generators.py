@@ -7,10 +7,14 @@ batches built here and the partial sums built from them are time-major
 (Fortran order, each time column contiguous): they are filled in time
 order (:func:`partial_sums`, :func:`time_major`), after one size check
 (:func:`check_batch`), and reduced one column at a time
-(:func:`prefix_reduce`).  Not every matrix is: BEM's ``paths``,
-``increments``, ``noise`` and ``residual_norms`` and the operator table of
-:func:`~demigronwall.fractional.multi_term_table` are C-order.  Any layout
-is accepted and gives the same bits.
+(:func:`prefix_reduce`).  So are the reverse-constructed ``F`` of
+:func:`~demigronwall.gronwall.build_instance` and the weighted history
+and hypothesis gap, which one walk over the time columns fills.  Not
+every matrix is: BEM's ``paths``, ``increments``, ``noise`` and
+``residual_norms`` and the operator table of
+:func:`~demigronwall.fractional.multi_term_table`, into which the
+fractional harness writes its ``F`` one column at a time, are C-order.
+Any layout is accepted and gives the same bits.
 
 A batch is filled in contiguous row blocks, one per worker
 (:func:`row_blocks`): the calling thread fills block 0 and a pool of

@@ -39,7 +39,7 @@ from .errors import (
     POutOfRange,
     ShapeMismatch,
 )
-from .generators import TrajectoryBatch, alongside, partial_sums, prefix_reduce
+from .generators import TrajectoryBatch, alongside, prefix_reduce
 from .reporting import (
     VerificationReport,
     difference_mean_se,
@@ -104,9 +104,30 @@ class GronwallInstance:
     S: TrajectoryBatch
 
     def hypothesis_gap(self) -> np.ndarray:
-        """Pathwise slack ``F + S + H - X``; nonnegative when the recursion holds."""
-        hist = weighted_history(self.X.values, self.G)  # before F + S, to lower peak memory
-        return self.F.values + self.S.values + hist - self.X.values
+        """Pathwise slack ``F + S + H - X``, time-major; nonnegative when the recursion holds."""
+        return _stacked(self.X.values.shape, _gap_columns(self))
+
+
+def _stacked(shape, columns) -> np.ndarray:
+    """A time-major array of ``shape`` whose column ``k`` is the ``k``-th item of ``columns``."""
+    out = np.empty(shape, order="F")
+    for k, column in enumerate(columns):
+        out[:, k] = column
+    return out
+
+
+def _gap_columns(instance: GronwallInstance):
+    """The columns ``F_k + S_k + H_k - X_k`` of the hypothesis gap, left to right, each into one reused buffer.
+
+    Growth weights are checked as in :func:`weighted_history`.
+    """
+    x, f, s = instance.X.values, instance.F.values, instance.S.values
+    gap = np.empty(len(x))
+    for k, hist in enumerate(_history_columns(x, instance.G)):
+        np.add(f[:, k], s[:, k], out=gap)
+        gap += hist
+        gap -= x[:, k]
+        yield gap
 
 
 def _growth_array(growth) -> np.ndarray:
@@ -127,16 +148,36 @@ def _checked_growth(growth, n, n_paths=None) -> np.ndarray:
     return g
 
 
-def weighted_history(x, growth) -> np.ndarray:
-    """``H_n = sum_{k<n} G_k X_k`` per path (``H_0 = 0``) for shared or per-path weights ``G``.
+def _history_columns(x, growth):
+    """The columns ``H_0 .. H_N`` of :func:`weighted_history`, left to right, each into one reused buffer.
 
-    ``H`` is a time-major array (:func:`~demigronwall.generators.partial_sums`).
-    Raises :class:`NegativeWeights` or :class:`ShapeMismatch` unless ``G``
-    passes :func:`_checked_growth` for the N steps and rows of ``x``.
+    ``H_0 = 0``, ``H_1 = G_0 X_0`` and ``H_k = H_{k-1} + G_{k-1} X_{k-1}``:
+    the bits of :func:`~demigronwall.generators.partial_sums`, whose
+    ``-0.0`` start makes ``H_1`` the product itself.  The weights are
+    checked as in :func:`weighted_history` before the first column.
     """
     n = x.shape[1] - 1
     g = _checked_growth(growth, n, x.shape[0])
-    return partial_sums(x.shape[0], n, (g[..., k] * x[:, k] for k in range(n)))
+    hist, product = np.zeros(len(x)), np.empty(len(x))
+    yield hist
+    for k in range(n):
+        np.multiply(g[..., k], x[:, k], out=product)
+        if k:
+            hist += product
+        else:
+            hist[:] = product
+        yield hist
+
+
+def weighted_history(x, growth) -> np.ndarray:
+    """``H_n = sum_{k<n} G_k X_k`` per path (``H_0 = 0``) for shared or per-path weights ``G``.
+
+    ``H`` is a time-major array with the bits of
+    :func:`~demigronwall.generators.partial_sums`.  Raises
+    :class:`NegativeWeights` or :class:`ShapeMismatch` unless ``G`` passes
+    :func:`_checked_growth` for the N steps and rows of ``x``.
+    """
+    return _stacked(x.shape, _history_columns(x, growth))
 
 
 # --------------------------------------------------------------------------
@@ -212,14 +253,21 @@ def maximal_moment_bound(q, p) -> float:
 # --------------------------------------------------------------------------
 
 def _growth_products(g, n_list) -> dict:
-    """``{n: prod_{k<n} (1 + G_k)}`` of checked weights: a scalar if shared, one per path if 2-D."""
+    """``{n: prod_{k<n} (1 + G_k)}`` of checked weights: a scalar if shared, one per path if 2-D.
+
+    Per-path products run left to right from 1, as
+    :func:`~demigronwall.generators.prefix_reduce` multiplies a row.
+    """
     if g.ndim == 1:
         return {n: np.prod(1.0 + g[:n]) for n in n_list}
-    n_max = max(n_list)
-    grow = np.empty((g.shape[0], n_max + 1), order="F")
-    grow[:, 0] = 1.0  # the empty product
-    np.add(1.0, g[:, :n_max], out=grow[:, 1:])
-    return prefix_reduce(grow, n_list, np.multiply)
+    wanted = set(n_list)
+    product, factor, out = np.ones(len(g)), np.empty(len(g)), {}
+    for k in range(max(wanted) + 1):
+        if k:
+            product *= np.add(1.0, g[:, k - 1], out=factor)
+        if k in wanted:
+            out[k] = product.copy()
+    return out
 
 
 def holder_bound(pair: HolderPair, weights, mean, se) -> tuple:
@@ -265,8 +313,12 @@ def build_instance(X: TrajectoryBatch, S: TrajectoryBatch, growth) -> GronwallIn
         raise ShapeMismatch(f"X shape {X.values.shape} != S shape {S.values.shape}")
     if not isinstance(growth, TrajectoryBatch):
         growth = np.asarray(growth, dtype=np.float64)
-    hist = weighted_history(X.values, growth)  # checks growth; before X - S, to lower peak memory
-    f = np.maximum(0.0, X.values - S.values - hist)
+    x, s = X.values, S.values
+    f = np.empty(x.shape, order="F")
+    for k, hist in enumerate(_history_columns(x, growth)):  # checks growth before the first column
+        column = np.subtract(x[:, k], s[:, k], out=f[:, k])
+        column -= hist
+        np.maximum(0.0, column, out=column)
     F = TrajectoryBatch(f, label=f"reverse-F[{X.label}]")
     return GronwallInstance(X=X, F=F, G=growth, S=S)
 
@@ -403,8 +455,8 @@ def verify_gronwall(instance: GronwallInstance, pairs, n_list=None) -> Verificat
     (``None`` means ``[N]``), growth weights that are negative
     (:class:`NegativeWeights`) or do not cover the N steps of every path
     (:class:`ShapeMismatch`), and a pathwise violation of the recursion
-    beyond :data:`HYPOTHESIS_TOL` of the data scale :class:`HypothesisViolated`.
-    The running maxima of X and F and the growth products are then swept
+    beyond :data:`HYPOTHESIS_TOL` of the data scale :class:`HypothesisViolated`,
+    counted one time column at a time.  The running maxima of X and F and the growth products are then swept
     once per ``n``, so each cell only takes powers and norms.  Each cell
     compares the Monte Carlo left side against :func:`holder_bound` with
     one-sided ``SLACK_SD * SE`` slack.  Rows are pair-major, then in
@@ -412,12 +464,13 @@ def verify_gronwall(instance: GronwallInstance, pairs, n_list=None) -> Verificat
     """
     X = instance.X
     pairs, n_list = _harness_grid(pairs, n_list, 0, X.n_steps)
-    gap = instance.hypothesis_gap()  # checks the growth weights before the gap
-    g = _growth_array(instance.G)
-    scale = max(1.0, float(np.abs(X.values).max()), float(np.abs(instance.F.values).max()))
-    violations = int(np.sum(gap < -HYPOTHESIS_TOL * scale))
+    # max(v.max(), -v.min()) is abs(v).max() exactly, without a batch-sized copy
+    scale = max(1.0, *(max(float(v.max()), -float(v.min())) for v in (X.values, instance.F.values)))
+    floor = -HYPOTHESIS_TOL * scale
+    violations = sum(int(np.count_nonzero(gap < floor)) for gap in _gap_columns(instance))  # checks G first
     if violations:
         raise HypothesisViolated(f"{violations} path/time cells violate the recursion hypothesis beyond tolerance")
+    g = _growth_array(instance.G)
     x_sups = prefix_reduce(X.values, n_list)
     x_negative = {n: np.any(sups < 0.0) for n, sups in x_sups.items()}
     f_moments = {n: mean_se(sups) for n, sups in prefix_reduce(instance.F.values, n_list).items()}

@@ -3,6 +3,7 @@ import ctypes.util
 import dataclasses
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -399,7 +400,9 @@ class TestScalarKernels:
         assert bem._sq_norm(x).tobytes() == (x ** 2).sum(axis=-1).tobytes()
         assert bem._sq_norm(x[:, 0]).tobytes() == (x[:, 0] ** 2).sum(axis=1).tobytes()
 
-    def test_sup_norms_match_the_row_reduction(self):
+    @pytest.mark.parametrize("entries", [bem.TILE_ENTRIES, 64], ids=["one-block", "row-blocks"])
+    def test_sup_norms_match_the_row_reduction(self, entries, monkeypatch):
+        monkeypatch.setattr(bem, "TILE_ENTRIES", entries)  # 64 entries: blocks of 5 rows
         cfg = BemConfig(h=0.1, t_horizon=1.0, h0=0.2, x0=[1.0, -0.5])
         batch = simulate_bem(linear_model([[-1.0, 2.0], [-2.0, -1.0]], 0.5), cfg, seed=4, n_paths=500)
         expected = np.sqrt((batch.paths ** 2).sum(axis=2)).max(axis=1)
@@ -632,6 +635,19 @@ class TestNoiseTerms:
             expected[:, j] = (gdw ** 2).sum(axis=1) - cfg.h * (g ** 2).sum(axis=(1, 2)) + 2.0 * (gdw * y).sum(axis=1)
         assert batch.noise.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("d, m", [(1, 1), (2, 2), (3, 1), (2, 4)])
+    def test_row_matvec_has_the_einsum_bits(self, d, m):
+        rng = np.random.default_rng(7)
+        g = rng.standard_normal((500, d, m))
+        g[rng.random(g.shape) < 0.3] = 0.0
+        g[rng.random(g.shape) < 0.2] = -0.0
+        w = rng.standard_normal((500, 6, m))[:, 2]  # strided, as a step's column of increments
+        w[rng.random(w.shape) < 0.2] = -0.0
+        for gg in (g, np.asfortranarray(g), np.broadcast_to(g[:1], g.shape)):
+            b = bem._row_matvec(gg, w)
+            assert b.flags.f_contiguous
+            assert b.tobytes(order="A") == np.einsum("pdm,pm->pd", gg, w, order="F").tobytes(order="A")
+
     def test_step_bound_guard(self):
         model = ou_model(1.0, 1.0)  # L = 0.5
         batch = simulate_bem(model, BemConfig(h=0.1, t_horizon=0.2, h0=0.25, x0=[0.0]), seed=1, n_paths=1)
@@ -717,6 +733,25 @@ class TestVerifyApriori:
         report = verify_apriori_bound(model, cfgs, [0.5], 20_000, seed=8)
         assert report.checks["z_mean_zero[h=0.1]"]
         assert report.checks["s_demimartingale[h=0.1]"]
+
+    def test_peak_memory_is_one_simulation(self):
+        # the finest h's simulation sets the peak: each h's paths and increments go before its S is
+        # checked, its Z and S before the next h is simulated, and the sup norms take no path-sized copy
+        model = ou_model(1.0, 1.0)
+        cfgs = [BemConfig(h=h, t_horizon=1.0, h0=0.25, x0=[1.0]) for h in (0.1, 0.2)]
+        peaks = []
+        for run in (
+            lambda: simulate_bem(model, cfgs[0], 7, 20_000),
+            lambda: verify_apriori_bound(model, cfgs, [0.25, 0.5], 20_000, seed=7),
+        ):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        checked = 20_000 * (cfgs[0].n_steps + 1) * 8
+        assert peaks[1] <= peaks[0] + 0.25 * checked
 
     def test_grid_entry_below_two_steps_raises_before_simulating(self, monkeypatch):
         def no_simulation(*args, **kwargs):

@@ -3,12 +3,13 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import demigronwall
-from demigronwall import generators
+from demigronwall import cli, generators
 from demigronwall.cli import main
 
 
@@ -170,6 +171,37 @@ class TestAllCommand:
         assert names == {"demi-check", "gronwall-lemma", "gronwall-theorem", "fractional", "bem"}
         for name in names:
             assert (tmp_path / "o" / name / "cases.csv").is_file()
+
+
+def _traced_peak(fn):
+    """Peak bytes that ``fn()`` allocates, by ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestDriverMemory:
+    """Each driver holds only the matrices of its current seed; units are one 20 000-path batch."""
+
+    M = 20_000
+
+    @pytest.mark.parametrize("seeds", [[7], [7, 8]])
+    def test_gronwall_theorem_holds_s_x_g_and_f(self, seeds):
+        run, _ = cli._prepare(cli._load_sections(None), "gronwall-theorem")
+        batch = self.M * (16 + 1) * 8
+        # S, X, random G and F, plus per-path vectors: the sweeps, the products and the masks
+        assert _traced_peak(lambda: run(seeds, self.M)) <= 4.6 * batch
+
+    def test_gronwall_lemma_holds_one_batch(self):
+        specs = [generators.GeneratorSpec.random_walk(kind) for kind in ("pm1", "gauss")]
+        specs.append(generators.GeneratorSpec.associated(0.5))
+        run = cli._drive_gronwall_lemma(specs, 50, [0.25, 0.5], [1, 25, 50])
+        batch = self.M * (50 + 1) * 8
+        # the batch, its generation tiles and the sweep's vectors
+        assert _traced_peak(lambda: run([7, 8], self.M)) <= 1.35 * batch
 
 
 class TestColdStart:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -184,6 +185,72 @@ class TestMultiTerm:
         args = dict(betas=(0.5,), q=(1.0,), tau=0.1, n_steps=4) | bad
         with pytest.raises(InvalidSpec):
             FractionalModel(**args)
+
+
+class _Product:
+    """Stands in for a kernel's transpose: any matrix times it is a copy of ``value``."""
+
+    __array_ufunc__ = None  # so that ``matrix @ product`` calls ``__rmatmul__``
+
+    def __init__(self, value):
+        self.value = value
+
+    @property
+    def T(self):
+        return self
+
+    def __rmatmul__(self, left):
+        return self.value.copy()
+
+
+class TestTableBits:
+    """The table keeps the bits of zeros plus one whole-matrix product per order."""
+
+    @staticmethod
+    def _sum_of_products(model, x, kernel=fractional._l1_kernel):
+        out = np.zeros((x.shape[0], model.n_steps))
+        diffs = np.diff(x, axis=1)
+        for beta, w in zip(model.betas, model.q):
+            out += w * fractional._prefactor(beta, model.tau) * diffs @ kernel(beta, model.n_steps).T
+        return out
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("betas, q", [((0.5,), (1.0,)), ((0.3, 0.7), (1.0, 2.0))])
+    def test_whole_products_keep_their_bits(self, betas, q, order):
+        model = FractionalModel(betas=betas, q=q, tau=0.1, n_steps=16)
+        x = np.array(associated_increment_matrix(1.0, 17, 3000, seed=41) ** 2, order=order)
+        x[:4] = 0.0
+        x[4:8, 3:] = -0.0  # -0.0 differences
+        assert multi_term_table(model, x).tobytes() == self._sum_of_products(model, x).tobytes()
+
+    @pytest.mark.parametrize("betas, q", [((0.5,), (1.0,)), ((0.3, 0.7), (1.0, 2.0))])
+    def test_a_negative_zero_product_becomes_zero(self, betas, q, monkeypatch):
+        # a BLAS product need not give -0.0 for any input, so stand-in products carry it
+        model = FractionalModel(betas=betas, q=q, tau=0.1, n_steps=3)
+        tiny = np.array([[-0.0, 0.0, -0.0], [-0.0, 1e-300, -1e-300]])
+        products = {beta: tiny * (r + 1) for r, beta in enumerate(betas)}
+        monkeypatch.setattr(fractional, "_l1_kernel", lambda beta, n: _Product(products[beta]))
+        x = np.zeros((2, 4))  # the direct form is 0, within the tolerance of the tiny products
+        table = multi_term_table(model, x)
+        expected = self._sum_of_products(model, x, lambda beta, n: _Product(products[beta]))
+        assert table.tobytes() == expected.tobytes()
+        assert not np.signbit(table[0]).any()
+
+    @pytest.mark.parametrize("betas, q", [((0.5,), (1.0,)), ((0.3, 0.7), (1.0, 2.0))])
+    def test_peak_memory_is_the_table_and_the_differences(self, betas, q):
+        # the differences, scaled in place for the last order, the table and, for each earlier
+        # order, one scaled copy; F is then written into the table
+        model = FractionalModel(betas=betas, q=q, tau=0.1, n_steps=16, lambda1=0.5, lambda2=0.5)
+        x = TrajectoryBatch(associated_increment_matrix(1.0, 17, 20_000, seed=42) ** 2)
+        y = associated_increment_matrix(1.0, 16, 20_000, seed=43)
+        batch = x.values.nbytes
+        tracemalloc.start()
+        try:
+            verify_fractional_gronwall(model, x, y, [HolderPair.deterministic(0.5)], [8, 16])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= (len(betas) + 1) * batch
 
 
 class TestMittagLeffler:

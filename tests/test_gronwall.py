@@ -669,3 +669,83 @@ class TestTailIntegralIdentity:
                 head, _ = quad(lambda x: min(q * x ** (-1.0 / p), 1.0), 0.0, kink)
                 tail, _ = quad(lambda x: q * x ** (-1.0 / p), kink, np.inf)
                 assert abs(head + tail - maximal_moment_bound(q, p)) <= 1e-6 * maximal_moment_bound(q, p)
+
+
+def _bits(a):
+    """The bytes of ``a`` in one fixed layout, so that layouts compare equal."""
+    return np.asfortranarray(a).tobytes()
+
+
+class TestColumnWalks:
+    """The column walks of H, F and the gap keep the bits of the whole-matrix formulas."""
+
+    M, N = 300, 7
+
+    @classmethod
+    def _data(cls, order):
+        x = np.array(2.0 * uniform_matrix(91, cls.M, cls.N + 1), order=order)
+        x[:5] = 0.0  # zero rows: G X = 0, F from -S alone
+        x[5:10, 1:] = -0.0
+        s = generate_paths(GeneratorSpec.bounded_associated(1.0, 1.0), cls.N, cls.M, seed=92).values
+        s = np.array(s, order=order)
+        growth = {
+            "shared": np.array([0.0, 0.3, 0.1, 0.7, 0.0, 0.2, 0.4]),
+            "per-path": np.array(0.4 * uniform_matrix(93, cls.M, cls.N), order=order),
+        }
+        return x, s, growth
+
+    @staticmethod
+    def _history(x, g):
+        """``H`` as ``partial_sums`` built it: ``np.cumsum`` of the products, after a zero column."""
+        n = x.shape[1] - 1
+        return np.hstack([np.zeros((len(x), 1)), np.cumsum(g[..., :n] * x[:, :n], axis=1)])
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("kind", ["shared", "per-path"])
+    def test_build_instance_and_gap_keep_the_matrix_bits(self, kind, order):
+        x, s, growth = self._data(order)
+        g = growth[kind]
+        inst = build_instance(TrajectoryBatch(x), TrajectoryBatch(s), g)
+        hist = self._history(x, g)
+        assert _bits(inst.F.values) == _bits(np.maximum(0.0, x - s - hist))
+        assert inst.F.values.flags.f_contiguous
+        # a direct instance with F too small somewhere: the gap has both signs
+        f = np.asfortranarray(inst.F.values - 0.5 * uniform_matrix(94, self.M, self.N + 1))
+        direct = GronwallInstance(X=inst.X, F=TrajectoryBatch(f), G=g, S=inst.S)
+        gap = direct.hypothesis_gap()
+        assert gap.flags.f_contiguous
+        assert _bits(gap) == _bits(f + s + hist - x)
+
+    @pytest.mark.parametrize("kind", ["shared", "per-path"])
+    def test_violation_count_is_the_matrix_count(self, kind):
+        x, s, growth = self._data("F")
+        g = growth[kind]
+        x[7, 3] = -5.0  # a negative X and F set the scale through their minima
+        hist = self._history(x, g)
+        exact = x - s - hist  # the F that makes the gap 0
+        f = exact + 1.0
+        f[11, 2] = -np.abs(f).max() - 5.0
+        scale = max(1.0, float(np.abs(x).max()), float(np.abs(f).max()))
+        tol = gronwall.HYPOTHESIS_TOL * scale
+        f[40:43, 1] = exact[40:43, 1] - 3.0
+        f[20:25, 4] = exact[20:25, 4] - 1.2 * tol  # just beyond the tolerance
+        f[30:35, 5] = exact[30:35, 5] - 0.8 * tol  # just inside it
+        gap = f + s + hist - x
+        expected = int(np.sum(gap < -tol))
+        assert expected == 1 + 3 + 5
+        inst = GronwallInstance(X=TrajectoryBatch(x), F=TrajectoryBatch(f), G=g, S=TrajectoryBatch(s))
+        with pytest.raises(HypothesisViolated, match=rf"^{expected} path/time cells "):
+            verify_gronwall(inst, [HolderPair.deterministic(0.5)])
+
+    def test_per_path_growth_products_are_the_running_row_products(self):
+        g = 0.4 * uniform_matrix(96, 50, 9)
+        g[3] = 0.0
+        n_list = [9, 0, 4, 4, 1]
+        grow = np.empty((50, 10), order="F")
+        grow[:, 0] = 1.0
+        np.add(1.0, g, out=grow[:, 1:])
+        expected = generators.prefix_reduce(grow, n_list, np.multiply)
+        got = gronwall._growth_products(g, n_list)
+        assert sorted(got) == sorted(expected) == [0, 1, 4, 9]
+        for n in expected:
+            assert got[n].tobytes() == expected[n].tobytes()
