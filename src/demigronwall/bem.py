@@ -49,7 +49,7 @@ from .errors import (
 )
 from .generators import TILE_ENTRIES, TrajectoryBatch, check_batch, partial_sums
 from .reporting import VerificationReport, exponent_list, mean_se, one_sided_verdict, root_of_mean
-from .rng import normal_matrix
+from .rng import normal_matrix, uniform_matrix
 
 BEM_COLUMNS = ["h", "p", "estimate", "stderr", "bound", "margin", "verdict"]
 
@@ -576,25 +576,29 @@ def verify_apriori_bound(
 
 
 def coercivity_probe(model: SdeModel, lows, highs, n_samples, seed) -> dict:
-    """Evaluate the coercivity residual on quasi-random box points.
+    """Evaluate the coercivity residual on seeded uniform box points.
 
     Returns the minimum of ``L (1 + |x|^2) - <f(x), x> - |g(x)|^2 / 2``
-    over a scrambled Sobol sample; a negative minimum means the stated L
-    does not certify the model on that box.  The sampler comes from
-    ``scipy.stats``, which this function imports on its first call (about
-    0.7 s); no verdict needs it, so importing the package does not load it.
+    over exactly ``n_samples`` points of the box ``[lows, highs]``; a
+    negative minimum means the stated L does not certify the model on that
+    box.  Point ``i`` is ``lows + u_i (highs - lows)``, with ``u_i`` row
+    ``i`` of :func:`~demigronwall.rng.uniform_matrix` ``(seed, n_samples,
+    d)``, so it depends only on ``(seed, i)``: the first k points of a
+    longer probe are the k-point probe.  The sample passes
+    :func:`~demigronwall.generators.check_batch`; a degenerate box, a
+    non-finite bound or width, a seed outside the unsigned 64-bit range and a
+    non-finite residual (naming its point) raise :class:`InvalidSpec`.
     """
     lows = np.atleast_1d(np.asarray(lows, dtype=np.float64))
     highs = np.atleast_1d(np.asarray(highs, dtype=np.float64))
-    if lows.shape != (model.d,) or highs.shape != (model.d,) or np.any(highs <= lows):
-        raise InvalidSpec("probe box must be nondegenerate and match the state dimension")
-    n_samples = int(n_samples)
-    if n_samples < 1:
-        raise InvalidSpec(f"n_samples must be >= 1, got {n_samples}")
-    from scipy.stats import qmc
-
-    sampler = qmc.Sobol(d=model.d, scramble=True, seed=int(seed))
-    pts = qmc.scale(sampler.random_base2(max(1, math.ceil(math.log2(n_samples)))), lows, highs)
+    if lows.shape != (model.d,) or highs.shape != (model.d,):
+        raise InvalidSpec("probe box must match the state dimension")
+    with np.errstate(over="ignore", invalid="ignore"):
+        widths = highs - lows
+    if not np.all(np.isfinite(widths) & (widths > 0.0)):
+        raise InvalidSpec(f"probe box needs positive finite widths, got {lows.tolist()}..{highs.tolist()}")
+    n_samples = check_batch(n_samples, model.d, model.d)[0]
+    pts = lows + uniform_matrix(seed, n_samples, model.d) * widths
     f = model.drift(pts)
     g = model.diffusion(pts)
     resid = (
@@ -602,11 +606,15 @@ def coercivity_probe(model: SdeModel, lows, highs, n_samples, seed) -> dict:
         - (f * pts).sum(axis=1)
         - 0.5 * (g ** 2).sum(axis=(1, 2))
     )
+    bad = np.flatnonzero(~np.isfinite(resid))
+    if bad.size:
+        i = int(bad[0])
+        raise InvalidSpec(f"coercivity residual is {resid[i]} at probe point {i}, x = {pts[i].tolist()}")
     k = int(np.argmin(resid))
     return {
         "min_residual": float(resid[k]),
         "argmin": [float(v) for v in pts[k]],
-        "n_samples": int(pts.shape[0]),
+        "n_samples": n_samples,
         "passed": bool(resid[k] >= 0.0),
     }
 

@@ -35,6 +35,7 @@ from demigronwall.errors import (
     StepBoundViolation,
     StepTooLarge,
 )
+from demigronwall.rng import uniform_matrix
 
 
 def linear_model(matrix, sigma=0.0) -> SdeModel:
@@ -843,3 +844,81 @@ class TestCoercivityProbe:
     def test_box_validation(self):
         with pytest.raises(InvalidSpec):
             coercivity_probe(ou_model(), [1.0], [1.0], 16, seed=0)
+
+    @pytest.mark.parametrize(
+        "lows, highs, seed",
+        [
+            ([math.nan], [1.0], 0),
+            ([-1.0], [math.inf], 0),
+            ([-math.inf], [1.0], 0),
+            ([-1.0], [1.0], -1),
+            ([-1e308], [1e308], 0),
+        ],
+        ids=["nan-bound", "inf-upper", "inf-lower", "negative-seed", "overflowing-width"],
+    )
+    def test_bad_box_or_seed_raises(self, lows, highs, seed):
+        with pytest.raises(InvalidSpec):
+            coercivity_probe(ou_model(), lows, highs, 16, seed=seed)
+
+    def test_sample_size_passes_the_batch_check(self, monkeypatch):
+        with pytest.raises(InvalidSpec):
+            coercivity_probe(ou_model(), [-1.0], [1.0], 0, seed=0)
+        monkeypatch.setattr(generators, "MAX_BATCH_ENTRIES", 1000)
+        assert coercivity_probe(ou_model(), [-1.0], [1.0], 1000, seed=0)["n_samples"] == 1000
+        with pytest.raises(BatchTooLarge):
+            coercivity_probe(ou_model(), [-1.0], [1.0], 1001, seed=0)
+
+    def test_non_finite_residual_names_the_point(self):
+        model = SdeModel(
+            d=1, m=1,
+            drift=lambda y: np.where(y > 0.0, np.nan, -y),
+            diffusion=lambda y: np.zeros((y.shape[0], 1, 1)),
+            L=0.0,
+        )
+        with pytest.raises(InvalidSpec, match=r"probe point \d+, x = \[\d"):
+            coercivity_probe(model, [-5.0], [5.0], 256, seed=3)
+
+    @staticmethod
+    def _probe_points(lows, highs, n_samples, seed):
+        seen = []
+
+        def drift(y):
+            seen.append(np.array(y))
+            return np.zeros_like(y)
+
+        d = len(lows)
+        model = SdeModel(d=d, m=1, drift=drift, diffusion=lambda y: np.zeros((y.shape[0], d, 1)), L=0.0)
+        out = coercivity_probe(model, lows, highs, n_samples, seed)
+        assert len(seen) == 1 and out["n_samples"] == n_samples == seen[0].shape[0]
+        return seen[0]
+
+    @pytest.mark.parametrize("n_samples", [1, 3, 1000, 1025])
+    def test_evaluates_exactly_n_samples(self, n_samples):
+        assert self._probe_points([-1.0, 0.0], [1.0, 2.0], n_samples, 5).shape == (n_samples, 2)
+
+    def test_points_are_seeded_uniforms_in_the_box(self):
+        lows, highs = np.array([-10.0, 2.0]), np.array([10.0, 2.5])
+        pts = self._probe_points(lows, highs, 500, 11)
+        np.testing.assert_array_equal(pts, self._probe_points(lows, highs, 500, 11))
+        np.testing.assert_array_equal(pts, lows + uniform_matrix(11, 500, 2) * (highs - lows))
+        assert np.all((lows <= pts) & (pts <= highs))
+        assert not np.any(pts == self._probe_points(lows, highs, 500, 12))
+
+    def test_first_points_of_a_longer_probe_are_the_shorter_probe(self):
+        longer = self._probe_points([-3.0], [4.0], 300, 9)
+        np.testing.assert_array_equal(longer[:37], self._probe_points([-3.0], [4.0], 37, 9))
+
+    @pytest.mark.parametrize("L, passed", [(0.0, False), (1.0, True)])
+    def test_power_on_the_cubic_drift(self, L, passed):
+        # <f(x), x> + |g|^2/2 = 1 - |x|^2 - |x|^4 with g = I: L = 1 certifies it, and L = 0 fails
+        # on the disc |x|^2 < 0.618, about 0.5% of [-10, 10]^2, so some 20 of the 4096 points
+        model = SdeModel(
+            d=2, m=2,
+            drift=lambda y: -y - (y * y).sum(axis=1, keepdims=True) * y,
+            diffusion=lambda y: np.broadcast_to(np.eye(2), (y.shape[0], 2, 2)),
+            L=L,
+        )
+        out = coercivity_probe(model, [-10.0, -10.0], [10.0, 10.0], 4096, seed=1)
+        assert out["passed"] is passed
+        if not passed:
+            assert out["min_residual"] < -0.5

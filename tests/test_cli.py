@@ -232,6 +232,6 @@ class TestColdStart:
         )
         result = json.loads(done.stdout.splitlines()[-1])
         assert result["code"] == 0 and result["passed"]
-        stages = result["seen"]
-        assert stages.pop("coercivity_probe")[0] == "scipy.stats"  # scipy.stats brings scipy.linalg along
-        assert stages == {"import demigronwall": [], "import demigronwall.cli": [], "all": []}
+        assert result["seen"] == {
+            "import demigronwall": [], "import demigronwall.cli": [], "all": [], "coercivity_probe": []
+        }
