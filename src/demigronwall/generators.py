@@ -1,12 +1,16 @@
 """Seeded generation of discrete-time stochastic sequences.
 
 A :class:`TrajectoryBatch` is the universal carrier used by every check in
-the package: ``M`` independent sample paths of length ``N + 1``, stored as
-an ``M x (N+1)`` matrix with column ``k`` holding time index ``k``.  The
-batches built here and the partial sums built from them are time-major
-(Fortran order, each time column contiguous): they are filled in time
-order (:func:`partial_sums`, :func:`time_major`), after one size check
-(:func:`check_batch`), and reduced one column at a time
+the package: ``M`` independent sample paths of length ``N + 1``, an
+``M x (N+1)`` matrix with column ``k`` holding time index ``k``.  A batch
+made by :func:`generate_paths` holds no matrix: it holds the seeded source
+of its partial-sum tiles (:func:`_path_tiles`), which the maximal-lemma
+sweep of :func:`~demigronwall.gronwall.verify_maximal_inequality` reads a
+few columns at a time, and from which ``values`` is built on first access
+and then kept.  The matrices built here and the partial sums built from
+them are time-major (Fortran order, each time column contiguous): they are
+filled in time order (:func:`partial_sums`, :func:`time_major`), after one
+size check (:func:`check_batch`), and reduced one column at a time
 (:func:`prefix_reduce`).  So are the reverse-constructed ``F`` of
 :func:`~demigronwall.gronwall.build_instance` and the weighted history
 and hypothesis gap, which one walk over the time columns fills.  Not
@@ -16,18 +20,16 @@ redrawn ``increments`` and the operator table of
 fractional harness writes its ``F`` one column at a time, are C-order.
 Any layout is accepted and gives the same bits.
 
-A batch is filled in contiguous row blocks, one per worker
-(:func:`row_blocks`): the calling thread fills block 0 and a pool of
+Work over the rows of a batch runs in contiguous row blocks, one per
+worker (:func:`row_blocks`): the calling thread runs block 0 and a pool of
 ``WORKERS - 1`` threads the others, each block drawing its own paths
 (``rng.draw_columns(..., first_path=r0)``).  A block holds at least
 :data:`ROW_FLOOR` rows, so smaller batches stay on the calling thread.
-:func:`alongside` runs two different parts of one computation on the
-calling thread and one pool thread, for batches that would be split.
 Path ``r`` depends only on ``(seed, r)`` and no row operation is split,
 so the bits do not depend on the worker count.  Inside a block the draws
-and partial sums go in Fortran tiles of ``max(1, TILE_ENTRIES // M)`` time
-steps for a batch of ``M`` rows, so a long, narrow batch takes few Python
-steps and a wide one keeps one column per step.
+and partial sums go in Fortran tiles of :func:`tile_width` time steps,
+``max(1, TILE_ENTRIES // M)`` for a batch of ``M`` rows, so a long, narrow
+batch takes few Python steps and a wide one keeps one column per step.
 
 Available generators:
 
@@ -55,17 +57,18 @@ Available generators:
     keeps both the two-atom law and the defining inequality intact.
 """
 
-import itertools
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BatchTooLarge, InvalidSpec, ShapeMismatch
+from .rng import _as_seed, draw_columns
 # uniform_matrix and normal_matrix stay importable here: perfbench/tracer.py wraps them by this name
-from .rng import draw_columns, normal_matrix, uniform_matrix  # noqa: F401
+from .rng import normal_matrix, uniform_matrix  # noqa: F401
 
 #: Refuse to allocate a sample matrix beyond this many entries (1 GiB of float64).
 #: The budget bounds each matrix, not a command, which may hold several at once.
@@ -131,8 +134,9 @@ def row_blocks(n_rows, fn):
     that many rows, however many CPUs there are.  The calling thread
     runs block 0 and the pool the others.  Returns once every block has
     finished; if blocks raised, the error of the lowest one is re-raised.  ``fn`` writes only
-    its own block, gives the same bits for any block bounds, and neither
-    calls :func:`row_blocks` nor a function that a profiler may have wrapped.
+    its own block, or outputs that it alone takes from a shared queue,
+    gives the same bits for any block bounds, and neither calls
+    :func:`row_blocks` nor a function that a profiler may have wrapped.
     """
     workers = _workers(n_rows)
     if workers <= 1:
@@ -150,31 +154,7 @@ def row_blocks(n_rows, fn):
         future.result()
 
 
-def alongside(n_rows, side, main):
-    """Run ``side()`` on a pool thread while the calling thread runs ``main()``, for work over ``n_rows`` rows.
-
-    Work that :func:`row_blocks` would not split runs ``side()`` and then
-    ``main()`` on the calling thread.  Returns once both have finished; if
-    both raised, the error of ``side`` is re-raised, as in that serial
-    order.  The two write disjoint outputs, and neither calls
-    :func:`row_blocks` nor a function that a profiler may have wrapped.
-    ``side`` should spend its time in a few long numpy calls, which let
-    go of the interpreter lock, so that ``main`` seldom waits for it.
-    """
-    if _workers(n_rows) <= 1:
-        side()
-        main()
-        return
-    future = _worker_pool().submit(side)
-    try:
-        main()
-    except BaseException:
-        future.result()  # waits, and raises the error of side first
-        raise
-    future.result()
-
-
-def _tile_width(n_paths):
+def tile_width(n_paths):
     """Columns per tile of an ``n_paths``-row batch: its blocks' tiles hold about ``TILE_ENTRIES`` entries in all."""
     return max(1, TILE_ENTRIES // n_paths)
 
@@ -187,7 +167,7 @@ def time_major(n_paths, n_cols, tiles):
     """
     n_paths, n_cols = check_batch(n_paths, n_cols, n_cols)
     out = np.empty((n_paths, n_cols), order="F")
-    width = _tile_width(n_paths)
+    width = tile_width(n_paths)
 
     def fill(r0, r1):
         k = 0
@@ -231,35 +211,51 @@ def prefix_reduce(values, n_list, ufunc=np.maximum, first=0):
     return out
 
 
+def _running_sums(n_paths, increments):
+    """Tiles of the partial sums ``S_0 = 0`` and ``S_k = S_{k-1} + inc_k``, each summed in place in its increment tile.
+
+    Yields ``S_0`` as one ``(n_paths, 1)`` column of zeros, then each item
+    of ``increments`` (the increments in time order, one column (1-D) or a
+    ``(n_paths, w)`` tile of columns at a time), overwritten with its sums,
+    as a ``(n_paths, w)`` array.  A tile wider than tall is summed along its
+    rows (``np.cumsum``, left to right); any other one column at a time.
+    The sum before ``inc_1`` is ``-0.0``, the identity of addition, so
+    ``S_1`` is ``inc_1`` itself and every bit equals ``np.cumsum`` along the
+    rows, a ``-0.0`` first increment included.  The one partial-sum code:
+    :func:`partial_sums`, ``TrajectoryBatch.values`` and the maximal-lemma
+    sweep all read it.
+    """
+    yield np.zeros((n_paths, 1), order="F")
+    last = np.full(n_paths, -0.0)
+    for inc in increments:
+        tile = inc.reshape(n_paths, -1)
+        np.add(last, tile[:, 0], out=tile[:, 0])
+        if n_paths < tile.shape[1]:
+            np.cumsum(tile, axis=1, out=tile)
+        else:
+            for j in range(1, tile.shape[1]):
+                np.add(tile[:, j - 1], tile[:, j], out=tile[:, j])
+        np.copyto(last, tile[:, -1])
+        yield tile
+        del inc, tile  # before the next tile is drawn
+
+
 def partial_sums(n_paths, n_steps, increments, out=None):
     """Time-major partial sums: ``S_0 = 0`` and ``S_k = S_{k-1} + inc_k`` for ``k = 1..n_steps``.
 
     ``increments`` yields the ``n_steps`` increments of ``n_paths`` rows in
     time order, one column (1-D) or a ``(n_paths, w)`` tile of columns at a
-    time.  The result is a Fortran-order ``(n_paths, n_steps + 1)`` array,
-    or ``out``, an array of that shape (rows of a larger batch, say).  A
-    tile wider than tall is summed along its rows from the previous sum
-    (``np.cumsum``, left to right); any other is added one column at a time.
-    ``S_0`` is ``-0.0``, the identity of addition, until the end, so column
-    1 is ``inc_1`` itself and every bit equals ``np.cumsum`` along the rows,
-    a ``-0.0`` first increment included.
+    time; copies of them are summed (:func:`_running_sums`), with the bits
+    of ``np.cumsum`` along the rows.  The result is a Fortran-order
+    ``(n_paths, n_steps + 1)`` array, or ``out``, an array of that shape
+    (rows of a larger batch, say).
     """
     if out is None:
         out = np.empty((n_paths, n_steps + 1), order="F")
-    out[:, 0] = -0.0
-    k = 1
-    for inc in increments:
-        tile = inc.reshape(n_paths, -1)
-        w = tile.shape[1]
-        if n_paths < w:
-            run = out[:, k - 1 : k + w]
-            out[:, k : k + w] = tile
-            np.cumsum(run, axis=1, out=run)
-        else:
-            for j in range(w):
-                np.add(out[:, k + j - 1], tile[:, j], out=out[:, k + j])
-        k += w
-    out[:, 0] = 0.0
+    k = 0
+    for tile in _running_sums(n_paths, (np.array(inc, dtype=np.float64) for inc in increments)):
+        out[:, k : k + tile.shape[1]] = tile
+        k += tile.shape[1]
     return out
 
 
@@ -282,15 +278,20 @@ def _all_finite(values):
     return all(finite)
 
 
-@dataclass(frozen=True, eq=False)
 class TrajectoryBatch:
     """M independent discrete-time sample paths of length N + 1.
 
-    A batch's values must not change after construction: the finiteness
-    check runs once, here, and the maximal-lemma sweep state that
-    :func:`~demigronwall.gronwall.verify_maximal_inequality` keeps on the
-    batch (running extremes and increment moments up to the last column it
-    read) is continued by later calls, not recomputed.
+    A batch holds either its values or, when :func:`generate_paths` made
+    it, the seeded source of their partial-sum tiles and no matrix.  Of
+    such a batch, ``values`` is built on first access, by row blocks
+    (:func:`time_major`), checked for finite entries and then kept; the
+    maximal-lemma sweep of
+    :func:`~demigronwall.gronwall.verify_maximal_inequality` reads the
+    source a few columns at a time and builds no ``values``.  Either way a
+    batch's values must not change after construction: the finiteness
+    check runs once, and the sweep state that the maximal lemma keeps on
+    the batch (running extremes and increment moments up to the last
+    column it read) is continued by later calls, not recomputed.
 
     Attributes:
         values: float matrix of shape (n_paths, n_steps + 1); row ``r``,
@@ -300,25 +301,41 @@ class TrajectoryBatch:
         label: generator descriptor for reports.
     """
 
-    values: np.ndarray
-    label: str = ""
-    _sweep: object = field(default=None, init=False, repr=False, compare=False)
+    _sweep = None  # the maximal-lemma sweep, kept on the batch between calls
+    _tiles = None  # tiles(r0, r1, width) of a generated batch, as time_major reads them
 
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
+    def __init__(self, values, label=""):
+        values = np.asarray(values, dtype=np.float64)
         if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
             raise InvalidSpec(f"batch values must be a 2-D M x (N+1) matrix, got shape {values.shape}")
         if not _all_finite(values):
             raise InvalidSpec("batch contains non-finite entries")
-        object.__setattr__(self, "values", values)
+        self._values, self._shape, self.label = values, values.shape, label
+
+    @classmethod
+    def _generated(cls, n_paths, n_steps, tiles, label):
+        """A batch of ``n_paths`` rows and ``n_steps + 1`` columns that holds only ``tiles``, its values' source."""
+        batch = cls.__new__(cls)
+        batch._values, batch._shape, batch.label, batch._tiles = None, (n_paths, n_steps + 1), label, tiles
+        return batch
+
+    @property
+    def values(self) -> np.ndarray:
+        """The ``(n_paths, n_steps + 1)`` matrix; a generated batch builds it here, once."""
+        if self._values is None:
+            values = time_major(*self._shape, self._tiles)
+            if not _all_finite(values):
+                raise InvalidSpec("batch contains non-finite entries")
+            self._values = values
+        return self._values
 
     @property
     def n_paths(self) -> int:
-        return self.values.shape[0]
+        return self._shape[0]
 
     @property
     def n_steps(self) -> int:
-        return self.values.shape[1] - 1
+        return self._shape[1] - 1
 
 
 @dataclass(frozen=True)
@@ -406,17 +423,19 @@ def _pm1_steps(bits):
 
 def _shock_steps(spec: GeneratorSpec, tiles):
     """Increment tiles of the common-shock kinds: draw 0 of a path is its shock, draw ``k`` its step ``k``."""
-    first = next(tiles)
-    shock = spec.theta * _centered_uniform(first[:, :1])
-    tiles = itertools.chain([first[:, 1:]], tiles)
-    del first  # the first tile's steps go with the chain once it moves on
-    for u in tiles:
+    u = next(tiles)
+    shock = spec.theta * _centered_uniform(u[:, :1])
+    u = u[:, 1:]  # the first tile's steps
+    while u is not None:
         if u.shape[1]:
             inc = _centered_uniform(u)
             inc += shock
             if spec.kind == "bounded_associated_partial_sum":
                 np.clip(inc, -spec.bound, spec.bound, out=inc)
             yield inc
+            del inc
+        del u  # before the next tile is drawn
+        u = next(tiles, None)
 
 
 def _two_point_steps(spec: GeneratorSpec, shock, n_steps, width):
@@ -446,27 +465,29 @@ def _increment_tiles(spec: GeneratorSpec, n_steps, r0, r1, seed, width):
     return _shock_steps(spec, draw_columns(seed, rows, n_steps + 1, "uniform", r0, width))
 
 
-def generate_paths(spec: GeneratorSpec, n_steps, n_paths, seed) -> TrajectoryBatch:
-    """Generate ``n_paths`` seeded sample paths of ``n_steps`` steps, time-major.
+def _path_tiles(spec: GeneratorSpec, n_steps, seed, r0, r1, width):
+    """The partial-sum tiles of paths ``r0..r1-1`` (:func:`_running_sums` of :func:`_increment_tiles`): a batch's source."""
+    return _running_sums(r1 - r0, _increment_tiles(spec, n_steps, r0, r1, seed, width))
 
-    ``values`` is one Fortran-order array; each row block
-    (:func:`row_blocks`) draws its own increments and writes their partial
-    sums (:func:`partial_sums`) into its rows.  Generation is per-path
-    deterministic: path ``r`` depends only on ``(seed, r)``, never on
-    ``n_paths``, on generation order or on the worker count, so any batch
-    equals, bit for bit, the first rows of a larger one.
+
+def generate_paths(spec: GeneratorSpec, n_steps, n_paths, seed) -> TrajectoryBatch:
+    """``n_paths`` seeded sample paths of ``n_steps`` steps, as a batch that holds their source, not their values.
+
+    The size and the seed are checked at the call; nothing is drawn.  The
+    batch's tiles are drawn and summed by row blocks (:func:`row_blocks`)
+    whenever they are read: a few columns at a time by the maximal-lemma
+    sweep, which holds no ``(n_paths, n_steps + 1)`` matrix, and into a
+    Fortran-order ``values`` on its first access (:class:`TrajectoryBatch`).
+    Generation is per-path deterministic: path ``r`` depends only on
+    ``(seed, r)``, never on ``n_paths``, on generation order or on the
+    worker count, so any batch equals, bit for bit, the first rows of a
+    larger one.
 
     Raises:
         InvalidSpec: ``n_paths < 1``, ``n_steps < 0`` or a seed outside 64 bits.
         BatchTooLarge: ``n_paths * (n_steps + 1)`` above the budget (:func:`check_batch`).
     """
     n_paths, n_steps = check_batch(n_paths, n_steps, int(n_steps) + 1)
-    values = np.empty((n_paths, n_steps + 1), order="F")
-    width = _tile_width(n_paths)
-
-    def fill(r0, r1):
-        tiles = _increment_tiles(spec, n_steps, r0, r1, seed, width)
-        partial_sums(r1 - r0, n_steps, tiles, out=values[r0:r1])
-
-    row_blocks(n_paths, fill)
-    return TrajectoryBatch(values, label=f"{spec.label}@seed={int(seed)}")
+    seed = int(_as_seed(seed))
+    tiles = functools.partial(_path_tiles, spec, n_steps, seed)
+    return TrajectoryBatch._generated(n_paths, n_steps, tiles, label=f"{spec.label}@seed={seed}")

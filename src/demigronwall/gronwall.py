@@ -11,16 +11,19 @@ Implements, for sequences satisfying the pathwise recursion
   Holder right-hand side, which the fractional variant shares,
 * harnesses that estimate both sides by Monte Carlo and compare them with
   one-sided ``reporting.SLACK_SD * SE`` slack.  The maximal-lemma harness
-  sweeps a batch's columns once across calls at several ``n``: a large
-  batch's running extremes on a pool thread while the calling thread takes
-  its increment moments (:func:`~demigronwall.generators.alongside`), with
-  the same bits as on one.
+  sweeps a batch's columns once across calls at several ``n``, a few
+  columns a round: each row block folds the running extremes of its rows,
+  and the row blocks then share out the round's increment columns, whose
+  moments each takes over the whole column.  A batch from
+  :func:`~demigronwall.generators.generate_paths` is drawn round by round
+  as the sweep reads it and never held whole.
 
 Verification instances are built in reverse: given X, S and G, setting
 ``F_n = (X_n - S_n - sum_{k<n} G_k X_k)^+`` makes the recursion hold
 pathwise by construction, so no rejection sampling is needed.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -39,7 +42,7 @@ from .errors import (
     POutOfRange,
     ShapeMismatch,
 )
-from .generators import TrajectoryBatch, alongside, prefix_reduce
+from .generators import TrajectoryBatch, prefix_reduce, row_blocks, tile_width
 from .reporting import (
     VerificationReport,
     difference_mean_se,
@@ -54,6 +57,11 @@ GRONWALL_COLUMNS = ["n", "p", "mu", "nu", "lhs", "lhs_se", "rhs", "margin", "ver
 
 #: pathwise slack when re-checking the recursion hypothesis
 HYPOTHESIS_TOL = 1e-12
+
+#: fewest columns per round of the maximal-lemma sweep (a round takes one draw tile if that is wider):
+#: at 1e5 rows one column a round took 30% longer than a sweep of the held batch, and 5 columns (a
+#: 4 MB chunk) as long
+SWEEP_COLUMNS = 5
 
 
 # --------------------------------------------------------------------------
@@ -323,73 +331,140 @@ def build_instance(X: TrajectoryBatch, S: TrajectoryBatch, growth) -> GronwallIn
     return GronwallInstance(X=X, F=F, G=growth, S=S)
 
 
-class _Sweep:
-    """Running extremes and increment moments of the columns ``0..upto`` of ``values``, extended in place.
+class _Stream:
+    """The columns of one row block of a generated batch, read left to right from its partial-sum tiles."""
 
-    ``sup`` and ``inf`` are each row's running maximum and minimum at
-    ``upto``; ``mean[k-1]`` and ``se[k-1]`` are
+    def __init__(self, tiles):
+        self.tiles, self.rest, self.at = tiles, None, 0
+
+    def read(self, out, start):
+        """Write the columns ``start ..`` into the ``(rows, w)`` array ``out``, skipping any before ``start``.
+
+        Columns before ``start`` are read only by a block whose bounds
+        changed since the last round, which starts again from column 0.
+        A tile read to its end is let go before the next one is drawn.
+        """
+        stop = start + out.shape[1]
+        while self.at < stop:
+            if self.rest is None:
+                self.rest = next(self.tiles)
+            w = min((start if self.at < start else stop) - self.at, self.rest.shape[1])
+            if self.at >= start:
+                out[:, self.at - start : self.at - start + w] = self.rest[:, :w]
+            self.rest = self.rest[:, w:] if w < self.rest.shape[1] else None
+            self.at += w
+
+
+class _Sweep:
+    """Running extremes and increment moments of the columns ``0..upto`` of a batch, extended in place.
+
+    A new sweep has read nothing (``upto`` is -1).  ``sup`` and ``inf`` are
+    each row's running maximum and minimum at ``upto``; ``mean[k-1]`` and ``se[k-1]`` are
     :func:`~demigronwall.reporting.mean_se` of the increment column
-    ``values[:, k] - values[:, k-1]`` for ``k = 1..upto``.  A nonzero entry
-    in column 0 raises :class:`NonzeroStart`.
+    ``values[:, k] - values[:, k-1]`` for ``k = 1..known``.  The columns
+    are read in rounds of ``width`` columns (:data:`SWEEP_COLUMNS`, or one
+    draw tile if that is wider), the last of which ends at the requested
+    ``n``.  Of a batch that holds its values, a round's columns are views
+    of them.  Of a generated batch, each row block draws its rows of the
+    round into one ``(M, width)`` chunk from its own partial-sum tiles
+    (:class:`_Stream`), which the next round continues, so the sweep holds
+    O(M) memory and no ``values``.  ``moments``, when given, is the
+    ``(mean, se, known)`` of another sweep of the batch, shared rather than
+    taken again.  Once read, a nonzero entry in column 0 raises
+    :class:`NonzeroStart` and a non-finite entry in any column
+    :class:`InvalidSpec`.
     """
 
-    def __init__(self, values):
-        if np.any(values[:, 0] != 0.0):
-            raise NonzeroStart("the maximal inequality requires paths starting at 0")
-        self.values, self.upto = values, 0
-        self.sup = values[:, 0].copy()
-        self.inf = self.sup.copy()
-        self.mean, self.se = np.empty(values.shape[1] - 1), np.empty(values.shape[1] - 1)
+    def __init__(self, batch: TrajectoryBatch, moments=None):
+        m = batch.n_paths
+        self.held, self.tiles, self.upto = batch._values, batch._tiles, -1
+        self.width = min(max(SWEEP_COLUMNS, tile_width(m)), batch.n_steps + 1)
+        if self.held is None:
+            self.chunk, self.streams = np.empty((m, self.width), order="F"), {}
+        self.sup, self.inf = np.full(m, -np.inf), np.full(m, np.inf)
+        self.fold, self.last = np.empty(m), np.empty(m)
+        self.mean, self.se, self.known = moments or (np.empty(batch.n_steps), np.empty(batch.n_steps), 0)
 
-    def at(self, n) -> tuple:
-        """``(sup, inf, mean, se)`` of the columns ``0..n``.
+    def at(self, n, batch: TrajectoryBatch) -> tuple:
+        """``(sup, inf, mean, se)`` of the columns ``0..n`` of ``batch``, this sweep's batch.
 
         An ``n`` at or beyond ``upto`` extends the sweep to ``n``, and
         ``sup`` and ``inf`` are the sweep's own vectors, which a later
         extension moves.  A smaller ``n`` slices the moments and takes the
-        extremes afresh, leaving the sweep as it was.
+        extremes from a new sweep that shares them: a fresh draw of a
+        generated batch, or views of held values.  This sweep is left as it
+        was.
         """
         if n < self.upto:
-            head = self.values[:, : n + 1]
-            return head.max(axis=1), head.min(axis=1), self.mean[:n], self.se[:n]
+            fresh = _Sweep(batch, (self.mean, self.se, self.upto))
+            fresh._extend(n)
+            return fresh.sup, fresh.inf, self.mean[:n], self.se[:n]
         self._extend(n)
         return self.sup, self.inf, self.mean[:n], self.se[:n]
 
     def _extend(self, n):
-        """Read the columns ``upto + 1..n`` once.
+        """Read the columns ``upto + 1..n`` once, a round at a time, and take the moments not yet known.
 
-        On a batch that :func:`~demigronwall.generators.row_blocks` would
-        split, a pool thread folds their ``np.maximum.reduce``
-        (``np.minimum.reduce``) into ``sup`` (``inf``) while the calling
-        thread takes their moments
-        (:func:`~demigronwall.generators.alongside`).  The reductions hold
-        the interpreter lock for a few calls only, so the moments seldom
-        wait for it.  Maximum and minimum are exact, so ``sup`` and ``inf``
-        have the bits of :func:`~demigronwall.generators.prefix_reduce`
-        in any order of calls, up to the sign of a zero in a row that mixes
+        After each round the row blocks share out its increment columns,
+        each block taking the next column not yet taken, in a scratch
+        column of its own.  A column's moments are one
+        :func:`~demigronwall.reporting.difference_mean_se` call over the
+        whole column, whichever block takes it, so their bits do not depend
+        on the blocks.  Maximum and minimum are exact, so ``sup`` and
+        ``inf`` have the bits of
+        :func:`~demigronwall.generators.prefix_reduce` in any rounds and any
+        order of calls, up to the sign of a zero in a row that mixes
         ``+0.0`` and ``-0.0``, which no report value reads.
         """
-        values, lo = self.values, self.upto
-        if n == lo:
-            return
-        fold, scratch = np.empty(len(values)), np.empty(len(values))
+        for c0 in range(self.upto + 1, n + 1, self.width):
+            cols = self._round(c0, min(c0 + self.width, n + 1))
+            if c0 == 0 and np.any(cols[:, 0] != 0.0):
+                raise NonzeroStart("the maximal inequality requires paths starting at 0")
+            todo = range(max(c0, self.known + 1), c0 + cols.shape[1])
+            if todo:
+                row_blocks(len(cols), functools.partial(self._moments, cols, c0, iter(todo)))
+            np.copyto(self.last, cols[:, -1])
+        self.upto, self.known = max(self.upto, n), max(self.known, n)
 
-        def extremes():
+    def _moments(self, cols, c0, todo, r0, r1):
+        """The moments of the increment columns ``k`` that ``todo`` yields, ``cols`` holding columns ``c0..``."""
+        scratch = np.empty(len(cols))
+        for k in todo:
+            prev = cols[:, k - c0 - 1] if k > c0 else self.last
+            self.mean[k - 1], self.se[k - 1] = difference_mean_se(cols[:, k - c0], prev, scratch)
+
+    def _round(self, c0, c1):
+        """The columns ``c0..c1-1`` as an ``(M, c1 - c0)`` array, each row block's extremes folded in.
+
+        Each row block (:func:`~demigronwall.generators.row_blocks`) draws
+        its rows of the columns, if the batch holds no values, and folds
+        their ``np.maximum.reduce`` (``np.minimum.reduce``) into its rows of
+        ``sup`` (``inf``).  A NaN stays in the extremes
+        and an infinity becomes one, so checking them after the round finds
+        every non-finite entry read, before its moments are taken.
+        """
+        cols = self.chunk[:, : c1 - c0] if self.held is None else self.held[:, c0:c1]
+
+        def block(r0, r1):
+            if self.held is None:
+                stream = self.streams.get((r0, r1))
+                if stream is None:
+                    stream = self.streams[r0, r1] = _Stream(self.tiles(r0, r1, tile_width(len(cols))))
+                stream.read(cols[r0:r1], c0)
             for ufunc, acc in ((np.maximum, self.sup), (np.minimum, self.inf)):
-                ufunc.reduce(values[:, lo + 1 : n + 1], axis=1, out=fold)
-                ufunc(acc, fold, out=acc)
+                ufunc.reduce(cols[r0:r1], axis=1, out=self.fold[r0:r1])
+                ufunc(acc[r0:r1], self.fold[r0:r1], out=acc[r0:r1])
 
-        def moments():
-            for k in range(lo + 1, n + 1):
-                self.mean[k - 1], self.se[k - 1] = difference_mean_se(values[:, k], values[:, k - 1], scratch)
-
-        alongside(len(values), extremes, moments)
-        self.upto = n
+        row_blocks(len(cols), block)
+        if not (np.isfinite(self.sup).all() and np.isfinite(self.inf).all()):
+            raise InvalidSpec("batch contains non-finite entries")
+        return cols
 
 
 def _screened_extremes(values, n) -> tuple:
     """``(sup, inf, mean, se)`` of the columns ``0..n`` of ``values``, from a new :class:`_Sweep`."""
-    return _Sweep(values).at(n)
+    batch = TrajectoryBatch(values)
+    return _Sweep(batch).at(n, batch)
 
 
 def verify_maximal_inequality(batch: TrajectoryBatch, p_grid, n=None) -> VerificationReport:
@@ -401,19 +476,29 @@ def verify_maximal_inequality(batch: TrajectoryBatch, p_grid, n=None) -> Verific
     minimum and the screen's increment moments come from one sweep of the
     batch's columns that later calls continue (:class:`_Sweep`): calls at
     ``n = 2, 10, 25, 50`` read each column once, a repeated ``n`` reads
-    none, and a smaller ``n`` reads only its extremes.  The reports are the
-    same bits in any order of calls.  Each grid point passes
+    none, and a smaller ``n`` reads only its extremes, from a fresh draw
+    unless the batch holds its values.  A batch from
+    :func:`~demigronwall.generators.generate_paths` is read without
+    building its ``values``: the sweep holds O(M) memory.  The reports are
+    the same bits in any order of calls, and on a generated batch the same
+    as on a copy that holds the values.  Each grid point passes
     when ``lhs <= rhs + SLACK_SD * combined_SE`` with the right-hand error
     propagated through the power by the delta method.  A scalar or empty
-    ``p_grid`` raises :class:`InvalidSpec`, an ``n`` outside ``[0, N]``
-    :class:`ShapeMismatch` and then a nonzero first column
-    :class:`NonzeroStart`, all before the screen.
+    ``p_grid`` raises :class:`InvalidSpec`, a ``p`` outside (0, 1)
+    :class:`POutOfRange`, an ``n`` outside ``[0, N]`` :class:`ShapeMismatch`
+    and then a nonzero first column :class:`NonzeroStart`, all before the
+    screen; the first two before any column is read, leaving the batch's
+    sweep as it was.  A non-finite entry among the columns read raises
+    :class:`InvalidSpec`.
     """
-    p_grid = exponent_list(p_grid)
+    p_grid = [float(p) for p in exponent_list(p_grid)]
+    for p in p_grid:
+        if not 0.0 < p < 1.0:
+            raise POutOfRange(f"p must lie in (0, 1), got {p}")
     n = _time_index(batch, n)
     # off the batch until the report is made, so that no other call extends it (and moves sups) meanwhile
-    sweep = vars(batch).pop("_sweep", None) or _Sweep(batch.values)
-    sups, infs, mean, se = sweep.at(n)
+    sweep = vars(batch).pop("_sweep", None) or _Sweep(batch)
+    sups, infs, mean, se = sweep.at(n, batch)
     if batch.n_paths > 1 and np.any(mean < -4.0 * se - 1e-15):
         warnings.warn(
             f"batch {batch.label!r} has significantly negative mean increments; "
@@ -424,14 +509,14 @@ def verify_maximal_inequality(batch: TrajectoryBatch, p_grid, n=None) -> Verific
     q, q_se = mean_se(-infs)
     negative = np.any(sups < 0.0)
     for p in p_grid:
-        lhs, lhs_se = _power_moment(sups, negative, _moment_exponent(p))
+        lhs, lhs_se = _power_moment(sups, negative, p)
         rhs = maximal_moment_bound(q, p)
         rhs_se = power_se(q, q_se, p) / (1.0 - p)
         report.add_row(
-            n=n, p=float(p), mu=None, nu=None, lhs=lhs, lhs_se=lhs_se, rhs=rhs,
+            n=n, p=p, mu=None, nu=None, lhs=lhs, lhs_se=lhs_se, rhs=rhs,
             **one_sided_verdict(lhs, lhs_se, rhs, rhs_se),
         )
-    object.__setattr__(batch, "_sweep", sweep)  # a call that raised leaves no sweep behind
+    batch._sweep = sweep  # a call that raised leaves no sweep behind
     return report
 
 

@@ -200,8 +200,8 @@ class TestDriverMemory:
         specs.append(generators.GeneratorSpec.associated(0.5))
         run = cli._drive_gronwall_lemma(specs, 50, [0.25, 0.5], [1, 25, 50])
         batch = self.M * (50 + 1) * 8
-        # the batch, its generation tiles and the sweep's vectors
-        assert _traced_peak(lambda: run([7, 8], self.M)) <= 1.35 * batch
+        # no batch is held: the sweep's chunk of five columns, its draw tiles and its vectors
+        assert _traced_peak(lambda: run([7, 8], self.M)) <= 0.45 * batch
 
 
 class TestColdStart:

@@ -112,10 +112,11 @@ class TestGeneratePaths:
 
     @pytest.mark.parametrize("spec", _ALL_KINDS, ids=_kind_id)
     def test_peak_memory_stays_near_the_batch(self, spec):
-        # every kind is drawn one time step at a time, so nothing holds a second copy of the batch
+        # every kind is drawn one tile at a time, so nothing holds a second copy of the batch
         tracemalloc.start()
         try:
             batch = generate_paths(spec, 50, 20_000, seed=3)
+            batch.values  # built on first access
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -388,40 +389,6 @@ class TestRowBlocks:
         with pytest.raises(ValueError, match=f"block {min(failing)}"):
             generators.row_blocks(12, fn)
         assert sorted(done) == sorted({0, 1, 2} - set(failing))
-
-    @pytest.mark.parametrize("n_rows, split", [(199, False), (200, True)])
-    def test_alongside_runs_side_on_the_pool_when_the_rows_would_be_split(self, monkeypatch, n_rows, split):
-        monkeypatch.setattr(generators, "WORKERS", 3)
-        monkeypatch.setattr(generators, "ROW_FLOOR", 100)
-        monkeypatch.setattr(generators, "_pool", None)
-        order = []
-        generators.alongside(
-            n_rows,
-            lambda: order.append(("side", threading.current_thread())),
-            lambda: order.append(("main", threading.current_thread())),
-        )
-        threads = dict(order)
-        assert sorted(threads) == ["main", "side"] and threads["main"] is threading.current_thread()
-        assert (threads["side"] is not threading.current_thread()) == split
-        assert split or [name for name, _ in order] == ["side", "main"]
-
-    @pytest.mark.parametrize("failing", [("side",), ("main",), ("side", "main")])
-    def test_alongside_raises_the_error_of_side_first_after_both_end(self, monkeypatch, failing):
-        _split_rows(monkeypatch, 2)
-        done = []
-
-        def part(name, delay):
-            def run():
-                time.sleep(delay)
-                if name in failing:
-                    raise ValueError(name)
-                done.append(name)
-            return run
-
-        # side ends last, so main's error is already raised when side's arrives
-        with pytest.raises(ValueError, match=failing[0]):
-            generators.alongside(2, part("side", 0.1), part("main", 0.0))
-        assert sorted(done) == sorted({"side", "main"} - set(failing))
 
     def test_more_workers_than_cores_with_frequent_thread_switches(self, monkeypatch):
         # every block writes only its own rows, and a non-finite entry in the last block's rows

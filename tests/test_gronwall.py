@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -475,6 +476,164 @@ class TestSweepOrder:
             with pytest.raises(NonzeroStart):
                 verify_maximal_inequality(batch, self.P_GRID, 2)
             assert batch._sweep is None
+
+
+_MAXIMAL_KINDS = [
+    GeneratorSpec.random_walk("pm1"),
+    GeneratorSpec.random_walk("gauss"),
+    GeneratorSpec.associated(0.5),
+    GeneratorSpec.bounded_associated(1.0, 1.0),
+    GeneratorSpec.two_point(0.5),
+]
+
+
+def _kind_id(spec):
+    return spec.kind + ("-" + spec.increment if spec.kind == "random_walk" else "")
+
+
+def _poisoned_law(monkeypatch, value, row, step):
+    """Make every generated batch's increment of path ``row`` at step ``step`` equal ``value``."""
+    law = generators._increment_tiles
+
+    def tiles(spec, n_steps, r0, r1, seed, width):
+        k = 1
+        for tile in law(spec, n_steps, r0, r1, seed, width):
+            tile = tile.reshape(r1 - r0, -1)
+            if r0 <= row < r1 and k <= step < k + tile.shape[1]:
+                tile[row - r0, step - k] = value
+            k += tile.shape[1]
+            yield tile
+
+    monkeypatch.setattr(generators, "_increment_tiles", tiles)
+
+
+class TestStreamedSweep:
+    """A generated batch is swept from its tile source, never held, with the bits of a batch that holds its values."""
+
+    P_GRID = [0.25, 0.5, 0.75]
+
+    def _reports(self, batch, order):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            reports = [_cells(verify_maximal_inequality(batch, self.P_GRID, n)) for n in order]
+        return reports, len(caught)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("entries", [1, 3 * 2000, 64 * 2000], ids=["one-column", "three-columns", "wide"])
+    @pytest.mark.parametrize(
+        "order", [(2, 10, 25, 50), (50, 2, 25, 10), (10, 10, 50, 50, 2)], ids=["ascending", "shuffled", "repeated"]
+    )
+    @pytest.mark.parametrize("spec", _MAXIMAL_KINDS, ids=_kind_id)
+    def test_reports_equal_those_of_a_held_copy(self, monkeypatch, spec, order, entries, workers):
+        # draw tiles of one column, of three (which no sweep round of five columns ends on) and one
+        # tile wider than the batch; 3 workers split the 2000 rows into 666, 667 and 667
+        monkeypatch.setattr(generators, "WORKERS", workers)
+        monkeypatch.setattr(generators, "ROW_FLOOR", 1)
+        monkeypatch.setattr(generators, "_pool", None)
+        monkeypatch.setattr(generators, "TILE_ENTRIES", entries)
+        held = TrajectoryBatch(generate_paths(spec, 50, 2000, seed=31).values)
+        streamed = generate_paths(spec, 50, 2000, seed=31)
+        assert self._reports(streamed, order) == self._reports(held, order)
+        assert streamed._values is None  # the sweep built no values
+
+    def test_a_sweep_continues_when_the_row_blocks_change(self, monkeypatch):
+        spec = GeneratorSpec.associated(0.5)
+        held = TrajectoryBatch(generate_paths(spec, 50, 2000, seed=32).values)
+        streamed = generate_paths(spec, 50, 2000, seed=32)
+        first = self._reports(streamed, [10])
+        monkeypatch.setattr(generators, "WORKERS", 3)
+        monkeypatch.setattr(generators, "ROW_FLOOR", 1)
+        monkeypatch.setattr(generators, "_pool", None)
+        assert first + self._reports(streamed, [25, 50]) == self._reports(held, [10]) + self._reports(held, [25, 50])
+
+    def test_blocks_take_each_moment_column_once_with_frequent_thread_switches(self, monkeypatch):
+        # the row blocks share out each round's increment columns: a column taken twice or not at all
+        # would change the count or the reports
+        spec = GeneratorSpec.random_walk("gauss")
+        held = TrajectoryBatch(generate_paths(spec, 50, 2000, seed=36).values)
+        expected = self._reports(held, (2, 10, 25, 50))
+        counted = []
+
+        def counting(a, b, scratch):
+            counted.append(threading.current_thread())
+            return reporting.difference_mean_se(a, b, scratch)
+
+        monkeypatch.setattr(gronwall, "difference_mean_se", counting)
+        monkeypatch.setattr(generators, "WORKERS", 7)
+        monkeypatch.setattr(generators, "ROW_FLOOR", 1)
+        monkeypatch.setattr(generators, "_pool", None)
+        monkeypatch.setattr(generators, "TILE_ENTRIES", 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            streamed = self._reports(generate_paths(spec, 50, 2000, seed=36), (2, 10, 25, 50))
+        finally:
+            sys.setswitchinterval(interval)
+        assert streamed == expected
+        assert len(counted) == 50 and len(set(counted)) > 1
+
+    @pytest.mark.parametrize("spec", _MAXIMAL_KINDS, ids=_kind_id)
+    def test_values_after_a_partial_sweep_are_the_partial_sums_of_the_law(self, monkeypatch, spec):
+        monkeypatch.setattr(generators, "WORKERS", 3)
+        monkeypatch.setattr(generators, "ROW_FLOOR", 1)
+        monkeypatch.setattr(generators, "_pool", None)
+        batch = generate_paths(spec, 50, 2000, seed=33)
+        verify_maximal_inequality(batch, self.P_GRID, 25)
+        expected = generators.partial_sums(2000, 50, generators._increment_tiles(spec, 50, 0, 2000, 33, 50))
+        assert batch.values.flags.f_contiguous
+        assert batch.values.tobytes() == expected.tobytes()
+        assert batch.values is batch.values  # built once, then kept
+
+    @pytest.mark.parametrize("spec", _MAXIMAL_KINDS, ids=_kind_id)
+    def test_the_lemma_holds_a_fraction_of_the_batch(self, spec):
+        # a held batch alone is 1.0, and generating it and then sweeping it peaks above 1.15
+        m, n_steps = 20_000, 50
+        tracemalloc.start()
+        try:
+            batch = generate_paths(spec, n_steps, m, seed=3)
+            for n in (2, 10, 25, 50):
+                verify_maximal_inequality(batch, self.P_GRID, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert batch._values is None
+        assert peak <= 0.4 * m * (n_steps + 1) * 8
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_a_non_finite_draw_raises_from_the_sweep_and_from_values(self, monkeypatch, value, workers):
+        monkeypatch.setattr(generators, "WORKERS", workers)
+        monkeypatch.setattr(generators, "ROW_FLOOR", 1)
+        monkeypatch.setattr(generators, "_pool", None)
+        _poisoned_law(monkeypatch, value, row=1999, step=17)  # in the last row block
+        spec = GeneratorSpec.random_walk("gauss")
+        batch = generate_paths(spec, 50, 2000, seed=34)
+        verify_maximal_inequality(batch, self.P_GRID, 16)  # the entry is not read yet
+        with pytest.raises(InvalidSpec, match="non-finite"):
+            verify_maximal_inequality(batch, self.P_GRID, 17)
+        assert batch._sweep is None
+        with pytest.raises(InvalidSpec, match="non-finite"):
+            verify_maximal_inequality(generate_paths(spec, 50, 2000, seed=34), self.P_GRID, 50)
+        with pytest.raises(InvalidSpec, match="non-finite"):
+            generate_paths(spec, 50, 2000, seed=34).values
+
+    @pytest.mark.parametrize("p_grid", [[0.5, 1.0], [1.5], [0.0, 0.5], [math.nan]], ids=["one", "above", "zero", "nan"])
+    def test_p_is_checked_before_any_column_is_read(self, monkeypatch, p_grid):
+        batch = generate_paths(GeneratorSpec.random_walk(), 50, 2000, seed=35)
+        verify_maximal_inequality(batch, self.P_GRID, 10)
+        sweep = batch._sweep
+        counted = []
+        monkeypatch.setattr(batch, "_tiles", lambda *args: counted.append(args))
+        monkeypatch.setattr(gronwall, "difference_mean_se", lambda *args: counted.append(args))
+        for n in (25, 5, 10):
+            with pytest.raises(POutOfRange, match=r"p must lie in \(0, 1\)"):
+                verify_maximal_inequality(batch, p_grid, n)
+            assert batch._sweep is sweep and sweep.upto == 10
+        fresh = generate_paths(GeneratorSpec.random_walk(), 50, 2000, seed=35)
+        monkeypatch.setattr(fresh, "_tiles", lambda *args: counted.append(args))
+        with pytest.raises(POutOfRange):
+            verify_maximal_inequality(fresh, p_grid, 25)
+        assert counted == [] and fresh._sweep is None and fresh._values is None
 
 
 class TestVerifyGronwall:
