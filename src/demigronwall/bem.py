@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .demi import DEMI_MIN_STEPS, TestFunctionFamily, check_demimartingale
+from .demi import DEMI_MIN_PATHS, DEMI_MIN_STEPS, TestFunctionFamily, check_demimartingale
 from .errors import (
     DegenerateBatch,
     HGridViolation,
@@ -47,9 +47,9 @@ from .errors import (
     StepBoundViolation,
     StepTooLarge,
 )
-from .generators import TILE_ENTRIES, TrajectoryBatch, check_batch, partial_sums
+from .generators import TrajectoryBatch, check_batch, partial_sums
 from .reporting import VerificationReport, exponent_list, mean_se, one_sided_verdict, root_of_mean
-from .rng import draw_columns, normal_matrix, uniform_matrix
+from .rng import _as_seed, draw_columns, normal_matrix, uniform_matrix
 
 BEM_COLUMNS = ["h", "p", "estimate", "stderr", "bound", "margin", "verdict"]
 
@@ -66,7 +66,9 @@ class SdeModel:
     """Coercive SDE system with vectorized drift and diffusion.
 
     The solver calls every callable with a column-major ``(M, d)`` state;
-    results may have any layout.
+    results may have any layout.  Each callable must be a deterministic
+    function of its input: :class:`BemBatch` builds its paths by taking a
+    simulation's steps again, calling the model again with the same states.
 
     Attributes:
         d, m: state and noise dimensions.
@@ -146,21 +148,54 @@ class BemConfig:
             raise StepTooLarge(f"h * osl = {self.h * model.osl} >= 1 breaks the solvability margin")
 
 
-@dataclass(frozen=True, eq=False)
 class BemBatch:
-    """Simulated paths, noise terms Z and per-step Newton residuals.
+    """Noise terms Z and running sup norms of simulated paths; the paths and Newton residuals on demand.
 
-    The Brownian increments are not held: :attr:`increments` redraws them
-    from ``seed``, ``h`` and the noise dimension ``m`` on each access.
+    :func:`simulate_bem` keeps of each step only its column of Z and each
+    path's running maximum of ``|Y^j|^2``.  The paths and the per-step
+    Newton residual norms are built together on the first read of either,
+    by the same stepping loop (:func:`_bem_steps`) run again from the
+    batch's model, configuration and seed, and then kept; the model's
+    callables are deterministic (:class:`SdeModel`), so they have the bits
+    of the first run.  The Brownian increments are not held:
+    :attr:`increments` redraws them from ``seed``, ``h`` and the noise
+    dimension ``m`` on each access.  A batch is made by :func:`simulate_bem`.
+
+    Attributes:
+        noise: ``(M, N)`` time-major (Fortran order), ``Z^{j+1}`` in column ``j``.
+        h, seed, m: step size, master seed and noise dimension.
+        label: model and step size, for reports.
     """
 
-    paths: np.ndarray        # (M, N+1, d)
-    noise: np.ndarray        # (M, N), Z^{j+1} in column j
-    residual_norms: np.ndarray  # (M, N)
-    h: float
-    seed: int
-    m: int
-    label: str = ""
+    def __init__(self, model: SdeModel, cfg: BemConfig, seed: int, noise, sup_sq):
+        self._model, self._cfg, self.noise, self._sup_sq = model, cfg, noise, sup_sq
+        self.h, self.seed, self.m = cfg.h, seed, model.m
+        self.label = f"bem[{model.label},h={cfg.h:g}]"
+        self._paths = self._residuals = None
+
+    def _rerun(self):
+        """Build and keep the paths and residual norms, by the steps :func:`simulate_bem` took."""
+        paths = np.empty((self.n_paths, self.n_steps + 1, self._model.d))
+        residuals = np.empty((self.n_paths, self.n_steps))
+        paths[:, 0, :] = self._cfg.x0[None, :]
+        for j, (_, u, rnorm) in enumerate(_bem_steps(self._model, self._cfg, self.seed, self.n_paths)):
+            paths[:, j + 1, :] = u
+            residuals[:, j] = rnorm
+        self._paths, self._residuals = paths, residuals
+
+    @property
+    def paths(self) -> np.ndarray:
+        """The ``(M, N+1, d)`` paths, ``Y^j`` at ``[:, j]``, C-order; built on first access."""
+        if self._paths is None:
+            self._rerun()
+        return self._paths
+
+    @property
+    def residual_norms(self) -> np.ndarray:
+        """The ``(M, N)`` Newton residual norms of every accepted step, C-order; built on first access."""
+        if self._residuals is None:
+            self._rerun()
+        return self._residuals
 
     @property
     def increments(self) -> np.ndarray:
@@ -172,24 +207,21 @@ class BemBatch:
 
     @property
     def n_paths(self) -> int:
-        return self.paths.shape[0]
+        return self.noise.shape[0]
 
     @property
     def n_steps(self) -> int:
-        return self.paths.shape[1] - 1
+        return self.noise.shape[1]
 
     def sup_norms(self) -> np.ndarray:
-        """Per-path running supremum of the Euclidean state norm.
+        """Per-path running supremum of the Euclidean state norm, ``max_j |Y^j|``.
 
-        The squared norms are taken in row blocks of about
-        :data:`~demigronwall.generators.TILE_ENTRIES`, so no path-sized
-        temporary is made; a row's maximum does not depend on the blocks.
+        The square root of the running maximum of ``|Y^j|^2`` that
+        :func:`simulate_bem` folds in as it accepts each step: the maximum
+        of the same floats that the rows of :attr:`paths` give, so the
+        same bits, and no path is built.
         """
-        sq = np.empty(self.n_paths)
-        rows = max(1, TILE_ENTRIES // (self.n_steps + 1))
-        for lo in range(0, self.n_paths, rows):
-            _sq_norm(self.paths[lo : lo + rows]).max(axis=1, out=sq[lo : lo + rows])
-        return np.sqrt(sq, out=sq)
+        return np.sqrt(self._sup_sq)
 
 
 def _row_dot(x, y) -> np.ndarray:
@@ -442,10 +474,44 @@ def _solve_implicit(model: SdeModel, y, b, h, tol):
 def _check_size(model: SdeModel, n_steps, n_paths) -> int:
     """``n_paths`` as an int, checked before anything is drawn: the larger of the paths and increments must fit.
 
-    :func:`simulate_bem` holds one step's increments at a time, but
-    :attr:`BemBatch.increments` builds them all.
+    :func:`simulate_bem` holds neither, but :attr:`BemBatch.paths` and
+    :attr:`BemBatch.increments` build them whole on access.
     """
     return check_batch(n_paths, n_steps, max((n_steps + 1) * model.d, n_steps * model.m))[0]
+
+
+def _bem_steps(model: SdeModel, cfg: BemConfig, seed, n_paths):
+    """Take the implicit steps of ``n_paths`` paths, yielding ``(z, u, rnorm)`` for each step in order.
+
+    The one stepping loop: :func:`simulate_bem` keeps the noise terms and
+    folds the states into running maxima, and :class:`BemBatch` runs it
+    again to build its paths and residuals.  Step ``j`` draws its Fortran
+    ``(M, m)`` tile of increments when it reaches it
+    (:func:`~demigronwall.rng.draw_columns`), evaluates ``g(Y^j)`` once
+    and yields the noise terms ``z = Z^{j+1}``, the column-major state
+    ``u = Y^{j+1}`` and its Newton residual norms, once every norm meets
+    ``cfg.newton_tol``; the first step that does not raises
+    :class:`NewtonNonConvergence` naming its first failing path.
+    """
+    n, m = cfg.n_steps, model.m
+    sqrt_h = math.sqrt(cfg.h)
+    y = np.array(np.broadcast_to(cfg.x0, (n_paths, model.d)), order="F")
+    for j, dw in enumerate(draw_columns(seed, n_paths, n * m, "normal", width=m)):
+        dw *= sqrt_h
+        g = model.diffusion(y)
+        b = _row_matvec(g, dw)
+        u, rnorm = _solve_implicit(model, y, b, cfg.h, cfg.newton_tol)
+        bad = np.nonzero(~(rnorm <= cfg.newton_tol))[0]
+        if bad.size:
+            raise NewtonNonConvergence(
+                f"residual {rnorm[bad[0]]:.3e} above tolerance {cfg.newton_tol:.1e} "
+                f"at path {int(bad[0])}, step {j}",
+                path=int(bad[0]),
+                step=j,
+            )
+        # |g|^2 sums the d * m entries in row-major order; made after the solve, whose temporaries are gone
+        yield _sq_norm(b) - cfg.h * _sq_norm(g.reshape(n_paths, -1)) + 2.0 * _row_dot(b, y), u, rnorm
+        y = u
 
 
 def simulate_bem(model: SdeModel, cfg: BemConfig, seed, n_paths) -> BemBatch:
@@ -462,38 +528,23 @@ def simulate_bem(model: SdeModel, cfg: BemConfig, seed, n_paths) -> BemBatch:
     ``Z^{j+1} = |g dW|^2 - h |g|^2 + 2 <g dW, Y^j>``, which has
     conditional mean zero: ``E|g dW|^2 = h |g|^2`` cancels the compensator
     and the cross term is centered.
+
+    The batch holds Z, one time column per step, and each path's running
+    maximum of ``|Y^j|^2``, folded in as each step is accepted; the paths
+    and residual norms are not held, and :class:`BemBatch` builds them on
+    first access by taking the same steps again.  Every step's residual
+    contract is judged here.  The configuration, size and seed are checked
+    before anything is allocated.
     """
     cfg.validate_against(model)
     n_paths = _check_size(model, cfg.n_steps, n_paths)
-    n, d, m = cfg.n_steps, model.d, model.m
-    sqrt_h = math.sqrt(cfg.h)
-    paths = np.empty((n_paths, n + 1, d))
-    noise = np.empty((n_paths, n))
-    residuals = np.empty((n_paths, n))
-    paths[:, 0, :] = cfg.x0[None, :]
-    y = np.array(np.broadcast_to(cfg.x0, (n_paths, d)), order="F")
-    for j, dw in enumerate(draw_columns(seed, n_paths, n * m, "normal", width=m)):
-        dw *= sqrt_h
-        g = model.diffusion(y)
-        b = _row_matvec(g, dw)
-        # |g|^2 sums the d * m entries in row-major order
-        noise[:, j] = _sq_norm(b) - cfg.h * _sq_norm(g.reshape(n_paths, -1)) + 2.0 * _row_dot(b, y)
-        u, rnorm = _solve_implicit(model, y, b, cfg.h, cfg.newton_tol)
-        bad = np.nonzero(~(rnorm <= cfg.newton_tol))[0]
-        if bad.size:
-            raise NewtonNonConvergence(
-                f"residual {rnorm[bad[0]]:.3e} above tolerance {cfg.newton_tol:.1e} "
-                f"at path {int(bad[0])}, step {j}",
-                path=int(bad[0]),
-                step=j,
-            )
-        paths[:, j + 1, :] = u
-        residuals[:, j] = rnorm
-        y = u
-    return BemBatch(
-        paths=paths, noise=noise, residual_norms=residuals, h=cfg.h, seed=int(seed), m=m,
-        label=f"bem[{model.label},h={cfg.h:g}]",
-    )
+    seed = int(_as_seed(seed))
+    noise = np.empty((n_paths, cfg.n_steps), order="F")
+    sup_sq = np.full(n_paths, _sq_norm(cfg.x0))
+    for j, (z, u, _) in enumerate(_bem_steps(model, cfg, seed, n_paths)):
+        noise[:, j] = z
+        np.maximum(sup_sq, _sq_norm(u), out=sup_sq)
+    return BemBatch(model, cfg, seed, noise, sup_sq)
 
 
 def z_sequence(model: SdeModel, batch: BemBatch, h0):
@@ -501,7 +552,8 @@ def z_sequence(model: SdeModel, batch: BemBatch, h0):
 
     Returns ``(Z, S)`` of shapes ``(M, N)`` and ``(M, N+1)``, where
     ``Z = batch.noise`` and ``S_n = (1 - 2 h0 L)^{-1} sum_{j<n} Z^{j+1}``
-    with ``S_0 = 0``; ``S`` is time-major (Fortran order).
+    with ``S_0 = 0``; both are time-major (Fortran order), and S is summed
+    from Z's contiguous time columns.  Neither reads the paths.
     """
     factor = 1.0 - 2.0 * h0 * model.L
     if not factor > 0.0:
@@ -580,20 +632,28 @@ def verify_apriori_bound(
     ``s_demimartingale[h=...]``, the demimartingale check on their
     normalized partial sums.  ``p_grid`` is a list of exponents.  An empty
     ``cfg_grid`` raises :class:`HGridViolation`, a scalar or empty
-    ``p_grid`` or ``n_paths < 1`` :class:`InvalidSpec`, a configuration with fewer than
+    ``p_grid``, ``n_paths < 1`` or a seed outside the unsigned 64-bit range
+    :class:`InvalidSpec`, fewer than :data:`~demigronwall.demi.DEMI_MIN_PATHS`
+    paths or a configuration with fewer than
     :data:`~demigronwall.demi.DEMI_MIN_STEPS` steps :class:`DegenerateBatch`
     and a finest h above the batch budget :class:`BatchTooLarge`, all before any simulation.
+
+    Of each h's batch only the sup norms and Z are read, and the batch goes
+    before its S is checked, so the paths are never built.
     """
     cfg_grid = list(cfg_grid)
     if not cfg_grid:
         raise HGridViolation("empty step-size grid")
     p_grid = [float(p) for p in exponent_list(p_grid)]
     t0, b0, x0 = _check_grid(model, cfg_grid)
-    _check_size(model, max(cfg.n_steps for cfg in cfg_grid), n_paths)
+    n_paths = _check_size(model, max(cfg.n_steps for cfg in cfg_grid), n_paths)
+    if n_paths < DEMI_MIN_PATHS:
+        raise DegenerateBatch(f"need at least {DEMI_MIN_PATHS} paths for usable standard errors, got {n_paths}")
+    seed = int(_as_seed(seed))
     x0_norm = float(np.sqrt((x0 ** 2).sum()))
     g0_norm = model.diffusion_norm(x0)
     bounds = {p: apriori_moment_bound(p, model.L, t0, b0, x0_norm, g0_norm) for p in p_grid}
-    report = VerificationReport(command="bem", columns=BEM_COLUMNS, seeds=[int(seed)])
+    report = VerificationReport(command="bem", columns=BEM_COLUMNS, seeds=[seed])
     for cfg in cfg_grid:
         batch = simulate_bem(model, cfg, seed, n_paths)
         for p in p_grid:
@@ -602,16 +662,16 @@ def verify_apriori_bound(
                 h=cfg.h, p=p, estimate=estimate, stderr=se, bound=bounds[p],
                 **one_sided_verdict(estimate, se, bounds[p], 0.0),
             )
-        z, s = z_sequence(model, batch, b0)
-        del batch  # of the batch only Z is still needed: the paths and residuals go before S is checked
-        col_mean, col_se = mean_se(z)
+        col_mean, col_se = mean_se(batch.noise)  # before S: its deviations are a Z-sized temporary
         report.checks[f"z_mean_zero[h={cfg.h:g}]"] = all(
             one_sided_verdict(abs(m), se, 0.0, 0.0)["verdict"] == "pass" for m, se in zip(col_mean, col_se)
         )
+        s = z_sequence(model, batch, b0)[1]
+        del batch  # and with it Z: only S is held while it is checked
         s_batch = TrajectoryBatch(s, label=f"z-partial-sums[h={cfg.h:g}]")
         demi = check_demimartingale(s_batch, TestFunctionFamily.default(s_batch))
         report.checks[f"s_demimartingale[h={cfg.h:g}]"] = demi.overall_pass
-        del z, s, s_batch, demi  # before the next h is simulated
+        del s, s_batch, demi  # before the next h is simulated
     return report
 
 

@@ -14,8 +14,9 @@ size check (:func:`check_batch`), and reduced one column at a time
 (:func:`prefix_reduce`).  So are the reverse-constructed ``F`` of
 :func:`~demigronwall.gronwall.build_instance` and the weighted history
 and hypothesis gap, which one walk over the time columns fills.  Not
-every matrix is: BEM's ``paths``, ``noise``, ``residual_norms`` and
-redrawn ``increments`` and the operator table of
+every matrix is: BEM's ``noise`` is time-major, one column per step,
+but its rebuilt ``paths`` and ``residual_norms``, its redrawn
+``increments`` and the operator table of
 :func:`~demigronwall.fractional.multi_term_table`, into which the
 fractional harness writes its ``F`` one column at a time, are C-order.
 Any layout is accepted and gives the same bits.

@@ -414,11 +414,12 @@ class TestScalarKernels:
         model = _rotating_cubic_model()
         cfg = BemConfig(h=0.05, t_horizon=0.5, h0=0.2, x0=[1.5, -1.0], newton_tol=1e-12)
         batch = simulate_bem(model, cfg, seed=21, n_paths=3000)
+        paths, residuals = batch.paths, batch.residual_norms  # built before the solver is swapped
         active_rows = []
         monkeypatch.setattr(bem, "_solve_implicit", functools.partial(_masked_newton, active_rows=active_rows))
         reference = simulate_bem(model, cfg, seed=21, n_paths=3000)
-        assert batch.paths.tobytes() == reference.paths.tobytes()
-        assert batch.residual_norms.tobytes() == reference.residual_norms.tobytes()
+        assert paths.tobytes() == reference.paths.tobytes()
+        assert residuals.tobytes() == reference.residual_norms.tobytes()
         # rows converged at different iterations, so the gathers and scatters ran
         assert any(0 < n < 3000 for n in active_rows)
 
@@ -438,13 +439,16 @@ class TestScalarKernels:
         assert bem._sq_norm(x).tobytes() == (x ** 2).sum(axis=-1).tobytes()
         assert bem._sq_norm(x[:, 0]).tobytes() == (x[:, 0] ** 2).sum(axis=1).tobytes()
 
-    @pytest.mark.parametrize("entries", [bem.TILE_ENTRIES, 64], ids=["one-block", "row-blocks"])
-    def test_sup_norms_match_the_row_reduction(self, entries, monkeypatch):
-        monkeypatch.setattr(bem, "TILE_ENTRIES", entries)  # 64 entries: blocks of 5 rows
+    @pytest.mark.parametrize("paths_first", [False, True], ids=["sup-norms-first", "paths-first"])
+    def test_sup_norms_match_the_row_reduction(self, paths_first):
+        # the running maxima folded in while stepping are the row maxima of the rebuilt paths
         cfg = BemConfig(h=0.1, t_horizon=1.0, h0=0.2, x0=[1.0, -0.5])
         batch = simulate_bem(linear_model([[-1.0, 2.0], [-2.0, -1.0]], 0.5), cfg, seed=4, n_paths=500)
+        sup = None if paths_first else batch.sup_norms()
         expected = np.sqrt((batch.paths ** 2).sum(axis=2)).max(axis=1)
         assert batch.sup_norms().tobytes() == expected.tobytes()
+        if sup is not None:
+            assert sup.tobytes() == expected.tobytes()
 
 
 class TestSimulate:
@@ -531,8 +535,8 @@ class TestSimulate:
             assert getattr(batch, name).tobytes() == want.tobytes(), name
 
     def test_peak_memory_holds_no_increment_matrix(self):
-        # paths, noise and residuals are 2.8 checked arrays, and one step's draws and Newton
-        # temporaries bring the peak to 4.4; holding the whole (M, N) increment matrix too reached 5.1
+        # Z is 0.9 checked arrays, and one step's draws and Newton temporaries bring the peak to 2.6;
+        # holding the paths and residuals too reached 4.4, and the whole (M, N) increment matrix 5.1
         model = ou_model(1.0, 1.0)
         cfg = BemConfig(h=0.1, t_horizon=1.0, h0=0.25, x0=[1.0])
         tracemalloc.start()
@@ -541,7 +545,75 @@ class TestSimulate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4.5 * 20_000 * (cfg.n_steps + 1) * 8
+        assert peak <= 2.8 * 20_000 * (cfg.n_steps + 1) * 8
+
+    def test_bad_seed_raises_before_allocating(self):
+        cfg = BemConfig(h=0.1, t_horizon=1.0, h0=0.25, x0=[1.0])
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidSpec, match="64-bit"):
+                simulate_bem(ou_model(), cfg, 2 ** 64, 20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * 20_000 * (cfg.n_steps + 1) * 8
+
+
+def _counting(model):
+    """``model`` with callables that count their calls, and the counts."""
+    calls = dict.fromkeys(("drift", "drift_jacobian", "diffusion"), 0)
+
+    def counted(name):
+        fn = getattr(model, name)
+
+        def call(y):
+            calls[name] += 1
+            return fn(y)
+
+        return call
+
+    return dataclasses.replace(model, **{name: counted(name) for name in calls}), calls
+
+
+class TestLeanBatch:
+    """A batch holds Z and the sup norms; its paths and residuals are rebuilt by the same steps."""
+
+    CFG = BemConfig(h=0.05, t_horizon=0.5, h0=0.2, x0=[1.5, -1.0])
+
+    def test_harness_reads_call_no_model_function(self):
+        model, calls = _counting(_rotating_cubic_model())
+        batch = simulate_bem(model, self.CFG, seed=3, n_paths=500)
+        one_run = dict(calls)
+        assert one_run["diffusion"] == self.CFG.n_steps
+        assert (batch.n_paths, batch.n_steps, batch.noise.shape) == (500, 10, (500, 10))
+        batch.sup_norms(), batch.increments
+        assert calls == one_run
+
+    @pytest.mark.parametrize("first, second", [("paths", "residual_norms"), ("residual_norms", "paths")])
+    def test_first_read_reruns_one_simulation_and_builds_both(self, first, second):
+        model, calls = _counting(_rotating_cubic_model())
+        batch = simulate_bem(model, self.CFG, seed=3, n_paths=500)
+        one_run = dict(calls)
+        built = getattr(batch, first)
+        assert calls == {name: 2 * n for name, n in one_run.items()}
+        rebuilt = dict(calls)
+        getattr(batch, second)
+        assert getattr(batch, first) is built
+        assert calls == rebuilt
+        assert batch.paths.shape == (500, 11, 2) and batch.residual_norms.shape == (500, 10)
+
+    def test_nan_drift_raises_from_simulate_bem(self):
+        # drift 1: Y^j is about 0.3 + 0.1 j, and the drift is NaN above 0.55, first at Y^3: step 2 fails
+        model, calls = _counting(SdeModel(
+            d=1, m=1, drift=lambda y: np.where(y > 0.55, np.nan, 1.0),
+            diffusion=lambda y: np.zeros((y.shape[0], 1, 1)),
+            drift_jacobian=lambda y: np.zeros((y.shape[0], 1, 1)), L=0.0,
+        ))
+        cfg = BemConfig(h=0.1, t_horizon=1.0, h0=0.25, x0=[0.3])
+        with pytest.raises(NewtonNonConvergence, match="at path 0, step 2") as err:
+            simulate_bem(model, cfg, seed=1, n_paths=40)
+        assert (err.value.path, err.value.step) == (0, 2)
+        assert calls["diffusion"] == 3
 
 
 def _cubic_drift(y):
@@ -794,8 +866,9 @@ class TestVerifyApriori:
         assert report.checks["s_demimartingale[h=0.1]"]
 
     def test_peak_memory_is_one_simulation(self):
-        # the finest h's simulation sets the peak: each h's paths and residuals go before its S is
-        # checked, its Z and S before the next h is simulated, and the sup norms take no path-sized copy
+        # the finest h's simulation sets the peak: no batch holds paths or residuals, each h's Z
+        # moments are taken before its S is formed, its batch and Z go before S is checked, and
+        # its S before the next h is simulated
         model = ou_model(1.0, 1.0)
         cfgs = [BemConfig(h=h, t_horizon=1.0, h0=0.25, x0=[1.0]) for h in (0.1, 0.2)]
         peaks = []
@@ -811,6 +884,36 @@ class TestVerifyApriori:
                 tracemalloc.stop()
         checked = 20_000 * (cfgs[0].n_steps + 1) * 8
         assert peaks[1] <= peaks[0] + 0.25 * checked
+
+    def test_peak_memory_on_the_cubic_model(self):
+        # h = 0.02: the Newton temporaries of the simulation, Z with its deviations, then Z with S,
+        # then S with its quantile copy, each about 2 checked arrays; 5.0 while the batch held the paths
+        model = SdeModel(
+            d=2, m=2, drift=_cubic_drift, drift_jacobian=_cubic_jacobian,
+            diffusion=lambda y: np.broadcast_to(np.eye(2), (y.shape[0], 2, 2)), L=1.0, osl=-1.0,
+        )
+        cfg = BemConfig(h=0.02, t_horizon=1.0, h0=0.25, x0=[2.0, -1.0])
+        tracemalloc.start()
+        try:
+            verify_apriori_bound(model, [cfg], [0.25, 0.5], 20_000, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 20_000 * (cfg.n_steps + 1) * 8
+
+    @pytest.mark.parametrize(
+        "n_paths, seed, exc",
+        [(29, 1, DegenerateBatch), (200, 2 ** 64, InvalidSpec), (200, -1, InvalidSpec), (30, 1, AssertionError)],
+        ids=["29-paths", "seed-2**64", "negative-seed", "30-paths-simulate"],
+    )
+    def test_path_count_and_seed_raise_before_simulating(self, monkeypatch, n_paths, seed, exc):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a path was simulated before the path count and seed were checked")
+
+        monkeypatch.setattr(bem, "simulate_bem", no_simulation)
+        cfgs = [BemConfig(h=0.1, t_horizon=1.0, h0=0.25, x0=[1.0])]
+        with pytest.raises(exc):
+            verify_apriori_bound(ou_model(), cfgs, [0.5], n_paths, seed=seed)
 
     def test_grid_entry_below_two_steps_raises_before_simulating(self, monkeypatch):
         def no_simulation(*args, **kwargs):
