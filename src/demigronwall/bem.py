@@ -284,93 +284,29 @@ def _fd_jacobian(model: SdeModel, u, fu) -> np.ndarray:
     return jac
 
 
-#: Veltkamp's splitting constant 2^27 + 1 for binary64
-_SPLITTER = 134217729.0
-
-#: the 2 x 2 kernel takes a row only if every operand of its fused steps is 0
-#: or has a magnitude in [1 / _FMA_RANGE, _FMA_RANGE]: there the split cannot
-#: overflow and the product's error term stays normal
-_FMA_RANGE = 2.0 ** 450
-
-
-def _fma(a, b, c) -> np.ndarray:
-    """``a * b + c`` rounded once, for operands inside the ``_FMA_RANGE`` bounds.
-
-    Veltkamp's split and Dekker's product give ``a * b = p + e`` exactly, and
-    TwoSum gives ``c + p = s + t``.  ``t + e`` is rounded to odd (truncated,
-    last bit set when inexact), so the final ``s + v`` rounds to nearest as
-    if once (Boldo & Melquiond, IEEE Trans. Comput. 2008).  Where ``t + e``
-    is exactly zero, ``s`` is the exact sum, signed zero included.  Each
-    operation is rounded as written in the comments, in that order, into a
-    few scratch arrays; the inputs are not written.
-    """
-    p = a * b
-    ah = np.multiply(_SPLITTER, a)  # t = SPLITTER * a
-    al = np.subtract(ah, a)
-    np.subtract(ah, al, out=ah)     # ah = t - (t - a)
-    np.subtract(a, ah, out=al)      # al = a - ah
-    bh = np.multiply(_SPLITTER, b)
-    bl = np.subtract(bh, b)
-    np.subtract(bh, bl, out=bh)     # bh = t - (t - b)
-    np.subtract(b, bh, out=bl)      # bl = b - bh
-    e = np.multiply(ah, bh)
-    e -= p
-    x = np.multiply(ah, bl)
-    e += x
-    np.multiply(al, bh, out=x)
-    e += x
-    np.multiply(al, bl, out=x)
-    e += x                          # e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    s = c + p
-    t = np.subtract(s, c, out=ah)   # t = s - c
-    np.subtract(p, t, out=bh)
-    np.subtract(s, t, out=t)
-    np.subtract(c, t, out=t)
-    t += bh                         # t = (c - (s - t)) + (p - t)
-    v = np.add(t, e, out=al)        # v = t + e
-    w = np.subtract(v, t, out=bl)   # w = v - t
-    np.subtract(e, w, out=x)
-    np.subtract(v, w, out=w)
-    np.subtract(t, w, out=w)
-    w += x                          # w = (t - (v - w)) + (e - w): v + w == t + e exactly
-    bits = v.view(np.int64)
-    inexact = w != 0.0
-    step = np.bitwise_xor(w.view(np.int64), bits, out=x.view(np.int64))
-    step >>= 63
-    step *= inexact
-    bits += step                    # one step towards zero if w opposes v
-    bits |= inexact
-    np.add(s, v, out=s, where=v != 0.0)
-    return s
-
-
-def _in_fma_range(*xs) -> np.ndarray:
-    """Rows where every array is finite and 0 or within the ``_FMA_RANGE`` bounds."""
-    ok = np.ones(xs[0].shape, dtype=bool)
-    for x in xs:
-        mag = np.abs(x)
-        ok &= (mag <= _FMA_RANGE) & ((mag >= 1.0 / _FMA_RANGE) | (mag == 0.0))
-    return ok
+#: the smallest normal binary64 number, LAPACK's ``sfmin``
+_TINY = np.finfo(np.float64).tiny
 
 
 def _solve_2x2(matrix, r) -> np.ndarray:
-    """LU with partial pivoting, rounded step by step as OpenBLAS's ``dgesv`` does."""
-    rows = np.empty((2, 3, r.shape[0]))  # (a_i1, a_i2, b_i) of both equations, one column per system
-    rows[:, :2] = matrix.transpose(1, 2, 0)
-    rows[:, 2] = r.T
-    swap = np.abs(rows[1, 0]) > np.abs(rows[0, 0])
+    """LU with partial pivoting in closed form, each step rounded as written."""
+    a11, a12, a21, a22 = (matrix[:, i, j] for i in (0, 1) for j in (0, 1))
+    b1, b2 = r[:, 0], r[:, 1]
+    swap = np.abs(a21) > np.abs(a11)
     if swap.any():
-        rows[:, :, swap] = rows[::-1, :, swap]
-    (a11, a12, b1), (a21, a22, b2) = rows
+        a11, a21 = np.where(swap, a21, a11), np.where(swap, a11, a21)
+        a12, a22 = np.where(swap, a22, a12), np.where(swap, a12, a22)
+        b1, b2 = np.where(swap, b2, b1), np.where(swap, b1, b2)
+    out = np.empty((r.shape[0], 2), order="F")
     with np.errstate(all="ignore"):  # rows that overflow or divide by zero are redone below
         l = a21 * (1.0 / a11)
         u22 = a22 - l * a12
-        x2 = _fma(-l, b1, b2) / u22
-        x1 = _fma(-a12, x2, b1) / a11
-        out = np.stack([x1, x2]).T
-        bad = ~_in_fma_range(a11, a12, b1, b2, l, u22, x2)
+        x2 = np.divide(b2 - l * b1, u22, out=out[:, 1])
+        np.divide(b1 - a12 * x2, a11, out=out[:, 0])
+    # rows whose closed form is not finite (singular or overflowing ones, NaN entries) and subnormal
+    # pivots, which LAPACK divides by instead of scaling by the reciprocal: LAPACK decides, and raises
+    bad = ~np.isfinite(out).all(axis=1) | (np.abs(a11) < _TINY)
     if bad.any():
-        # non-finite, singular or extreme rows: LAPACK's own branches decide, and raise
         out[bad] = np.linalg.solve(matrix[bad], r[bad][:, :, None])[:, :, 0]
     return out
 
@@ -378,22 +314,21 @@ def _solve_2x2(matrix, r) -> np.ndarray:
 def _newton_delta(matrix, r) -> np.ndarray:
     """Solve ``matrix[i] @ delta[i] = r[i]`` for every row; ``delta`` is column-major.
 
-    Small systems are solved in closed form, bit for bit what
-    ``np.linalg.solve`` gives with OpenBLAS's SkylakeX kernels, on which
-    ``perfbench/reference/`` was recorded:
+    Small systems are solved in closed form, elementwise IEEE arithmetic
+    that gives the same bits on every OpenBLAS core and SIMD dispatch target:
 
     * 1 x 1 is a division, the same on every OpenBLAS core; a zero pivot
       raises ``LinAlgError`` as LAPACK does.
-    * 2 x 2 swaps the rows only when ``|a21| > |a11|``, then rounds
-      ``l = a21 * (1 / a11)`` and ``u22 = a22 - l * a12`` as written,
-      ``x2 = fma(-l, b1, b2) / u22`` and ``x1 = fma(-a12, x2, b1) / a11``,
-      with :func:`_fma` for the single-rounding multiply-add.  Rows that
-      are not finite, are singular or have an operand outside the
-      ``_FMA_RANGE`` bounds go to ``np.linalg.solve``, which raises
-      ``LinAlgError`` on a singular one.  OpenBLAS's Haswell, Zen,
-      Sandybridge, Nehalem and Prescott kernels (``OPENBLAS_CORETYPE``) do
-      not fuse the substitution: ``np.linalg.solve`` differs there in the
-      last bits, while this solver gives the same bits on every core.
+    * 2 x 2 is LU with partial pivoting, unfused: it swaps the rows only
+      when ``|a21| > |a11|``, then rounds ``l = a21 * (1 / a11)``,
+      ``u22 = a22 - l * a12``, ``x2 = (b2 - l * b1) / u22`` and
+      ``x1 = (b1 - a12 * x2) / a11`` as written.  Rows whose result is not
+      finite, singular ones included, or whose pivot is subnormal go to
+      ``np.linalg.solve``, which raises ``LinAlgError`` on a singular one.
+      This is bit for bit what ``np.linalg.solve`` gives with OpenBLAS's
+      Haswell, Zen, Sandybridge, Nehalem and Prescott kernels
+      (``OPENBLAS_CORETYPE``), which do not fuse the substitution;
+      SkylakeX's fuse it and differ in the last bits.
     * Larger systems go to ``np.linalg.solve``.
     """
     d = matrix.shape[1]
