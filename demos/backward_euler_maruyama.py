@@ -50,7 +50,7 @@ print()
 cfg = cfgs[2]
 batch = simulate_bem(model, cfg, seed=9, n_paths=50_000)
 print(f"max Newton residual over {batch.n_paths} paths x {batch.n_steps} steps: "
-      f"{batch.residual_norms.max():.2e}")
+      f"{batch.max_residual:.2e}")
 z, s = z_sequence(model, batch, cfg.h0)
 worst = np.abs(z.mean(axis=0) / (z.std(ddof=1, axis=0) / np.sqrt(z.shape[0]))).max()
 print(f"largest |z-score| of the noise-term column means: {worst:.2f} (3.0 allowed)")

@@ -49,7 +49,8 @@ from .errors import (
 )
 from .generators import TrajectoryBatch, check_batch, partial_sums
 from .reporting import VerificationReport, exponent_list, mean_se, one_sided_verdict, root_of_mean
-from .rng import _as_seed, draw_columns, normal_matrix, uniform_matrix
+# normal_matrix stays importable here: perfbench/tracer.py wraps it by this name
+from .rng import _as_seed, draw_columns, normal_matrix, uniform_matrix  # noqa: F401
 
 BEM_COLUMNS = ["h", "p", "estimate", "stderr", "bound", "margin", "verdict"]
 
@@ -66,9 +67,7 @@ class SdeModel:
     """Coercive SDE system with vectorized drift and diffusion.
 
     The solver calls every callable with a column-major ``(M, d)`` state;
-    results may have any layout.  Each callable must be a deterministic
-    function of its input: :class:`BemBatch` builds its paths by taking a
-    simulation's steps again, calling the model again with the same states.
+    results may have any layout.
 
     Attributes:
         d, m: state and noise dimensions.
@@ -149,61 +148,21 @@ class BemConfig:
 
 
 class BemBatch:
-    """Noise terms Z and running sup norms of simulated paths; the paths and Newton residuals on demand.
+    """Noise terms Z, running sup norms and largest Newton residual of simulated paths.
 
-    :func:`simulate_bem` keeps of each step only its column of Z and each
-    path's running maximum of ``|Y^j|^2``.  The paths and the per-step
-    Newton residual norms are built together on the first read of either,
-    by the same stepping loop (:func:`_bem_steps`) run again from the
-    batch's model, configuration and seed, and then kept; the model's
-    callables are deterministic (:class:`SdeModel`), so they have the bits
-    of the first run.  The Brownian increments are not held:
-    :attr:`increments` redraws them from ``seed``, ``h`` and the noise
-    dimension ``m`` on each access.  A batch is made by :func:`simulate_bem`.
+    :func:`simulate_bem` keeps of each step only its column of Z, each
+    path's running maximum of ``|Y^j|^2`` and the largest residual norm of
+    the step's Newton solves; no path, residual or increment is held.  A
+    batch is made by :func:`simulate_bem`.
 
     Attributes:
         noise: ``(M, N)`` time-major (Fortran order), ``Z^{j+1}`` in column ``j``.
-        h, seed, m: step size, master seed and noise dimension.
-        label: model and step size, for reports.
+        max_residual: the largest Newton residual norm over every path and
+            step, at most ``newton_tol``.
     """
 
-    def __init__(self, model: SdeModel, cfg: BemConfig, seed: int, noise, sup_sq):
-        self._model, self._cfg, self.noise, self._sup_sq = model, cfg, noise, sup_sq
-        self.h, self.seed, self.m = cfg.h, seed, model.m
-        self.label = f"bem[{model.label},h={cfg.h:g}]"
-        self._paths = self._residuals = None
-
-    def _rerun(self):
-        """Build and keep the paths and residual norms, by the steps :func:`simulate_bem` took."""
-        paths = np.empty((self.n_paths, self.n_steps + 1, self._model.d))
-        residuals = np.empty((self.n_paths, self.n_steps))
-        paths[:, 0, :] = self._cfg.x0[None, :]
-        for j, (_, u, rnorm) in enumerate(_bem_steps(self._model, self._cfg, self.seed, self.n_paths)):
-            paths[:, j + 1, :] = u
-            residuals[:, j] = rnorm
-        self._paths, self._residuals = paths, residuals
-
-    @property
-    def paths(self) -> np.ndarray:
-        """The ``(M, N+1, d)`` paths, ``Y^j`` at ``[:, j]``, C-order; built on first access."""
-        if self._paths is None:
-            self._rerun()
-        return self._paths
-
-    @property
-    def residual_norms(self) -> np.ndarray:
-        """The ``(M, N)`` Newton residual norms of every accepted step, C-order; built on first access."""
-        if self._residuals is None:
-            self._rerun()
-        return self._residuals
-
-    @property
-    def increments(self) -> np.ndarray:
-        """The ``(M, N, m)`` Brownian increments that drove the paths, bit for bit, drawn anew."""
-        shape = (self.n_paths, self.n_steps, self.m)
-        dw = normal_matrix(self.seed, shape[0], shape[1] * shape[2]).reshape(shape)
-        dw *= math.sqrt(self.h)
-        return dw
+    def __init__(self, noise, sup_sq, max_residual):
+        self.noise, self._sup_sq, self.max_residual = noise, sup_sq, max_residual
 
     @property
     def n_paths(self) -> int:
@@ -217,9 +176,7 @@ class BemBatch:
         """Per-path running supremum of the Euclidean state norm, ``max_j |Y^j|``.
 
         The square root of the running maximum of ``|Y^j|^2`` that
-        :func:`simulate_bem` folds in as it accepts each step: the maximum
-        of the same floats that the rows of :attr:`paths` give, so the
-        same bits, and no path is built.
+        :func:`simulate_bem` folds in as it accepts each step.
         """
         return np.sqrt(self._sup_sq)
 
@@ -345,9 +302,10 @@ def _solve_implicit(model: SdeModel, y, b, h, tol):
     """Solve ``u = y + h f(u) + b`` for every path at once.
 
     Explicit predictor, then damped Newton with per-path backtracking on the
-    residual norm; paths that reached tolerance are frozen.  Returns
-    ``(u, residual_norms)``; judging the norms is the caller's job.  A row
-    whose line search finds no decrease keeps its last halved candidate.
+    residual norm; paths that reached tolerance are frozen.  Returns the
+    states and their residual norms, ``(u, rnorm)``; judging the norms is
+    the caller's job.  A row whose line search finds no decrease keeps its
+    last halved candidate.
 
     Raises:
         NewtonNonConvergence: a singular Newton matrix, which ``h * osl < 1``
@@ -406,22 +364,17 @@ def _solve_implicit(model: SdeModel, y, b, h, tol):
     return u, rnorm
 
 
-def _check_size(model: SdeModel, n_steps, n_paths) -> int:
-    """``n_paths`` as an int, checked before anything is drawn: the larger of the paths and increments must fit.
-
-    :func:`simulate_bem` holds neither, but :attr:`BemBatch.paths` and
-    :attr:`BemBatch.increments` build them whole on access.
-    """
-    return check_batch(n_paths, n_steps, max((n_steps + 1) * model.d, n_steps * model.m))[0]
+def _check_size(n_steps, n_paths) -> int:
+    """``n_paths`` as an int, checked before anything is drawn: the partial sums S, ``(M, N+1)``, must fit."""
+    return check_batch(n_paths, n_steps, n_steps + 1)[0]
 
 
 def _bem_steps(model: SdeModel, cfg: BemConfig, seed, n_paths):
     """Take the implicit steps of ``n_paths`` paths, yielding ``(z, u, rnorm)`` for each step in order.
 
     The one stepping loop: :func:`simulate_bem` keeps the noise terms and
-    folds the states into running maxima, and :class:`BemBatch` runs it
-    again to build its paths and residuals.  Step ``j`` draws its Fortran
-    ``(M, m)`` tile of increments when it reaches it
+    folds the states and residual norms into running maxima.  Step ``j``
+    draws its Fortran ``(M, m)`` tile of increments when it reaches it
     (:func:`~demigronwall.rng.draw_columns`), evaluates ``g(Y^j)`` once
     and yields the noise terms ``z = Z^{j+1}``, the column-major state
     ``u = Y^{j+1}`` and its Newton residual norms, once every norm meets
@@ -458,28 +411,29 @@ def simulate_bem(model: SdeModel, cfg: BemConfig, seed, n_paths) -> BemBatch:
     draws its Fortran ``(M, m)`` tile of increments when it reaches it
     (:func:`~demigronwall.rng.draw_columns`), with the bits of columns
     ``j m .. j m + m - 1`` of ``normal_matrix(seed, M, N m)``, so no
-    ``(M, N m)`` matrix is held; :attr:`BemBatch.increments` redraws it.
+    ``(M, N m)`` matrix is held.
     Each step evaluates ``g(Y^j)`` once and records its noise term
     ``Z^{j+1} = |g dW|^2 - h |g|^2 + 2 <g dW, Y^j>``, which has
     conditional mean zero: ``E|g dW|^2 = h |g|^2`` cancels the compensator
     and the cross term is centered.
 
-    The batch holds Z, one time column per step, and each path's running
-    maximum of ``|Y^j|^2``, folded in as each step is accepted; the paths
-    and residual norms are not held, and :class:`BemBatch` builds them on
-    first access by taking the same steps again.  Every step's residual
-    contract is judged here.  The configuration, size and seed are checked
-    before anything is allocated.
+    The batch holds Z, one time column per step, each path's running
+    maximum of ``|Y^j|^2`` and the largest Newton residual norm, both
+    folded in as each step is accepted; the paths and residual norms are
+    not held.  Every step's residual contract is judged here.  The
+    configuration, size and seed are checked before anything is allocated.
     """
     cfg.validate_against(model)
-    n_paths = _check_size(model, cfg.n_steps, n_paths)
+    n_paths = _check_size(cfg.n_steps, n_paths)
     seed = int(_as_seed(seed))
     noise = np.empty((n_paths, cfg.n_steps), order="F")
     sup_sq = np.full(n_paths, _sq_norm(cfg.x0))
-    for j, (z, u, _) in enumerate(_bem_steps(model, cfg, seed, n_paths)):
+    max_residual = 0.0
+    for j, (z, u, rnorm) in enumerate(_bem_steps(model, cfg, seed, n_paths)):
         noise[:, j] = z
         np.maximum(sup_sq, _sq_norm(u), out=sup_sq)
-    return BemBatch(model, cfg, seed, noise, sup_sq)
+        max_residual = max(max_residual, float(rnorm.max()))
+    return BemBatch(noise, sup_sq, max_residual)
 
 
 def z_sequence(model: SdeModel, batch: BemBatch, h0):
@@ -574,14 +528,14 @@ def verify_apriori_bound(
     and a finest h above the batch budget :class:`BatchTooLarge`, all before any simulation.
 
     Of each h's batch only the sup norms and Z are read, and the batch goes
-    before its S is checked, so the paths are never built.
+    before its S is checked.
     """
     cfg_grid = list(cfg_grid)
     if not cfg_grid:
         raise HGridViolation("empty step-size grid")
     p_grid = [float(p) for p in exponent_list(p_grid)]
     t0, b0, x0 = _check_grid(model, cfg_grid)
-    n_paths = _check_size(model, max(cfg.n_steps for cfg in cfg_grid), n_paths)
+    n_paths = _check_size(max(cfg.n_steps for cfg in cfg_grid), n_paths)
     if n_paths < DEMI_MIN_PATHS:
         raise DegenerateBatch(f"need at least {DEMI_MIN_PATHS} paths for usable standard errors, got {n_paths}")
     seed = int(_as_seed(seed))

@@ -12,13 +12,11 @@ them are time-major (Fortran order, each time column contiguous): they are
 filled in time order (:func:`partial_sums`, :func:`time_major`), after one
 size check (:func:`check_batch`), and reduced one column at a time
 (:func:`prefix_reduce`).  So are the reverse-constructed ``F`` of
-:func:`~demigronwall.gronwall.build_instance` and the weighted history
-and hypothesis gap, which one walk over the time columns fills.  Not
-every matrix is: BEM's ``noise`` is time-major, one column per step,
-but its rebuilt ``paths`` and ``residual_norms``, its redrawn
-``increments`` and the operator table of
+:func:`~demigronwall.gronwall.build_instance`, the weighted history and
+hypothesis gap, which one walk over the time columns fills, and BEM's
+``noise``, one column per step.  The operator table of
 :func:`~demigronwall.fractional.multi_term_table`, into which the
-fractional harness writes its ``F`` one column at a time, are C-order.
+fractional harness writes its ``F`` one column at a time, is C-order.
 Any layout is accepted and gives the same bits.
 
 Work over the rows of a batch runs in contiguous row blocks, one per
@@ -76,15 +74,25 @@ from .rng import normal_matrix, uniform_matrix  # noqa: F401
 MAX_BATCH_ENTRIES = 1 << 27
 
 
+def whole_number(value, name) -> int:
+    """``value`` as an int, raising :class:`InvalidSpec` unless it is a whole number (Python and numpy integers are)."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidSpec(f"{name} must be a whole number, got {value!r}")
+
+
 def check_batch(n_paths, n_steps, width):
     """``(n_paths, n_steps)`` as ints: the one size check, which every sample matrix passes before it is drawn.
 
-    Raises :class:`InvalidSpec` unless ``n_paths >= 1`` and ``n_steps >= 0``, and
+    Raises :class:`InvalidSpec` unless ``n_paths >= 1`` and ``n_steps >= 0`` are whole numbers, and
     :class:`BatchTooLarge` if ``n_paths * width`` exceeds :data:`MAX_BATCH_ENTRIES`.
     The check bounds one matrix: the caller's other matrices and temporaries
     are not counted.
     """
-    n_paths, n_steps = int(n_paths), int(n_steps)
+    n_paths, n_steps = whole_number(n_paths, "n_paths"), whole_number(n_steps, "n_steps")
     if n_paths < 1 or n_steps < 0:
         raise InvalidSpec(f"need n_paths >= 1 and n_steps >= 0, got {n_paths} and {n_steps}")
     if n_paths * width > MAX_BATCH_ENTRIES:
@@ -223,8 +231,9 @@ def _running_sums(n_paths, increments):
     The sum before ``inc_1`` is ``-0.0``, the identity of addition, so
     ``S_1`` is ``inc_1`` itself and every bit equals ``np.cumsum`` along the
     rows, a ``-0.0`` first increment included.  The one partial-sum code:
-    :func:`partial_sums`, ``TrajectoryBatch.values`` and the maximal-lemma
-    sweep all read it.
+    :func:`partial_sums`, ``TrajectoryBatch.values``, the maximal-lemma
+    sweep and the weighted history of
+    :func:`~demigronwall.gronwall.weighted_history` all read it.
     """
     yield np.zeros((n_paths, 1), order="F")
     last = np.full(n_paths, -0.0)
@@ -279,17 +288,23 @@ def _all_finite(values):
     return all(finite)
 
 
+def _column_views(values, r0, r1, width):
+    """Views of ``width`` columns at a time of the rows ``r0..r1-1`` of ``values``: a held batch's tile source."""
+    for k in range(0, values.shape[1], width):
+        yield values[r0:r1, k : k + width]
+
+
 class TrajectoryBatch:
     """M independent discrete-time sample paths of length N + 1.
 
-    A batch holds either its values or, when :func:`generate_paths` made
-    it, the seeded source of their partial-sum tiles and no matrix.  Of
-    such a batch, ``values`` is built on first access, by row blocks
-    (:func:`time_major`), checked for finite entries and then kept; the
-    maximal-lemma sweep of
-    :func:`~demigronwall.gronwall.verify_maximal_inequality` reads the
-    source a few columns at a time and builds no ``values``.  Either way a
-    batch's values must not change after construction: the finiteness
+    The maximal-lemma sweep of
+    :func:`~demigronwall.gronwall.verify_maximal_inequality` reads a batch
+    a few columns at a time from its tile source: views of its values
+    (:func:`_column_views`), or, when :func:`generate_paths` made it and no
+    matrix is held, the seeded partial-sum tiles.  Of such a batch,
+    ``values`` is built on first access, by row blocks (:func:`time_major`),
+    checked for finite entries and kept, and becomes its source: no batch
+    is drawn twice.  Either way a batch's values must not change after construction: the finiteness
     check runs once, and the sweep state that the maximal lemma keeps on
     the batch (running extremes and increment moments up to the last
     column it read) is continued by later calls, not recomputed.
@@ -303,7 +318,6 @@ class TrajectoryBatch:
     """
 
     _sweep = None  # the maximal-lemma sweep, kept on the batch between calls
-    _tiles = None  # tiles(r0, r1, width) of a generated batch, as time_major reads them
 
     def __init__(self, values, label=""):
         values = np.asarray(values, dtype=np.float64)
@@ -312,6 +326,7 @@ class TrajectoryBatch:
         if not _all_finite(values):
             raise InvalidSpec("batch contains non-finite entries")
         self._values, self._shape, self.label = values, values.shape, label
+        self._tiles = functools.partial(_column_views, values)  # tiles(r0, r1, width), as time_major reads them
 
     @classmethod
     def _generated(cls, n_paths, n_steps, tiles, label):
@@ -327,7 +342,7 @@ class TrajectoryBatch:
             values = time_major(*self._shape, self._tiles)
             if not _all_finite(values):
                 raise InvalidSpec("batch contains non-finite entries")
-            self._values = values
+            self._values, self._tiles = values, functools.partial(_column_views, values)
         return self._values
 
     @property
@@ -485,7 +500,7 @@ def generate_paths(spec: GeneratorSpec, n_steps, n_paths, seed) -> TrajectoryBat
     larger one.
 
     Raises:
-        InvalidSpec: ``n_paths < 1``, ``n_steps < 0`` or a seed outside 64 bits.
+        InvalidSpec: ``n_paths < 1``, ``n_steps < 0``, either not a whole number, or a seed outside 64 bits.
         BatchTooLarge: ``n_paths * (n_steps + 1)`` above the budget (:func:`check_batch`).
     """
     n_paths, n_steps = check_batch(n_paths, n_steps, int(n_steps) + 1)

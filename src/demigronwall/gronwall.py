@@ -42,7 +42,7 @@ from .errors import (
     POutOfRange,
     ShapeMismatch,
 )
-from .generators import TrajectoryBatch, prefix_reduce, row_blocks, tile_width
+from .generators import TrajectoryBatch, _running_sums, prefix_reduce, row_blocks, tile_width, whole_number
 from .reporting import (
     VerificationReport,
     difference_mean_se,
@@ -157,24 +157,16 @@ def _checked_growth(growth, n, n_paths=None) -> np.ndarray:
 
 
 def _history_columns(x, growth):
-    """The columns ``H_0 .. H_N`` of :func:`weighted_history`, left to right, each into one reused buffer.
+    """The columns ``H_0 .. H_N`` of :func:`weighted_history`, left to right, as 1-D arrays.
 
     ``H_0 = 0``, ``H_1 = G_0 X_0`` and ``H_k = H_{k-1} + G_{k-1} X_{k-1}``:
-    the bits of :func:`~demigronwall.generators.partial_sums`, whose
-    ``-0.0`` start makes ``H_1`` the product itself.  The weights are
-    checked as in :func:`weighted_history` before the first column.
+    the running sums (:func:`~demigronwall.generators._running_sums`) of the
+    products ``G_k X_k``, whose ``-0.0`` start makes ``H_1`` the product
+    itself.  The weights are checked as in :func:`weighted_history` at the call.
     """
     n = x.shape[1] - 1
     g = _checked_growth(growth, n, x.shape[0])
-    hist, product = np.zeros(len(x)), np.empty(len(x))
-    yield hist
-    for k in range(n):
-        np.multiply(g[..., k], x[:, k], out=product)
-        if k:
-            hist += product
-        else:
-            hist[:] = product
-        yield hist
+    return (tile[:, 0] for tile in _running_sums(len(x), (g[..., k] * x[:, k] for k in range(n))))
 
 
 def weighted_history(x, growth) -> np.ndarray:
@@ -213,7 +205,7 @@ def sup_moment(batch: TrajectoryBatch, p, n=None, first=0) -> tuple:
     batches starting at zero the maximum is automatically nonnegative.
     """
     p = _moment_exponent(p)
-    n = batch.n_steps if n is None else int(n)
+    n = batch.n_steps if n is None else whole_number(n, "n")
     if not 0 <= first <= n <= batch.n_steps:
         raise ShapeMismatch(f"need 0 <= first <= n <= {batch.n_steps}, got first={first}, n={n}")
     sups = prefix_reduce(batch.values, [n], first=first)[n]
@@ -221,8 +213,8 @@ def sup_moment(batch: TrajectoryBatch, p, n=None, first=0) -> tuple:
 
 
 def _time_index(batch: TrajectoryBatch, n) -> int:
-    """Time index ``n`` (``None`` is N), checked to lie in ``[0, N]``."""
-    n = batch.n_steps if n is None else int(n)
+    """Time index ``n`` (``None`` is N), checked to be a whole number in ``[0, N]``."""
+    n = batch.n_steps if n is None else whole_number(n, "n")
     if not 0 <= n <= batch.n_steps:
         raise ShapeMismatch(f"need 0 <= n <= {batch.n_steps}, got n={n}")
     return n
@@ -332,7 +324,7 @@ def build_instance(X: TrajectoryBatch, S: TrajectoryBatch, growth) -> GronwallIn
 
 
 class _Stream:
-    """The columns of one row block of a generated batch, read left to right from its partial-sum tiles."""
+    """The columns of one row block of a batch, read left to right from its tile source."""
 
     def __init__(self, tiles):
         self.tiles, self.rest, self.at = tiles, None, 0
@@ -364,11 +356,11 @@ class _Sweep:
     ``values[:, k] - values[:, k-1]`` for ``k = 1..known``.  The columns
     are read in rounds of ``width`` columns (:data:`SWEEP_COLUMNS`, or one
     draw tile if that is wider), the last of which ends at the requested
-    ``n``.  Of a batch that holds its values, a round's columns are views
-    of them.  Of a generated batch, each row block draws its rows of the
-    round into one ``(M, width)`` chunk from its own partial-sum tiles
-    (:class:`_Stream`), which the next round continues, so the sweep holds
-    O(M) memory and no ``values``.  ``moments``, when given, is the
+    ``n``.  Each row block reads its rows of the round into one
+    ``(M, width)`` chunk from the batch's tile source (:class:`_Stream`),
+    which the next round continues: views of the values of a batch that
+    holds them, partial-sum tiles drawn as they are read of a generated
+    one, so the sweep holds O(M) memory and builds no ``values``.  ``moments``, when given, is the
     ``(mean, se, known)`` of another sweep of the batch, shared rather than
     taken again.  Once read, a nonzero entry in column 0 raises
     :class:`NonzeroStart` and a non-finite entry in any column
@@ -377,10 +369,9 @@ class _Sweep:
 
     def __init__(self, batch: TrajectoryBatch, moments=None):
         m = batch.n_paths
-        self.held, self.tiles, self.upto = batch._values, batch._tiles, -1
+        self.tiles, self.upto = batch._tiles, -1
         self.width = min(max(SWEEP_COLUMNS, tile_width(m)), batch.n_steps + 1)
-        if self.held is None:
-            self.chunk, self.streams = np.empty((m, self.width), order="F"), {}
+        self.chunk, self.streams = np.empty((m, self.width), order="F"), {}
         self.sup, self.inf = np.full(m, -np.inf), np.full(m, np.inf)
         self.fold, self.last = np.empty(m), np.empty(m)
         self.mean, self.se, self.known = moments or (np.empty(batch.n_steps), np.empty(batch.n_steps), 0)
@@ -391,9 +382,8 @@ class _Sweep:
         An ``n`` at or beyond ``upto`` extends the sweep to ``n``, and
         ``sup`` and ``inf`` are the sweep's own vectors, which a later
         extension moves.  A smaller ``n`` slices the moments and takes the
-        extremes from a new sweep that shares them: a fresh draw of a
-        generated batch, or views of held values.  This sweep is left as it
-        was.
+        extremes from a new sweep that shares them, read again from the
+        batch's tile source.  This sweep is left as it was.
         """
         if n < self.upto:
             fresh = _Sweep(batch, (self.mean, self.se, self.upto))
@@ -436,21 +426,20 @@ class _Sweep:
     def _round(self, c0, c1):
         """The columns ``c0..c1-1`` as an ``(M, c1 - c0)`` array, each row block's extremes folded in.
 
-        Each row block (:func:`~demigronwall.generators.row_blocks`) draws
-        its rows of the columns, if the batch holds no values, and folds
+        Each row block (:func:`~demigronwall.generators.row_blocks`) reads
+        its rows of the columns and folds
         their ``np.maximum.reduce`` (``np.minimum.reduce``) into its rows of
         ``sup`` (``inf``).  A NaN stays in the extremes
         and an infinity becomes one, so checking them after the round finds
         every non-finite entry read, before its moments are taken.
         """
-        cols = self.chunk[:, : c1 - c0] if self.held is None else self.held[:, c0:c1]
+        cols = self.chunk[:, : c1 - c0]
 
         def block(r0, r1):
-            if self.held is None:
-                stream = self.streams.get((r0, r1))
-                if stream is None:
-                    stream = self.streams[r0, r1] = _Stream(self.tiles(r0, r1, tile_width(len(cols))))
-                stream.read(cols[r0:r1], c0)
+            stream = self.streams.get((r0, r1))
+            if stream is None:
+                stream = self.streams[r0, r1] = _Stream(self.tiles(r0, r1, tile_width(len(cols))))
+            stream.read(cols[r0:r1], c0)
             for ufunc, acc in ((np.maximum, self.sup), (np.minimum, self.inf)):
                 ufunc.reduce(cols[r0:r1], axis=1, out=self.fold[r0:r1])
                 ufunc(acc[r0:r1], self.fold[r0:r1], out=acc[r0:r1])
@@ -476,8 +465,8 @@ def verify_maximal_inequality(batch: TrajectoryBatch, p_grid, n=None) -> Verific
     minimum and the screen's increment moments come from one sweep of the
     batch's columns that later calls continue (:class:`_Sweep`): calls at
     ``n = 2, 10, 25, 50`` read each column once, a repeated ``n`` reads
-    none, and a smaller ``n`` reads only its extremes, from a fresh draw
-    unless the batch holds its values.  A batch from
+    none, and a smaller ``n`` reads only its extremes, again from the
+    batch's tile source.  A batch from
     :func:`~demigronwall.generators.generate_paths` is read without
     building its ``values``: the sweep holds O(M) memory.  The reports are
     the same bits in any order of calls, and on a generated batch the same
@@ -485,9 +474,10 @@ def verify_maximal_inequality(batch: TrajectoryBatch, p_grid, n=None) -> Verific
     when ``lhs <= rhs + SLACK_SD * combined_SE`` with the right-hand error
     propagated through the power by the delta method.  A scalar or empty
     ``p_grid`` raises :class:`InvalidSpec`, a ``p`` outside (0, 1)
-    :class:`POutOfRange`, an ``n`` outside ``[0, N]`` :class:`ShapeMismatch`
+    :class:`POutOfRange`, an ``n`` that is not a whole number
+    :class:`InvalidSpec` and one outside ``[0, N]`` :class:`ShapeMismatch`,
     and then a nonzero first column :class:`NonzeroStart`, all before the
-    screen; the first two before any column is read, leaving the batch's
+    screen; all but the last before any column is read, leaving the batch's
     sweep as it was.  A non-finite entry among the columns read raises
     :class:`InvalidSpec`.
     """
@@ -523,7 +513,7 @@ def verify_maximal_inequality(batch: TrajectoryBatch, p_grid, n=None) -> Verific
 def _harness_grid(pairs, n_list, first, n_steps) -> tuple:
     """``(pairs, n_list)`` of a harness as lists (``None`` is ``[n_steps]``), checked before any work."""
     pairs = list(pairs)
-    n_list = [n_steps] if n_list is None else [int(n) for n in n_list]
+    n_list = [n_steps] if n_list is None else [whole_number(n, "n") for n in n_list]
     if not pairs or not n_list:
         raise InvalidSpec("empty grid: need at least one exponent pair and one time index")
     for n in n_list:
@@ -535,7 +525,8 @@ def _harness_grid(pairs, n_list, first, n_steps) -> tuple:
 def verify_gronwall(instance: GronwallInstance, pairs, n_list=None) -> VerificationReport:
     """Check the Gronwall conclusion on one instance at every (pair, n) of a grid.
 
-    Once per call, before any cell: an empty ``pairs`` or ``n_list`` raises
+    Once per call, before any cell: an empty ``pairs`` or ``n_list`` or an
+    ``n`` that is not a whole number raises
     :class:`InvalidSpec`, an ``n`` outside ``[0, N]`` :class:`ShapeMismatch`
     (``None`` means ``[N]``), growth weights that are negative
     (:class:`NegativeWeights`) or do not cover the N steps of every path

@@ -17,6 +17,7 @@ from scipy.special import erfc
 import demigronwall as dg
 from demigronwall.cli import main as cli_main
 from demigronwall.rng import uniform_matrix
+from test_bem import _collect
 
 
 def _finish(name, started, failures):
@@ -238,11 +239,11 @@ def test_c7_bem_oracles():
     # implicit Euler on dX = -X dt from 1: Y^j = (1 + h kappa)^{-j}
     lin = dg.ou_model(1.0, 0.0)
     cfg = dg.BemConfig(h=0.1, t_horizon=1.0, h0=0.25, x0=[1.0], newton_tol=1e-12)
-    batch = dg.simulate_bem(lin, cfg, seed=42, n_paths=8)
+    run = _collect(lin, cfg, 42, 8)
     ref = (1.0 + 0.1) ** -np.arange(cfg.n_steps + 1)
-    if np.abs(batch.paths[:, :, 0] - ref[None, :]).max() > 1e-10:
+    if np.abs(run.paths[:, :, 0] - ref[None, :]).max() > 1e-10:
         failures.append("linear-closed-form")
-    if batch.residual_norms.max() > 1e-10:
+    if run.residual_norms.max() > 1e-10:
         failures.append("linear-residuals")
     # pure Brownian sums: Var(Y^j) = j h
     noise = dg.SdeModel(
@@ -252,14 +253,14 @@ def test_c7_bem_oracles():
         L=0.5,
     )
     cfg2 = dg.BemConfig(h=0.05, t_horizon=1.0, h0=0.5, x0=[0.0], newton_tol=1e-10)
-    batch2 = dg.simulate_bem(noise, cfg2, seed=43, n_paths=100_000)
-    m = batch2.n_paths
+    run2 = _collect(noise, cfg2, 43, 100_000)
+    m = len(run2.paths)
     for j in range(1, cfg2.n_steps + 1):
-        var = batch2.paths[:, j, 0].var(ddof=1)
+        var = run2.paths[:, j, 0].var(ddof=1)
         want = j * cfg2.h
         if abs(var - want) > 3.0 * want * math.sqrt(2.0 / (m - 1)):
             failures.append(("variance", j, var, want))
-    if batch2.residual_norms.max() > 1e-10:
+    if run2.residual_norms.max() > 1e-10:
         failures.append("noise-residuals")
     _finish("C7 BEM oracles", t0, failures)
 

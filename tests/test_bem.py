@@ -3,6 +3,8 @@ import functools
 import math
 import sys
 import tracemalloc
+import types
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -64,10 +66,29 @@ def linear_model(matrix, sigma=0.0) -> SdeModel:
     )
 
 
+def _collect(model, cfg, seed, n_paths):
+    """What :func:`simulate_bem` folds away, collected from its stepping loop, ``bem._bem_steps``.
+
+    Returns a namespace of C-order arrays: ``paths`` ``(M, N+1, d)``, ``Y^j``
+    at ``[:, j]``; ``noise`` and ``residual_norms`` ``(M, N)``; and
+    ``increments`` ``(M, N, m)``, the whole ``normal_matrix`` whose columns
+    the steps draw a tile at a time, times ``sqrt(h)``.
+    """
+    n, m = cfg.n_steps, model.m
+    run = types.SimpleNamespace(
+        paths=np.empty((n_paths, n + 1, model.d)), noise=np.empty((n_paths, n)), residual_norms=np.empty((n_paths, n)),
+        increments=normal_matrix(seed, n_paths, n * m).reshape(n_paths, n, m) * math.sqrt(cfg.h),
+    )
+    run.paths[:, 0] = cfg.x0
+    for j, (z, u, rnorm) in enumerate(bem._bem_steps(model, cfg, seed, n_paths)):
+        run.noise[:, j], run.paths[:, j + 1], run.residual_norms[:, j] = z, u, rnorm
+    return run
+
+
 def _one_step(model, x0, h):
-    """One implicit step of one path through :func:`simulate_bem`."""
+    """One implicit step of one path, collected from the stepping loop of :func:`simulate_bem`."""
     cfg = BemConfig(h=h, t_horizon=h, h0=max(0.5, 2.0 * h), x0=x0)
-    return simulate_bem(model, cfg, seed=1, n_paths=1)
+    return _collect(model, cfg, seed=1, n_paths=1)
 
 
 class TestBemStep:
@@ -83,8 +104,8 @@ class TestBemStep:
             diffusion=lambda y: np.ones((y.shape[0], 1, 1)),
             L=0.5,
         )
-        batch = _one_step(model, [0.3], 0.1)
-        assert batch.paths[0, 1, 0] == 0.3 + batch.increments[0, 0, 0]
+        run = _one_step(model, [0.3], 0.1)
+        assert run.paths[0, 1, 0] == 0.3 + run.increments[0, 0, 0]
 
     def test_fixed_point_at_origin(self):
         assert _one_step(ou_model(1.0, 0.0), [0.0], 0.1).paths[0, 1, 0] == 0.0
@@ -130,10 +151,10 @@ class TestBemStep:
             d=1, m=1, drift=drift, diffusion=lambda y: np.zeros((y.shape[0], 1, 1)),
             drift_jacobian=jacobian, L=0.0, osl=0.0,
         )
-        batch = _one_step(model, [5.0], 0.1)
+        run = _one_step(model, [5.0], 0.1)
         root = brentq(lambda u: u + 10.0 * math.atan(u) - 5.0, 0.0, 5.0, xtol=1e-15)
-        assert batch.residual_norms[0, 0] <= 1e-10
-        assert abs(batch.paths[0, 1, 0] - root) < 1e-10
+        assert run.residual_norms[0, 0] <= 1e-10
+        assert abs(run.paths[0, 1, 0] - root) < 1e-10
         # the predictor costs two drift calls and each Newton iteration one more, unless it halves
         assert calls["drift"] > 2 + calls["jacobian"]
 
@@ -412,13 +433,15 @@ class TestScalarKernels:
     def test_simulate_bem_equals_the_masked_loop(self, solve, monkeypatch):
         model = _rotating_cubic_model()
         cfg = BemConfig(h=0.05, t_horizon=0.5, h0=0.2, x0=[1.5, -1.0], newton_tol=1e-12)
-        batch = simulate_bem(model, cfg, seed=21, n_paths=3000)
-        paths, residuals = batch.paths, batch.residual_norms  # built before the solver is swapped
+        batch, run = simulate_bem(model, cfg, seed=21, n_paths=3000), _collect(model, cfg, 21, 3000)
         active_rows = []
         monkeypatch.setattr(bem, "_solve_implicit", functools.partial(_masked_newton, active_rows=active_rows, solve=solve))
-        reference = simulate_bem(model, cfg, seed=21, n_paths=3000)
-        assert paths.tobytes() == reference.paths.tobytes()
-        assert residuals.tobytes() == reference.residual_norms.tobytes()
+        reference, masked = simulate_bem(model, cfg, seed=21, n_paths=3000), _collect(model, cfg, 21, 3000)
+        assert run.paths.tobytes() == masked.paths.tobytes()
+        assert run.residual_norms.tobytes() == masked.residual_norms.tobytes()
+        assert batch.noise.tobytes() == reference.noise.tobytes()
+        assert batch.sup_norms().tobytes() == reference.sup_norms().tobytes()
+        assert batch.max_residual == reference.max_residual
         # rows converged at different iterations, so the gathers and scatters ran
         assert any(0 < n < 3000 for n in active_rows)
 
@@ -440,11 +463,12 @@ class TestScalarKernels:
 
     @pytest.mark.parametrize("paths_first", [False, True], ids=["sup-norms-first", "paths-first"])
     def test_sup_norms_match_the_row_reduction(self, paths_first):
-        # the running maxima folded in while stepping are the row maxima of the rebuilt paths
+        # the running maxima folded in while stepping are the row maxima of the collected paths
+        model = linear_model([[-1.0, 2.0], [-2.0, -1.0]], 0.5)
         cfg = BemConfig(h=0.1, t_horizon=1.0, h0=0.2, x0=[1.0, -0.5])
-        batch = simulate_bem(linear_model([[-1.0, 2.0], [-2.0, -1.0]], 0.5), cfg, seed=4, n_paths=500)
+        batch = simulate_bem(model, cfg, seed=4, n_paths=500)
         sup = None if paths_first else batch.sup_norms()
-        expected = np.sqrt((batch.paths ** 2).sum(axis=2)).max(axis=1)
+        expected = np.sqrt((_collect(model, cfg, 4, 500).paths ** 2).sum(axis=2)).max(axis=1)
         assert batch.sup_norms().tobytes() == expected.tobytes()
         if sup is not None:
             assert sup.tobytes() == expected.tobytes()
@@ -454,21 +478,21 @@ class TestSimulate:
     def test_deterministic_linear_oracle_1d(self):
         model = ou_model(1.0, 0.0)
         cfg = BemConfig(h=0.1, t_horizon=1.0, h0=0.25, x0=[1.0], newton_tol=1e-12)
-        batch = simulate_bem(model, cfg, seed=1, n_paths=3)
+        paths = _collect(model, cfg, 1, 3).paths
         ref = (1.0 + 0.1) ** -np.arange(11)
-        assert np.abs(batch.paths[:, :, 0] - ref[None, :]).max() < 1e-10
+        assert np.abs(paths[:, :, 0] - ref[None, :]).max() < 1e-10
 
     def test_deterministic_linear_oracle_rotation(self):
         a = np.array([[-1.0, -2.0], [2.0, -1.0]])
         model = linear_model(a)
         cfg = BemConfig(h=0.05, t_horizon=1.0, h0=0.5, x0=[1.0, 0.0], newton_tol=1e-12)
-        batch = simulate_bem(model, cfg, seed=1, n_paths=2)
+        paths = _collect(model, cfg, 1, 2).paths
         step = np.linalg.inv(np.eye(2) - 0.05 * a)
         ref = np.empty((21, 2))
         ref[0] = [1.0, 0.0]
         for j in range(20):
             ref[j + 1] = step @ ref[j]
-        assert np.abs(batch.paths[0] - ref).max() < 1e-10
+        assert np.abs(paths[0] - ref).max() < 1e-10
 
     def test_pure_noise_column_variance(self):
         model = SdeModel(
@@ -478,10 +502,10 @@ class TestSimulate:
             L=0.5,
         )
         cfg = BemConfig(h=0.1, t_horizon=1.0, h0=0.5, x0=[0.0])
-        batch = simulate_bem(model, cfg, seed=3, n_paths=50_000)
-        m = batch.n_paths
+        paths = _collect(model, cfg, 3, 50_000).paths
+        m = len(paths)
         for j in (1, 5, 10):
-            var = batch.paths[:, j, 0].var(ddof=1)
+            var = paths[:, j, 0].var(ddof=1)
             want = j * cfg.h
             se = want * math.sqrt(2.0 / (m - 1))
             assert abs(var - want) <= 3.0 * se
@@ -491,47 +515,58 @@ class TestSimulate:
         cfg = BemConfig(h=0.1, t_horizon=1.0, h0=0.25, x0=[1.0])
         a = simulate_bem(model, cfg, seed=11, n_paths=50)
         b = simulate_bem(model, cfg, seed=11, n_paths=50)
+        assert a.noise.tobytes() == b.noise.tobytes() and a.sup_norms().tobytes() == b.sup_norms().tobytes()
+        assert a.max_residual == b.max_residual
+        a, b = _collect(model, cfg, 11, 50), _collect(model, cfg, 11, 50)
         assert np.array_equal(a.paths, b.paths)
         assert np.array_equal(a.increments, b.increments)
 
-    def test_the_larger_of_paths_and_increments_meets_the_budget(self, monkeypatch):
-        cfg = BemConfig(h=0.25, t_horizon=1.0, h0=0.3, x0=[1.0])  # N = 4
-        # d = m = 1: 5 path entries and 4 increments per path; d = 1, m = 3: 5 and 12
-        three_noises = SdeModel(
-            d=1, m=3, drift=lambda y: -y, diffusion=lambda y: np.ones((y.shape[0], 1, 3)), L=1.5, osl=-1.0,
+    @pytest.mark.parametrize("d, m", [(1, 1), (1, 3), (2, 2), (3, 1)])
+    def test_partial_sums_meet_the_budget(self, monkeypatch, d, m):
+        # S holds N + 1 = 5 entries per path, whatever the state and noise dimensions
+        cfg = BemConfig(h=0.05, t_horizon=0.2, h0=0.1, x0=np.ones(d))
+        model = SdeModel(
+            d=d, m=m, drift=lambda y: -y, diffusion=lambda y: np.ones((y.shape[0], d, m)), L=0.5 * d * m, osl=-1.0,
         )
         monkeypatch.setattr(generators, "MAX_BATCH_ENTRIES", 120)
-        for model, width in ((ou_model(), 5), (three_noises, 12)):
-            n_paths = 120 // width
-            assert simulate_bem(model, cfg, seed=1, n_paths=n_paths).n_paths == n_paths
-            with pytest.raises(BatchTooLarge, match=f"{n_paths + 1} x {width} entries"):
-                simulate_bem(model, cfg, seed=1, n_paths=n_paths + 1)
+        assert simulate_bem(model, cfg, seed=1, n_paths=24).n_paths == 24
+        with pytest.raises(BatchTooLarge, match="25 x 5 entries"):
+            simulate_bem(model, cfg, seed=1, n_paths=25)
         with pytest.raises(InvalidSpec):
-            simulate_bem(ou_model(), cfg, seed=1, n_paths=0)
+            simulate_bem(model, cfg, seed=1, n_paths=0)
+
+    @pytest.mark.parametrize("n_paths", [40.9, np.float64(2.5), "40"])
+    def test_fractional_path_count_raises(self, n_paths):
+        cfg = BemConfig(h=0.1, t_horizon=1.0, h0=0.25, x0=[1.0])
+        with pytest.raises(InvalidSpec, match="whole number"):
+            simulate_bem(ou_model(), cfg, seed=1, n_paths=n_paths)
+        assert simulate_bem(ou_model(), cfg, seed=1, n_paths=np.int64(40)).n_paths == 40
 
     def test_residual_contract(self):
         model = bounded_diffusion_model(1.0, 1.0)
         cfg = BemConfig(h=0.05, t_horizon=0.5, h0=0.5, x0=[0.7], newton_tol=1e-11)
         batch = simulate_bem(model, cfg, seed=5, n_paths=2000)
-        assert batch.residual_norms.max() <= 1e-11
+        assert batch.max_residual <= 1e-11
+        assert _collect(model, cfg, 5, 2000).residual_norms.max() <= 1e-11
 
     def test_increment_moments(self):
         model = ou_model(1.0, 1.0)
         cfg = BemConfig(h=0.04, t_horizon=0.4, h0=0.25, x0=[0.0])
-        batch = simulate_bem(model, cfg, seed=9, n_paths=40_000)
-        m = batch.n_paths
-        means = batch.increments[:, :, 0].mean(axis=0)
+        increments = _collect(model, cfg, 9, 40_000).increments
+        m = len(increments)
+        means = increments[:, :, 0].mean(axis=0)
         assert np.abs(means).max() <= 3.0 * math.sqrt(cfg.h / m)
-        var = batch.increments[:, :, 0].var(ddof=1, axis=0)
+        var = increments[:, :, 0].var(ddof=1, axis=0)
         assert np.abs(var - cfg.h).max() <= 3.0 * cfg.h * math.sqrt(2.0 / (m - 1))
 
     @_EVERY_SHAPE
     def test_step_tiles_give_the_whole_matrix_bits(self, model, x0):
         cfg = BemConfig(h=0.05, t_horizon=0.5, h0=0.1, x0=x0)
-        batch = simulate_bem(model, cfg, seed=6, n_paths=2000)
+        batch, run = simulate_bem(model, cfg, seed=6, n_paths=2000), _collect(model, cfg, 6, 2000)
         expected = _whole_matrix_stepper(model, cfg, 6, 2000)
         for name, want in zip(("increments", "paths", "noise", "residual_norms"), expected):
-            assert getattr(batch, name).tobytes() == want.tobytes(), name
+            assert getattr(run, name).tobytes() == want.tobytes(), name
+        assert batch.noise.tobytes() == expected[2].tobytes()
 
     def test_peak_memory_holds_no_increment_matrix(self):
         # Z is 0.9 checked arrays, and one step's draws and Newton temporaries bring the peak to 2.6;
@@ -575,7 +610,7 @@ def _counting(model):
 
 
 class TestLeanBatch:
-    """A batch holds Z and the sup norms; its paths and residuals are rebuilt by the same steps."""
+    """A batch holds Z, the sup norms and the largest Newton residual, and nothing of its model."""
 
     CFG = BemConfig(h=0.05, t_horizon=0.5, h0=0.2, x0=[1.5, -1.0])
 
@@ -585,21 +620,26 @@ class TestLeanBatch:
         one_run = dict(calls)
         assert one_run["diffusion"] == self.CFG.n_steps
         assert (batch.n_paths, batch.n_steps, batch.noise.shape) == (500, 10, (500, 10))
-        batch.sup_norms(), batch.increments
+        batch.sup_norms(), batch.max_residual
         assert calls == one_run
 
-    @pytest.mark.parametrize("first, second", [("paths", "residual_norms"), ("residual_norms", "paths")])
-    def test_first_read_reruns_one_simulation_and_builds_both(self, first, second):
-        model, calls = _counting(_rotating_cubic_model())
-        batch = simulate_bem(model, self.CFG, seed=3, n_paths=500)
-        one_run = dict(calls)
-        built = getattr(batch, first)
-        assert calls == {name: 2 * n for name, n in one_run.items()}
-        rebuilt = dict(calls)
-        getattr(batch, second)
-        assert getattr(batch, first) is built
-        assert calls == rebuilt
-        assert batch.paths.shape == (500, 11, 2) and batch.residual_norms.shape == (500, 10)
+    @pytest.mark.parametrize(
+        "model, x0", [(ou_model(1.0, 1.0), [1.0]), (_rotating_cubic_model(), [1.5, -1.0])], ids=["ou", "rotating-cubic"],
+    )
+    def test_max_residual_is_the_largest_collected_residual(self, model, x0):
+        cfg = dataclasses.replace(self.CFG, x0=x0, newton_tol=1e-12)
+        batch = simulate_bem(model, cfg, seed=3, n_paths=2000)
+        largest = _collect(model, cfg, 3, 2000).residual_norms.max()
+        assert np.float64(batch.max_residual).tobytes() == largest.tobytes()
+        assert batch.max_residual <= cfg.newton_tol
+
+    def test_keeps_no_reference_to_its_model(self):
+        model = _rotating_cubic_model()
+        alive = weakref.ref(model)
+        batch = simulate_bem(model, self.CFG, seed=3, n_paths=100)
+        del model
+        assert alive() is None
+        assert batch.n_paths == 100
 
     def test_nan_drift_raises_from_simulate_bem(self):
         # drift 1: Y^j is about 0.3 + 0.1 j, and the drift is NaN above 0.55, first at Y^3: step 2 fails
@@ -661,7 +701,7 @@ class TestStateLayout:
             drift_jacobian=row_major(model.drift_jacobian),
         )
         cfg = BemConfig(h=0.05, t_horizon=0.5, h0=0.2, x0=[1.5, -1.0], newton_tol=1e-12)
-        a, b = (simulate_bem(m, cfg, seed=21, n_paths=3000) for m in (model, rows))
+        a, b = (_collect(m, cfg, 21, 3000) for m in (model, rows))
         for name in ("paths", "noise", "residual_norms"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
 
@@ -736,9 +776,8 @@ class TestNoiseTerms:
         monkeypatch.setattr(bem, "draw_columns", _fixed_normals(0.0))
         model = ou_model(0.0, 2.0)
         cfg = BemConfig(h=0.1, t_horizon=0.2, h0=0.2, x0=[3.0])
-        batch = simulate_bem(model, cfg, seed=1, n_paths=3)
-        assert np.all(batch.paths == 3.0)
-        assert np.all(np.abs(batch.noise + 0.1 * 4.0) < 1e-15)
+        assert np.all(_collect(model, cfg, 1, 3).paths == 3.0)
+        assert np.all(np.abs(simulate_bem(model, cfg, seed=1, n_paths=3).noise + 0.1 * 4.0) < 1e-15)
 
     def test_partial_sums_and_shapes(self):
         model = ou_model(1.0, 1.0)
@@ -757,11 +796,11 @@ class TestNoiseTerms:
     @_EVERY_SHAPE
     def test_column_sums_equal_the_numpy_row_sums(self, model, x0):
         cfg = BemConfig(h=0.05, t_horizon=0.5, h0=0.1, x0=x0)
-        batch = simulate_bem(model, cfg, seed=6, n_paths=2000)
+        batch, run = simulate_bem(model, cfg, seed=6, n_paths=2000), _collect(model, cfg, 6, 2000)
         expected = np.empty((batch.n_paths, batch.n_steps))
         for j in range(batch.n_steps):
-            y, g = batch.paths[:, j], model.diffusion(batch.paths[:, j])
-            gdw = np.einsum("pdm,pm->pd", g, batch.increments[:, j])
+            y, g = run.paths[:, j], model.diffusion(run.paths[:, j])
+            gdw = np.einsum("pdm,pm->pd", g, run.increments[:, j])
             expected[:, j] = (gdw ** 2).sum(axis=1) - cfg.h * (g ** 2).sum(axis=(1, 2)) + 2.0 * (gdw * y).sum(axis=1)
         assert batch.noise.tobytes() == expected.tobytes()
 

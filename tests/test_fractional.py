@@ -514,3 +514,10 @@ class TestFractionalGrid:
             verify_fractional_gronwall(self.MODEL, x, y, [], [8])
         with pytest.raises(InvalidSpec):
             verify_fractional_gronwall(self.MODEL, x, y, self.PAIRS, [])
+
+    @pytest.mark.parametrize("n_list", [[2.5], [1, np.float64(7.5)], ["8"]])
+    def test_a_fractional_time_index_raises_before_any_cell(self, monkeypatch, n_list):
+        x, y = self._data()
+        monkeypatch.setattr(fractional, "multi_term_table", lambda *args: pytest.fail("the table was built"))
+        with pytest.raises(InvalidSpec, match="whole number"):
+            verify_fractional_gronwall(self.MODEL, x, y, self.PAIRS, n_list)

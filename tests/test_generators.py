@@ -196,6 +196,12 @@ class TestGeneratePaths:
         with pytest.raises(InvalidSpec):
             generate_paths(GeneratorSpec.random_walk(), -1, 5, seed=0)
 
+    @pytest.mark.parametrize("n_steps, n_paths", [(16.9, 100), (16, 100.7), (np.float64(2.5), 10), (4, "10")])
+    def test_sizes_with_a_fractional_part_raise(self, n_steps, n_paths):
+        with pytest.raises(InvalidSpec, match="whole number"):
+            generate_paths(GeneratorSpec.random_walk(), n_steps, n_paths, seed=0)
+        assert generate_paths(GeneratorSpec.random_walk(), np.int64(4), np.int32(10), seed=0).values.shape == (10, 5)
+
 
 class TestTrajectoryBatch:
     def test_invariants_enforced(self):
@@ -203,6 +209,13 @@ class TestTrajectoryBatch:
             TrajectoryBatch(np.array([[0.0, np.inf]]))
         with pytest.raises(InvalidSpec):
             TrajectoryBatch(np.zeros(4))
+
+
+@pytest.mark.parametrize("n_steps, n_paths", [(3.5, 10), (3, 10.5), (np.float64(0.5), 10)])
+def test_associated_increment_matrix_rejects_fractional_sizes(n_steps, n_paths):
+    with pytest.raises(InvalidSpec, match="whole number"):
+        associated_increment_matrix(0.5, n_steps, n_paths, seed=1)
+    assert associated_increment_matrix(0.5, np.int64(3), np.int64(10), seed=1).shape == (10, 3)
 
 
 def test_associated_increment_matrix_contract(monkeypatch):

@@ -71,6 +71,13 @@ class TestMomentEstimators:
         with pytest.raises(ShapeMismatch):
             sup_moment(batch, 0.5, 7)
 
+    @pytest.mark.parametrize("n", [2.5, np.float64(1.5), "2"])
+    def test_sup_moment_rejects_a_fractional_time_index(self, n):
+        batch = _const_batch([0.0, 1.0, 2.0, 3.0])
+        with pytest.raises(InvalidSpec, match="whole number"):
+            sup_moment(batch, 0.5, n)
+        assert sup_moment(batch, 1.0, np.int64(2))[0] == 2.0
+
     def test_sup_moment_rejects_a_negative_first_index(self):
         # first=-3 would read a wrapped window (column 3 only) instead of raising
         batch = _const_batch([0.0, 1.0, 2.0, 3.0, 4.0])
@@ -303,6 +310,14 @@ class TestVerifyMaximalInequality:
                 verify_maximal_inequality(TrajectoryBatch(drift + 1.0), [0.5], 2)
             with pytest.raises(ShapeMismatch):  # the range of n is checked before column 0 is read
                 verify_maximal_inequality(TrajectoryBatch(drift + 1.0), [0.5], 4 + 5)
+
+    @pytest.mark.parametrize("n", [2.5, np.float64(1.5), "2"])
+    def test_a_fractional_time_index_raises_before_any_column_is_read(self, n):
+        batch = generate_paths(GeneratorSpec.random_walk(), 4, 100, seed=1)
+        with pytest.raises(InvalidSpec, match="whole number"):
+            verify_maximal_inequality(batch, [0.5], n)
+        assert batch._sweep is None
+        assert [row["n"] for row in verify_maximal_inequality(batch, [0.5], np.int64(2)).rows] == [2]
 
     def test_nonzero_start_in_the_last_row_block_raises(self):
         # column 0 is read whole before the loop, so a nonzero start in the last row must raise
@@ -733,6 +748,13 @@ class TestGronwallGrid:
             verify_gronwall(inst, [], [1])
         with pytest.raises(InvalidSpec):
             verify_gronwall(inst, self.PAIRS, [])
+
+    @pytest.mark.parametrize("n_list", [[2.5], [1, np.float64(4.5)], ["4"]])
+    def test_a_fractional_time_index_raises_before_any_cell(self, monkeypatch, n_list):
+        inst = self._instance("det")
+        monkeypatch.setattr(gronwall, "prefix_reduce", lambda *args: pytest.fail("a cell was estimated"))
+        with pytest.raises(InvalidSpec, match="whole number"):
+            verify_gronwall(inst, self.PAIRS, n_list)
 
 
 class TestPerTimeIndexHoisting:
