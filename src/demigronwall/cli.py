@@ -31,7 +31,7 @@ from . import demi as demi_mod
 from . import fractional as frac_mod
 from . import gronwall as gron_mod
 from .errors import ConfigError, DemigronError
-from .generators import GeneratorSpec, TrajectoryBatch, associated_increment_matrix, generate_paths, time_major
+from .generators import GeneratorSpec, TrajectoryBatch, associated_increment_matrix, check_batch, generate_paths
 from .reporting import VerificationReport
 # uniform_matrix stays importable here: perfbench/tracer.py wraps it by this name
 from .rng import draw_columns, uniform_matrix  # noqa: F401
@@ -48,14 +48,14 @@ def _aux_seed(seed, offset):
 
 
 def _uniform_batch(seed, offset, scale, n_paths, n_steps, label):
-    """``scale`` times the i.i.d. uniforms of ``_aux_seed(seed, offset)``, time-major, ``n_steps + 1`` columns."""
+    """``scale`` times the uniforms of ``_aux_seed(seed, offset)``, ``n_steps + 1`` columns: a generated batch."""
+    n_paths, n_steps = check_batch(n_paths, n_steps, n_steps + 1)
     master = _aux_seed(seed, offset)
-    values = time_major(
-        n_paths, n_steps + 1,
-        lambda r0, r1, width: draw_columns(master, r1 - r0, n_steps + 1, first_path=r0, width=width),
-    )
-    values *= scale
-    return TrajectoryBatch(values, label=label)
+
+    def tiles(r0, r1, width):
+        return (np.multiply(t, scale, out=t) for t in draw_columns(master, r1 - r0, n_steps + 1, "uniform", r0, width))
+
+    return TrajectoryBatch._generated(n_paths, n_steps, tiles, label)
 
 
 # --------------------------------------------------------------------------

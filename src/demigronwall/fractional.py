@@ -42,9 +42,9 @@ from .errors import (
     SeriesNoConvergence,
     ShapeMismatch,
 )
-from .generators import TrajectoryBatch, prefix_reduce
-from .gronwall import GRONWALL_COLUMNS, _harness_grid, _power_moment, holder_bound
-from .reporting import VerificationReport, mean_se, one_sided_verdict
+from .generators import TrajectoryBatch, _all_finite, whole_number
+from .gronwall import _grid_report, _harness_grid, _power_moment, holder_bound
+from .reporting import VerificationReport, mean_se
 
 #: the delta and direct forms of the L1 operator must agree this tightly
 FORM_RTOL = 1e-12
@@ -128,7 +128,7 @@ def l1_b_row(beta, n) -> np.ndarray:
     sums to zero by telescoping.
     """
     beta = _check_beta(beta)
-    n = int(n)
+    n = whole_number(n, "n")
     if n < 1:
         raise InvalidSpec(f"n must be >= 1, got {n}")
     a = l1_a(beta, np.arange(n))
@@ -148,7 +148,7 @@ def caputo_l1_forms(f_seq, beta, tau, n) -> tuple:
     beta = _check_beta(beta)
     if not tau > 0.0:
         raise InvalidSpec(f"tau must be > 0, got {tau}")
-    n = int(n)
+    n = whole_number(n, "n")
     if n < 1:
         raise InvalidSpec(f"n must be >= 1, got {n}")
     f = np.asarray(f_seq, dtype=np.float64)
@@ -309,7 +309,7 @@ def kernel_mass(model: FractionalModel, k) -> float:
 
     Strictly positive and strictly increasing in ``k``.
     """
-    k = int(k)
+    k = whole_number(k, "k")
     if k < 1:
         raise InvalidSpec(f"k must be >= 1, got {k}")
     total = 0.0
@@ -325,7 +325,7 @@ def kernel_mass(model: FractionalModel, k) -> float:
 
 def ml_growth_factor(model: FractionalModel, n) -> float:
     """Growth factor ``2 E_{beta_m}(2 lambda t_n^{beta_m} / q_m)`` of the bound; ``n < 0`` raises :class:`InvalidSpec`."""
-    n = int(n)
+    n = whole_number(n, "n")
     if n < 0:
         raise InvalidSpec(f"n must be >= 0, got {n}")
     lam = effective_rate(model.lambda1, model.lambda2, model.beta_max)
@@ -342,14 +342,18 @@ def verify_fractional_gronwall(
 ) -> VerificationReport:
     """Monte Carlo check of the fractional Gronwall bound at every (pair, n) of a grid.
 
-    The grid is checked as in :func:`~demigronwall.gronwall.verify_gronwall`,
-    with ``1 <= n <= N``.  Then, once per call and from one L1 operator table,
+    Negative X raises :class:`NegativeInput`, X or Y not aligned to the
+    model's steps :class:`ShapeMismatch` and a non-finite Y
+    :class:`InvalidSpec`.  The grid is checked as in
+    :func:`~demigronwall.gronwall.verify_gronwall`, with ``1 <= n <= N``.
+    Then, once per call and from one L1 operator table,
     ``F_n = (sum_r q_r D^{beta_r} X_n - Y_n - lambda1 X_n - lambda2 X_{n-1})^+``
     is reverse-constructed in place of the table, one column at a time, so
     the hypothesis holds pathwise by construction
-    and each ``fractional_hypothesis_holds[...]`` check is True.  The running
-    maxima, the plug-in means and the Mittag-Leffler factor are computed once
-    per ``n``.  Each cell
+    and each ``fractional_hypothesis_holds[...]`` check is True.  The same
+    walk folds each row's running maxima of ``X_1..X_n`` and ``F_1..F_n``
+    at every ``n``; the plug-in means and the Mittag-Leffler factor are
+    computed once per ``n``.  Each cell
     compares ``E[sup_{1<=k<=n} X_k^p]`` against
     :func:`~demigronwall.gronwall.holder_bound` of the Mittag-Leffler factor
     and the summed plug-in means, with one-sided ``SLACK_SD * SE`` slack;
@@ -359,7 +363,7 @@ def verify_fractional_gronwall(
 
     Args:
         X: nonnegative batch of shape (M, N+1).
-        Y: array of shape (M, N); column ``n-1`` is ``Y_n``.
+        Y: finite array of shape (M, N); column ``n-1`` is ``Y_n``.
     """
     if np.any(X.values < 0.0):
         raise NegativeInput("X must be entrywise nonnegative")
@@ -368,36 +372,37 @@ def verify_fractional_gronwall(
     y = np.asarray(Y, dtype=np.float64)
     if y.shape != (X.n_paths, model.n_steps):
         raise ShapeMismatch(f"Y must align to shape {(X.n_paths, model.n_steps)}, got {y.shape}")
+    if not _all_finite(y):
+        raise InvalidSpec("Y contains non-finite entries")
     pairs, n_list = _harness_grid(pairs, n_list, 1, model.n_steps)
 
     x = X.values
     f = multi_term_table(model, x)  # overwritten with F, one column at a time
     linear, term = np.empty(X.n_paths), np.empty(X.n_paths)
+    x_sup, f_sup = np.full(X.n_paths, -np.inf), np.full(X.n_paths, -np.inf)
+    x_sups, f_sups = {}, {}
     for k in range(model.n_steps):
         np.multiply(model.lambda1, x[:, k + 1], out=linear)
         np.add(y[:, k], linear, out=linear)
         linear += np.multiply(model.lambda2, x[:, k], out=term)
-        column = f[:, k]
+        column = f[:, k]  # F_{k+1}
         column -= linear
         np.maximum(0.0, column, out=column)
+        np.maximum(x_sup, x[:, k + 1], out=x_sup)
+        np.maximum(f_sup, column, out=f_sup)
+        if k + 1 in n_list:
+            x_sups[k + 1], f_sups[k + 1] = x_sup.copy(), f_sup.copy()
 
     c_shared = 1.0 / (model.q_max * gamma_fn(1.0 + model.beta_max))
-    x_sups = prefix_reduce(x, n_list, first=1)
-    f_sups = prefix_reduce(f, [n - 1 for n in n_list])  # column n - 1 of f is F_n
     per_n = {}
     for n in set(n_list):
         x0_vals = model.tau ** model.beta_max * c_shared * kernel_mass(model, n) * x[:, 0]
-        f_vals = model.time(n) ** model.beta_max * c_shared * f_sups[n - 1]
+        f_vals = model.time(n) ** model.beta_max * c_shared * f_sups[n]
         per_n[n] = (mean_se(x0_vals), mean_se(f_vals), ml_growth_factor(model, n))
-    report = VerificationReport(command="fractional", columns=GRONWALL_COLUMNS)
-    for pair in pairs:
-        for n in n_list:
-            (x0_mean, x0_se), (f_mean, f_se), ml = per_n[n]
-            lhs, lhs_se = _power_moment(x_sups[n], False, pair.p)  # X >= 0 was checked above
-            rhs, rhs_se = holder_bound(pair, ml, x0_mean + f_mean, math.hypot(x0_se, f_se))
-            report.add_row(
-                n=n, p=pair.p, mu=pair.mu, nu=pair.nu, lhs=lhs, lhs_se=lhs_se, rhs=rhs,
-                **one_sided_verdict(lhs, lhs_se, rhs, rhs_se),
-            )
-            report.checks[f"fractional_hypothesis_holds[n={n},p={pair.p:g},mu={pair.mu:g}]"] = True
-    return report
+
+    def cell(pair, n):
+        (x0_mean, x0_se), (f_mean, f_se), ml = per_n[n]
+        lhs = _power_moment(x_sups[n], False, pair.p)  # X >= 0 was checked above
+        return (*lhs, *holder_bound(pair, ml, x0_mean + f_mean, math.hypot(x0_se, f_se)))
+
+    return _grid_report("fractional", "fractional_hypothesis_holds", pairs, n_list, cell)

@@ -7,14 +7,13 @@ made by :func:`generate_paths` holds no matrix: it holds the seeded source
 of its partial-sum tiles (:func:`_path_tiles`), which the maximal-lemma
 sweep of :func:`~demigronwall.gronwall.verify_maximal_inequality` reads a
 few columns at a time, and from which ``values`` is built on first access
-and then kept.  The matrices built here and the partial sums built from
-them are time-major (Fortran order, each time column contiguous): they are
-filled in time order (:func:`partial_sums`, :func:`time_major`), after one
-size check (:func:`check_batch`), and reduced one column at a time
-(:func:`prefix_reduce`).  So are the reverse-constructed ``F`` of
-:func:`~demigronwall.gronwall.build_instance`, the weighted history and
-hypothesis gap, which one walk over the time columns fills, and BEM's
-``noise``, one column per step.  The operator table of
+and then kept.  The F of :func:`~demigronwall.gronwall.build_instance`
+and the CLI's uniform X and G are such batches too; F's source walks the
+columns of X, S and G.  The matrices built here and the partial sums
+built from them are time-major (Fortran order, each time column
+contiguous): they are filled in time order (:func:`partial_sums`,
+:func:`time_major`), after one size check (:func:`check_batch`).  So is
+BEM's ``noise``, one column per step.  The operator table of
 :func:`~demigronwall.fractional.multi_term_table`, into which the
 fractional harness writes its ``F`` one column at a time, is C-order.
 Any layout is accepted and gives the same bits.
@@ -64,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BatchTooLarge, InvalidSpec, ShapeMismatch
+from .errors import BatchTooLarge, InvalidSpec
 from .rng import _as_seed, draw_columns
 # uniform_matrix and normal_matrix stay importable here: perfbench/tracer.py wraps them by this name
 from .rng import normal_matrix, uniform_matrix  # noqa: F401
@@ -188,38 +187,6 @@ def time_major(n_paths, n_cols, tiles):
     return out
 
 
-def prefix_reduce(values, n_list, ufunc=np.maximum, first=0):
-    """``{n: ufunc-reduction of each row over columns first..n}`` for every ``n`` in ``n_list``.
-
-    One loop over the columns ``first..max(n_list)`` runs ``ufunc(acc,
-    values[:, k], out=acc)`` and keeps a copy of ``acc`` at each requested
-    ``n``, whatever the layout of ``values``.  Maximum and minimum equal
-    numpy's row maximum (minimum) bit for bit, up to the sign of a zero when
-    a row mixes ``+0.0`` and ``-0.0``; ``np.multiply`` multiplies left to
-    right, as ``np.prod`` does over a row.
-
-    Raises:
-        InvalidSpec: empty ``n_list``.
-        ShapeMismatch: ``values`` not 2-D, or some ``n`` outside ``[first, N]``.
-    """
-    values = np.asarray(values)
-    wanted = sorted({int(n) for n in n_list})
-    if not wanted:
-        raise InvalidSpec("empty n_list: need at least one column index")
-    if values.ndim != 2 or not 0 <= first <= wanted[0] or wanted[-1] >= values.shape[1]:
-        raise ShapeMismatch(
-            f"need 0 <= first <= n < {values.shape[-1]} on a 2-D array, got first={first}, "
-            f"n_list={wanted}, shape {values.shape}"
-        )
-    acc, out = values[:, first].copy(), {}
-    for k in range(first, wanted[-1] + 1):
-        if k > first:
-            ufunc(acc, values[:, k], out=acc)
-        if k in wanted:
-            out[k] = acc if k == wanted[-1] else acc.copy()
-    return out
-
-
 def _running_sums(n_paths, increments):
     """Tiles of the partial sums ``S_0 = 0`` and ``S_k = S_{k-1} + inc_k``, each summed in place in its increment tile.
 
@@ -231,9 +198,8 @@ def _running_sums(n_paths, increments):
     The sum before ``inc_1`` is ``-0.0``, the identity of addition, so
     ``S_1`` is ``inc_1`` itself and every bit equals ``np.cumsum`` along the
     rows, a ``-0.0`` first increment included.  The one partial-sum code:
-    :func:`partial_sums`, ``TrajectoryBatch.values``, the maximal-lemma
-    sweep and the weighted history of
-    :func:`~demigronwall.gronwall.weighted_history` all read it.
+    :func:`partial_sums`, ``TrajectoryBatch.values`` and the maximal-lemma
+    sweep all read it.
     """
     yield np.zeros((n_paths, 1), order="F")
     last = np.full(n_paths, -0.0)

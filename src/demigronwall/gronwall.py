@@ -26,7 +26,7 @@ pathwise by construction, so no rejection sampling is needed.
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -42,7 +42,7 @@ from .errors import (
     POutOfRange,
     ShapeMismatch,
 )
-from .generators import TrajectoryBatch, _running_sums, prefix_reduce, row_blocks, tile_width, whole_number
+from .generators import TrajectoryBatch, row_blocks, tile_width, whole_number
 from .reporting import (
     VerificationReport,
     difference_mean_se,
@@ -104,80 +104,81 @@ class HolderPair:
 
 @dataclass(frozen=True)
 class GronwallInstance:
-    """Aligned (X, F, G, S) data satisfying the recursion by construction."""
+    """Aligned (X, F, G, S) data of the recursion ``X_n <= F_n + S_n + sum_{k<n} G_k X_k``.
+
+    G is one row of shared weights, or one row per path as an array or a
+    batch.  The F of :func:`build_instance` is a derived batch: it holds
+    only a source that reverse-builds F from the columns of X, S and G
+    (:func:`_walk`), and the instance is marked ``_derived_f`` so that
+    :func:`verify_gronwall` builds F in its own walk instead of reading it.
+    """
 
     X: TrajectoryBatch
     F: TrajectoryBatch
     G: Union[np.ndarray, TrajectoryBatch]
     S: TrajectoryBatch
-
-    def hypothesis_gap(self) -> np.ndarray:
-        """Pathwise slack ``F + S + H - X``, time-major; nonnegative when the recursion holds."""
-        return _stacked(self.X.values.shape, _gap_columns(self))
+    _derived_f: bool = field(default=False, init=False, repr=False, compare=False)
 
 
-def _stacked(shape, columns) -> np.ndarray:
-    """A time-major array of ``shape`` whose column ``k`` is the ``k``-th item of ``columns``."""
-    out = np.empty(shape, order="F")
-    for k, column in enumerate(columns):
-        out[:, k] = column
-    return out
+def _columns(batch: TrajectoryBatch, r0, r1):
+    """The columns of the rows ``r0..r1-1`` of ``batch``, left to right, read from its source one at a time."""
+    return (tile[:, 0] for tile in batch._tiles(r0, r1, 1))
 
 
-def _gap_columns(instance: GronwallInstance):
-    """The columns ``F_k + S_k + H_k - X_k`` of the hypothesis gap, left to right, each into one reused buffer.
+def _checked_growth(growth, n, n_paths):
+    """Growth weights as an array or a batch, raising :class:`ShapeMismatch` unless 1-D or 2-D and ``n`` wide.
 
-    Growth weights are checked as in :func:`weighted_history`.
+    2-D weights must have ``n_paths`` rows; their values are checked as
+    they are read (:func:`_growth_columns`).
     """
-    x, f, s = instance.X.values, instance.F.values, instance.S.values
-    gap = np.empty(len(x))
-    for k, hist in enumerate(_history_columns(x, instance.G)):
-        np.add(f[:, k], s[:, k], out=gap)
-        gap += hist
-        gap -= x[:, k]
-        yield gap
-
-
-def _growth_array(growth) -> np.ndarray:
-    """Growth weights as an array: one row, or one row per path."""
-    return growth.values if isinstance(growth, TrajectoryBatch) else np.asarray(growth, dtype=np.float64)
-
-
-def _checked_growth(growth, n, n_paths=None) -> np.ndarray:
-    """Growth weights as an array, raising unless nonnegative, 1-D or 2-D, and ``n`` wide.
-
-    ``n_paths``, when given, is the row count that 2-D weights must have.
-    """
-    g = _growth_array(growth)
-    if np.any(g < 0.0):
-        raise NegativeWeights("growth weights must be entrywise nonnegative")
-    if g.ndim not in (1, 2) or g.shape[-1] < n or (g.ndim == 2 and n_paths not in (None, g.shape[0])):
-        raise ShapeMismatch(f"need at least {n} growth weights per path, got shape {g.shape}")
+    g = growth if isinstance(growth, TrajectoryBatch) else np.asarray(growth, dtype=np.float64)
+    shape = (g.n_paths, g.n_steps + 1) if isinstance(g, TrajectoryBatch) else g.shape
+    if len(shape) not in (1, 2) or shape[-1] < n or (len(shape) == 2 and shape[0] != n_paths):
+        raise ShapeMismatch(f"need at least {n} growth weights per path, got shape {shape}")
     return g
 
 
-def _history_columns(x, growth):
-    """The columns ``H_0 .. H_N`` of :func:`weighted_history`, left to right, as 1-D arrays.
+def _growth_columns(g, r0, r1):
+    """Every column of checked weights ``g``: a number if shared, else rows ``r0..r1-1``, each checked when read.
 
-    ``H_0 = 0``, ``H_1 = G_0 X_0`` and ``H_k = H_{k-1} + G_{k-1} X_{k-1}``:
-    the running sums (:func:`~demigronwall.generators._running_sums`) of the
-    products ``G_k X_k``, whose ``-0.0`` start makes ``H_1`` the product
-    itself.  The weights are checked as in :func:`weighted_history` at the call.
+    A weight that is not ``>= 0`` (a NaN included) raises :class:`NegativeWeights`.
     """
-    n = x.shape[1] - 1
-    g = _checked_growth(growth, n, x.shape[0])
-    return (tile[:, 0] for tile in _running_sums(len(x), (g[..., k] * x[:, k] for k in range(n))))
+    columns = _columns(g, r0, r1) if isinstance(g, TrajectoryBatch) else iter(g.T if g.ndim == 1 else g[r0:r1].T)
+    for column in columns:
+        if not np.all(column >= 0.0):
+            raise NegativeWeights("growth weights must be entrywise nonnegative")
+        yield column
 
 
-def weighted_history(x, growth) -> np.ndarray:
-    """``H_n = sum_{k<n} G_k X_k`` per path (``H_0 = 0``) for shared or per-path weights ``G``.
+def _walk(X: TrajectoryBatch, S: TrajectoryBatch, g, F, r0, r1):
+    """``(x_k, f_k, s_k, h_k, g_k)`` for ``k = 0..N`` on the rows ``r0..r1-1``, one column of each at a time.
 
-    ``H`` is a time-major array with the bits of
-    :func:`~demigronwall.generators.partial_sums`.  Raises
-    :class:`NegativeWeights` or :class:`ShapeMismatch` unless ``G`` passes
-    :func:`_checked_growth` for the N steps and rows of ``x``.
+    ``h_k`` is ``H_k = sum_{j<k} G_j X_j``, one buffer updated in place
+    after each step: ``H_0 = 0``, ``H_1 = G_0 X_0`` and ``H_k = H_{k-1} +
+    G_{k-1} X_{k-1}``, the bits of ``np.cumsum`` of the products along the
+    rows.  ``f_k`` is read from F or, if F is None, reverse-built as
+    ``max(0, X_k - S_k - H_k)``.  ``g_k`` is column ``k`` of the checked
+    weights ``g`` (:func:`_growth_columns`), or None past their last; the
+    weights past column N are read and checked once the walk ends.
     """
-    return _stacked(x.shape, _history_columns(x, growth))
+    hist = np.zeros(r1 - r0)
+    weights = _growth_columns(g, r0, r1)
+    f_columns = None if F is None else _columns(F, r0, r1)
+    for k, (x, s) in enumerate(zip(_columns(X, r0, r1), _columns(S, r0, r1))):
+        g_k = next(weights, None)
+        yield x, np.maximum(0.0, x - s - hist) if f_columns is None else next(f_columns), s, hist, g_k
+        if k < X.n_steps:
+            if k:
+                hist += g_k * x
+            else:
+                np.multiply(g_k, x, out=hist)
+    for _ in weights:
+        pass
+
+
+def _f_tiles(X: TrajectoryBatch, S: TrajectoryBatch, g, r0, r1, width):
+    """The reverse-built F of the rows ``r0..r1-1``, one ``(r1 - r0, 1)`` tile a column: a derived F's source."""
+    return (f[:, None] for _, f, *_ in _walk(X, S, g, None, r0, r1))
 
 
 # --------------------------------------------------------------------------
@@ -189,6 +190,18 @@ def _moment_exponent(p) -> float:
     if not 0.0 < p <= 1.0:
         raise POutOfRange(f"p must lie in (0, 1], got {p}")
     return p
+
+
+def _row_reduce(values, ufunc, first, n) -> np.ndarray:
+    """Each row's ``ufunc``-reduction of the columns ``first..n`` of ``values``, left to right, one column at a time.
+
+    Maximum and minimum have the bits of numpy's row reduction in any
+    layout, up to the sign of a zero in a row that mixes ``+0.0`` and ``-0.0``.
+    """
+    acc = values[:, first].copy()
+    for k in range(first + 1, n + 1):
+        ufunc(acc, values[:, k], out=acc)
+    return acc
 
 
 def _power_moment(sups, negative, p) -> tuple:
@@ -208,7 +221,7 @@ def sup_moment(batch: TrajectoryBatch, p, n=None, first=0) -> tuple:
     n = batch.n_steps if n is None else whole_number(n, "n")
     if not 0 <= first <= n <= batch.n_steps:
         raise ShapeMismatch(f"need 0 <= first <= n <= {batch.n_steps}, got first={first}, n={n}")
-    sups = prefix_reduce(batch.values, [n], first=first)[n]
+    sups = _row_reduce(batch.values, np.maximum, first, n)
     return _power_moment(sups, np.any(sups < 0.0), p)
 
 
@@ -230,7 +243,7 @@ def _zero_start_index(batch: TrajectoryBatch, n) -> int:
 def neg_inf_mean(batch: TrajectoryBatch, n=None) -> tuple:
     """Estimate ``E[-min_{0<=k<=n} path_k]`` as ``(mean, se)`` (requires column 0 to be zero)."""
     n = _zero_start_index(batch, n)
-    return mean_se(-prefix_reduce(batch.values, [n], np.minimum)[n])
+    return mean_se(-_row_reduce(batch.values, np.minimum, 0, n))
 
 
 def maximal_moment_bound(q, p) -> float:
@@ -251,24 +264,6 @@ def maximal_moment_bound(q, p) -> float:
 # --------------------------------------------------------------------------
 # the Gronwall bound
 # --------------------------------------------------------------------------
-
-def _growth_products(g, n_list) -> dict:
-    """``{n: prod_{k<n} (1 + G_k)}`` of checked weights: a scalar if shared, one per path if 2-D.
-
-    Per-path products run left to right from 1, as
-    :func:`~demigronwall.generators.prefix_reduce` multiplies a row.
-    """
-    if g.ndim == 1:
-        return {n: np.prod(1.0 + g[:n]) for n in n_list}
-    wanted = set(n_list)
-    product, factor, out = np.ones(len(g)), np.empty(len(g)), {}
-    for k in range(max(wanted) + 1):
-        if k:
-            product *= np.add(1.0, g[:, k - 1], out=factor)
-        if k in wanted:
-            out[k] = product.copy()
-    return out
-
 
 def holder_bound(pair: HolderPair, weights, mean, se) -> tuple:
     """``(rhs, rhs_se)`` of ``(1 + 1/(1 - nu p))^{1/nu} * ||W^p||_mu * mean^p``, the Holder right-hand side.
@@ -300,10 +295,15 @@ def build_instance(X: TrajectoryBatch, S: TrajectoryBatch, growth) -> GronwallIn
 
     ``F_n = max(0, X_n - S_n - sum_{k<n} G_k X_k)`` is nonnegative and makes
     ``X_n <= F_n + S_n + sum_{k<n} G_k X_k`` an identity wherever the max is
-    attained and a strict inequality elsewhere.  Negative X raises
-    :class:`NegativeInput`, a nonzero start of S :class:`NonzeroStart`,
-    unequal X and S shapes :class:`ShapeMismatch`, and growth weights are
-    checked as in :func:`weighted_history`.
+    attained and a strict inequality elsewhere.  F is a derived batch, whose
+    source walks the columns of X, S and G (:func:`_f_tiles`) whenever it
+    is read: no F or H matrix is built.  X and S are held; one walk here
+    reads G and checks it and F.  Negative X raises :class:`NegativeInput`,
+    a nonzero start of S :class:`NonzeroStart`, unequal X and S shapes
+    :class:`ShapeMismatch`, growth weights that are not 1-D or 2-D with
+    X's rows, or do not cover the N steps, :class:`ShapeMismatch`, a
+    weight that is not ``>= 0`` (a NaN included) :class:`NegativeWeights`,
+    and a non-finite F (an infinite weight on a zero X) :class:`InvalidSpec`.
     """
     if np.any(X.values < 0.0):
         raise NegativeInput("X must be entrywise nonnegative")
@@ -311,16 +311,16 @@ def build_instance(X: TrajectoryBatch, S: TrajectoryBatch, growth) -> GronwallIn
         raise NonzeroStart("S must start at 0 on every path")
     if X.values.shape != S.values.shape:
         raise ShapeMismatch(f"X shape {X.values.shape} != S shape {S.values.shape}")
-    if not isinstance(growth, TrajectoryBatch):
-        growth = np.asarray(growth, dtype=np.float64)
-    x, s = X.values, S.values
-    f = np.empty(x.shape, order="F")
-    for k, hist in enumerate(_history_columns(x, growth)):  # checks growth before the first column
-        column = np.subtract(x[:, k], s[:, k], out=f[:, k])
-        column -= hist
-        np.maximum(0.0, column, out=column)
-    F = TrajectoryBatch(f, label=f"reverse-F[{X.label}]")
-    return GronwallInstance(X=X, F=F, G=growth, S=S)
+    growth = _checked_growth(growth, X.n_steps, X.n_paths)
+    # one walk checks every weight, then that F is finite, as a held F would be
+    if not all([np.isfinite(f).all() for _, f, *_ in _walk(X, S, growth, None, 0, X.n_paths)]):
+        raise InvalidSpec("batch contains non-finite entries")
+    F = TrajectoryBatch._generated(
+        X.n_paths, X.n_steps, functools.partial(_f_tiles, X, S, growth), label=f"reverse-F[{X.label}]"
+    )
+    instance = GronwallInstance(X=X, F=F, G=growth, S=S)
+    object.__setattr__(instance, "_derived_f", True)
+    return instance
 
 
 class _Stream:
@@ -402,7 +402,7 @@ class _Sweep:
         whole column, whichever block takes it, so their bits do not depend
         on the blocks.  Maximum and minimum are exact, so ``sup`` and
         ``inf`` have the bits of
-        :func:`~demigronwall.generators.prefix_reduce` in any rounds and any
+        :func:`_row_reduce` in any rounds and any
         order of calls, up to the sign of a zero in a row that mixes
         ``+0.0`` and ``-0.0``, which no report value reads.
         """
@@ -522,43 +522,70 @@ def _harness_grid(pairs, n_list, first, n_steps) -> tuple:
     return pairs, n_list
 
 
+def _grid_report(command, check, pairs, n_list, cell) -> VerificationReport:
+    """One row per (pair, n), pair-major and then in ``n_list`` order, from ``cell(pair, n)``.
+
+    ``cell`` returns ``(lhs, lhs_se, rhs, rhs_se)``; each row's verdict is
+    :func:`~demigronwall.reporting.one_sided_verdict` of them, and its
+    check ``check[n=..,p=..,mu=..]`` is True: the hypothesis held, or the
+    harness raised before any cell.
+    """
+    report = VerificationReport(command=command, columns=GRONWALL_COLUMNS)
+    for pair in pairs:
+        for n in n_list:
+            lhs, lhs_se, rhs, rhs_se = cell(pair, n)
+            report.add_row(
+                n=n, p=pair.p, mu=pair.mu, nu=pair.nu, lhs=lhs, lhs_se=lhs_se, rhs=rhs,
+                **one_sided_verdict(lhs, lhs_se, rhs, rhs_se),
+            )
+            report.checks[f"{check}[n={n},p={pair.p:g},mu={pair.mu:g}]"] = True
+    return report
+
+
 def verify_gronwall(instance: GronwallInstance, pairs, n_list=None) -> VerificationReport:
     """Check the Gronwall conclusion on one instance at every (pair, n) of a grid.
 
     Once per call, before any cell: an empty ``pairs`` or ``n_list`` or an
     ``n`` that is not a whole number raises
     :class:`InvalidSpec`, an ``n`` outside ``[0, N]`` :class:`ShapeMismatch`
-    (``None`` means ``[N]``), growth weights that are negative
-    (:class:`NegativeWeights`) or do not cover the N steps of every path
-    (:class:`ShapeMismatch`), and a pathwise violation of the recursion
-    beyond :data:`HYPOTHESIS_TOL` of the data scale :class:`HypothesisViolated`,
-    counted one time column at a time.  The running maxima of X and F and the growth products are then swept
-    once per ``n``, so each cell only takes powers and norms.  Each cell
-    compares the Monte Carlo left side against :func:`holder_bound` with
-    one-sided ``SLACK_SD * SE`` slack.  Rows are pair-major, then in
+    (``None`` means ``[N]``), and growth weights that do not cover the N
+    steps of every path :class:`ShapeMismatch`.  Then one walk reads X, F,
+    S and G once (:func:`_walk`; a derived F is built in it), raising
+    :class:`NegativeWeights` on a weight that is not ``>= 0``, and folds the
+    hypothesis gap ``F + S + H - X`` and its scale (the largest ``|X|`` and
+    ``|F|``), and each row's running maxima of X and F and growth product
+    ``prod_{k<n} (1 + G_k)`` at every ``n``.  A pathwise violation of the
+    recursion beyond :data:`HYPOTHESIS_TOL` of the scale raises
+    :class:`HypothesisViolated`, its cells counted by a second walk.  Each
+    cell compares the Monte Carlo left side against :func:`holder_bound`
+    with one-sided ``SLACK_SD * SE`` slack.  Rows are pair-major, then in
     ``n_list`` order.
     """
     X = instance.X
     pairs, n_list = _harness_grid(pairs, n_list, 0, X.n_steps)
-    # max(v.max(), -v.min()) is abs(v).max() exactly, without a batch-sized copy
-    scale = max(1.0, *(max(float(v.max()), -float(v.min())) for v in (X.values, instance.F.values)))
+    g = _checked_growth(instance.G, X.n_steps, X.n_paths)
+    shared, wanted = isinstance(g, np.ndarray) and g.ndim == 1, set(n_list)
+    walk = functools.partial(_walk, X, instance.S, g, None if instance._derived_f else instance.F, 0, X.n_paths)
+    x_sup, f_sup, product = np.full(X.n_paths, -np.inf), np.full(X.n_paths, -np.inf), np.ones(X.n_paths)
+    at_n, scale, low = {}, 1.0, np.inf
+    for k, (x, f, s, hist, g_k) in enumerate(walk()):
+        # max(v.max(), -v.min()) is abs(v).max() exactly, without a copy
+        scale = max(scale, float(x.max()), -float(x.min()), float(f.max()), -float(f.min()))
+        low = np.fmin.reduce(f + s + hist - x, initial=low)  # a NaN gap is no violation
+        np.maximum(x_sup, x, out=x_sup)
+        np.maximum(f_sup, f, out=f_sup)
+        if k in wanted:
+            grow = np.prod(1.0 + g[:k]) if shared else product.copy()
+            at_n[k] = (x_sup.copy(), bool(np.any(x_sup < 0.0)), mean_se(f_sup), grow)
+        if not shared and k < X.n_steps:
+            product *= 1.0 + g_k
     floor = -HYPOTHESIS_TOL * scale
-    violations = sum(int(np.count_nonzero(gap < floor)) for gap in _gap_columns(instance))  # checks G first
-    if violations:
+    if low < floor:
+        violations = sum(int(np.count_nonzero(f + s + h - x < floor)) for x, f, s, h, _ in walk())
         raise HypothesisViolated(f"{violations} path/time cells violate the recursion hypothesis beyond tolerance")
-    g = _growth_array(instance.G)
-    x_sups = prefix_reduce(X.values, n_list)
-    x_negative = {n: np.any(sups < 0.0) for n, sups in x_sups.items()}
-    f_moments = {n: mean_se(sups) for n, sups in prefix_reduce(instance.F.values, n_list).items()}
-    products = _growth_products(g, n_list)
-    report = VerificationReport(command="gronwall-theorem", columns=GRONWALL_COLUMNS)
-    for pair in pairs:
-        for n in n_list:
-            lhs, lhs_se = _power_moment(x_sups[n], x_negative[n], pair.p)
-            rhs, rhs_se = holder_bound(pair, products[n], *f_moments[n])
-            report.add_row(
-                n=n, p=pair.p, mu=pair.mu, nu=pair.nu, lhs=lhs, lhs_se=lhs_se, rhs=rhs,
-                **one_sided_verdict(lhs, lhs_se, rhs, rhs_se),
-            )
-            report.checks[f"hypothesis_holds[n={n},p={pair.p:g},mu={pair.mu:g}]"] = True  # or raised above
-    return report
+
+    def cell(pair, n):
+        x_sups, negative, f_moment, grow = at_n[n]
+        return (*_power_moment(x_sups, negative, pair.p), *holder_bound(pair, grow, *f_moment))
+
+    return _grid_report("gronwall-theorem", "hypothesis_holds", pairs, n_list, cell)

@@ -134,7 +134,10 @@ def test_c4_gronwall_fifty_seed_suite():
         rand_growth = dg.TrajectoryBatch(0.3 * uniform_matrix(seed + 9_000_017, m, n_steps + 1))
         for growth in (det_growth, rand_growth):
             instance = dg.build_instance(x_batch, s_batch, growth)
-            if instance.hypothesis_gap().min() < -1e-12 * 2.0:
+            x = x_batch.values
+            g = growth.values[:, :n_steps] if growth is rand_growth else growth
+            history = np.hstack([np.zeros((m, 1)), np.cumsum(g * x[:, :n_steps], axis=1)])
+            if (instance.F.values + s_batch.values + history - x).min() < -1e-12 * 2.0:
                 failures.append((seed, "hypothesis"))
             report = dg.verify_gronwall(instance, pairs, n_list)
             if len(report.rows) != len(cells):

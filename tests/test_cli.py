@@ -189,11 +189,18 @@ class TestDriverMemory:
     M = 20_000
 
     @pytest.mark.parametrize("seeds", [[7], [7, 8]])
-    def test_gronwall_theorem_holds_s_x_g_and_f(self, seeds):
+    def test_gronwall_theorem_holds_s_and_x_only(self, seeds):
         run, _ = cli._prepare(cli._load_sections(None), "gronwall-theorem")
         batch = self.M * (16 + 1) * 8
-        # S, X, random G and F, plus per-path vectors: the sweeps, the products and the masks
-        assert _traced_peak(lambda: run(seeds, self.M)) <= 4.6 * batch
+        # X held while S is built (2.83 measured); G, F, H and the gap are read one column at a time
+        assert _traced_peak(lambda: run(seeds, self.M)) <= 3.0 * batch
+
+    @pytest.mark.parametrize("seeds", [[7], [7, 8]])
+    def test_fractional_holds_x_y_and_the_operator_table(self, seeds):
+        run, _ = cli._prepare(cli._load_sections(None), "fractional")
+        batch = self.M * (16 + 1) * 8
+        # X, Y and the L1 table, whose build also holds the differences and a product (3.83 measured)
+        assert _traced_peak(lambda: run(seeds, self.M)) <= 3.9 * batch
 
     def test_gronwall_lemma_holds_one_batch(self):
         specs = [generators.GeneratorSpec.random_walk(kind) for kind in ("pm1", "gauss")]

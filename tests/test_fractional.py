@@ -450,6 +450,35 @@ class TestVerifyFractionalGronwall:
             )
 
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_a_non_finite_y_raises_invalid_spec(self, bad):
+        # +inf would be clamped out of F, -inf and NaN would reach the plug-in mean
+        model = FractionalModel(betas=(0.5,), q=(1.0,), tau=0.1, n_steps=8, lambda1=0.5)
+        x = TrajectoryBatch(associated_increment_matrix(1.0, 9, 200, seed=5) ** 2)
+        y = associated_increment_matrix(1.0, 8, 200, seed=6)
+        y[17, 3] = bad
+        with pytest.raises(InvalidSpec, match="non-finite"):
+            verify_fractional_gronwall(model, x, y, [HolderPair.deterministic(0.5)])
+
+
+class TestWholeStepIndices:
+    MODEL = FractionalModel(betas=(0.5,), q=(1.0,), tau=0.1, n_steps=4, lambda1=1.0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda model: l1_b_row(0.5, 2.5),
+            lambda model: caputo_l1_forms([0.0, 1.0, 2.0, 3.0], 0.5, 0.1, 2.5),
+            lambda model: kernel_mass(model, 2.5),
+            lambda model: ml_growth_factor(model, 2.5),
+        ],
+        ids=["l1_b_row", "caputo_l1_forms", "kernel_mass", "ml_growth_factor"],
+    )
+    def test_a_fractional_step_index_raises(self, call):
+        with pytest.raises(InvalidSpec, match="whole number"):
+            call(self.MODEL)
+
+
 class TestFractionalGrid:
     MODEL = FractionalModel(betas=(0.3, 0.7), q=(1.0, 2.0), tau=0.1, n_steps=16, lambda1=0.5, lambda2=0.5)
     PAIRS = [HolderPair.deterministic(0.25), HolderPair(2.0, 2.0, 0.25), HolderPair.deterministic(0.5)]

@@ -9,18 +9,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from demigronwall import generators
-from demigronwall.errors import BatchTooLarge, InvalidSpec, ShapeMismatch
+from demigronwall.errors import BatchTooLarge, InvalidSpec
 from demigronwall.generators import (
     GeneratorSpec,
     TrajectoryBatch,
     associated_increment_matrix,
     generate_paths,
     partial_sums,
-    prefix_reduce,
 )
 from demigronwall.rng import normal_matrix, uniform_matrix
 
@@ -263,69 +260,6 @@ class TestTimeMajorLayout:
         assert sums[:, 1:].tobytes() == np.cumsum(inc, axis=1).tobytes()
         assert np.signbit(sums[:2, 1]).all() and np.signbit(sums[1, 2])
         assert sums[:, 0].tobytes() == np.zeros(3).tobytes()
-
-
-@st.composite
-def _reduce_case(draw):
-    """(values, n_list, first) for a prefix_reduce call, in C or Fortran order."""
-    m = draw(st.integers(1, 40))
-    cols = draw(st.integers(1, 12))
-    first = draw(st.integers(0, cols - 1))
-    n_list = draw(st.lists(st.integers(first, cols - 1), min_size=1, max_size=5))
-    # + 0.0 turns -0.0 into 0.0: only the sign of a zero may differ from a row reduction
-    entries = draw(st.lists(st.floats(-1e3, 1e3).map(lambda x: x + 0.0), min_size=m * cols, max_size=m * cols))
-    order = draw(st.sampled_from("CF"))
-    return np.array(np.array(entries).reshape(m, cols), order=order), n_list, first
-
-
-def _assert_row_reduction_bits(values, n_list, first):
-    sups = prefix_reduce(values, n_list, first=first)
-    infs = prefix_reduce(values, n_list, np.minimum, first=first)
-    prods = prefix_reduce(values, n_list, np.multiply, first=first)
-    assert set(sups) == set(n_list)
-    for n in n_list:
-        cols = values[:, first : n + 1]
-        assert sups[n].tobytes() == cols.max(axis=1).tobytes()
-        assert infs[n].tobytes() == cols.min(axis=1).tobytes()
-        assert prods[n].tobytes() == np.prod(cols, axis=1).tobytes()
-
-
-def _reductions(values, n_list):
-    results = [prefix_reduce(values, n_list, f) for f in (np.maximum, np.minimum, np.multiply)]
-    return [out[n].tobytes() for out in results for n in n_list]
-
-
-class TestPrefixReduce:
-    @settings(max_examples=200, deadline=None)
-    @given(_reduce_case())
-    def test_equals_the_row_reductions_bit_for_bit(self, case):
-        _assert_row_reduction_bits(*case)
-
-    def test_long_rows_on_both_layouts(self):
-        # 2001-column rows in C and Fortran order, with requested columns first, inside and last
-        values = np.random.default_rng(8).uniform(0.5, 1.5, size=(5, 2001))
-        for order in "CF":
-            _assert_row_reduction_bits(np.array(values, order=order), [0, 6, 900, 1999, 2000], 0)
-            _assert_row_reduction_bits(np.array(values, order=order), [2000], 1)
-
-    def test_c_and_fortran_copies_give_the_same_bytes(self):
-        # rows mixing +0.0 and -0.0, where a row reduction may pick either zero
-        rng = np.random.default_rng(3)
-        values = rng.choice([-0.0, 0.0, -1.5, 2.0, 0.5], size=(64, 9))
-        values[0] = [0.0, -0.0, 0.0, -0.0, -0.0, 0.0, 0.0, -0.0, 0.0]
-        n_list = [0, 1, 4, 8]
-        c_bytes = _reductions(np.ascontiguousarray(values), n_list)
-        assert c_bytes == _reductions(np.asfortranarray(values), n_list)
-
-    def test_argument_errors(self):
-        values = np.arange(12.0).reshape(3, 4)
-        with pytest.raises(InvalidSpec):
-            prefix_reduce(values, [])
-        for n_list, first in (([4], 0), ([-1], 0), ([1], 2)):
-            with pytest.raises(ShapeMismatch):
-                prefix_reduce(values, n_list, first=first)
-        with pytest.raises(ShapeMismatch):
-            prefix_reduce(values[0], [1])
 
 
 def _split_rows(monkeypatch, workers):

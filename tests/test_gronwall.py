@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demigronwall import generators, gronwall, reporting
 from demigronwall.errors import (
@@ -30,7 +32,6 @@ from demigronwall.gronwall import (
     sup_moment,
     verify_gronwall,
     verify_maximal_inequality,
-    weighted_history,
 )
 from demigronwall.reporting import format_cell, mean_se, one_sided_verdict, power_se
 from demigronwall.rng import uniform_matrix
@@ -44,6 +45,12 @@ def _growth_product(growth, n):
     for k in range(n):
         out *= 1.0 + growth.values[:, k]
     return out
+
+
+def _history(x, g):
+    """``H_n = sum_{k<n} G_k X_k`` as a matrix: ``np.cumsum`` of the products, after a zero column."""
+    n = x.shape[1] - 1
+    return np.hstack([np.zeros((len(x), 1)), np.cumsum(g[..., :n] * x[:, :n], axis=1)])
 
 
 def _const_batch(rows, m=1, label="det"):
@@ -234,7 +241,8 @@ class TestBuildInstance:
         s = generate_paths(GeneratorSpec.bounded_associated(1.0, 1.0), n, m, seed=3)
         x = TrajectoryBatch(2.0 * uniform_matrix(77, m, n + 1), label="x")
         inst = build_instance(x, s, 0.4 * np.ones(n))
-        assert inst.hypothesis_gap().min() >= -1e-12 * max(1.0, x.values.max())
+        gap = inst.F.values + s.values + _history(x.values, 0.4 * np.ones(n)) - x.values
+        assert gap.min() >= -1e-12 * max(1.0, x.values.max())
 
     def test_errors(self):
         x = TrajectoryBatch(np.zeros((2, 3)))
@@ -752,7 +760,7 @@ class TestGronwallGrid:
     @pytest.mark.parametrize("n_list", [[2.5], [1, np.float64(4.5)], ["4"]])
     def test_a_fractional_time_index_raises_before_any_cell(self, monkeypatch, n_list):
         inst = self._instance("det")
-        monkeypatch.setattr(gronwall, "prefix_reduce", lambda *args: pytest.fail("a cell was estimated"))
+        monkeypatch.setattr(gronwall, "_walk", lambda *args: pytest.fail("a column was read"))
         with pytest.raises(InvalidSpec, match="whole number"):
             verify_gronwall(inst, self.PAIRS, n_list)
 
@@ -797,37 +805,66 @@ class TestPerTimeIndexHoisting:
 
 
 class TestGrowthChecks:
-    """weighted_history, build_instance and verify_gronwall share one growth-weight check."""
+    """build_instance and verify_gronwall share one growth-weight check."""
+
+    @staticmethod
+    def _direct(x, g):
+        """An instance with these weights that build_instance did not make, so that verify_gronwall checks them."""
+        return GronwallInstance(X=TrajectoryBatch(x), F=TrajectoryBatch(x), G=g, S=TrajectoryBatch(np.zeros(x.shape)))
 
     def test_short_or_misshapen_growth_raises(self):
         x = np.ones((4, 3))
         s = TrajectoryBatch(np.zeros((4, 3)))
         for g in (np.array([0.5]), np.zeros((3, 2)), np.zeros((4, 2, 1)), np.float64(0.5)):
             with pytest.raises(ShapeMismatch):
-                weighted_history(x, g)
-            with pytest.raises(ShapeMismatch):
                 build_instance(TrajectoryBatch(x), s, g)
+            with pytest.raises(ShapeMismatch):
+                verify_gronwall(self._direct(x, g), [HolderPair.deterministic(0.5)])
 
-    def test_negative_growth_raises_negative_weights(self):
+    @pytest.mark.parametrize("bad", [-0.1, math.nan])
+    def test_negative_or_nan_growth_raises_negative_weights(self, bad):
         x = np.ones((4, 3))
         s = TrajectoryBatch(np.zeros((4, 3)))
-        for g in (np.array([0.5, -0.1]), np.full((4, 2), -0.1), TrajectoryBatch(np.full((4, 2), -0.1))):
-            with pytest.raises(NegativeWeights):
-                weighted_history(x, g)
+        per_path = np.full((4, 2), 0.1)
+        per_path[2, 1] = bad
+        growths = [np.array([0.5, bad]), per_path]
+        if bad < 0.0:  # a batch holds only finite entries
+            growths.append(TrajectoryBatch(per_path))
+        for g in growths:
             with pytest.raises(NegativeWeights):
                 build_instance(TrajectoryBatch(x), s, g)
+            with pytest.raises(NegativeWeights):
+                verify_gronwall(self._direct(x, g), [HolderPair.deterministic(0.5)])
         assert issubclass(NegativeWeights, NegativeInput)
 
+    def test_an_infinite_weight_on_a_zero_x_makes_a_non_finite_f(self):
+        x = np.ones((4, 3))
+        x[:, 0] = 0.0
+        s = TrajectoryBatch(np.zeros((4, 3)))
+        with pytest.raises(InvalidSpec, match="non-finite"), np.errstate(invalid="ignore"):  # inf * 0
+            build_instance(TrajectoryBatch(x), s, np.array([math.inf, 0.1]))
+        assert build_instance(TrajectoryBatch(x), s, np.array([0.1, math.inf])).F.values.max() == 1.0
+
+    def test_a_generated_growth_batch_is_checked_from_its_source(self):
+        x = TrajectoryBatch(np.ones((4, 3)))
+        s = TrajectoryBatch(np.zeros((4, 3)))
+        walk = generate_paths(GeneratorSpec.random_walk("pm1"), 2, 4, seed=5)
+        assert walk.values.min() < 0.0
+        fresh = generate_paths(GeneratorSpec.random_walk("pm1"), 2, 4, seed=5)
+        with pytest.raises(NegativeWeights):
+            build_instance(x, s, fresh)
+        assert fresh._values is None  # read from its source, not built
+
     @pytest.mark.parametrize("order", ["C", "F"])
-    def test_history_is_time_major_with_the_row_cumsum_bits(self, order):
+    def test_history_walk_keeps_the_row_cumsum_bits(self, order):
         # x < 0 with G = 0 gives -0.0 products; the first one keeps its sign, as in np.cumsum
         x = np.array(4.0 * uniform_matrix(83, 6, 5) - 2.0, order=order)
         x[:, 0] = -1.0
+        s = TrajectoryBatch(np.zeros((6, 5)))
         for g in (np.array([0.0, 0.3, 0.1, 0.7]), np.array(0.3 * uniform_matrix(84, 6, 4), order=order)):
-            hist = weighted_history(x, g)
-            assert hist.flags.f_contiguous
-            oracle = np.hstack([np.zeros((6, 1)), np.cumsum(g[..., :4] * x[:, :4], axis=1)])
-            assert hist.tobytes() == oracle.tobytes()
+            walk = gronwall._walk(TrajectoryBatch(x), s, g, None, 0, 6)
+            hist = np.column_stack([h.copy() for _, _, _, h, _ in walk])
+            assert _bits(hist) == _bits(_history(x, g))
 
     def test_per_path_array_equals_per_path_batch(self):
         x = TrajectoryBatch(2.0 * uniform_matrix(81, 5, 4), label="x")
@@ -836,7 +873,49 @@ class TestGrowthChecks:
         from_array = build_instance(x, s, g)
         from_batch = build_instance(x, s, TrajectoryBatch(g))
         assert np.array_equal(from_array.F.values, from_batch.F.values)
-        assert np.array_equal(weighted_history(x.values, g), weighted_history(x.values, TrajectoryBatch(g)))
+
+
+@st.composite
+def _reduce_case(draw):
+    """(values, first, n) for a _row_reduce call, in C or Fortran order."""
+    m = draw(st.integers(1, 40))
+    cols = draw(st.integers(1, 12))
+    first = draw(st.integers(0, cols - 1))
+    n = draw(st.integers(first, cols - 1))
+    # + 0.0 turns -0.0 into 0.0: only the sign of a zero may differ from a row reduction
+    entries = draw(st.lists(st.floats(-1e3, 1e3).map(lambda x: x + 0.0), min_size=m * cols, max_size=m * cols))
+    order = draw(st.sampled_from("CF"))
+    return np.array(np.array(entries).reshape(m, cols), order=order), first, n
+
+
+def _reductions(values, first, n):
+    return [gronwall._row_reduce(values, f, first, n).tobytes() for f in (np.maximum, np.minimum, np.multiply)]
+
+
+class TestRowReduce:
+    @settings(max_examples=200, deadline=None)
+    @given(_reduce_case())
+    def test_equals_the_row_reductions_bit_for_bit(self, case):
+        values, first, n = case
+        cols = values[:, first : n + 1]
+        assert _reductions(values, first, n) == [r.tobytes() for r in (cols.max(1), cols.min(1), np.prod(cols, 1))]
+
+    def test_long_rows_on_both_layouts(self):
+        # 2001-column rows in C and Fortran order, folded to the first column, inside and to the last
+        values = np.random.default_rng(8).uniform(0.5, 1.5, size=(5, 2001))
+        for order in "CF":
+            for first, n in ((0, 0), (0, 6), (0, 900), (0, 2000), (1, 2000)):
+                cols = values[:, first : n + 1]
+                expected = [r.tobytes() for r in (cols.max(1), cols.min(1), np.prod(cols, 1))]
+                assert _reductions(np.array(values, order=order), first, n) == expected
+
+    def test_c_and_fortran_copies_give_the_same_bytes(self):
+        # rows mixing +0.0 and -0.0, where a row reduction may pick either zero
+        rng = np.random.default_rng(3)
+        values = rng.choice([-0.0, 0.0, -1.5, 2.0, 0.5], size=(64, 9))
+        values[0] = [0.0, -0.0, 0.0, -0.0, -0.0, 0.0, 0.0, -0.0, 0.0]
+        for n in (0, 1, 4, 8):
+            assert _reductions(np.ascontiguousarray(values), 0, n) == _reductions(np.asfortranarray(values), 0, n)
 
 
 class TestTailIntegralIdentity:
@@ -875,26 +954,23 @@ class TestColumnWalks:
         }
         return x, s, growth
 
-    @staticmethod
-    def _history(x, g):
-        """``H`` as ``partial_sums`` built it: ``np.cumsum`` of the products, after a zero column."""
-        n = x.shape[1] - 1
-        return np.hstack([np.zeros((len(x), 1)), np.cumsum(g[..., :n] * x[:, :n], axis=1)])
-
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("kind", ["shared", "per-path"])
     def test_build_instance_and_gap_keep_the_matrix_bits(self, kind, order):
         x, s, growth = self._data(order)
         g = growth[kind]
         inst = build_instance(TrajectoryBatch(x), TrajectoryBatch(s), g)
-        hist = self._history(x, g)
+        hist = _history(x, g)
         assert _bits(inst.F.values) == _bits(np.maximum(0.0, x - s - hist))
         assert inst.F.values.flags.f_contiguous
+        # the walk reverse-builds F itself, with the same bits
+        walked = np.column_stack([f for _, f, *_ in gronwall._walk(inst.X, inst.S, g, None, 0, self.M)])
+        assert _bits(walked) == _bits(inst.F.values)
         # a direct instance with F too small somewhere: the gap has both signs
         f = np.asfortranarray(inst.F.values - 0.5 * uniform_matrix(94, self.M, self.N + 1))
         direct = GronwallInstance(X=inst.X, F=TrajectoryBatch(f), G=g, S=inst.S)
-        gap = direct.hypothesis_gap()
-        assert gap.flags.f_contiguous
+        walk = gronwall._walk(direct.X, direct.S, g, direct.F, 0, self.M)
+        gap = np.column_stack([f + s + h - x for x, f, s, h, _ in walk])
         assert _bits(gap) == _bits(f + s + hist - x)
 
     @pytest.mark.parametrize("kind", ["shared", "per-path"])
@@ -902,7 +978,7 @@ class TestColumnWalks:
         x, s, growth = self._data("F")
         g = growth[kind]
         x[7, 3] = -5.0  # a negative X and F set the scale through their minima
-        hist = self._history(x, g)
+        hist = _history(x, g)
         exact = x - s - hist  # the F that makes the gap 0
         f = exact + 1.0
         f[11, 2] = -np.abs(f).max() - 5.0
@@ -918,15 +994,16 @@ class TestColumnWalks:
         with pytest.raises(HypothesisViolated, match=rf"^{expected} path/time cells "):
             verify_gronwall(inst, [HolderPair.deterministic(0.5)])
 
-    def test_per_path_growth_products_are_the_running_row_products(self):
+    def test_per_path_growth_products_are_the_running_row_products(self, monkeypatch):
         g = 0.4 * uniform_matrix(96, 50, 9)
         g[3] = 0.0
         n_list = [9, 0, 4, 4, 1]
-        grow = np.empty((50, 10), order="F")
-        grow[:, 0] = 1.0
+        grow = np.ones((50, 10))
         np.add(1.0, g, out=grow[:, 1:])
-        expected = generators.prefix_reduce(grow, n_list, np.multiply)
-        got = gronwall._growth_products(g, n_list)
-        assert sorted(got) == sorted(expected) == [0, 1, 4, 9]
-        for n in expected:
-            assert got[n].tobytes() == expected[n].tobytes()
+        expected = np.multiply.accumulate(grow, axis=1)  # left to right along each row
+        x = TrajectoryBatch(np.ones((50, 10)))
+        inst = build_instance(x, TrajectoryBatch(np.zeros((50, 10))), g)
+        weights = []
+        monkeypatch.setattr(gronwall, "holder_bound", lambda pair, w, mean, se: (weights.append(w), 0.0, 0.0)[1:])
+        verify_gronwall(inst, [HolderPair.deterministic(0.5)], n_list)
+        assert [w.tobytes() for w in weights] == [expected[:, n].tobytes() for n in n_list]
