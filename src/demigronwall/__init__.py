@@ -48,6 +48,7 @@ from .generators import (
     GeneratorSpec,
     TrajectoryBatch,
     associated_increment_matrix,
+    associated_increments,
     generate_paths,
 )
 from .gronwall import (

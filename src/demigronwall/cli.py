@@ -31,7 +31,14 @@ from . import demi as demi_mod
 from . import fractional as frac_mod
 from . import gronwall as gron_mod
 from .errors import ConfigError, DemigronError
-from .generators import GeneratorSpec, TrajectoryBatch, associated_increment_matrix, check_batch, generate_paths
+from .generators import (
+    GeneratorSpec,
+    TrajectoryBatch,
+    associated_increment_matrix,
+    associated_increments,
+    check_batch,
+    generate_paths,
+)
 from .reporting import VerificationReport
 # uniform_matrix stays importable here: perfbench/tracer.py wraps it by this name
 from .rng import draw_columns, uniform_matrix  # noqa: F401
@@ -288,15 +295,19 @@ def _drive_fractional(betas, q, tau, n_steps, lambda1, lambda2, theta, p_grid, p
 
     def run(seeds, n_paths):
         report = VerificationReport(command="fractional", columns=gron_mod.GRONWALL_COLUMNS, seeds=list(seeds))
+        check_batch(n_paths, n_steps + 1, n_steps + 1)  # X, the widest matrix, before Y is drawn
         for seed in seeds:
-            x_inc = associated_increment_matrix(theta, n_steps + 1, n_paths, _aux_seed(seed, _X_SEED_OFFSET))
-            x_batch = TrajectoryBatch(np.square(x_inc, out=x_inc), label="squared-associated-X")
-            y_vals = associated_increment_matrix(theta, n_steps, n_paths, _aux_seed(seed, _Y_SEED_OFFSET))
+            y_seed = _aux_seed(seed, _Y_SEED_OFFSET)
+            y_vals = associated_increment_matrix(theta, n_steps, n_paths, y_seed)
             y_batch = TrajectoryBatch(y_vals, label="associated-Y")
             assoc = demi_mod.check_association(y_batch, demi_mod.TestFunctionFamily.default(y_batch))
             report.checks[f"y_association[seed={seed}]"] = assoc.overall_pass
-            report.extend(frac_mod.verify_fractional_gronwall(model, x_batch, y_vals, holder_pairs, n_list))
-            del x_inc, x_batch, y_vals, y_batch  # before the next seed's are drawn
+            del y_vals, y_batch  # before X is drawn: the harness draws Y's columns again as it reads them
+            x_inc = associated_increment_matrix(theta, n_steps + 1, n_paths, _aux_seed(seed, _X_SEED_OFFSET))
+            x_batch = TrajectoryBatch(np.square(x_inc, out=x_inc), label="squared-associated-X")
+            y_source = associated_increments(theta, n_steps, n_paths, y_seed)
+            report.extend(frac_mod.verify_fractional_gronwall(model, x_batch, y_source, holder_pairs, n_list))
+            del x_inc, x_batch, y_source  # before the next seed's are drawn
         return report
 
     return run

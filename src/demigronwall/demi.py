@@ -134,6 +134,46 @@ class ShiftedIdentityLast:
         return prefix[:, -1] - self.center
 
 
+def _select(a, ks):
+    """Put the order statistics ``ks`` (ascending, distinct) of the 1-D ``a`` in place, as a sort would.
+
+    One single-kth ``partition`` of ``a`` at the middle index, then the
+    same on each side: numpy partitions at one kth far faster than at
+    several in one call.
+    """
+    if ks:
+        mid = len(ks) // 2
+        k = ks[mid]
+        a.partition(k)
+        _select(a[:k], ks[:mid])
+        _select(a[k + 1 :], [j - k - 1 for j in ks[mid + 1 :]])
+
+
+def _quartiles(values) -> np.ndarray:
+    """The pooled 25/50/75% quantiles of ``values``: ``np.quantile``'s linear rule, from six order statistics.
+
+    The order statistics below and above each virtual index ``(n-1) q``
+    come from :func:`_select` on one flat copy, and are interpolated as
+    numpy does, ``a + (b-a) g``, or ``b - (b-a)(1-g)`` when ``g >= 0.5``.
+    The bits equal ``np.quantile(values, [0.25, 0.5, 0.75])`` on any
+    layout, up to the sign of a zero when the data mix ``+0.0`` and
+    ``-0.0``, which compare equal, so either may be selected.
+    """
+    a = np.asarray(values).flatten(order="K")
+    virtual = (a.size - 1) * np.array([0.25, 0.5, 0.75])
+    # numpy's neighbours: floor and floor + 1, or the last entry (-1) twice at or beyond it (a single value)
+    lo = np.where(virtual >= a.size - 1, -1.0, np.floor(virtual))
+    hi = np.where(lo < 0, -1.0, lo + 1)
+    gamma = virtual - lo
+    lo, hi = lo.astype(np.intp), hi.astype(np.intp)
+    _select(a, sorted({k % a.size for k in (*lo.tolist(), *hi.tolist())}))
+    below, above = a[lo], a[hi]
+    diff = above - below
+    out = below + diff * gamma
+    np.subtract(above, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    return out
+
+
 @dataclass(frozen=True)
 class TestFunctionFamily:
     """Finite family of componentwise nondecreasing probe functions."""
@@ -152,11 +192,14 @@ class TestFunctionFamily:
     def default(cls, batch: TrajectoryBatch) -> "TestFunctionFamily":
         """Data-driven default: ramps at batch quantiles plus the two extremes.
 
-        Centers sit at the pooled 25/50/75% quantiles and the ramp width is
+        Centers sit at the pooled 25/50/75% quantiles, taken by single-kth
+        selection on one flat copy (:func:`_quartiles`: the bits of
+        ``np.quantile``, up to the sign of a zero when the batch mixes
+        ``+0.0`` and ``-0.0``) and the ramp width is
         a quarter of the interquartile range (floored away from zero), so
         the probes stay responsive on whatever scale the batch lives on.
         """
-        q1, q2, q3 = np.quantile(batch.values, [0.25, 0.5, 0.75])
+        q1, q2, q3 = _quartiles(batch.values)
         width = max((q3 - q1) / 4.0, 1e-6, 1e-9 * max(abs(q1), abs(q3)))
         members = [
             Constant1(),

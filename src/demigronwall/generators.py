@@ -7,9 +7,10 @@ made by :func:`generate_paths` holds no matrix: it holds the seeded source
 of its partial-sum tiles (:func:`_path_tiles`), which the maximal-lemma
 sweep of :func:`~demigronwall.gronwall.verify_maximal_inequality` reads a
 few columns at a time, and from which ``values`` is built on first access
-and then kept.  The F of :func:`~demigronwall.gronwall.build_instance`
-and the CLI's uniform X and G are such batches too; F's source walks the
-columns of X, S and G.  The matrices built here and the partial sums
+and then kept.  The F of :func:`~demigronwall.gronwall.build_instance`,
+the CLI's uniform X and G and the increments of
+:func:`associated_increments`, the CLI's fractional Y, are such batches
+too; F's source walks the columns of X, S and G.  The matrices built here and the partial sums
 built from them are time-major (Fortran order, each time column
 contiguous): they are filled in time order (:func:`partial_sums`,
 :func:`time_major`), after one size check (:func:`check_batch`).  So is
@@ -379,6 +380,12 @@ def _centered_uniform(u):
     return np.subtract(np.multiply(u, 2.0, out=u), 1.0, out=u)
 
 
+def _associated_tiles(theta, n_steps, seed, bound):
+    """``tiles(r0, r1, width)`` of the associated increments (:func:`_increment_tiles`): their one source."""
+    spec = GeneratorSpec.associated(theta) if bound is None else GeneratorSpec.bounded_associated(theta, bound)
+    return lambda r0, r1, width: _increment_tiles(spec, n_steps, r0, r1, seed, width)
+
+
 def associated_increment_matrix(theta, n_steps, n_paths, seed, bound=None):
     """Mean-zero associated increments, a Fortran-order array of shape ``(n_paths, n_steps)``.
 
@@ -391,8 +398,27 @@ def associated_increment_matrix(theta, n_steps, n_paths, seed, bound=None):
         InvalidSpec: ``theta``, ``bound``, ``n_paths`` or ``n_steps`` out of range.
         BatchTooLarge: ``n_paths * n_steps`` above the budget (:func:`check_batch`).
     """
-    spec = GeneratorSpec.associated(theta) if bound is None else GeneratorSpec.bounded_associated(theta, bound)
-    return time_major(n_paths, n_steps, lambda r0, r1, width: _increment_tiles(spec, n_steps, r0, r1, seed, width))
+    return time_major(n_paths, n_steps, _associated_tiles(theta, n_steps, seed, bound))
+
+
+def associated_increments(theta, n_steps, n_paths, seed, bound=None) -> TrajectoryBatch:
+    """The increments of :func:`associated_increment_matrix` as a generated batch of ``n_steps`` columns.
+
+    The batch holds their source, not their values, so its ``n_steps`` is
+    one less than this call's.  Its columns, read one at a time or built
+    into ``values``, equal the matrix of the same arguments bit for bit:
+    path ``r`` depends only on ``(seed, r)``.  The size and the seed are
+    checked at the call; nothing is drawn.
+
+    Raises:
+        InvalidSpec: as :func:`associated_increment_matrix`, a seed outside 64 bits, or ``n_steps < 1``.
+        BatchTooLarge: ``n_paths * n_steps`` above the budget (:func:`check_batch`).
+    """
+    n_paths, n_steps = check_batch(n_paths, n_steps, n_steps)
+    if n_steps < 1:
+        raise InvalidSpec(f"need n_steps >= 1 for a batch of increments, got {n_steps}")
+    tiles = _associated_tiles(theta, n_steps, int(_as_seed(seed)), bound)
+    return TrajectoryBatch._generated(n_paths, n_steps - 1, tiles, label=f"associated-increments[theta={theta:g}]")
 
 
 def _pm1_steps(bits):

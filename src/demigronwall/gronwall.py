@@ -45,6 +45,7 @@ from .errors import (
 from .generators import TrajectoryBatch, row_blocks, tile_width, whole_number
 from .reporting import (
     VerificationReport,
+    _mean_se,
     difference_mean_se,
     exponent_list,
     mean_se,
@@ -205,10 +206,16 @@ def _row_reduce(values, ufunc, first, n) -> np.ndarray:
 
 
 def _power_moment(sups, negative, p) -> tuple:
-    """``(mean, se)`` of ``sups ** p``; ``negative`` says whether some entry of ``sups`` is < 0."""
+    """``(mean, se)`` of ``sups ** p``; ``negative`` says whether some entry of ``sups`` is < 0.
+
+    The power is the one array allocated: the deviations of
+    :func:`~demigronwall.reporting.mean_se` are worked in it, with the same bits.
+    """
     if p != 1.0 and negative:
         raise NegativeBase(f"running maximum is negative on some path; p={p} power undefined")
-    return mean_se(sups ** p)
+    powered = sups ** p
+    mean, se = _mean_se(powered, out=powered)
+    return float(mean), float(se)
 
 
 def sup_moment(batch: TrajectoryBatch, p, n=None, first=0) -> tuple:
@@ -522,18 +529,25 @@ def _harness_grid(pairs, n_list, first, n_steps) -> tuple:
     return pairs, n_list
 
 
-def _grid_report(command, check, pairs, n_list, cell) -> VerificationReport:
-    """One row per (pair, n), pair-major and then in ``n_list`` order, from ``cell(pair, n)``.
+def _grid_report(command, check, pairs, n_list, sups, right) -> VerificationReport:
+    """One row per (pair, n), pair-major and then in ``n_list`` order.
 
-    ``cell`` returns ``(lhs, lhs_se, rhs, rhs_se)``; each row's verdict is
+    A row's left side is :func:`_power_moment` of ``sups(n)``, a
+    ``(running maxima, negative)`` pair, taken once per ``(p, n)`` however
+    many pairs share ``p``; its right side is ``right(pair, n)``, an
+    ``(rhs, rhs_se)`` pair.  Each row's verdict is
     :func:`~demigronwall.reporting.one_sided_verdict` of them, and its
     check ``check[n=..,p=..,mu=..]`` is True: the hypothesis held, or the
     harness raised before any cell.
     """
     report = VerificationReport(command=command, columns=GRONWALL_COLUMNS)
+    left = {}
     for pair in pairs:
         for n in n_list:
-            lhs, lhs_se, rhs, rhs_se = cell(pair, n)
+            if (pair.p, n) not in left:
+                left[pair.p, n] = _power_moment(*sups(n), pair.p)
+            lhs, lhs_se = left[pair.p, n]
+            rhs, rhs_se = right(pair, n)
             report.add_row(
                 n=n, p=pair.p, mu=pair.mu, nu=pair.nu, lhs=lhs, lhs_se=lhs_se, rhs=rhs,
                 **one_sided_verdict(lhs, lhs_se, rhs, rhs_se),
@@ -557,7 +571,8 @@ def verify_gronwall(instance: GronwallInstance, pairs, n_list=None) -> Verificat
     ``prod_{k<n} (1 + G_k)`` at every ``n``.  A pathwise violation of the
     recursion beyond :data:`HYPOTHESIS_TOL` of the scale raises
     :class:`HypothesisViolated`, its cells counted by a second walk.  Each
-    cell compares the Monte Carlo left side against :func:`holder_bound`
+    cell compares the Monte Carlo left side, taken once per ``(p, n)``
+    (:func:`_grid_report`), against :func:`holder_bound`
     with one-sided ``SLACK_SD * SE`` slack.  Rows are pair-major, then in
     ``n_list`` order.
     """
@@ -584,8 +599,8 @@ def verify_gronwall(instance: GronwallInstance, pairs, n_list=None) -> Verificat
         violations = sum(int(np.count_nonzero(f + s + h - x < floor)) for x, f, s, h, _ in walk())
         raise HypothesisViolated(f"{violations} path/time cells violate the recursion hypothesis beyond tolerance")
 
-    def cell(pair, n):
-        x_sups, negative, f_moment, grow = at_n[n]
-        return (*_power_moment(x_sups, negative, pair.p), *holder_bound(pair, grow, *f_moment))
+    def right(pair, n):
+        _, _, f_moment, grow = at_n[n]
+        return holder_bound(pair, grow, *f_moment)
 
-    return _grid_report("gronwall-theorem", "hypothesis_holds", pairs, n_list, cell)
+    return _grid_report("gronwall-theorem", "hypothesis_holds", pairs, n_list, lambda n: at_n[n][:2], right)

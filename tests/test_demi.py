@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
-from demigronwall import reporting
+from demigronwall import demi, reporting
 from demigronwall.demi import (
     ASSOCIATION_BLOCKS,
     Constant1,
@@ -74,6 +74,53 @@ class TestFamily:
         assert np.allclose(CoordinateRamp(2, 0.0, 1.0).evaluate(pts), [1.0, 0.5])
         assert np.allclose(ProductRamp((0.0, 0.0), 1.0).evaluate(pts), [0.0, 0.25])
         assert np.allclose(ShiftedIdentityLast(1.0).evaluate(pts), [1.0, -0.5])
+
+
+class TestQuartiles:
+    """``demi._quartiles`` against ``np.quantile``, whose bits it keeps."""
+
+    @staticmethod
+    def _batches(seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(60):
+            m, n = int(rng.integers(1, 400)), int(rng.integers(1, 18))
+            gauss = rng.standard_normal((m, n))
+            yield gauss
+            yield np.cumsum(gauss, axis=1)
+            yield rng.integers(-3, 4, (m, n)).astype(np.float64)  # many ties
+            yield rng.integers(0, 2, (m, n)).astype(np.float64)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_bits_equal_np_quantile(self, order):
+        for values in self._batches(5 if order == "C" else 6):
+            values = np.asarray(values, order=order)
+            want = np.quantile(values, [0.25, 0.5, 0.75])
+            assert demi._quartiles(values).tobytes() == want.tobytes(), values.shape
+            assert values.flags[f"{order}_CONTIGUOUS"]  # the copy was partitioned, not the batch
+
+    def test_a_batch_with_the_sizes_of_the_cli(self):
+        # every virtual index with a fractional part, and the six order statistics all distinct
+        values = np.asfortranarray(np.random.default_rng(7).standard_normal((50_000, 16)))
+        kept = values.copy()
+        assert demi._quartiles(values).tobytes() == np.quantile(values, [0.25, 0.5, 0.75]).tobytes()
+        assert values.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("value", [-0.0, 0.0, 2.5])
+    def test_a_single_value_is_each_quartile_with_its_sign(self, value):
+        values = np.array([[value]])
+        assert demi._quartiles(values).tobytes() == np.quantile(values, [0.25, 0.5, 0.75]).tobytes()
+
+    def test_select_places_each_order_statistic(self):
+        a = np.random.default_rng(8).permutation(1000).astype(np.float64)
+        ks = [0, 249, 250, 499, 500, 998, 999]
+        demi._select(a, ks)
+        assert a[ks].tolist() == [float(k) for k in ks]
+
+    def test_the_default_family_takes_its_centres_from_them(self):
+        batch = TrajectoryBatch(np.random.default_rng(9).standard_normal((300, 5)))
+        q1, q2, q3 = np.quantile(batch.values, [0.25, 0.5, 0.75])
+        ramps = [f for f in TestFunctionFamily.default(batch).members if isinstance(f, CoordinateRamp)]
+        assert [f.center for f in ramps] == [q1, q2, q3]
 
 
 class TestCheckDemimartingale:

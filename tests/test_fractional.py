@@ -1,3 +1,5 @@
+import functools
+import json
 import math
 import tracemalloc
 
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import erfc, erfcx
 from scipy.special import gamma as scipy_gamma
 
-from demigronwall import fractional
+from demigronwall import fractional, generators
 from demigronwall.errors import (
     AlphaOutOfRange,
     BetaOutOfRange,
@@ -30,7 +32,7 @@ from demigronwall.fractional import (
     multi_term_table,
     verify_fractional_gronwall,
 )
-from demigronwall.generators import TrajectoryBatch, associated_increment_matrix
+from demigronwall.generators import TrajectoryBatch, associated_increment_matrix, associated_increments
 from demigronwall.gronwall import HolderPair, holder_bound, sup_moment
 from demigronwall.reporting import mean_se, one_sided_verdict
 from demigronwall.rng import uniform_matrix
@@ -459,6 +461,51 @@ class TestVerifyFractionalGronwall:
         y[17, 3] = bad
         with pytest.raises(InvalidSpec, match="non-finite"):
             verify_fractional_gronwall(model, x, y, [HolderPair.deterministic(0.5)])
+
+    @pytest.mark.parametrize("form", ["held", "generated"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_a_non_finite_y_batch_raises_invalid_spec_in_the_walk(self, monkeypatch, bad, form):
+        # a batch's columns are checked as the F walk reads them, after the table is built
+        model = FractionalModel(betas=(0.5,), q=(1.0,), tau=0.1, n_steps=8, lambda1=0.5)
+        x = TrajectoryBatch(associated_increment_matrix(1.0, 9, 200, seed=5) ** 2)
+        y = associated_increment_matrix(1.0, 8, 200, seed=6)
+        if form == "held":
+            batch = TrajectoryBatch(y)  # checked here, then changed through its values
+        else:
+            batch = TrajectoryBatch._generated(200, 7, functools.partial(generators._column_views, y), "bad")
+        y[17, 3] = bad
+        tables = []
+        monkeypatch.setattr(fractional, "multi_term_table", lambda *args: tables.append(1) or multi_term_table(*args))
+        with pytest.raises(InvalidSpec, match="Y contains non-finite"):
+            verify_fractional_gronwall(model, x, batch, [HolderPair.deterministic(0.5)])
+        assert tables == [1]
+
+    def test_every_form_of_y_writes_the_same_bytes(self, tmp_path):
+        model = FractionalModel(betas=(0.3, 0.7), q=(1.0, 2.0), tau=0.1, n_steps=16, lambda1=0.5, lambda2=0.5)
+        x = TrajectoryBatch(associated_increment_matrix(1.0, 17, 3000, seed=41) ** 2)
+        y = associated_increment_matrix(1.0, 16, 3000, seed=42)
+        generated = associated_increments(1.0, 16, 3000, seed=42)
+        forms = {
+            "array": y,
+            "C-order array": np.ascontiguousarray(y),
+            "held batch": TrajectoryBatch(y),
+            "generated batch": generated,
+        }
+        pairs = [HolderPair.deterministic(0.5), HolderPair(2.0, 2.0, 0.25), HolderPair.deterministic(0.25)]
+        written = {}
+        for name, form in forms.items():
+            report = verify_fractional_gronwall(model, x, form, pairs, [16, 1, 8])
+            report.to_csv(tmp_path / "cases.csv")
+            written[name] = ((tmp_path / "cases.csv").read_bytes(), json.dumps(report.json_body(), sort_keys=True))
+        assert all(out == written["array"] for out in written.values())
+        assert generated._values is None  # its columns were drawn as the walk read them
+
+    def test_a_y_batch_not_aligned_to_the_model_raises_shape_mismatch(self):
+        model = FractionalModel(betas=(0.5,), q=(1.0,), tau=0.1, n_steps=8)
+        x = TrajectoryBatch(np.zeros((20, 9)))
+        for y in (associated_increments(1.0, 7, 20, seed=1), associated_increments(1.0, 8, 21, seed=1)):
+            with pytest.raises(ShapeMismatch):
+                verify_fractional_gronwall(model, x, y, [HolderPair.deterministic(0.5)])
 
 
 class TestWholeStepIndices:

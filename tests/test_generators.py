@@ -16,6 +16,7 @@ from demigronwall.generators import (
     GeneratorSpec,
     TrajectoryBatch,
     associated_increment_matrix,
+    associated_increments,
     generate_paths,
     partial_sums,
 )
@@ -234,6 +235,42 @@ def test_associated_increment_matrix_contract(monkeypatch):
     assert associated_increment_matrix(1.0, 10, 100, seed=4).tobytes() == at_budget.tobytes()
     with pytest.raises(BatchTooLarge, match="100 x 11 entries"):
         associated_increment_matrix(1.0, 11, 100, seed=4)
+
+
+class TestAssociatedIncrements:
+    """The generated batch of increments and the matrix come from one source."""
+
+    @pytest.mark.parametrize("bound", [None, 0.75])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_columns_and_values_equal_the_matrix(self, monkeypatch, bound, workers):
+        inc = associated_increment_matrix(0.5, 9, 2000, seed=4, bound=bound)
+        _split_rows(monkeypatch, workers)
+        batch = associated_increments(0.5, 9, 2000, seed=4, bound=bound)
+        assert (batch.n_paths, batch.n_steps + 1) == inc.shape
+        for r0, r1, width in ((0, 2000, 1), (0, 2000, 4), (666, 1333, 1), (1999, 2000, 9)):
+            tiles = list(batch._tiles(r0, r1, width))
+            assert all(1 <= tile.shape[1] <= width for tile in tiles)
+            assert np.hstack(tiles).tobytes() == np.ascontiguousarray(inc[r0:r1]).tobytes()
+        assert batch._values is None  # reading columns builds no matrix
+        assert batch.values.flags.f_contiguous and batch.values.tobytes() == inc.tobytes()
+
+    def test_contract(self, monkeypatch):
+        batch = associated_increments(np.int64(1.0), np.int64(6), np.int64(10), seed=np.uint64(4))
+        assert (batch.n_paths, batch.n_steps) == (10, 5) and "theta=1" in batch.label
+        for theta, bound in ((-0.5, None), (math.nan, None), (1.0, math.inf)):
+            with pytest.raises(InvalidSpec):
+                associated_increments(theta, 6, 10, seed=4, bound=bound)
+        for n_steps, n_paths in ((0, 10), (-1, 10), (6, 0)):
+            with pytest.raises(InvalidSpec):
+                associated_increments(1.0, n_steps, n_paths, seed=4)
+        with pytest.raises(InvalidSpec, match="whole number"):
+            associated_increments(1.0, 6.5, 10, seed=4)
+        with pytest.raises(InvalidSpec, match="64-bit"):
+            associated_increments(1.0, 6, 10, seed=-1)
+        monkeypatch.setattr(generators, "MAX_BATCH_ENTRIES", 1000)
+        associated_increments(1.0, 10, 100, seed=4)
+        with pytest.raises(BatchTooLarge, match="100 x 11 entries"):
+            associated_increments(1.0, 11, 100, seed=4)
 
 
 class TestTimeMajorLayout:

@@ -737,6 +737,22 @@ class TestGronwallGrid:
         assert set(report.checks) == {f"hypothesis_holds[n={n},p={q.p:g},mu={q.mu:g}]" for q, n in cells}
         assert report.overall_pass, report.rows
 
+    @pytest.mark.parametrize("kind", ["det", "random"])
+    def test_each_left_side_is_taken_once_per_p_and_n(self, monkeypatch, kind):
+        inst = self._instance(kind)
+        want = verify_gronwall(inst, self.PAIRS, self.N_LIST).rows
+        calls = []
+
+        def counted(sups, negative, p):
+            calls.append((p, len(sups)))
+            return power_moment(sups, negative, p)
+
+        power_moment = gronwall._power_moment
+        monkeypatch.setattr(gronwall, "_power_moment", counted)
+        assert verify_gronwall(inst, self.PAIRS, self.N_LIST).rows == want
+        # two (mu, nu) pairs share each p: 2 p's x 3 n's, not 12
+        assert len(calls) == 6 and {p for p, _ in calls} == {0.25, 0.45}
+
     def test_default_time_index_is_the_last(self):
         inst = self._instance("det")
         assert [row["n"] for row in verify_gronwall(inst, self.PAIRS).rows] == [10] * 4
@@ -890,6 +906,18 @@ def _reduce_case(draw):
 
 def _reductions(values, first, n):
     return [gronwall._row_reduce(values, f, first, n).tobytes() for f in (np.maximum, np.minimum, np.multiply)]
+
+
+class TestPowerMoment:
+    @pytest.mark.parametrize("p", [0.25, 0.45, 0.5, 0.75, 1.0])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_bits_equal_the_mean_se_of_the_power(self, p, order):
+        # the deviations are worked in the power's own buffer; p = 0.5 takes numpy's sqrt path
+        rows = np.asarray(np.abs(np.random.default_rng(3).standard_normal((4, 20_001))), order=order)
+        for sups in rows:
+            kept = sups.copy()
+            assert gronwall._power_moment(sups, False, p) == mean_se(sups ** p)
+            assert sups.tobytes() == kept.tobytes()
 
 
 class TestRowReduce:
