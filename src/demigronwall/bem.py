@@ -148,29 +148,37 @@ class BemConfig:
 
 
 class BemBatch:
-    """Noise terms Z, running sup norms and largest Newton residual of simulated paths.
+    """Partial sums of the noise terms Z, their column moments, running sup norms and largest Newton residual.
 
-    :func:`simulate_bem` keeps of each step only its column of Z, each
-    path's running maximum of ``|Y^j|^2`` and the largest residual norm of
-    the step's Newton solves; no path, residual or increment is held.  A
-    batch is made by :func:`simulate_bem`.
+    :func:`simulate_bem` keeps each step's column of Z only long enough to
+    fold it into the normalized partial sums S and the column's mean and
+    standard error; it also folds each path's running maximum of
+    ``|Y^j|^2`` and the largest residual norm of the step's Newton solves.
+    No path, residual, increment or Z matrix is held.  A batch is made by
+    :func:`simulate_bem`.
 
     Attributes:
-        noise: ``(M, N)`` time-major (Fortran order), ``Z^{j+1}`` in column ``j``.
+        partial_sums: ``(M, N+1)`` time-major (Fortran order),
+            ``S_n = (1 - 2 h0 L)^{-1} sum_{j<n} Z^{j+1}`` in column ``n``,
+            with ``S_0 = 0``.
+        factor: ``1 - 2 h0 L``, which S is divided by.
+        z_mean, z_se: length-N arrays, the mean and standard error of
+            ``Z^{j+1}`` over the paths at ``j``: the bits of ``mean_se(Z)``.
         max_residual: the largest Newton residual norm over every path and
             step, at most ``newton_tol``.
     """
 
-    def __init__(self, noise, sup_sq, max_residual):
-        self.noise, self._sup_sq, self.max_residual = noise, sup_sq, max_residual
+    def __init__(self, partial_sums, factor, z_mean, z_se, sup_sq, max_residual):
+        self.partial_sums, self.factor, self.z_mean, self.z_se = partial_sums, factor, z_mean, z_se
+        self._sup_sq, self.max_residual = sup_sq, max_residual
 
     @property
     def n_paths(self) -> int:
-        return self.noise.shape[0]
+        return self.partial_sums.shape[0]
 
     @property
     def n_steps(self) -> int:
-        return self.noise.shape[1]
+        return self.partial_sums.shape[1] - 1
 
     def sup_norms(self) -> np.ndarray:
         """Per-path running supremum of the Euclidean state norm, ``max_j |Y^j|``.
@@ -372,8 +380,9 @@ def _check_size(n_steps, n_paths) -> int:
 def _bem_steps(model: SdeModel, cfg: BemConfig, seed, n_paths):
     """Take the implicit steps of ``n_paths`` paths, yielding ``(z, u, rnorm)`` for each step in order.
 
-    The one stepping loop: :func:`simulate_bem` keeps the noise terms and
-    folds the states and residual norms into running maxima.  Step ``j``
+    The one stepping loop: :func:`simulate_bem` folds the noise terms into
+    their partial sums and column moments and the states and residual
+    norms into running maxima.  Step ``j``
     draws its Fortran ``(M, m)`` tile of increments when it reaches it
     (:func:`~demigronwall.rng.draw_columns`), evaluates ``g(Y^j)`` once
     and yields the noise terms ``z = Z^{j+1}``, the column-major state
@@ -402,6 +411,14 @@ def _bem_steps(model: SdeModel, cfg: BemConfig, seed, n_paths):
         y = u
 
 
+def _sum_factor(model: SdeModel, h0) -> float:
+    """``1 - 2 h0 L``, the divisor of the partial sums S; raises :class:`StepBoundViolation` unless it is > 0."""
+    factor = 1.0 - 2.0 * h0 * model.L
+    if not factor > 0.0:
+        raise StepBoundViolation(f"need 1 - 2 h0 L > 0, got {factor}")
+    return factor
+
+
 def simulate_bem(model: SdeModel, cfg: BemConfig, seed, n_paths) -> BemBatch:
     """Simulate ``n_paths`` backward Euler-Maruyama paths.
 
@@ -412,45 +429,60 @@ def simulate_bem(model: SdeModel, cfg: BemConfig, seed, n_paths) -> BemBatch:
     (:func:`~demigronwall.rng.draw_columns`), with the bits of columns
     ``j m .. j m + m - 1`` of ``normal_matrix(seed, M, N m)``, so no
     ``(M, N m)`` matrix is held.
-    Each step evaluates ``g(Y^j)`` once and records its noise term
+    Each step evaluates ``g(Y^j)`` once and forms its noise term
     ``Z^{j+1} = |g dW|^2 - h |g|^2 + 2 <g dW, Y^j>``, which has
     conditional mean zero: ``E|g dW|^2 = h |g|^2`` cancels the compensator
     and the cross term is centered.
 
-    The batch holds Z, one time column per step, each path's running
-    maximum of ``|Y^j|^2`` and the largest Newton residual norm, both
-    folded in as each step is accepted; the paths and residual norms are
-    not held.  Every step's residual contract is judged here.  The
-    configuration, size and seed are checked before anything is allocated.
+    Each step's column of Z is folded as the step is accepted, then
+    dropped: its mean and standard error (``mean_se`` of the column, the
+    bits of ``mean_se(Z)``) and its running sum
+    (:func:`~demigronwall.generators.partial_sums`, with the bits of the
+    row-wise ``np.cumsum`` of Z), which is divided by ``1 - 2 h0 L``
+    (``cfg.h0``) as the column of S.  Each path's running maximum
+    of ``|Y^j|^2`` and the largest Newton residual norm are folded in too;
+    the paths, residual norms and Z are not held.  Every step's residual
+    contract is judged here.  The configuration, size and seed are checked
+    before anything is allocated.
     """
     cfg.validate_against(model)
     n_paths = _check_size(cfg.n_steps, n_paths)
     seed = int(_as_seed(seed))
-    noise = np.empty((n_paths, cfg.n_steps), order="F")
+    factor = _sum_factor(model, cfg.h0)
+    z_mean, z_se = np.empty(cfg.n_steps), np.empty(cfg.n_steps)
     sup_sq = np.full(n_paths, _sq_norm(cfg.x0))
     max_residual = 0.0
-    for j, (z, u, rnorm) in enumerate(_bem_steps(model, cfg, seed, n_paths)):
-        noise[:, j] = z
-        np.maximum(sup_sq, _sq_norm(u), out=sup_sq)
-        max_residual = max(max_residual, float(rnorm.max()))
-    return BemBatch(noise, sup_sq, max_residual)
 
+    def folded():  # no enumerate: its reused result tuple would hold the last Z through the next step
+        nonlocal max_residual
+        j = 0
+        for z, u, rnorm in _bem_steps(model, cfg, seed, n_paths):
+            z_mean[j], z_se[j] = mean_se(z)
+            np.maximum(sup_sq, _sq_norm(u), out=sup_sq)
+            max_residual = max(max_residual, float(rnorm.max()))
+            yield z
+            del z, u, rnorm  # before the next step is taken
+            j += 1
 
-def z_sequence(model: SdeModel, batch: BemBatch, h0):
-    """The batch's noise terms plus their normalized partial sums.
-
-    Returns ``(Z, S)`` of shapes ``(M, N)`` and ``(M, N+1)``, where
-    ``Z = batch.noise`` and ``S_n = (1 - 2 h0 L)^{-1} sum_{j<n} Z^{j+1}``
-    with ``S_0 = 0``; both are time-major (Fortran order), and S is summed
-    from Z's contiguous time columns.  Neither reads the paths.
-    """
-    factor = 1.0 - 2.0 * h0 * model.L
-    if not factor > 0.0:
-        raise StepBoundViolation(f"need 1 - 2 h0 L > 0, got {factor}")
-    z = batch.noise
-    s = partial_sums(z.shape[0], z.shape[1], z.T)
+    s = partial_sums(n_paths, cfg.n_steps, folded())
     s /= factor
-    return z, s
+    return BemBatch(s, factor, z_mean, z_se, sup_sq, max_residual)
+
+
+def z_sequence(model: SdeModel, batch: BemBatch, h0) -> np.ndarray:
+    """The batch's normalized partial sums of the noise terms Z, ``(M, N+1)``.
+
+    ``S_n = (1 - 2 h0 L)^{-1} sum_{j<n} Z^{j+1}`` with ``S_0 = 0``,
+    time-major (Fortran order): the batch's own ``partial_sums``, which
+    :func:`simulate_bem` summed step by step, so no second S is made.
+    ``1 - 2 h0 L`` must be > 0 (else :class:`StepBoundViolation`) and
+    equal the divisor the batch was simulated with (else
+    :class:`InvalidSpec`).
+    """
+    factor = _sum_factor(model, h0)
+    if factor != batch.factor:
+        raise InvalidSpec(f"the batch's partial sums are divided by {batch.factor!r}, not 1 - 2 h0 L = {factor!r}")
+    return batch.partial_sums
 
 
 # --------------------------------------------------------------------------
@@ -516,7 +548,7 @@ def verify_apriori_bound(
     no h) and every estimate must satisfy
     ``estimate <= bound + SLACK_SD * SE``.  For every h two side conditions
     are recorded as named checks: ``z_mean_zero[h=...]``, every column mean
-    of the noise terms Z, as each step recorded them, within ``SLACK_SD``
+    of the noise terms Z, as each step folded it, within ``SLACK_SD``
     standard errors of zero, and
     ``s_demimartingale[h=...]``, the demimartingale check on their
     normalized partial sums.  ``p_grid`` is a list of exponents.  An empty
@@ -527,8 +559,9 @@ def verify_apriori_bound(
     :data:`~demigronwall.demi.DEMI_MIN_STEPS` steps :class:`DegenerateBatch`
     and a finest h above the batch budget :class:`BatchTooLarge`, all before any simulation.
 
-    Of each h's batch only the sup norms and Z are read, and the batch goes
-    before its S is checked.
+    Of each h's batch only the sup norms, Z's column moments and S are
+    read.  S is the one matrix that a batch holds, and it is checked in
+    place: no call holds two ``(M, N+1)`` matrices at once.
     """
     cfg_grid = list(cfg_grid)
     if not cfg_grid:
@@ -551,16 +584,14 @@ def verify_apriori_bound(
                 h=cfg.h, p=p, estimate=estimate, stderr=se, bound=bounds[p],
                 **one_sided_verdict(estimate, se, bounds[p], 0.0),
             )
-        col_mean, col_se = mean_se(batch.noise)  # before S: its deviations are a Z-sized temporary
         report.checks[f"z_mean_zero[h={cfg.h:g}]"] = all(
-            one_sided_verdict(abs(m), se, 0.0, 0.0)["verdict"] == "pass" for m, se in zip(col_mean, col_se)
+            one_sided_verdict(abs(m), se, 0.0, 0.0)["verdict"] == "pass" for m, se in zip(batch.z_mean, batch.z_se)
         )
-        s = z_sequence(model, batch, b0)[1]
-        del batch  # and with it Z: only S is held while it is checked
-        s_batch = TrajectoryBatch(s, label=f"z-partial-sums[h={cfg.h:g}]")
+        s_batch = TrajectoryBatch(z_sequence(model, batch, b0), label=f"z-partial-sums[h={cfg.h:g}]")
+        del batch  # S, now the only matrix held, is checked in place
         demi = check_demimartingale(s_batch, TestFunctionFamily.default(s_batch))
         report.checks[f"s_demimartingale[h={cfg.h:g}]"] = demi.overall_pass
-        del s, s_batch, demi  # before the next h is simulated
+        del s_batch, demi  # before the next h is simulated
     return report
 
 

@@ -149,25 +149,87 @@ def _select(a, ks):
         _select(a[k + 1 :], [j - k - 1 for j in ks[mid + 1 :]])
 
 
+#: entries of the strided sample from which :func:`_bracketed` brackets each order statistic
+QUARTILE_SAMPLE = 1 << 15
+
+#: entries that :func:`_bracketed` compares with the brackets at a time, about a quarter of an L2 cache
+_BRACKET_CHUNK = 1 << 16
+
+
+def _bracketed(values, ranks):
+    """The order statistics ``ranks`` and ``ranks + 1`` of the finite ``values``, without copying them, or ``None``.
+
+    ``ranks`` are three ascending indices into the sorted entries.  A sorted
+    strided sample of about :data:`QUARTILE_SAMPLE` entries brackets each
+    pair with its values ``2 sqrt(sample size)`` sample ranks either side, more
+    than four standard errors of a sample quantile.  One pass over
+    contiguous chunks of the data counts the entries below each bracket and
+    gathers those inside; :func:`_select` then places each pair among the
+    gathered entries, which hold about 7% of them.  ``None`` (the caller takes a
+    flat copy) when the data are not contiguous or under 8 samples long,
+    the brackets touch, more than an eighth of the entries fall inside
+    them, or a pair falls outside its bracket: ties, and data whose values
+    repeat with the sample's stride, do that.
+    """
+    n = values.size
+    if n < 8 * QUARTILE_SAMPLE or not (values.flags.c_contiguous or values.flags.f_contiguous):
+        return None
+    flat = values.ravel(order="K")
+    sample = np.sort(flat[:: n // QUARTILE_SAMPLE])
+    half = 2 * math.isqrt(sample.size)
+    at = ranks * sample.size // n
+    bounds = np.empty(6)  # each bracket is [bounds[2i], bounds[2i + 1])
+    bounds[0::2] = sample[np.maximum(at - half, 0)]
+    bounds[1::2] = np.nextafter(sample[np.minimum(at + 1 + half, sample.size - 1)], np.inf)
+    del sample
+    if not (bounds[1:] > bounds[:-1]).all():
+        return None
+    below, kept, inside = np.zeros(3, dtype=np.intp), [], 0
+    less = np.empty((6, min(n, _BRACKET_CHUNK)), dtype=bool)
+    for start in range(0, n, _BRACKET_CHUNK):
+        part = flat[start : start + _BRACKET_CHUNK]
+        rows = np.less(part, bounds[:, None], out=less[:, : part.size])
+        below += [np.count_nonzero(row) for row in rows[0::2]]
+        # the rows are nested, so an entry lies inside a bracket when an odd number of them hold
+        kept.append(part.compress(np.bitwise_xor.reduce(rows, axis=0, out=rows[0])))
+        inside += kept[-1].size
+        if inside > n // 8:
+            return None
+    del less
+    got = np.concatenate(kept)
+    del kept
+    ends = np.array([np.count_nonzero(got < b) for b in bounds[1::2]])  # in ``got`` sorted, bracket i ends here
+    pos = ranks - below + np.concatenate(([0], ends[:-1]))
+    if not ((ranks >= below) & (pos + 1 < ends)).all():
+        return None
+    _select(got, sorted({*pos.tolist(), *(pos + 1).tolist()}))
+    return got[pos], got[pos + 1]
+
+
 def _quartiles(values) -> np.ndarray:
-    """The pooled 25/50/75% quantiles of ``values``: ``np.quantile``'s linear rule, from six order statistics.
+    """The pooled 25/50/75% quantiles of the finite ``values``: ``np.quantile``'s linear rule, from six order statistics.
 
     The order statistics below and above each virtual index ``(n-1) q``
-    come from :func:`_select` on one flat copy, and are interpolated as
-    numpy does, ``a + (b-a) g``, or ``b - (b-a)(1-g)`` when ``g >= 0.5``.
-    The bits equal ``np.quantile(values, [0.25, 0.5, 0.75])`` on any
-    layout, up to the sign of a zero when the data mix ``+0.0`` and
+    come from :func:`_bracketed`, which copies none of the data, or, when
+    its brackets miss, from :func:`_select` on one flat copy.  They are
+    interpolated as numpy does, ``a + (b-a) g``, or ``b - (b-a)(1-g)`` when
+    ``g >= 0.5``.  The bits equal ``np.quantile(values, [0.25, 0.5, 0.75])``
+    on any layout, up to the sign of a zero when the data mix ``+0.0`` and
     ``-0.0``, which compare equal, so either may be selected.
     """
-    a = np.asarray(values).flatten(order="K")
-    virtual = (a.size - 1) * np.array([0.25, 0.5, 0.75])
+    values = np.asarray(values)
+    virtual = (values.size - 1) * np.array([0.25, 0.5, 0.75])
     # numpy's neighbours: floor and floor + 1, or the last entry (-1) twice at or beyond it (a single value)
-    lo = np.where(virtual >= a.size - 1, -1.0, np.floor(virtual))
+    lo = np.where(virtual >= values.size - 1, -1.0, np.floor(virtual))
     hi = np.where(lo < 0, -1.0, lo + 1)
     gamma = virtual - lo
     lo, hi = lo.astype(np.intp), hi.astype(np.intp)
-    _select(a, sorted({k % a.size for k in (*lo.tolist(), *hi.tolist())}))
-    below, above = a[lo], a[hi]
+    pairs = _bracketed(values, lo)
+    if pairs is None:
+        a = values.flatten(order="K")
+        _select(a, sorted({k % a.size for k in (*lo.tolist(), *hi.tolist())}))
+        pairs = a[lo], a[hi]
+    below, above = pairs
     diff = above - below
     out = below + diff * gamma
     np.subtract(above, diff * (1 - gamma), out=out, where=gamma >= 0.5)
@@ -192,10 +254,11 @@ class TestFunctionFamily:
     def default(cls, batch: TrajectoryBatch) -> "TestFunctionFamily":
         """Data-driven default: ramps at batch quantiles plus the two extremes.
 
-        Centers sit at the pooled 25/50/75% quantiles, taken by single-kth
-        selection on one flat copy (:func:`_quartiles`: the bits of
-        ``np.quantile``, up to the sign of a zero when the batch mixes
-        ``+0.0`` and ``-0.0``) and the ramp width is
+        Centers sit at the pooled 25/50/75% quantiles (:func:`_quartiles`:
+        bracketed by a sorted strided sample and gathered without a copy,
+        :func:`_bracketed`, with one flat copy only when a bracket misses;
+        the bits of ``np.quantile``, up to the sign of a zero when the
+        batch mixes ``+0.0`` and ``-0.0``) and the ramp width is
         a quarter of the interquartile range (floored away from zero), so
         the probes stay responsive on whatever scale the batch lives on.
         """

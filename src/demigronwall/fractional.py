@@ -361,8 +361,9 @@ def verify_fractional_gronwall(
 
     Negative X raises :class:`NegativeInput`, X or Y not aligned to the
     model's steps :class:`ShapeMismatch` and a non-finite Y
-    :class:`InvalidSpec`: an array Y when it is wrapped, before any work,
-    and a batch Y in the walk below, column by column as it is read.  The
+    :class:`InvalidSpec`: an array Y when it is wrapped and a batch that
+    holds its values when it is made, both before any work, and a generated
+    batch Y in the walk below, column by column as it is read.  The
     grid is checked as in
     :func:`~demigronwall.gronwall.verify_gronwall`, with ``1 <= n <= N``.
     Then, once per call and from one L1 operator table,
@@ -397,13 +398,14 @@ def verify_fractional_gronwall(
     y = _y_batch(Y, X.n_paths, model.n_steps)
     pairs, n_list = _harness_grid(pairs, n_list, 1, model.n_steps)
 
+    unchecked = y._values is None  # a batch that holds its values checked them when it was made
     x = X.values
     f = multi_term_table(model, x)  # overwritten with F, one column at a time
     linear, term = np.empty(X.n_paths), np.empty(X.n_paths)
     x_sup, f_sup = np.full(X.n_paths, -np.inf), np.full(X.n_paths, -np.inf)
     x_sups, f_sups = {}, {}
     for k, y_k in enumerate(_columns(y, 0, X.n_paths)):
-        if not np.isfinite(y_k).all():
+        if unchecked and not np.isfinite(y_k).all():
             raise InvalidSpec("Y contains non-finite entries")
         np.multiply(model.lambda1, x[:, k + 1], out=linear)
         np.add(y_k, linear, out=linear)

@@ -229,10 +229,11 @@ def partial_sums(n_paths, n_steps, increments, out=None):
     """
     if out is None:
         out = np.empty((n_paths, n_steps + 1), order="F")
-    k = 0
-    for tile in _running_sums(n_paths, (np.array(inc, dtype=np.float64) for inc in increments)):
+    k = 0  # map, unlike a generator expression, holds no increment while the next is drawn
+    for tile in _running_sums(n_paths, map(functools.partial(np.array, dtype=np.float64), increments)):
         out[:, k : k + tile.shape[1]] = tile
         k += tile.shape[1]
+        del tile  # before the next increment is drawn
     return out
 
 

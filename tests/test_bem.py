@@ -37,6 +37,7 @@ from demigronwall.errors import (
     StepBoundViolation,
     StepTooLarge,
 )
+from demigronwall.reporting import mean_se
 from demigronwall.rng import normal_matrix, uniform_matrix
 
 
@@ -83,6 +84,22 @@ def _collect(model, cfg, seed, n_paths):
     for j, (z, u, rnorm) in enumerate(bem._bem_steps(model, cfg, seed, n_paths)):
         run.noise[:, j], run.paths[:, j + 1], run.residual_norms[:, j] = z, u, rnorm
     return run
+
+
+def _assert_folds(batch, z, factor):
+    """The batch's S and Z moments are, bit for bit, those of the collected noise terms ``z``.
+
+    S must be ``partial_sums(Z) / factor``, and the moments ``mean_se`` of
+    Z in time-major (Fortran) order, whose columns it reduces as 1-D arrays.
+    """
+    z = np.asfortranarray(z)
+    s = generators.partial_sums(z.shape[0], z.shape[1], z.T)
+    s /= factor
+    assert batch.partial_sums.flags.f_contiguous
+    assert batch.partial_sums.tobytes() == s.tobytes()
+    mean, se = mean_se(z)
+    assert batch.z_mean.tobytes() == mean.tobytes()
+    assert batch.z_se.tobytes() == se.tobytes()
 
 
 def _one_step(model, x0, h):
@@ -439,7 +456,9 @@ class TestScalarKernels:
         reference, masked = simulate_bem(model, cfg, seed=21, n_paths=3000), _collect(model, cfg, 21, 3000)
         assert run.paths.tobytes() == masked.paths.tobytes()
         assert run.residual_norms.tobytes() == masked.residual_norms.tobytes()
-        assert batch.noise.tobytes() == reference.noise.tobytes()
+        assert run.noise.tobytes() == masked.noise.tobytes()
+        for name in ("partial_sums", "z_mean", "z_se"):
+            assert getattr(batch, name).tobytes() == getattr(reference, name).tobytes(), name
         assert batch.sup_norms().tobytes() == reference.sup_norms().tobytes()
         assert batch.max_residual == reference.max_residual
         # rows converged at different iterations, so the gathers and scatters ran
@@ -515,7 +534,9 @@ class TestSimulate:
         cfg = BemConfig(h=0.1, t_horizon=1.0, h0=0.25, x0=[1.0])
         a = simulate_bem(model, cfg, seed=11, n_paths=50)
         b = simulate_bem(model, cfg, seed=11, n_paths=50)
-        assert a.noise.tobytes() == b.noise.tobytes() and a.sup_norms().tobytes() == b.sup_norms().tobytes()
+        for name in ("partial_sums", "z_mean", "z_se"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+        assert a.sup_norms().tobytes() == b.sup_norms().tobytes()
         assert a.max_residual == b.max_residual
         a, b = _collect(model, cfg, 11, 50), _collect(model, cfg, 11, 50)
         assert np.array_equal(a.paths, b.paths)
@@ -566,10 +587,10 @@ class TestSimulate:
         expected = _whole_matrix_stepper(model, cfg, 6, 2000)
         for name, want in zip(("increments", "paths", "noise", "residual_norms"), expected):
             assert getattr(run, name).tobytes() == want.tobytes(), name
-        assert batch.noise.tobytes() == expected[2].tobytes()
+        _assert_folds(batch, expected[2], 1.0 - 2.0 * cfg.h0 * model.L)
 
     def test_peak_memory_holds_no_increment_matrix(self):
-        # Z is 0.9 checked arrays, and one step's draws and Newton temporaries bring the peak to 2.6;
+        # S is one checked array, and one step's draws and Newton temporaries bring the peak to 2.73;
         # holding the paths and residuals too reached 4.4, and the whole (M, N) increment matrix 5.1
         model = ou_model(1.0, 1.0)
         cfg = BemConfig(h=0.1, t_horizon=1.0, h0=0.25, x0=[1.0])
@@ -610,7 +631,7 @@ def _counting(model):
 
 
 class TestLeanBatch:
-    """A batch holds Z, the sup norms and the largest Newton residual, and nothing of its model."""
+    """A batch holds S, Z's column moments, the sup norms and the largest Newton residual, and nothing of its model."""
 
     CFG = BemConfig(h=0.05, t_horizon=0.5, h0=0.2, x0=[1.5, -1.0])
 
@@ -619,8 +640,9 @@ class TestLeanBatch:
         batch = simulate_bem(model, self.CFG, seed=3, n_paths=500)
         one_run = dict(calls)
         assert one_run["diffusion"] == self.CFG.n_steps
-        assert (batch.n_paths, batch.n_steps, batch.noise.shape) == (500, 10, (500, 10))
-        batch.sup_norms(), batch.max_residual
+        assert (batch.n_paths, batch.n_steps, batch.partial_sums.shape) == (500, 10, (500, 11))
+        assert batch.z_mean.shape == batch.z_se.shape == (10,)
+        batch.sup_norms(), batch.max_residual, z_sequence(model, batch, self.CFG.h0)
         assert calls == one_run
 
     @pytest.mark.parametrize(
@@ -767,7 +789,8 @@ class TestNoiseTerms:
         )
         for x0 in (0.0, 1.0):
             cfg = BemConfig(h=0.01, t_horizon=0.02, h0=0.5, x0=[x0])
-            z = simulate_bem(model, cfg, seed=1, n_paths=2).noise
+            z = _collect(model, cfg, 1, 2).noise
+            _assert_folds(simulate_bem(model, cfg, seed=1, n_paths=2), z, 1.0 - 2.0 * cfg.h0 * model.L)
             assert z.shape == (2, 2)
             assert np.all(np.abs(z[:, 0] - 0.2 * x0) < 1e-15)           # 0.01 - 0.01 + 2*0.1*x0
             assert np.all(np.abs(z[:, 1] - 0.2 * (x0 + 0.1)) < 1e-15)   # Y^1 = x0 + 0.1
@@ -776,15 +799,17 @@ class TestNoiseTerms:
         monkeypatch.setattr(bem, "draw_columns", _fixed_normals(0.0))
         model = ou_model(0.0, 2.0)
         cfg = BemConfig(h=0.1, t_horizon=0.2, h0=0.2, x0=[3.0])
-        assert np.all(_collect(model, cfg, 1, 3).paths == 3.0)
-        assert np.all(np.abs(simulate_bem(model, cfg, seed=1, n_paths=3).noise + 0.1 * 4.0) < 1e-15)
+        run = _collect(model, cfg, 1, 3)
+        assert np.all(run.paths == 3.0)
+        assert np.all(np.abs(run.noise + 0.1 * 4.0) < 1e-15)
+        _assert_folds(simulate_bem(model, cfg, seed=1, n_paths=3), run.noise, 1.0 - 2.0 * cfg.h0 * model.L)
 
     def test_partial_sums_and_shapes(self):
         model = ou_model(1.0, 1.0)
         cfg = BemConfig(h=0.1, t_horizon=0.5, h0=0.25, x0=[1.0])
-        batch = simulate_bem(model, cfg, seed=2, n_paths=10)
-        z, s = z_sequence(model, batch, cfg.h0)
-        assert z is batch.noise
+        batch, z = simulate_bem(model, cfg, seed=2, n_paths=10), _collect(model, cfg, 2, 10).noise
+        s = z_sequence(model, batch, cfg.h0)
+        assert s is batch.partial_sums  # no second S
         assert z.shape == (10, 5) and s.shape == (10, 6)
         assert np.all(s[:, 0] == 0.0)
         factor = 1.0 - 2.0 * cfg.h0 * model.L
@@ -802,7 +827,8 @@ class TestNoiseTerms:
             y, g = run.paths[:, j], model.diffusion(run.paths[:, j])
             gdw = np.einsum("pdm,pm->pd", g, run.increments[:, j])
             expected[:, j] = (gdw ** 2).sum(axis=1) - cfg.h * (g ** 2).sum(axis=(1, 2)) + 2.0 * (gdw * y).sum(axis=1)
-        assert batch.noise.tobytes() == expected.tobytes()
+        assert run.noise.tobytes() == expected.tobytes()
+        _assert_folds(batch, expected, 1.0 - 2.0 * cfg.h0 * model.L)
 
     @pytest.mark.parametrize("d, m", [(1, 1), (2, 2), (3, 1), (2, 4)])
     def test_row_matvec_has_the_einsum_bits(self, d, m):
@@ -822,6 +848,13 @@ class TestNoiseTerms:
         batch = simulate_bem(model, BemConfig(h=0.1, t_horizon=0.2, h0=0.25, x0=[0.0]), seed=1, n_paths=1)
         with pytest.raises(StepBoundViolation):
             z_sequence(model, batch, 1.0)
+
+    def test_partial_sums_of_another_h0_raise(self):
+        # S was divided by 1 - 2 h0 L of the simulated h0 = 0.25; another h0 would need another S
+        model = ou_model(1.0, 1.0)
+        batch = simulate_bem(model, BemConfig(h=0.1, t_horizon=0.2, h0=0.25, x0=[0.0]), seed=1, n_paths=1)
+        with pytest.raises(InvalidSpec, match="divided by 0.75"):
+            z_sequence(model, batch, 0.2)
 
 
 class TestAprioriBound:
@@ -904,9 +937,8 @@ class TestVerifyApriori:
         assert report.checks["s_demimartingale[h=0.1]"]
 
     def test_peak_memory_is_one_simulation(self):
-        # the finest h's simulation sets the peak: no batch holds paths or residuals, each h's Z
-        # moments are taken before its S is formed, its batch and Z go before S is checked, and
-        # its S before the next h is simulated
+        # the finest h's simulation sets the peak: no batch holds paths, residuals or Z, each h's S
+        # is checked in place, and goes before the next h is simulated
         model = ou_model(1.0, 1.0)
         cfgs = [BemConfig(h=h, t_horizon=1.0, h0=0.25, x0=[1.0]) for h in (0.1, 0.2)]
         peaks = []
@@ -923,9 +955,22 @@ class TestVerifyApriori:
         checked = 20_000 * (cfgs[0].n_steps + 1) * 8
         assert peaks[1] <= peaks[0] + 0.25 * checked
 
+    def test_peak_memory_holds_one_s(self):
+        # at h = 0.02 the Newton temporaries are small beside S, the one matrix held (1.37 measured);
+        # 2.06 while the batch held Z: Z with its deviations, Z with S, then S with its quantile copy
+        model = ou_model()
+        cfg = BemConfig(h=0.02, t_horizon=1.0, h0=0.25, x0=[1.0])
+        tracemalloc.start()
+        try:
+            verify_apriori_bound(model, [cfg], [0.25, 0.5], 20_000, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 20_000 * (cfg.n_steps + 1) * 8
+
     def test_peak_memory_on_the_cubic_model(self):
-        # h = 0.02: the Newton temporaries of the simulation, Z with its deviations, then Z with S,
-        # then S with its quantile copy, each about 2 checked arrays; 5.0 while the batch held the paths
+        # h = 0.02: S with the Newton temporaries of the 2-D simulation (1.83 measured); 2.06 while
+        # the batch held Z, and 5.0 while it held the paths
         model = SdeModel(
             d=2, m=2, drift=_cubic_drift, drift_jacobian=_cubic_jacobian,
             diffusion=lambda y: np.broadcast_to(np.eye(2), (y.shape[0], 2, 2)), L=1.0, osl=-1.0,
@@ -937,7 +982,7 @@ class TestVerifyApriori:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * 20_000 * (cfg.n_steps + 1) * 8
+        assert peak <= 2.0 * 20_000 * (cfg.n_steps + 1) * 8
 
     @pytest.mark.parametrize(
         "n_paths, seed, exc",

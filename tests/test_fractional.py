@@ -465,20 +465,43 @@ class TestVerifyFractionalGronwall:
     @pytest.mark.parametrize("form", ["held", "generated"])
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_a_non_finite_y_batch_raises_invalid_spec_in_the_walk(self, monkeypatch, bad, form):
-        # a batch's columns are checked as the F walk reads them, after the table is built
+        # a generated batch's columns are checked as the F walk reads them, after the table is built;
+        # a batch that holds its values checked them when it was made, and the walk does not again
         model = FractionalModel(betas=(0.5,), q=(1.0,), tau=0.1, n_steps=8, lambda1=0.5)
         x = TrajectoryBatch(associated_increment_matrix(1.0, 9, 200, seed=5) ** 2)
         y = associated_increment_matrix(1.0, 8, 200, seed=6)
-        if form == "held":
-            batch = TrajectoryBatch(y)  # checked here, then changed through its values
-        else:
-            batch = TrajectoryBatch._generated(200, 7, functools.partial(generators._column_views, y), "bad")
         y[17, 3] = bad
+        if form == "held":
+            with pytest.raises(InvalidSpec, match="non-finite"):
+                TrajectoryBatch(y)
+            return
+        batch = TrajectoryBatch._generated(200, 7, functools.partial(generators._column_views, y), "bad")
         tables = []
         monkeypatch.setattr(fractional, "multi_term_table", lambda *args: tables.append(1) or multi_term_table(*args))
         with pytest.raises(InvalidSpec, match="Y contains non-finite"):
             verify_fractional_gronwall(model, x, batch, [HolderPair.deterministic(0.5)])
         assert tables == [1]
+
+    @pytest.mark.parametrize("form", ["array", "held batch", "generated batch read before"])
+    def test_the_walk_checks_no_y_that_holds_its_values(self, monkeypatch, form):
+        # an array is wrapped in a held batch, checked once when it is made, and so is a generated
+        # batch's values when first read: the walk reads their columns unchecked
+        model = FractionalModel(betas=(0.5,), q=(1.0,), tau=0.1, n_steps=8, lambda1=0.5)
+        x = TrajectoryBatch(associated_increment_matrix(1.0, 9, 200, seed=5) ** 2)
+        y = associated_increment_matrix(1.0, 8, 200, seed=6)
+        forms = {
+            "array": lambda: y,
+            "held batch": lambda: TrajectoryBatch(y),
+            "generated batch read before": lambda: associated_increments(1.0, 8, 200, seed=6),
+        }
+        batch = forms[form]()
+        if form == "generated batch read before":
+            batch.values
+        checked = []
+        isfinite = np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda v: checked.append(v.shape) or isfinite(v))
+        verify_fractional_gronwall(model, x, batch, [HolderPair.deterministic(0.5)])
+        assert (200,) not in checked
 
     def test_every_form_of_y_writes_the_same_bytes(self, tmp_path):
         model = FractionalModel(betas=(0.3, 0.7), q=(1.0, 2.0), tau=0.1, n_steps=16, lambda1=0.5, lambda2=0.5)
