@@ -42,13 +42,12 @@ from .errors import (
     InvalidSpec,
     NegativeInput,
     NewtonNonConvergence,
-    POutOfRange,
     ShapeMismatch,
     StepBoundViolation,
     StepTooLarge,
 )
 from .generators import TrajectoryBatch, check_batch, partial_sums
-from .reporting import VerificationReport, exponent_list, mean_se, one_sided_verdict, root_of_mean
+from .reporting import VerificationReport, exponent_list, mean_se, one_sided_verdict, root_of_mean, unit_exponent
 # normal_matrix stays importable here: perfbench/tracer.py wraps it by this name
 from .rng import _as_seed, draw_columns, normal_matrix, uniform_matrix  # noqa: F401
 
@@ -500,9 +499,7 @@ def apriori_moment_bound(p, L, T, h0, x0_norm, g_x0_norm) -> float:
     or infinite norm :class:`NegativeInput` and an ``h0`` outside
     (0, 1/(2L)) :class:`StepBoundViolation`.
     """
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise POutOfRange(f"p must lie in (0, 1), got {p}")
+    p = unit_exponent(p)
     if not (L >= 0.0 and 0.0 < T < math.inf):
         raise InvalidSpec(f"need L >= 0 and finite T > 0, got L={L}, T={T}")
     if not (0.0 <= x0_norm < math.inf and 0.0 <= g_x0_norm < math.inf):

@@ -42,8 +42,8 @@ from .errors import (
     SeriesNoConvergence,
     ShapeMismatch,
 )
-from .generators import TrajectoryBatch, whole_number
-from .gronwall import _columns, _grid_report, _harness_grid, _power_moment, holder_bound
+from .generators import TrajectoryBatch, _columns, whole_number
+from .gronwall import _grid_report, _harness_grid, _power_moment, holder_bound
 from .reporting import VerificationReport, mean_se
 
 #: the delta and direct forms of the L1 operator must agree this tightly
@@ -361,19 +361,19 @@ def verify_fractional_gronwall(
 
     Negative X raises :class:`NegativeInput`, X or Y not aligned to the
     model's steps :class:`ShapeMismatch` and a non-finite Y
-    :class:`InvalidSpec`: an array Y when it is wrapped and a batch that
-    holds its values when it is made, both before any work, and a generated
-    batch Y in the walk below, column by column as it is read.  The
-    grid is checked as in
+    :class:`InvalidSpec`.  Every column of Y is checked in the walk below,
+    as it is read, whatever form Y takes; an array Y, or a batch that holds
+    its values, was also checked before any work, when it was wrapped or
+    made.  The grid is checked as in
     :func:`~demigronwall.gronwall.verify_gronwall`, with ``1 <= n <= N``.
     Then, once per call and from one L1 operator table,
     ``F_n = (sum_r q_r D^{beta_r} X_n - Y_n - lambda1 X_n - lambda2 X_{n-1})^+``
     is reverse-constructed in place of the table, one column at a time, so
     the hypothesis holds pathwise by construction
     and each ``fractional_hypothesis_holds[...]`` check is True.  That walk
-    reads Y once, a column at a time, from its source, and folds each row's
-    running maxima of ``X_1..X_n`` and ``F_1..F_n`` at every ``n``; the
-    plug-in means and the Mittag-Leffler factor are
+    reads Y once, a column at a time, from its source, checks each column,
+    and folds each row's running maxima of ``X_1..X_n`` and ``F_1..F_n`` at
+    every ``n``; the plug-in means and the Mittag-Leffler factor are
     computed once per ``n``.  Each cell
     compares ``E[sup_{1<=k<=n} X_k^p]`` against
     :func:`~demigronwall.gronwall.holder_bound` of the Mittag-Leffler factor
@@ -398,14 +398,13 @@ def verify_fractional_gronwall(
     y = _y_batch(Y, X.n_paths, model.n_steps)
     pairs, n_list = _harness_grid(pairs, n_list, 1, model.n_steps)
 
-    unchecked = y._values is None  # a batch that holds its values checked them when it was made
     x = X.values
     f = multi_term_table(model, x)  # overwritten with F, one column at a time
     linear, term = np.empty(X.n_paths), np.empty(X.n_paths)
     x_sup, f_sup = np.full(X.n_paths, -np.inf), np.full(X.n_paths, -np.inf)
     x_sups, f_sups = {}, {}
     for k, y_k in enumerate(_columns(y, 0, X.n_paths)):
-        if unchecked and not np.isfinite(y_k).all():
+        if not np.isfinite(y_k).all():
             raise InvalidSpec("Y contains non-finite entries")
         np.multiply(model.lambda1, x[:, k + 1], out=linear)
         np.add(y_k, linear, out=linear)

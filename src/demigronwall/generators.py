@@ -10,11 +10,12 @@ few columns at a time, and from which ``values`` is built on first access
 and then kept.  The F of :func:`~demigronwall.gronwall.build_instance`,
 the CLI's uniform X and G and the increments of
 :func:`associated_increments`, the CLI's fractional Y, are such batches
-too; F's source walks the columns of X, S and G.  The matrices built here and the partial sums
+too; F's source walks the columns of X, S and G.  Every tile source is
+read through one reader, :class:`_Stream`.  The matrices built here and the partial sums
 built from them are time-major (Fortran order, each time column
 contiguous): they are filled in time order (:func:`partial_sums`,
 :func:`time_major`), after one size check (:func:`check_batch`).  So is
-BEM's ``noise``, one column per step.  The operator table of
+BEM's S, one column per step.  The operator table of
 :func:`~demigronwall.fractional.multi_term_table`, into which the
 fractional harness writes its ``F`` one column at a time, is C-order.
 Any layout is accepted and gives the same bits.
@@ -168,23 +169,47 @@ def tile_width(n_paths):
     return max(1, TILE_ENTRIES // n_paths)
 
 
+class _Stream:
+    """The columns of one row block of a tile source, read left to right: the one reader of ``tiles(r0, r1, width)``."""
+
+    def __init__(self, tiles):
+        self.tiles, self.rest, self.at = tiles, None, 0
+
+    def read(self, out, start):
+        """Write the columns ``start ..`` into the ``(rows, w)`` array ``out``, skipping any before ``start``.
+
+        Columns before ``start`` are read only by a maximal-lemma sweep's
+        block whose bounds changed since its last round, which starts again
+        from column 0.  A tile read to its end is let go before the next one
+        is drawn.
+        """
+        stop = start + out.shape[1]
+        while self.at < stop:
+            if self.rest is None:
+                self.rest = next(self.tiles)
+            w = min((start if self.at < start else stop) - self.at, self.rest.shape[1])
+            if self.at >= start:
+                out[:, self.at - start : self.at - start + w] = self.rest[:, :w]
+            self.rest = self.rest[:, w:] if w < self.rest.shape[1] else None
+            self.at += w
+
+
+def _columns(batch, r0, r1):
+    """The columns of the rows ``r0..r1-1`` of ``batch``, left to right, read from its source one at a time."""
+    return (tile[:, 0] for tile in batch._tiles(r0, r1, 1))
+
+
 def time_major(n_paths, n_cols, tiles):
     """Fortran-order ``(n_paths, n_cols)`` floats, filled by row blocks (:func:`row_blocks`) after :func:`check_batch`.
 
     ``tiles(r0, r1, width)`` yields the columns of rows ``r0 .. r1 - 1`` in
-    order, as ``(r1 - r0, w)`` arrays with ``1 <= w <= width``.
+    order, as ``(r1 - r0, w)`` arrays with ``1 <= w <= width``; each block
+    reads them through a :class:`_Stream`.
     """
     n_paths, n_cols = check_batch(n_paths, n_cols, n_cols)
     out = np.empty((n_paths, n_cols), order="F")
     width = tile_width(n_paths)
-
-    def fill(r0, r1):
-        k = 0
-        for tile in tiles(r0, r1, width):
-            out[r0:r1, k : k + tile.shape[1]] = tile
-            k += tile.shape[1]
-
-    row_blocks(n_paths, fill)
+    row_blocks(n_paths, lambda r0, r1: _Stream(tiles(r0, r1, width)).read(out[r0:r1], 0))
     return out
 
 
@@ -217,23 +242,18 @@ def _running_sums(n_paths, increments):
         del inc, tile  # before the next tile is drawn
 
 
-def partial_sums(n_paths, n_steps, increments, out=None):
+def partial_sums(n_paths, n_steps, increments):
     """Time-major partial sums: ``S_0 = 0`` and ``S_k = S_{k-1} + inc_k`` for ``k = 1..n_steps``.
 
     ``increments`` yields the ``n_steps`` increments of ``n_paths`` rows in
     time order, one column (1-D) or a ``(n_paths, w)`` tile of columns at a
     time; copies of them are summed (:func:`_running_sums`), with the bits
-    of ``np.cumsum`` along the rows.  The result is a Fortran-order
-    ``(n_paths, n_steps + 1)`` array, or ``out``, an array of that shape
-    (rows of a larger batch, say).
+    of ``np.cumsum`` along the rows, and read into a Fortran-order
+    ``(n_paths, n_steps + 1)`` array through a :class:`_Stream`.
     """
-    if out is None:
-        out = np.empty((n_paths, n_steps + 1), order="F")
-    k = 0  # map, unlike a generator expression, holds no increment while the next is drawn
-    for tile in _running_sums(n_paths, map(functools.partial(np.array, dtype=np.float64), increments)):
-        out[:, k : k + tile.shape[1]] = tile
-        k += tile.shape[1]
-        del tile  # before the next increment is drawn
+    out = np.empty((n_paths, n_steps + 1), order="F")
+    # map, unlike a generator expression, holds no increment while the next is drawn
+    _Stream(_running_sums(n_paths, map(functools.partial(np.array, dtype=np.float64), increments))).read(out, 0)
     return out
 
 
@@ -267,15 +287,17 @@ class TrajectoryBatch:
 
     The maximal-lemma sweep of
     :func:`~demigronwall.gronwall.verify_maximal_inequality` reads a batch
-    a few columns at a time from its tile source: views of its values
-    (:func:`_column_views`), or, when :func:`generate_paths` made it and no
-    matrix is held, the seeded partial-sum tiles.  Of such a batch,
-    ``values`` is built on first access, by row blocks (:func:`time_major`),
-    checked for finite entries and kept, and becomes its source: no batch
-    is drawn twice.  Either way a batch's values must not change after construction: the finiteness
-    check runs once, and the sweep state that the maximal lemma keeps on
-    the batch (running extremes and increment moments up to the last
-    column it read) is continued by later calls, not recomputed.
+    a few columns at a time from its tile source (:class:`_Stream`): views
+    of its values (:func:`_column_views`), or, when :func:`generate_paths`
+    made it and no matrix is held, the seeded partial-sum tiles.  Of such a
+    batch, ``values`` is built on first access, by row blocks
+    (:func:`time_major`), checked for finite entries and kept, and becomes
+    its source: a batch that holds its values is never drawn again.
+    Either way a batch's values must not change after construction: the
+    finiteness check runs once, and the sweep state that the maximal lemma
+    keeps on the batch (running extremes and increment moments up to the
+    last column it read) is continued by a later call at that column or
+    beyond; a call below it starts a new sweep, which replaces the kept one.
 
     Attributes:
         values: float matrix of shape (n_paths, n_steps + 1); row ``r``,

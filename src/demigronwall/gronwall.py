@@ -11,7 +11,7 @@ Implements, for sequences satisfying the pathwise recursion
   Holder right-hand side, which the fractional variant shares,
 * harnesses that estimate both sides by Monte Carlo and compare them with
   one-sided ``reporting.SLACK_SD * SE`` slack.  The maximal-lemma harness
-  sweeps a batch's columns once across calls at several ``n``, a few
+  sweeps a batch's columns once across calls at ascending ``n``, a few
   columns a round: each row block folds the running extremes of its rows,
   and the row blocks then share out the round's increment columns, whose
   moments each takes over the whole column.  A batch from
@@ -42,7 +42,7 @@ from .errors import (
     POutOfRange,
     ShapeMismatch,
 )
-from .generators import TrajectoryBatch, row_blocks, tile_width, whole_number
+from .generators import TrajectoryBatch, _columns, _Stream, row_blocks, tile_width, whole_number
 from .reporting import (
     VerificationReport,
     _mean_se,
@@ -52,6 +52,7 @@ from .reporting import (
     mu_norm,
     one_sided_verdict,
     power_se,
+    unit_exponent,
 )
 
 GRONWALL_COLUMNS = ["n", "p", "mu", "nu", "lhs", "lhs_se", "rhs", "margin", "verdict"]
@@ -84,8 +85,7 @@ class HolderPair:
         inv = (0.0 if math.isinf(mu) else 1.0 / mu) + (0.0 if math.isinf(nu) else 1.0 / nu)
         if abs(inv - 1.0) > 1e-12:
             raise HolderViolation(f"1/mu + 1/nu = {inv} != 1 for mu={mu}, nu={nu}")
-        if not 0.0 < p < 1.0:
-            raise POutOfRange(f"p must lie in (0, 1), got {p}")
+        unit_exponent(p)
         # reject p*nu within 1e-9 of 1: the prefactor explodes there
         if math.isinf(nu) or p * nu >= 1.0 - 1e-9:
             raise HolderViolation(f"need p * nu < 1, got p={p}, nu={nu}")
@@ -119,11 +119,6 @@ class GronwallInstance:
     G: Union[np.ndarray, TrajectoryBatch]
     S: TrajectoryBatch
     _derived_f: bool = field(default=False, init=False, repr=False, compare=False)
-
-
-def _columns(batch: TrajectoryBatch, r0, r1):
-    """The columns of the rows ``r0..r1-1`` of ``batch``, left to right, read from its source one at a time."""
-    return (tile[:, 0] for tile in batch._tiles(r0, r1, 1))
 
 
 def _checked_growth(growth, n, n_paths):
@@ -259,9 +254,7 @@ def maximal_moment_bound(q, p) -> float:
     A ``p`` outside (0, 1) raises :class:`POutOfRange`; a negative, NaN or
     infinite ``q`` :class:`NegativeInput`.
     """
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise POutOfRange(f"p must lie in (0, 1), got {p}")
+    p = unit_exponent(p)
     q = float(q)
     if not 0.0 <= q < math.inf:
         raise NegativeInput(f"q must be finite and >= 0, got {q}")
@@ -330,98 +323,60 @@ def build_instance(X: TrajectoryBatch, S: TrajectoryBatch, growth) -> GronwallIn
     return instance
 
 
-class _Stream:
-    """The columns of one row block of a batch, read left to right from its tile source."""
-
-    def __init__(self, tiles):
-        self.tiles, self.rest, self.at = tiles, None, 0
-
-    def read(self, out, start):
-        """Write the columns ``start ..`` into the ``(rows, w)`` array ``out``, skipping any before ``start``.
-
-        Columns before ``start`` are read only by a block whose bounds
-        changed since the last round, which starts again from column 0.
-        A tile read to its end is let go before the next one is drawn.
-        """
-        stop = start + out.shape[1]
-        while self.at < stop:
-            if self.rest is None:
-                self.rest = next(self.tiles)
-            w = min((start if self.at < start else stop) - self.at, self.rest.shape[1])
-            if self.at >= start:
-                out[:, self.at - start : self.at - start + w] = self.rest[:, :w]
-            self.rest = self.rest[:, w:] if w < self.rest.shape[1] else None
-            self.at += w
-
-
 class _Sweep:
-    """Running extremes and increment moments of the columns ``0..upto`` of a batch, extended in place.
+    """Running extremes and increment moments of the columns ``0..upto`` of a batch, extended forward in place.
 
     A new sweep has read nothing (``upto`` is -1).  ``sup`` and ``inf`` are
     each row's running maximum and minimum at ``upto``; ``mean[k-1]`` and ``se[k-1]`` are
     :func:`~demigronwall.reporting.mean_se` of the increment column
-    ``values[:, k] - values[:, k-1]`` for ``k = 1..known``.  The columns
+    ``values[:, k] - values[:, k-1]`` for ``k = 1..upto``.  The columns
     are read in rounds of ``width`` columns (:data:`SWEEP_COLUMNS`, or one
     draw tile if that is wider), the last of which ends at the requested
     ``n``.  Each row block reads its rows of the round into one
-    ``(M, width)`` chunk from the batch's tile source (:class:`_Stream`),
-    which the next round continues: views of the values of a batch that
-    holds them, partial-sum tiles drawn as they are read of a generated
-    one, so the sweep holds O(M) memory and builds no ``values``.  ``moments``, when given, is the
-    ``(mean, se, known)`` of another sweep of the batch, shared rather than
-    taken again.  Once read, a nonzero entry in column 0 raises
-    :class:`NonzeroStart` and a non-finite entry in any column
-    :class:`InvalidSpec`.
+    ``(M, width)`` chunk from the batch's tile source
+    (:class:`~demigronwall.generators._Stream`), which the next round
+    continues: views of the values of a batch that holds them, partial-sum
+    tiles drawn as they are read of a generated one, so the sweep holds
+    O(M) memory and builds no ``values``.  A sweep only moves forward: the
+    columns before ``upto`` are not kept.  Once read, a nonzero entry in
+    column 0 raises :class:`NonzeroStart` and a non-finite entry in any
+    column :class:`InvalidSpec`.
     """
 
-    def __init__(self, batch: TrajectoryBatch, moments=None):
+    def __init__(self, batch: TrajectoryBatch):
         m = batch.n_paths
         self.tiles, self.upto = batch._tiles, -1
         self.width = min(max(SWEEP_COLUMNS, tile_width(m)), batch.n_steps + 1)
         self.chunk, self.streams = np.empty((m, self.width), order="F"), {}
         self.sup, self.inf = np.full(m, -np.inf), np.full(m, np.inf)
         self.fold, self.last = np.empty(m), np.empty(m)
-        self.mean, self.se, self.known = moments or (np.empty(batch.n_steps), np.empty(batch.n_steps), 0)
+        self.mean, self.se = np.empty(batch.n_steps), np.empty(batch.n_steps)
 
-    def at(self, n, batch: TrajectoryBatch) -> tuple:
-        """``(sup, inf, mean, se)`` of the columns ``0..n`` of ``batch``, this sweep's batch.
+    def extend(self, n) -> tuple:
+        """``(sup, inf, mean, se)`` of the columns ``0..n``, ``n >= upto``, reading the columns ``upto + 1..n`` once.
 
-        An ``n`` at or beyond ``upto`` extends the sweep to ``n``, and
         ``sup`` and ``inf`` are the sweep's own vectors, which a later
-        extension moves.  A smaller ``n`` slices the moments and takes the
-        extremes from a new sweep that shares them, read again from the
-        batch's tile source.  This sweep is left as it was.
-        """
-        if n < self.upto:
-            fresh = _Sweep(batch, (self.mean, self.se, self.upto))
-            fresh._extend(n)
-            return fresh.sup, fresh.inf, self.mean[:n], self.se[:n]
-        self._extend(n)
-        return self.sup, self.inf, self.mean[:n], self.se[:n]
-
-    def _extend(self, n):
-        """Read the columns ``upto + 1..n`` once, a round at a time, and take the moments not yet known.
-
-        After each round the row blocks share out its increment columns,
-        each block taking the next column not yet taken, in a scratch
-        column of its own.  A column's moments are one
+        extension moves.  The columns are read a round at a time; after
+        each round the row blocks share out its increment columns, each
+        block taking the next column not yet taken, in a scratch column of
+        its own.  A column's moments are one
         :func:`~demigronwall.reporting.difference_mean_se` call over the
         whole column, whichever block takes it, so their bits do not depend
         on the blocks.  Maximum and minimum are exact, so ``sup`` and
         ``inf`` have the bits of
-        :func:`_row_reduce` in any rounds and any
-        order of calls, up to the sign of a zero in a row that mixes
-        ``+0.0`` and ``-0.0``, which no report value reads.
+        :func:`_row_reduce` in any rounds, up to the sign of a zero in a
+        row that mixes ``+0.0`` and ``-0.0``, which no report value reads.
         """
         for c0 in range(self.upto + 1, n + 1, self.width):
             cols = self._round(c0, min(c0 + self.width, n + 1))
             if c0 == 0 and np.any(cols[:, 0] != 0.0):
                 raise NonzeroStart("the maximal inequality requires paths starting at 0")
-            todo = range(max(c0, self.known + 1), c0 + cols.shape[1])
+            todo = range(max(c0, 1), c0 + cols.shape[1])
             if todo:
                 row_blocks(len(cols), functools.partial(self._moments, cols, c0, iter(todo)))
             np.copyto(self.last, cols[:, -1])
-        self.upto, self.known = max(self.upto, n), max(self.known, n)
+        self.upto = n
+        return self.sup, self.inf, self.mean[:n], self.se[:n]
 
     def _moments(self, cols, c0, todo, r0, r1):
         """The moments of the increment columns ``k`` that ``todo`` yields, ``cols`` holding columns ``c0..``."""
@@ -457,12 +412,6 @@ class _Sweep:
         return cols
 
 
-def _screened_extremes(values, n) -> tuple:
-    """``(sup, inf, mean, se)`` of the columns ``0..n`` of ``values``, from a new :class:`_Sweep`."""
-    batch = TrajectoryBatch(values)
-    return _Sweep(batch).at(n, batch)
-
-
 def verify_maximal_inequality(batch: TrajectoryBatch, p_grid, n=None) -> VerificationReport:
     """Check ``E[(sup S)^p] <= (E[-inf S])^p / (1-p)`` on a demimartingale batch.
 
@@ -471,11 +420,11 @@ def verify_maximal_inequality(batch: TrajectoryBatch, p_grid, n=None) -> Verific
     increment lies more than 4 SE below zero.  The running maximum and
     minimum and the screen's increment moments come from one sweep of the
     batch's columns that later calls continue (:class:`_Sweep`): calls at
-    ``n = 2, 10, 25, 50`` read each column once, a repeated ``n`` reads
-    none, and a smaller ``n`` reads only its extremes, again from the
-    batch's tile source.  A batch from
-    :func:`~demigronwall.generators.generate_paths` is read without
-    building its ``values``: the sweep holds O(M) memory.  The reports are
+    ``n = 2, 10, 25, 50`` read each column once and a repeated ``n`` reads
+    none.  A smaller ``n`` starts a new sweep, which reads the columns
+    ``0..n`` again from the batch's tile source and replaces the kept one.
+    A batch from :func:`~demigronwall.generators.generate_paths` is read
+    without building its ``values``: the sweep holds O(M) memory.  The reports are
     the same bits in any order of calls, and on a generated batch the same
     as on a copy that holds the values.  Each grid point passes
     when ``lhs <= rhs + SLACK_SD * combined_SE`` with the right-hand error
@@ -490,12 +439,13 @@ def verify_maximal_inequality(batch: TrajectoryBatch, p_grid, n=None) -> Verific
     """
     p_grid = [float(p) for p in exponent_list(p_grid)]
     for p in p_grid:
-        if not 0.0 < p < 1.0:
-            raise POutOfRange(f"p must lie in (0, 1), got {p}")
+        unit_exponent(p)
     n = _time_index(batch, n)
     # off the batch until the report is made, so that no other call extends it (and moves sups) meanwhile
-    sweep = vars(batch).pop("_sweep", None) or _Sweep(batch)
-    sups, infs, mean, se = sweep.at(n, batch)
+    sweep = vars(batch).pop("_sweep", None)
+    if sweep is None or n < sweep.upto:
+        sweep = _Sweep(batch)
+    sups, infs, mean, se = sweep.extend(n)
     if batch.n_paths > 1 and np.any(mean < -4.0 * se - 1e-15):
         warnings.warn(
             f"batch {batch.label!r} has significantly negative mean increments; "

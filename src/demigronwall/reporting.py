@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import DegenerateBatch, InvalidSpec
+from .errors import DegenerateBatch, InvalidSpec, POutOfRange
 
 #: every one-sided check passes when ``lhs <= rhs + SLACK_SD * combined SE``
 SLACK_SD = 3.0
@@ -83,6 +83,14 @@ def exponent_list(p_grid) -> list:
     if not p_grid:
         raise InvalidSpec("empty p_grid: need at least one exponent")
     return p_grid
+
+
+def unit_exponent(p) -> float:
+    """``p`` as a float, raising :class:`POutOfRange` unless it lies in (0, 1): the range of every moment exponent."""
+    p = float(p)
+    if not 0.0 < p < 1.0:
+        raise POutOfRange(f"p must lie in (0, 1), got {p}")
+    return p
 
 
 def root_of_mean(powered, r) -> tuple:

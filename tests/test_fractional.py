@@ -466,7 +466,7 @@ class TestVerifyFractionalGronwall:
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_a_non_finite_y_batch_raises_invalid_spec_in_the_walk(self, monkeypatch, bad, form):
         # a generated batch's columns are checked as the F walk reads them, after the table is built;
-        # a batch that holds its values checked them when it was made, and the walk does not again
+        # a batch that holds its values checked them when it was made
         model = FractionalModel(betas=(0.5,), q=(1.0,), tau=0.1, n_steps=8, lambda1=0.5)
         x = TrajectoryBatch(associated_increment_matrix(1.0, 9, 200, seed=5) ** 2)
         y = associated_increment_matrix(1.0, 8, 200, seed=6)
@@ -482,16 +482,16 @@ class TestVerifyFractionalGronwall:
             verify_fractional_gronwall(model, x, batch, [HolderPair.deterministic(0.5)])
         assert tables == [1]
 
-    @pytest.mark.parametrize("form", ["array", "held batch", "generated batch read before"])
-    def test_the_walk_checks_no_y_that_holds_its_values(self, monkeypatch, form):
-        # an array is wrapped in a held batch, checked once when it is made, and so is a generated
-        # batch's values when first read: the walk reads their columns unchecked
+    @pytest.mark.parametrize("form", ["array", "held batch", "generated batch", "generated batch read before"])
+    def test_the_walk_checks_every_y_column(self, monkeypatch, form):
+        # whatever form Y takes, the walk checks each of its 8 columns once, as it reads it
         model = FractionalModel(betas=(0.5,), q=(1.0,), tau=0.1, n_steps=8, lambda1=0.5)
         x = TrajectoryBatch(associated_increment_matrix(1.0, 9, 200, seed=5) ** 2)
         y = associated_increment_matrix(1.0, 8, 200, seed=6)
         forms = {
             "array": lambda: y,
             "held batch": lambda: TrajectoryBatch(y),
+            "generated batch": lambda: associated_increments(1.0, 8, 200, seed=6),
             "generated batch read before": lambda: associated_increments(1.0, 8, 200, seed=6),
         }
         batch = forms[form]()
@@ -501,7 +501,7 @@ class TestVerifyFractionalGronwall:
         isfinite = np.isfinite
         monkeypatch.setattr(np, "isfinite", lambda v: checked.append(v.shape) or isfinite(v))
         verify_fractional_gronwall(model, x, batch, [HolderPair.deterministic(0.5)])
-        assert (200,) not in checked
+        assert checked.count((200,)) == 8
 
     def test_every_form_of_y_writes_the_same_bytes(self, tmp_path):
         model = FractionalModel(betas=(0.3, 0.7), q=(1.0, 2.0), tau=0.1, n_steps=16, lambda1=0.5, lambda2=0.5)

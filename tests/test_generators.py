@@ -420,10 +420,3 @@ class TestTiledPartialSums:
         sums = partial_sums(2, 3, tiles)
         assert sums[:, 1:].tobytes() == np.cumsum(inc, axis=1).tobytes()
         assert sums[:, 0].tobytes() == np.zeros(2).tobytes()
-
-    def test_out_receives_rows_of_a_larger_batch(self):
-        inc = np.random.default_rng(4).normal(size=(6, 9))
-        out = np.full((10, 10), np.nan, order="F")
-        assert np.shares_memory(partial_sums(6, 9, [inc[:, :4], inc[:, 4:]], out=out[2:8]), out)
-        assert out[2:8, 1:].tobytes() == np.asfortranarray(np.cumsum(inc, axis=1)).tobytes()
-        assert np.isnan(out[:2]).all() and np.isnan(out[8:]).all()

@@ -335,6 +335,11 @@ class TestVerifyMaximalInequality:
             verify_maximal_inequality(TrajectoryBatch(values), [0.5], 5)
 
 
+def _screened_extremes(values, n):
+    """``(sup, inf, mean, se)`` of the columns ``0..n`` of ``values``, from a new sweep of a batch that holds them."""
+    return gronwall._Sweep(TrajectoryBatch(values)).extend(n)
+
+
 class TestWorkerCount:
     """Screens and reports over row blocks and spread columns have the serial bits."""
 
@@ -352,7 +357,7 @@ class TestWorkerCount:
 
         def run():
             reports = [verify_maximal_inequality(batch, p_grid, n) for n in (2, 10, 25)]
-            screen = gronwall._screened_extremes(order, 25)
+            screen = _screened_extremes(order, 25)
             return [repr(r.rows) for r in reports], [a.tobytes() for a in screen]
 
         serial = run()
@@ -363,7 +368,7 @@ class TestWorkerCount:
 
 
 class TestIncrementScreen:
-    """The screen's moments and extremes from the one read of ``_screened_extremes``."""
+    """The screen's moments and extremes from one read of a new sweep."""
 
     @pytest.mark.parametrize(
         "m, order",
@@ -379,7 +384,7 @@ class TestIncrementScreen:
         values = np.hstack([np.zeros((m, 1)), np.cumsum(rng.normal(3.0, 2.0, size=(m, 8)), axis=1)])
         values = np.array(values, order=order)
         n = 5
-        sup, inf, mean, se = gronwall._screened_extremes(values, n)
+        sup, inf, mean, se = _screened_extremes(values, n)
         ref_mean, ref_se = mean_se(np.diff(np.asfortranarray(values)[:, : n + 1], axis=1))
         assert mean.tobytes() == ref_mean.tobytes()
         assert se.tobytes() == ref_se.tobytes()
@@ -402,10 +407,10 @@ class TestIncrementScreen:
         assert [repr(r.rows) for r in reports[0]] == [repr(r.rows) for r in reports[1]]
 
     def test_one_row_has_zero_error_and_n_zero_no_increments(self):
-        sup, inf, mean, se = gronwall._screened_extremes(np.array([[0.0, 2.0, 1.0]]), 2)
+        sup, inf, mean, se = _screened_extremes(np.array([[0.0, 2.0, 1.0]]), 2)
         assert np.array_equal(mean, [2.0, -1.0]) and np.array_equal(se, [0.0, 0.0])
         assert (sup[0], inf[0]) == (2.0, 0.0)
-        _, _, mean, se = gronwall._screened_extremes(np.zeros((4, 3)), 0)
+        _, _, mean, se = _screened_extremes(np.zeros((4, 3)), 0)
         assert mean.shape == se.shape == (0,)
 
 
@@ -459,9 +464,13 @@ class TestSweepOrder:
         for n in (2, 10, 25, 50):
             verify_maximal_inequality(batch, self.P_GRID, n)
         assert len(counted) == 50  # one call per n from column 0 would take 2 + 10 + 25 + 50 = 87
-        for n in (50, 10, 0):
-            verify_maximal_inequality(batch, self.P_GRID, n)
+        verify_maximal_inequality(batch, self.P_GRID, 50)
         assert len(counted) == 50
+        # a sweep only moves forward: a smaller n starts a new sweep, which replaces the kept one
+        for n, taken in ((10, 10), (50, 40), (0, 0), (50, 50)):
+            before = len(counted)
+            verify_maximal_inequality(batch, self.P_GRID, n)
+            assert len(counted) - before == taken
 
     def test_concurrent_calls_on_one_batch_give_the_reports_of_fresh_batches(self):
         # each call takes the sweep off the batch until its report is made, so no other call moves its extremes
