@@ -15,6 +15,7 @@ from .bem import (
     SdeModel,
     apriori_moment_bound,
     bounded_diffusion_model,
+    coercive_equality_model,
     coercivity_probe,
     frozen_model,
     ou_model,

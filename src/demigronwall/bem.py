@@ -27,7 +27,12 @@ Drift and diffusion callables are vectorized over paths: ``drift`` maps
 solver keeps its per-path state column-major and hands the callables
 Fortran-ordered ``(M, d)`` arrays, so a sum over the state axis adds ``d``
 contiguous columns.  Model code must not assume a memory layout; ``reshape``
-and slicing are fine.
+and slicing are fine.  Every callable, the Jacobian too, must act row by
+row: row ``i`` of its result depends on row ``i`` of its input alone.  The
+solver calls them on subsets of rows (the rows whose Newton iteration has
+not converged) and solves each step in contiguous row blocks of about
+:data:`NEWTON_BLOCK_ENTRIES` state entries, so one call never sees the
+whole batch.
 """
 
 import math
@@ -56,6 +61,10 @@ BEM_COLUMNS = ["h", "p", "estimate", "stderr", "bound", "margin", "verdict"]
 #: Newton iterations per implicit step before the residual contract is judged
 NEWTON_MAX_ITER = 25
 
+#: state entries (rows x d) that one Newton solve takes at a time: a step is solved in as few
+#: even row blocks as keep each within it
+NEWTON_BLOCK_ENTRIES = 1 << 15
+
 
 # --------------------------------------------------------------------------
 # model and configuration
@@ -66,7 +75,9 @@ class SdeModel:
     """Coercive SDE system with vectorized drift and diffusion.
 
     The solver calls every callable with a column-major ``(M, d)`` state;
-    results may have any layout.
+    results may have any layout.  Each callable must act row by row: the
+    solver calls them on row blocks of the batch and on the rows whose
+    Newton iteration has not converged, so ``M`` varies from call to call.
 
     Attributes:
         d, m: state and noise dimensions.
@@ -371,6 +382,35 @@ def _solve_implicit(model: SdeModel, y, b, h, tol):
     return u, rnorm
 
 
+def _newton_blocks(n_rows, d) -> int:
+    """Row blocks of a step's solve: the fewest that hold at most :data:`NEWTON_BLOCK_ENTRIES` entries each."""
+    return min(n_rows, -(-n_rows * d // NEWTON_BLOCK_ENTRIES))
+
+
+def _solve_blocks(model: SdeModel, y, b, h, tol):
+    """:func:`_solve_implicit` over contiguous row blocks, one after another on the calling thread.
+
+    The blocks are as even as :func:`~demigronwall.generators.row_blocks`
+    makes them (:func:`_newton_blocks` of them), so a step holds one
+    block's Newton state, not the whole batch's.  Newton is row-local, so
+    the bits do not depend on the blocks.  The blocks run serially because
+    a profiler may have wrapped the model's callables, which no pool
+    thread may call.  A block's ``y`` is copied column-major, since the
+    model is called on it; its ``b`` is only added, so it stays a view.
+    One block is solved on the step's own arrays, with no copy.
+    """
+    n_rows = y.shape[0]
+    blocks = _newton_blocks(n_rows, model.d)
+    if blocks == 1:
+        return _solve_implicit(model, y, b, h, tol)
+    u, rnorm = np.empty(y.shape, order="F"), np.empty(n_rows)
+    bounds = [n_rows * i // blocks for i in range(blocks + 1)]
+    for r0, r1 in zip(bounds[:-1], bounds[1:]):
+        rows = slice(r0, r1)
+        u[rows], rnorm[rows] = _solve_implicit(model, np.asfortranarray(y[rows]), b[rows], h, tol)
+    return u, rnorm
+
+
 def _check_size(n_steps, n_paths) -> int:
     """``n_paths`` as an int, checked before anything is drawn: the partial sums S, ``(M, N+1)``, must fit."""
     return check_batch(n_paths, n_steps, n_steps + 1)[0]
@@ -383,20 +423,24 @@ def _bem_steps(model: SdeModel, cfg: BemConfig, seed, n_paths):
     their partial sums and column moments and the states and residual
     norms into running maxima.  Step ``j``
     draws its Fortran ``(M, m)`` tile of increments when it reaches it
-    (:func:`~demigronwall.rng.draw_columns`), evaluates ``g(Y^j)`` once
-    and yields the noise terms ``z = Z^{j+1}``, the column-major state
-    ``u = Y^{j+1}`` and its Newton residual norms, once every norm meets
-    ``cfg.newton_tol``; the first step that does not raises
-    :class:`NewtonNonConvergence` naming its first failing path.
+    (:func:`~demigronwall.rng.draw_columns`), evaluates ``g(Y^j)`` once,
+    lets the tile go once ``g dW`` is formed, solves the implicit step in
+    row blocks (:func:`_solve_blocks`) and yields the noise terms
+    ``z = Z^{j+1}``, the column-major state ``u = Y^{j+1}`` and its Newton
+    residual norms, once every norm meets ``cfg.newton_tol``; the first
+    step that does not raises :class:`NewtonNonConvergence` naming its
+    first failing path.
     """
     n, m = cfg.n_steps, model.m
     sqrt_h = math.sqrt(cfg.h)
     y = np.array(np.broadcast_to(cfg.x0, (n_paths, model.d)), order="F")
-    for j, dw in enumerate(draw_columns(seed, n_paths, n * m, "normal", width=m)):
+    j = 0
+    for dw in draw_columns(seed, n_paths, n * m, "normal", width=m):  # no enumerate: its result tuple would hold dw
         dw *= sqrt_h
         g = model.diffusion(y)
         b = _row_matvec(g, dw)
-        u, rnorm = _solve_implicit(model, y, b, cfg.h, cfg.newton_tol)
+        del dw  # before the solve
+        u, rnorm = _solve_blocks(model, y, b, cfg.h, cfg.newton_tol)
         bad = np.nonzero(~(rnorm <= cfg.newton_tol))[0]
         if bad.size:
             raise NewtonNonConvergence(
@@ -408,6 +452,7 @@ def _bem_steps(model: SdeModel, cfg: BemConfig, seed, n_paths):
         # |g|^2 sums the d * m entries in row-major order; made after the solve, whose temporaries are gone
         yield _sq_norm(b) - cfg.h * _sq_norm(g.reshape(n_paths, -1)) + 2.0 * _row_dot(b, y), u, rnorm
         y = u
+        j += 1
 
 
 def _sum_factor(model: SdeModel, h0) -> float:
@@ -697,4 +742,38 @@ def bounded_diffusion_model(kappa=1.0, sigma=1.0) -> SdeModel:
         L=sigma ** 2 / 8.0,
         osl=-kappa,
         label=f"bounded_diffusion[kappa={kappa:g},sigma={sigma:g}]",
+    )
+
+
+def coercive_equality_model(L, b) -> SdeModel:
+    """Scalar model that meets coercivity with equality: f(x) = a x, g(x) = (b x, c).
+
+    With ``a = L - b^2 / 2`` and ``c = sqrt(2 L)``,
+    ``<f(x), x> + |g(x)|^2 / 2 = (a + b^2 / 2) x^2 + c^2 / 2 = L (1 + x^2)``
+    at every x, so the proof's coercivity step loses nothing, and with
+    ``x0 = 0`` the L terms carry the whole a-priori bound.  ``b = 0`` is
+    an unstable OU with drift ``L x``; ``b = 1`` and ``L = 1/2`` is
+    geometric Brownian motion plus additive noise.  ``osl = max(a, 0)``.
+    """
+    L, b = float(L), float(b)
+    if not 0.0 <= L < math.inf:
+        raise InvalidSpec(f"L must be finite and >= 0, got {L}")
+    if not math.isfinite(b):
+        raise InvalidSpec(f"b must be finite, got {b}")
+    a, c = L - 0.5 * b * b, math.sqrt(2.0 * L)
+
+    def diffusion(y):
+        g = np.empty((y.shape[0], 1, 2))
+        g[:, 0, 0] = b * y[:, 0]
+        g[:, 0, 1] = c
+        return g
+
+    return SdeModel(
+        d=1, m=2,
+        drift=lambda y: a * y,
+        diffusion=diffusion,
+        drift_jacobian=lambda y: np.full((y.shape[0], 1, 1), a),
+        L=L,
+        osl=max(a, 0.0),
+        label=f"coercive_equality[L={L:g},b={b:g}]",
     )

@@ -52,6 +52,7 @@ class Constant1:
 
     nonnegative = True
     min_coords = 1
+    leading_only = True
 
     @property
     def name(self) -> str:
@@ -69,6 +70,7 @@ class CoordinateRamp:
     center: float
     width: float
     nonnegative = True
+    leading_only = True
 
     def __post_init__(self):
         if self.coord < 1:
@@ -95,6 +97,7 @@ class ProductRamp:
     centers: tuple
     width: float
     nonnegative = True
+    leading_only = True
 
     def __post_init__(self):
         if len(self.centers) < 1:
@@ -125,6 +128,7 @@ class ShiftedIdentityLast:
     center: float
     nonnegative = False
     min_coords = 1
+    leading_only = False
 
     @property
     def name(self) -> str:
@@ -238,7 +242,15 @@ def _quartiles(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TestFunctionFamily:
-    """Finite family of componentwise nondecreasing probe functions."""
+    """Finite family of componentwise nondecreasing probe functions.
+
+    A probe has a ``name``, ``nonnegative``, ``min_coords`` (the prefix
+    length it needs) and ``evaluate(prefix)``, which maps an ``(M, j)``
+    prefix ``S_1 .. S_j`` to M values.  A probe whose ``leading_only`` is
+    true reads only its first ``min_coords`` coordinates, so its values do
+    not change with the step; one without the attribute is evaluated at
+    every step.
+    """
 
     __test__ = False  # not a pytest collection target
 
@@ -309,8 +321,10 @@ def check_demimartingale(batch: TrajectoryBatch, family: TestFunctionFamily, mod
 
     A cell fails when its estimate is below ``-Z_SLACK * SE``.  Cells whose
     probe needs more coordinates than the step provides are skipped, but
-    every step must keep at least one cell.  The report's command is
-    ``mode`` and its columns are :data:`DEMI_COLUMNS`.
+    every step must keep at least one cell.  A ``leading_only`` probe is
+    evaluated once, at the first step it fits, and its values are reused.
+    The report's command is ``mode`` and its columns are
+    :data:`DEMI_COLUMNS`.
 
     Raises:
         InvalidSpec: unknown ``mode``.
@@ -337,13 +351,20 @@ def check_demimartingale(batch: TrajectoryBatch, family: TestFunctionFamily, mod
         raise EmptyFamily(f"no probe for mode={mode!r} fits step(s) {steps}: each needs more coordinates")
     values = batch.values
     report = VerificationReport(command=mode, columns=DEMI_COLUMNS)
+    fixed = {}  # a leading-only probe's values, evaluated at the first step it fits
     for j in range(1, batch.n_steps):
         prefix = values[:, 1 : j + 1]
         diff = values[:, j + 1] - values[:, j]
-        for f in members:
+        for i, f in enumerate(members):
             if f.min_coords > j:
                 continue
-            est, se = mean_se(diff * f.evaluate(prefix))
+            if not getattr(f, "leading_only", False):
+                probe = f.evaluate(prefix)
+            elif i in fixed:
+                probe = fixed[i]
+            else:
+                probe = fixed[i] = f.evaluate(prefix)
+            est, se = mean_se(diff * probe)
             report.rows.append(_cell_row(j, f.name, est, se))
     return report
 

@@ -590,8 +590,9 @@ class TestSimulate:
         _assert_folds(batch, expected[2], 1.0 - 2.0 * cfg.h0 * model.L)
 
     def test_peak_memory_holds_no_increment_matrix(self):
-        # S is one checked array, and one step's draws and Newton temporaries bring the peak to 2.73;
-        # holding the paths and residuals too reached 4.4, and the whole (M, N) increment matrix 5.1
+        # S is one checked array, and one step's g dW and Newton temporaries bring the peak to 2.64 (2.73
+        # while the draw tile lived through the solve); holding the paths and residuals too reached 4.4,
+        # and the whole (M, N) increment matrix 5.1; 20 000 rows at d = 1 are one block, solved in place
         model = ou_model(1.0, 1.0)
         cfg = BemConfig(h=0.1, t_horizon=1.0, h0=0.25, x0=[1.0])
         tracemalloc.start()
@@ -675,6 +676,95 @@ class TestLeanBatch:
             simulate_bem(model, cfg, seed=1, n_paths=40)
         assert (err.value.path, err.value.step) == (0, 2)
         assert calls["diffusion"] == 3
+
+
+def _blocked_and_whole(monkeypatch, run, d, n_paths):
+    """``run()`` with each step solved in three uneven row blocks, then in one; the blocks' row counts first.
+
+    A budget of ``700 d`` entries splits 2000 rows into 666, 667 and 667.
+    """
+    rows, solve_implicit = [], bem._solve_implicit
+
+    def solve(model, y, b, h, tol):
+        rows.append(y.shape[0])
+        return solve_implicit(model, y, b, h, tol)
+
+    monkeypatch.setattr(bem, "_solve_implicit", solve)
+    monkeypatch.setattr(bem, "NEWTON_BLOCK_ENTRIES", 700 * d)
+    blocked = run()
+    blocks = rows[:3]
+    monkeypatch.setattr(bem, "NEWTON_BLOCK_ENTRIES", n_paths * d)
+    rows.clear()
+    whole = run()
+    assert set(rows) == {n_paths}
+    return blocks, blocked, whole
+
+
+class TestRowBlocks:
+    """Each step is solved in row blocks of at most ``NEWTON_BLOCK_ENTRIES`` entries, with the bits of one solve."""
+
+    @pytest.mark.parametrize(
+        "model, x0",
+        [
+            *_EVERY_SHAPE.args[1],
+            (dataclasses.replace(_rotating_cubic_model(), drift_jacobian=None, label="fd-jacobian"), [1.5, -1.0]),
+        ],
+        ids=lambda v: getattr(v, "label", None),
+    )
+    def test_blocks_give_the_one_block_bytes(self, monkeypatch, model, x0):
+        cfg = BemConfig(h=0.05, t_horizon=0.5, h0=0.1, x0=x0, newton_tol=1e-12)
+        blocks, blocked, whole = _blocked_and_whole(
+            monkeypatch, lambda: simulate_bem(model, cfg, seed=6, n_paths=2000), model.d, 2000,
+        )
+        assert blocks == [666, 667, 667]
+        for name in ("partial_sums", "z_mean", "z_se"):
+            assert getattr(blocked, name).tobytes() == getattr(whole, name).tobytes(), name
+        assert blocked.sup_norms().tobytes() == whole.sup_norms().tobytes()
+        assert np.float64(blocked.max_residual).tobytes() == np.float64(whole.max_residual).tobytes()
+
+    def test_a_failing_row_names_its_global_path(self, monkeypatch):
+        # the drift is NaN beyond |y| = 2: at seed 1 path 1698, in the third block, crosses first, at step 6
+        model = SdeModel(
+            d=1, m=1, drift=lambda y: np.where(np.abs(y) > 2.0, np.nan, -y),
+            diffusion=lambda y: np.ones((y.shape[0], 1, 1)),
+            drift_jacobian=lambda y: np.full((y.shape[0], 1, 1), -1.0), L=0.5, osl=-1.0,
+        )
+        cfg = BemConfig(h=0.1, t_horizon=1.0, h0=0.25, x0=[0.0])
+
+        def failure():
+            with pytest.raises(NewtonNonConvergence) as err:
+                simulate_bem(model, cfg, seed=1, n_paths=2000)
+            return err.value
+
+        blocks, blocked, whole = _blocked_and_whole(monkeypatch, failure, 1, 2000)
+        assert blocks == [666, 667, 667]
+        assert (str(blocked), blocked.path, blocked.step) == (str(whole), whole.path, whole.step)
+        assert (whole.path, whole.step) == (1698, 6)
+
+    def test_block_counts(self, monkeypatch):
+        monkeypatch.setattr(bem, "NEWTON_BLOCK_ENTRIES", 1000)
+        assert [bem._newton_blocks(n, d) for n, d in ((1, 1), (1000, 1), (1001, 1), (500, 2), (501, 2), (3, 2000))] == [
+            1, 1, 2, 1, 2, 3,
+        ]
+
+    def test_blocked_model_calls_receive_column_major_state(self, monkeypatch):
+        shapes = []
+
+        def spy(f):
+            def call(y):
+                shapes.append((y.shape, y.flags.f_contiguous))
+                return f(y)
+            return call
+
+        model = SdeModel(
+            d=2, m=2, drift=spy(_cubic_drift), drift_jacobian=spy(_cubic_jacobian),
+            diffusion=spy(lambda y: np.broadcast_to(np.eye(2), (y.shape[0], 2, 2))), L=1.0, osl=-1.0,
+        )
+        monkeypatch.setattr(bem, "NEWTON_BLOCK_ENTRIES", 1400)
+        simulate_bem(model, BemConfig(h=0.1, t_horizon=1.0, h0=0.25, x0=[2.0, -1.0]), seed=7, n_paths=2000)
+        sizes = {shape[0] for shape, _ in shapes}
+        assert {666, 667, 2000} <= sizes and max(sizes - {2000}) == 667  # g on the whole batch, the solve on blocks
+        assert all(shape[1] == 2 and f_contiguous for shape, f_contiguous in shapes)
 
 
 def _cubic_drift(y):
@@ -969,8 +1059,9 @@ class TestVerifyApriori:
         assert peak <= 1.5 * 20_000 * (cfg.n_steps + 1) * 8
 
     def test_peak_memory_on_the_cubic_model(self):
-        # h = 0.02: S with the Newton temporaries of the 2-D simulation (1.83 measured); 2.06 while
-        # the batch held Z, and 5.0 while it held the paths
+        # h = 0.02: S with one row block's Newton temporaries of the 2-D simulation (1.55 measured, two
+        # blocks of 10 000 rows); 1.83 while each step was solved in one block, 2.06 while the batch
+        # held Z, and 5.0 while it held the paths
         model = SdeModel(
             d=2, m=2, drift=_cubic_drift, drift_jacobian=_cubic_jacobian,
             diffusion=lambda y: np.broadcast_to(np.eye(2), (y.shape[0], 2, 2)), L=1.0, osl=-1.0,
@@ -982,7 +1073,7 @@ class TestVerifyApriori:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.0 * 20_000 * (cfg.n_steps + 1) * 8
+        assert peak <= 1.6 * 20_000 * (cfg.n_steps + 1) * 8
 
     @pytest.mark.parametrize(
         "n_paths, seed, exc",

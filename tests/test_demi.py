@@ -280,6 +280,35 @@ class TestCheckDemimartingale:
         batch = TrajectoryBatch(np.hstack([np.zeros((200, 1)), np.cumsum(-np.ones((200, 5)), axis=1)]))
         assert not check_demimartingale(batch, TestFunctionFamily.default(batch)).overall_pass
 
+    def test_leading_only_probes_are_evaluated_once_with_the_per_step_bits(self):
+        class Counted:
+            """A probe that counts its evaluations; ``leading_only`` is forwarded unless ``keep`` is false."""
+
+            def __init__(self, probe, keep=True):
+                self.probe, self.calls = probe, 0
+                self.name, self.nonnegative, self.min_coords = probe.name, probe.nonnegative, probe.min_coords
+                if keep:
+                    self.leading_only = probe.leading_only
+
+            def evaluate(self, prefix):
+                self.calls += 1
+                return self.probe.evaluate(prefix)
+
+        batch = _batch(GeneratorSpec.random_walk("gauss"), 8, 3000, 4)
+        default = TestFunctionFamily.default(batch).members
+        probes = [Counted(f) for f in default] + [Counted(default[1], keep=False)]
+        rows = check_demimartingale(batch, TestFunctionFamily(tuple(probes))).rows
+        values, expected = batch.values, []
+        for j in range(1, batch.n_steps):
+            for f in default + (default[1],):
+                if f.min_coords <= j:
+                    est, se = mean_se((values[:, j + 1] - values[:, j]) * f.evaluate(values[:, 1 : j + 1]))
+                    expected.append((f.name, est, se))
+        assert [(r["function"], r["estimate"], r["stderr"]) for r in rows] == expected
+        # the constant, the three ramps and the product ramp once; the last coordinate and a probe
+        # without the attribute at each of the 7 steps
+        assert [p.calls for p in probes] == [1, 1, 1, 1, 1, 7, 7]
+
     def test_report_serialization(self, tmp_path):
         batch = _batch(GeneratorSpec.random_walk(), 4, 5000, 3)
         report = check_demimartingale(batch, TestFunctionFamily.default(batch))
